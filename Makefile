@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-fix vet-concurrency vet-determinism vet-shardsafe fmt check report bench
+.PHONY: build test race vet vet-fix vet-concurrency vet-determinism fmt check report bench
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs both the standard toolchain vet and the repository's own
-# cross-layer analyzers (layer DAG, determinism, lock hygiene, error
-# discipline, pairing, crypto misuse, dead/unreachable code, taint).
+# vet runs both the standard toolchain vet (which owns lock copies and
+# unreachable code) and the repository's own cross-layer analyzers
+# (layer DAG, determinism, error discipline, pairing, crypto misuse,
+# dead stores, taint, concurrency). DESIGN.md §6 lists what each guards.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/xlf-vet -baseline vet-baseline.json ./...
@@ -26,24 +27,17 @@ vet-fix:
 	git diff --exit-code
 
 # vet-concurrency runs just the concurrency-safety layer — the
-# lock-order graph, goroutine-leak, atomic-mix and //xlf:hotpath
-# allocation rules — for quick iteration on locking or hot-path code.
+# lock-order graph, goroutine-leak and //xlf:hotpath allocation rules —
+# for quick iteration on locking or hot-path code.
 vet-concurrency:
-	$(GO) run ./cmd/xlf-vet -only lockorder,goroleak,atomicmix,hotpathalloc -baseline vet-baseline.json ./...
+	$(GO) run ./cmd/xlf-vet -only lockorder,goroleak,hotpathalloc -baseline vet-baseline.json ./...
 
 # vet-determinism runs the reproduction-contract layer — the per-file
 # determinism rule plus the call-graph rules detflow, globalmut,
 # maporder and hotpathalloc — for quick iteration on simulator or
-# experiment code. check.sh runs the same set under -race.
+# experiment code.
 vet-determinism:
 	$(GO) run ./cmd/xlf-vet -only determinism,detflow,globalmut,maporder,hotpathalloc -baseline vet-baseline.json ./...
-
-# vet-shardsafe runs just the ownership/shard-isolation layer — the
-# shardescape, shardhandle and shardphase rules over the //xlf:owned and
-# //xlf:phase annotations — for quick iteration while sharding the
-# kernel (ROADMAP item 2). check.sh runs the same set under -race.
-vet-shardsafe:
-	$(GO) run ./cmd/xlf-vet -only shardsafe -baseline vet-baseline.json ./...
 
 fmt:
 	gofmt -w .
@@ -54,7 +48,7 @@ check:
 
 # report regenerates every paper table and figure.
 report:
-	$(GO) run ./cmd/probe
+	$(GO) run ./cmd/xlf-bench -all
 
 # bench runs the full experiment suite in parallel and writes the
 # versioned BENCH_<id>.json artifacts to out/bench.

@@ -1,34 +1,27 @@
-// Command xlf-vet runs the repository's cross-layer static analysis: the
-// XLF layer import DAG, the simulator determinism contract, lock-copy
-// hygiene, error discipline in security-critical packages, the
-// path-sensitive CFG rules — cryptomisuse (hardcoded/short/math-rand
-// keys, constant or reused nonces, non-constant-time MAC compares),
-// pairing (locks, trace regions and timers released on every path),
-// deadstore and unreachable — the two taint dataflow rules,
-// plaintextescape (device payloads must be sealed before reaching a
-// network send) and secretleak (token/key material must not flow into
-// logs, errors, or metrics labels) — and the concurrency-safety layer:
-// lockorder (an interprocedural lock-acquisition graph whose cycles are
-// potential deadlocks), goroleak (goroutines with no shutdown path,
-// unbuffered sends no path receives, WaitGroup.Add racing Wait),
-// atomicmix (fields accessed both atomically and plainly; sync values
-// copied by value) and hotpathalloc (functions annotated //xlf:hotpath
-// must not contain or call into allocating constructs). On top of the
-// module-wide call graph sit the interprocedural determinism rules:
-// detflow (wall-clock and global-rand reachability from deterministic
-// packages through any depth of cross-package helpers), globalmut
-// (writes to mutable package-level state reachable from shard-state
-// packages) and maporder (map iteration order escaping into returns,
-// sinks, or unsorted appends) — plus the ownership & shard-isolation
-// family: shardescape (values from //xlf:owned constructors must stay
-// confined to their declared domain — no package-level stores, go
-// captures, channel sends, or returns past the holder set, tracked
-// interprocedurally with witness chains), shardhandle
-// (generation-checked tokens like sim.Handle must not cross goroutine
-// or domain boundaries) and shardphase (//xlf:phase barrier
-// discipline: only window-phase code crosses phases). See
-// internal/analysis for the rules and DESIGN.md for the architecture
-// table they enforce.
+// Command xlf-vet runs the repository's cross-layer static analysis:
+// the XLF layer import DAG, the simulator determinism contract, error
+// discipline in security-critical packages, the path-sensitive CFG
+// rules — cryptomisuse (hardcoded/short/math-rand keys, constant or
+// reused nonces, non-constant-time MAC compares), pairing (locks, trace
+// regions and timers released on every path) and deadstore — the two
+// taint dataflow rules, plaintextescape (device payloads must be sealed
+// before reaching a network send) and secretleak (token/key material
+// must not flow into logs, errors, or metrics labels) — and the
+// concurrency-safety layer: lockorder (an interprocedural
+// lock-acquisition graph whose cycles are potential deadlocks), goroleak
+// (goroutines with no shutdown path, unbuffered sends no path receives,
+// WaitGroup.Add racing Wait) and hotpathalloc (functions annotated
+// //xlf:hotpath must not contain or call into allocating constructs).
+// On top of the module-wide call graph sit the interprocedural
+// determinism rules: detflow (wall-clock and global-rand reachability
+// from deterministic packages through any depth of cross-package
+// helpers), globalmut (writes to mutable package-level state reachable
+// from the packages exp.Scheduler runs concurrently) and maporder (map
+// iteration order escaping into returns, sinks, or unsorted appends).
+// Lock copies and unreachable code are go vet's copylocks and
+// unreachable passes, which the CI gate runs alongside. See
+// internal/analysis for the rules and DESIGN.md §6 for the invariant
+// each one guards.
 //
 // Usage:
 //
@@ -36,22 +29,20 @@
 //	xlf-vet ./internal/exp ./cmd/...   # specific packages
 //	xlf-vet -json ./...                # machine-readable findings
 //	xlf-vet -sarif ./...               # SARIF 2.1.0 (code-scanning upload)
-//	xlf-vet -disable lockcheck ./...   # drop rules for one run
+//	xlf-vet -disable errdrop ./...     # drop rules for one run
 //	xlf-vet -only lockorder,goroleak ./...  # run only the named rules
-//	xlf-vet -only shardsafe ./...      # family alias: shardescape,shardhandle,shardphase
 //	xlf-vet -baseline vet.json ./...   # report only findings not in the baseline
 //	xlf-vet -baseline vet.json -strict-baseline ./...  # stale waivers fail the run
 //	xlf-vet -baseline vet.json -write-baseline ./...  # freeze current findings
 //	xlf-vet -baseline vet.json -prune-baseline ./...  # drop stale waivers
 //	xlf-vet -parallel 8 ./...          # per-package worker pool
-//	xlf-vet -cache-dir .vetcache ./... # reuse results when the module is unchanged
 //	xlf-vet -fix ./...                 # apply suggested edits for mechanical findings
 //
 // Findings are reported as "file:line: [rule] message" with paths
 // relative to the module root; output is deterministic at any -parallel
-// setting, cold or warm cache. Exit status: 0 when clean (or when every
-// finding is suppressed by the baseline), 1 when findings were reported,
-// 2 on usage or load errors.
+// setting. Exit status: 0 when clean (or when every finding is
+// suppressed by the baseline), 1 when findings were reported, 2 on usage
+// or load errors.
 package main
 
 import (
@@ -63,7 +54,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 
 	"xlf/internal/analysis"
 )
@@ -78,14 +68,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut   = fs.Bool("json", false, "emit findings as JSON")
 		sarifOut  = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-		disable   = fs.String("disable", "", "comma-separated rules to skip (layercheck,determinism,detflow,lockcheck,errdrop,pairing,cryptomisuse,deadstore,unreachable,plaintextescape,secretleak,lockorder,goroleak,atomicmix,hotpathalloc,globalmut,maporder,shardescape,shardhandle,shardphase)")
-		only      = fs.String("only", "", "comma-separated rules to run, dropping all others (same names as -disable; the family alias shardsafe expands to shardescape,shardhandle,shardphase)")
+		disable   = fs.String("disable", "", "comma-separated rules to skip (layercheck,determinism,detflow,errdrop,pairing,cryptomisuse,deadstore,plaintextescape,secretleak,lockorder,goroleak,hotpathalloc,globalmut,maporder)")
+		only      = fs.String("only", "", "comma-separated rules to run, dropping all others (same names as -disable)")
 		root      = fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
 		baseline  = fs.String("baseline", "", "baseline file: suppress the findings recorded in it")
 		writeBase = fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit clean")
 		pruneBase = fs.Bool("prune-baseline", false, "rewrite the -baseline file with stale waivers removed and exit clean")
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "package-level analysis workers")
-		cacheDir  = fs.String("cache-dir", "", "directory for the per-package result cache (empty disables caching)")
 		fix       = fs.Bool("fix", false, "apply suggested edits for mechanical findings")
 		strict    = fs.Bool("strict-baseline", false, "fail (exit 1) when the -baseline file carries stale waivers; requires a full-module run with every rule enabled")
 	)
@@ -149,12 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cache, err := openCache(*cacheDir, moduleRoot, allPkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "xlf-vet:", err)
-		return 2
-	}
-	findings := collectFindings(pkgs, analyzers, *parallel, cache, moduleRoot)
+	findings := analysis.RunParallel(pkgs, analyzers, *parallel)
+	relativize(findings, moduleRoot)
 
 	if *writeBase {
 		b := analysis.NewBaseline(findings)
@@ -218,15 +203,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fix {
-		applied, err := applyFixes(moduleRoot, findings, stderr)
-		if err != nil {
+		if _, err := applyFixes(moduleRoot, findings, stderr); err != nil {
 			fmt.Fprintln(stderr, "xlf-vet:", err)
 			return 2
-		}
-		if applied > 0 && cache != nil {
-			// The tree changed under the cache's context hash; entries for
-			// the old hash are simply never read again.
-			fmt.Fprintf(stderr, "xlf-vet: %d edit(s) applied; re-run to verify\n", applied)
 		}
 	}
 
@@ -269,64 +248,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// collectFindings runs the analyzers over pkgs through the worker pool,
-// consulting the per-package cache when enabled. Results are
-// module-relative and fully sorted, so the output is byte-identical at
-// any worker count with a cold or warm cache.
-func collectFindings(pkgs []*analysis.Package, analyzers []analysis.Analyzer, workers int, cache *vetCache, root string) []analysis.Finding {
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([][]analysis.Finding, len(pkgs))
-	var misses []int
-	for i, pkg := range pkgs {
-		if cache == nil {
-			misses = append(misses, i)
-			continue
-		}
-		if cached, ok := cache.get(pkg.ImportPath); ok {
-			results[i] = cached
-			continue
-		}
-		misses = append(misses, i)
-	}
-	if len(misses) > 0 {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		if workers > len(misses) {
-			workers = len(misses)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					fs := analysis.RunPackage(pkgs[i], analyzers)
-					relativize(fs, root)
-					analysis.SortFindings(fs)
-					if cache != nil {
-						cache.put(pkgs[i].ImportPath, fs)
-					}
-					results[i] = fs
-				}
-			}()
-		}
-		for _, i := range misses {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	var out []analysis.Finding
-	for _, fs := range results {
-		out = append(out, fs...)
-	}
-	analysis.SortFindings(out)
-	return out
-}
-
 // relativize rewrites finding paths relative to the module root, so
-// output (and baselines) are stable across checkouts.
+// output (and baselines) are stable across checkouts. Every path shares
+// the root prefix, so the sorted order RunParallel returned still holds
+// and the output is byte-identical at any worker count.
 func relativize(findings []analysis.Finding, root string) {
 	for i := range findings {
 		if rel, err := filepath.Rel(root, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -358,24 +283,12 @@ func findModuleRoot() (string, error) {
 // ones, or — when only is non-empty — just the named rules, in their
 // canonical XLFAnalyzers order.
 func selectAnalyzers(disable, only string) ([]analysis.Analyzer, error) {
-	// Family aliases expand to their member rules in both -only and
-	// -disable.
-	families := map[string][]string{
-		"shardsafe": {"shardescape", "shardhandle", "shardphase"},
-	}
 	ruleSet := func(csv string) map[string]bool {
 		set := make(map[string]bool)
 		for _, name := range strings.Split(csv, ",") {
-			if name = strings.TrimSpace(name); name == "" {
-				continue
+			if name = strings.TrimSpace(name); name != "" {
+				set[name] = true
 			}
-			if members, ok := families[name]; ok {
-				for _, m := range members {
-					set[m] = true
-				}
-				continue
-			}
-			set[name] = true
 		}
 		return set
 	}

@@ -2,10 +2,11 @@
 // analysis. XLF's thesis is that security properties must be enforced
 // across layers, not inside any single one; this package compiles the
 // corresponding architectural rules — the layer import DAG, the
-// determinism contract of the simulator, lock-copy hygiene and
-// error-handling discipline in security-critical packages — into checkers
-// that run over the parsed source (go/parser + go/ast only, no type
-// information and no external dependencies).
+// determinism contract of the simulator, lock balance and error-handling
+// discipline in security-critical packages — into checkers that run over
+// the parsed source (go/parser, go/ast and go/types only, no external
+// dependencies). Rules go vet already runs (copylocks, unreachable) are
+// not duplicated here.
 //
 // Each Analyzer inspects one parsed Package at a time and reports
 // Findings; cmd/xlf-vet loads the module, runs every analyzer and exits
@@ -59,7 +60,7 @@ type File struct {
 }
 
 // Package is one parsed directory of Go source. Test files are included
-// (lock hygiene applies to them too); analyzers that only reason about
+// (lock balance applies to them too); analyzers that only reason about
 // production code skip File.Test entries.
 type Package struct {
 	// ImportPath is the package's import path ("xlf/internal/sim").
@@ -143,7 +144,9 @@ func RunParallel(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = RunPackage(pkgs[i], analyzers)
+				for _, a := range analyzers {
+					results[i] = append(results[i], a.Check(pkgs[i])...)
+				}
 			}
 		}()
 	}
@@ -155,18 +158,6 @@ func RunParallel(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
 	var out []Finding
 	for _, r := range results {
 		out = append(out, r...)
-	}
-	SortFindings(out)
-	return out
-}
-
-// RunPackage applies every analyzer to one package. Prepare must have
-// run first; the result is sorted and self-contained, which is what the
-// driver's per-package result cache stores.
-func RunPackage(pkg *Package, analyzers []Analyzer) []Finding {
-	var out []Finding
-	for _, a := range analyzers {
-		out = append(out, a.Check(pkg)...)
 	}
 	SortFindings(out)
 	return out

@@ -3,7 +3,7 @@ package analysis
 // The module-wide call-graph engine. Three rule families reason about
 // what a function reaches *transitively* — the taint engine (which
 // values flow where), lockorder (which locks a call may acquire) and
-// the determinism/shard-safety layer (does any callee read the wall
+// the determinism layer (does any callee read the wall
 // clock, mutate shared package state, or allocate on a hot path). Each
 // of them needs the same three ingredients: an index of every declared
 // function keyed the way taint.go keys its summaries, resolved call

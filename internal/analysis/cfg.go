@@ -210,7 +210,8 @@ func (b *cfgBuilder) edge(from, to *Block) {
 
 // add appends a node to the current block, opening a fresh one when the
 // previous statement terminated flow (such trailing blocks stay
-// predecessor-less, which is exactly what the unreachable rule reports).
+// predecessor-less, which is exactly what go vet's unreachable pass
+// reports).
 func (b *cfgBuilder) add(n ast.Node) {
 	if b.cur == nil {
 		b.cur = b.newBlock(KindBody)

@@ -1,7 +1,7 @@
 package analysis
 
-// Tests for the concurrency-safety layer: lockorder, goroleak,
-// atomicmix and hotpathalloc, each against its `// want` fixture tree,
+// Tests for the concurrency-safety layer: lockorder, goroleak and
+// hotpathalloc, each against its `// want` fixture tree,
 // plus a fuzz smoke over the lock-order graph construction.
 
 import (
@@ -18,10 +18,6 @@ func TestLockOrderFixture(t *testing.T) {
 
 func TestGoroLeakFixture(t *testing.T) {
 	checkFixture(t, "goroleak", NewGoroLeak())
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	checkFixture(t, "atomicmix", NewAtomicMix())
 }
 
 func TestHotPathAllocFixture(t *testing.T) {

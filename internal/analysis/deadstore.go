@@ -1,15 +1,12 @@
 package analysis
 
-// The dead-code rule family: two path-sensitive analyzers over the CFG.
+// deadstore: a path-sensitive analyzer over the CFG. It reports a
+// complete write to a local variable whose value can never be read on
+// any path (every path overwrites it or exits first), built on reaching
+// definitions + the DefIsDead query. Unreachable statements are left to
+// go vet's unreachable pass.
 //
-//   - deadstore: a complete write to a local variable whose value can
-//     never be read on any path (every path overwrites it or exits
-//     first). Built on reaching definitions + the DefIsDead query.
-//
-//   - unreachable: statements no path from the function entry reaches
-//     (code after return/panic, dead branches of goto/labels).
-//
-// Both are correctness signals in this codebase rather than style: a
+// This is a correctness signal in this codebase rather than style: a
 // dead store to a nonce or a tag variable usually means the fresh value
 // was computed and then never fed into the seal/verify call.
 
@@ -21,12 +18,6 @@ import (
 
 // DeadStoreAllowMarker waives a deadstore finding for its line.
 const DeadStoreAllowMarker = "xlf:allow-deadstore"
-
-// UnreachableAllowMarker waives an unreachable finding for its line.
-const UnreachableAllowMarker = "xlf:allow-unreachable"
-
-// ---------------------------------------------------------------------
-// deadstore
 
 // NewDeadStore builds the dead-store analyzer.
 func NewDeadStore() Analyzer {
@@ -83,7 +74,7 @@ func checkDeadStores(pkg *Package, pt *pkgTypes, fn Function) []Finding {
 			// implicit object, so the guard write never reads as used.
 			continue
 		case !reach[def.Block]:
-			// Unreachable stores are the unreachable rule's finding.
+			// Unreachable stores are go vet's unreachable finding.
 			continue
 		case exit[def.Obj]:
 			// Named results and defer-read variables are read at exit.
@@ -202,102 +193,4 @@ func declaredWithin(pt *pkgTypes, fn Function, obj any) bool {
 		return true
 	})
 	return declared
-}
-
-// ---------------------------------------------------------------------
-// unreachable
-
-// NewUnreachable builds the unreachable-code analyzer.
-func NewUnreachable() Analyzer { return unreachable{} }
-
-type unreachable struct{}
-
-func (unreachable) Name() string { return "unreachable" }
-func (unreachable) Doc() string {
-	return "every statement must be reachable from the function entry"
-}
-
-func (unreachable) Check(pkg *Package) []Finding {
-	var out []Finding
-	for fi := range pkg.Files {
-		f := &pkg.Files[fi]
-		allowed := allowedLines(pkg.Fset, f.AST, UnreachableAllowMarker)
-		for _, fn := range Functions(f.AST) {
-			for _, fnd := range checkUnreachable(pkg, fn) {
-				if !allowed[fnd.Line] {
-					out = append(out, fnd)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkUnreachable reports the entry statement of each maximal
-// unreachable region, not every statement in it — one finding per
-// mistake.
-func checkUnreachable(pkg *Package, fn Function) []Finding {
-	g := BuildCFG(fn.Name, fn.Body)
-	reach := g.Reachable()
-
-	dead := make(map[*Block]bool)
-	for _, b := range g.Blocks {
-		if !reach[b] && b != g.Exit && len(b.Nodes) > 0 {
-			dead[b] = true
-		}
-	}
-	if len(dead) == 0 {
-		return nil
-	}
-
-	covered := make(map[*Block]bool)
-	var cover func(b *Block)
-	cover = func(b *Block) {
-		if covered[b] || !dead[b] {
-			return
-		}
-		covered[b] = true
-		for _, s := range b.Succs {
-			cover(s)
-		}
-	}
-
-	var out []Finding
-	report := func(b *Block) {
-		out = append(out, pkg.finding("unreachable", b.Nodes[0].Pos(),
-			"unreachable code: no path from the function entry reaches this statement"))
-		cover(b)
-	}
-
-	// Region entries first: dead blocks with no dead predecessor.
-	for _, b := range g.Blocks {
-		if !dead[b] || covered[b] {
-			continue
-		}
-		entry := true
-		for _, p := range b.Preds {
-			if dead[p] {
-				entry = false
-				break
-			}
-		}
-		if entry {
-			report(b)
-		}
-	}
-	// Leftover cycles (a dead loop whose every block has a dead pred):
-	// report the lowest-position block of each remaining region.
-	for {
-		var first *Block
-		for _, b := range g.Blocks {
-			if dead[b] && !covered[b] && (first == nil || b.Nodes[0].Pos() < first.Nodes[0].Pos()) {
-				first = b
-			}
-		}
-		if first == nil {
-			break
-		}
-		report(first)
-	}
-	return out
 }

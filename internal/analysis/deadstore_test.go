@@ -5,7 +5,3 @@ import "testing"
 func TestDeadStoreFixture(t *testing.T) {
 	checkFixture(t, "deadstore", NewDeadStore())
 }
-
-func TestUnreachableFixture(t *testing.T) {
-	checkFixture(t, "unreachable", NewUnreachable())
-}

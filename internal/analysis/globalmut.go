@@ -1,22 +1,22 @@
 package analysis
 
-// GlobalMut guards the shard-isolation invariant the million-device
-// roadmap rests on: once the kernel shards its event loop, any write to
+// GlobalMut guards the isolation invariant exp.Scheduler rests on: it
+// runs experiments on concurrent worker goroutines, so any write to
 // mutable package-level state reachable from simulation, network-sim,
-// experiment or Core code becomes a cross-shard race and a replay
-// divergence. The rule finds every assignment (and ++/--) whose target
+// experiment or Core code is shared between experiments — a data race
+// and a replay divergence across -parallel levels. The rule finds every assignment (and ++/--) whose target
 // resolves to a package-scoped variable, attaches the fact to the
 // enclosing function, and propagates it bottom-up over the shared call
 // graph. Inside the configured root packages it reports direct writes
 // at the assignment and transitive ones at the boundary call site,
 // with a witness chain.
 //
-// init functions are exempt — once-before-main registration is not
-// shard state — and so are waived lines: //xlf:allow-globalmut at the
+// init functions are exempt — once-before-main registration runs before
+// any worker starts — and so are waived lines: //xlf:allow-globalmut at the
 // write site removes the fact for every caller, and at a boundary call
 // (or in the calling function's doc comment) waives that root alone.
-// Atomic counters mutated through atomic.Add* calls are out of scope
-// (the atomicmix rule owns those access patterns).
+// Atomic counters mutated through atomic.Add* calls are out of scope:
+// the tree uses typed atomics only (DESIGN.md §10).
 
 import (
 	"go/ast"
@@ -29,7 +29,7 @@ import (
 const AllowGlobalMutMarker = "xlf:allow-globalmut"
 
 // GlobalMut reports package-level state mutation reachable from the
-// shard-state root packages.
+// scheduler root packages.
 type GlobalMut struct {
 	// Roots lists the packages (exact or "prefix/...") whose call trees
 	// must stay free of global mutation.
@@ -67,7 +67,7 @@ func (gm *GlobalMut) Name() string { return "globalmut" }
 
 // Doc implements Documented.
 func (gm *GlobalMut) Doc() string {
-	return "sim/netsim/exp/core call trees must not mutate package-level state (shard isolation)"
+	return "sim/netsim/exp/core call trees must not mutate package-level state (experiments run concurrently)"
 }
 
 // followGlobalMut matches detflow: every precisely-resolved edge
@@ -88,7 +88,7 @@ func (gm *GlobalMut) Prepare(pkgs []*Package) {
 	for _, key := range gm.graph.Keys() {
 		fn := gm.graph.Func(key)
 		if fn.Decl.Recv == nil && fn.Decl.Name.Name == "init" {
-			continue // once-before-main registration is not shard state
+			continue // once-before-main registration runs before any worker
 		}
 		pt := gm.graph.oracle.typesOf(fn.Pkg)
 		if pt == nil {
@@ -188,7 +188,7 @@ func (gm *GlobalMut) Check(pkg *Package) []Finding {
 		}
 		for _, w := range gm.writes[key] {
 			out = append(out, pkg.finding(gm.Name(), w.pos,
-				"write to %s in shard-state package %s; move it into per-shard state (or annotate //%s)",
+				"write to %s in scheduler-root package %s; move it into per-run state (or annotate //%s)",
 				w.desc, pkg.ImportPath, AllowGlobalMutMarker))
 		}
 		if allowed[fn.File] == nil {
@@ -209,7 +209,7 @@ func (gm *GlobalMut) Check(pkg *Package) []Finding {
 			}
 			reported[e.Pos] = true
 			out = append(out, pkg.finding(gm.Name(), e.Pos,
-				"call to %s mutates %s (%s) from shard-state package %s; move it into per-shard state (or annotate //%s)",
+				"call to %s mutates %s (%s) from scheduler-root package %s; move it into per-run state (or annotate //%s)",
 				FuncDisplay(e.Callee), facts[0], gm.witness(e.Callee), pkg.ImportPath, AllowGlobalMutMarker))
 		}
 	}

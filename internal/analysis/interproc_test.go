@@ -1,6 +1,6 @@
 package analysis
 
-// Tests for the interprocedural determinism/shard-safety layer: the
+// Tests for the interprocedural determinism layer: the
 // call-graph engine's edge classification, fixpoint and witness chains,
 // the detflow/globalmut/maporder fixtures, the transitive half of
 // hotpathalloc, and a fuzz smoke over graph construction.

@@ -280,6 +280,19 @@ func (l *LockOrder) addEdges(held map[string]bool, acquired []string, pkg *Packa
 	}
 }
 
+// sourceLoc renders a checkout-independent location for cross-references
+// inside messages: the package import path plus the file base name.
+func sourceLoc(pkg *Package, file *File, line int) string {
+	name := file.Name
+	for i := len(name) - 1; i >= 0; i-- {
+		if name[i] == '/' || name[i] == '\\' {
+			name = name[i+1:]
+			break
+		}
+	}
+	return fmt.Sprintf("%s/%s:%d", pkg.ImportPath, name, line)
+}
+
 // lockIdOf resolves a Lock/RLock/Unlock/RUnlock call to a stable lock
 // identity. Field mutexes key on owner type and field name; package
 // scoped mutexes on package path and variable name. Anything else —

@@ -1,6 +1,6 @@
-// Package reg is a registry OUTSIDE the shard-state roots; its own
+// Package reg is a registry OUTSIDE the scheduler roots; its own
 // writes are legal here, but reaching them from a root package is the
-// cross-shard hazard globalmut reports at the boundary.
+// shared-state hazard globalmut reports at the boundary.
 package reg
 
 var count int

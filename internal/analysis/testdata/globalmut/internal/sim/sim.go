@@ -1,4 +1,4 @@
-// Package sim is a shard-state root: globalmut reports its direct
+// Package sim is a scheduler root: globalmut reports its direct
 // package-level writes at the assignment and transitive ones at the
 // boundary call into example.com/m/internal/reg.
 package sim
@@ -9,7 +9,7 @@ var ticks int
 
 var seen = map[string]bool{}
 
-// init registration is once-before-main, not shard state.
+// init registration is once-before-main, before any worker runs.
 func init() {
 	seen["boot"] = true
 }

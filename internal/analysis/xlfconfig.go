@@ -84,7 +84,6 @@ var XLFLayerTable = map[string][]string{
 	"internal/analysis": {},
 
 	// Binaries and examples: leaves at the top of the DAG.
-	"cmd/probe":      {"internal/exp"},
 	"cmd/xlf-attack": {".", "internal/attack", "internal/service"},
 	"cmd/xlf-bench":  {"internal/exp", "internal/obs"},
 	"cmd/xlf-sim":    {".", "internal/analytics", "internal/attack", "internal/service"},
@@ -115,63 +114,17 @@ var XLFDeterministicPackages = []string{
 	"xlf/internal/testbed",
 }
 
-// XLFShardStatePackages are the call-tree roots that must stay free of
-// package-level mutation for ROADMAP item 2 (sharded deterministic
-// PDES): once the kernel shards, any global these packages reach is a
-// cross-shard race and a replay divergence.
-var XLFShardStatePackages = []string{
+// XLFSchedulerRootPackages are the call-tree roots that must stay free
+// of package-level mutation: exp.Scheduler runs experiments on worker
+// goroutines (exp/sched.go), and every experiment drives the Core, the
+// network simulator and the kernel, so any global these packages reach
+// is shared between concurrent experiments — a data race under -parallel
+// and a replay divergence between -parallel levels.
+var XLFSchedulerRootPackages = []string{
 	"xlf/internal/core",
 	"xlf/internal/exp",
 	"xlf/internal/netsim",
 	"xlf/internal/sim",
-}
-
-// XLFOwnedDomains declares the per-run ownership domains the shardsafe
-// layer confines (DESIGN.md §14): each domain maps to the packages
-// allowed to hold and return its values (exact path or "prefix/...").
-// A value built by an //xlf:owned(domain) constructor must never be
-// stored in package-level state, captured by a go statement, sent on a
-// channel, or returned from a package outside this set — once ROADMAP
-// item 2 shards the kernel, any such escape is a cross-shard race and a
-// replay divergence.
-var XLFOwnedDomains = map[string][]string{
-	// Per-shard kernel state: the timer wheel, event slab and every
-	// RNG seeded from it.
-	"sim": {
-		"xlf/internal/sim", "xlf/internal/netsim", "xlf/internal/shaping",
-		"xlf/internal/attack", "xlf/internal/testbed", "xlf/internal/exp",
-		"xlf/examples/...",
-	},
-	// Per-run network topology: gateways, links, in-flight packets.
-	"net": {
-		"xlf", "xlf/internal/netsim", "xlf/internal/dnsp",
-		"xlf/internal/ids", "xlf/internal/shaping", "xlf/internal/behavior",
-		"xlf/internal/core", "xlf/internal/attack", "xlf/internal/testbed",
-		"xlf/internal/exp", "xlf/examples/...",
-	},
-	// Per-run observability state: metric registries, tracers, rollups,
-	// flight recorders, detection trackers. Every layer may hold them
-	// (obs is the universal substrate); the escape rules still forbid
-	// globals, go captures and channel transfers.
-	"obs": {
-		"xlf", "xlf/internal/...", "xlf/cmd/...", "xlf/examples/...",
-		"xlf/scripts/...",
-	},
-	// Per-experiment Env trees (exp.Env.Fork): seeded RNG + clock +
-	// telemetry, forked sequentially before any worker runs.
-	"exp": {"xlf/internal/exp", "xlf/cmd/..."},
-	// Per-home / per-city testbed state.
-	"testbed": {
-		"xlf/internal/testbed", "xlf/internal/exp", "xlf/examples/...",
-	},
-}
-
-// XLFGenerationTokens are the generation-checked token types the
-// shardhandle rule confines: a stale token is a silent no-op by design,
-// so letting one cross a goroutine, channel or package-level boundary
-// converts a lost cancellation into an undetectable bug.
-var XLFGenerationTokens = []TokenType{
-	{Pkg: "xlf/internal/sim", Name: "Handle"},
 }
 
 // XLFMapOrderSinks are the calls whose argument order is observable
@@ -264,8 +217,12 @@ var XLFSecretLeak = TaintRule{
 // XLFReceiverPairs are the receiver-paired acquire/release obligations
 // the pairing rule enforces on every path: mutex critical sections must
 // close before the function exits (including explicit panic exits).
-// The mutex pairs are lockcheck's balance contract, delegated here.
-var XLFReceiverPairs = LockBalancePairs
+// Copying a lock is go vet's copylocks finding; balancing it is this
+// table's.
+var XLFReceiverPairs = []ReceiverPairSpec{
+	{Acquire: "Lock", Release: "Unlock"},
+	{Acquire: "RLock", Release: "RUnlock"},
+}
 
 // XLFValuePairs are the value-bound obligations: an obs trace Region
 // must be ended (or handed off) on every path, and timers/tickers must
@@ -321,30 +278,26 @@ var XLFCryptoConfig = CryptoConfig{
 // XLFAnalyzers returns the full rule set configured for this
 // repository. One CallGraph (and the type oracle inside it) is shared
 // by every interprocedural rule — determinism, lockorder, hotpathalloc,
-// the shard-safety layer and the taint suite — so the module is
-// type-checked and its call edges resolved exactly once per run.
+// the call-graph determinism layer and the taint suite — so the module
+// is type-checked and its call edges resolved exactly once per run.
+// DESIGN.md §6 gives the invariant each rule guards.
 func XLFAnalyzers() []Analyzer {
 	g := NewCallGraph()
 	out := []Analyzer{
 		NewLayerCheck(XLFModule, XLFLayerTable),
 		NewDeterminism(XLFDeterministicPackages, g),
-		NewLockCheck(),
 		NewErrDrop(XLFSecurityPackages),
 		NewPairingAnalyzer(XLFReceiverPairs, XLFValuePairs),
 		NewCryptoMisuse(XLFCryptoConfig),
 		NewDeadStore(),
-		NewUnreachable(),
 		// Concurrency-safety layer (DESIGN.md §10).
 		NewLockOrder(g),
 		NewGoroLeak(),
-		NewAtomicMix(),
 		NewHotPathAlloc(g),
-		// Interprocedural shard-safety & determinism layer (DESIGN.md §11).
+		// Interprocedural determinism layer (DESIGN.md §11).
 		NewDetFlow(XLFDeterministicPackages, g),
-		NewGlobalMut(XLFShardStatePackages, g),
+		NewGlobalMut(XLFSchedulerRootPackages, g),
 		NewMapOrder(XLFDeterministicPackages, XLFMapOrderSinks, g),
 	}
-	// Ownership & shard-isolation layer (DESIGN.md §14).
-	out = append(out, NewShardSafeSuite(XLFOwnedDomains, XLFGenerationTokens, g)...)
 	return append(out, NewTaintSuite(g, XLFPlaintextEscape, XLFSecretLeak)...)
 }

@@ -137,7 +137,6 @@ type Core struct {
 	contain Containment
 
 	signals   map[string][]Signal // per device
-	global    []Signal            // unattributed
 	alerts    []Alert
 	lastA     map[string]time.Duration
 	contained map[string]bool
@@ -241,9 +240,10 @@ func (c *Core) layerEnabled(l LayerName) bool {
 
 // Ingest feeds one signal into the correlation engine, returning the alert
 // it raised, if any. This is the per-signal hot path: the disabled-layer
-// and no-tracer branches must stay allocation-free. The two history
-// appends are amortised-O(1) against window-bounded slices and are the
-// one reviewed exception (waived in vet-baseline.json).
+// and no-tracer branches must stay allocation-free. The history append
+// is amortised-O(1) against a window-bounded slice and is the one
+// reviewed exception (waived in vet-baseline.json). An unattributed
+// signal is counted and traced but correlates with nothing.
 //
 //xlf:hotpath
 func (c *Core) Ingest(sig Signal) *Alert {
@@ -265,7 +265,6 @@ func (c *Core) Ingest(sig Signal) *Alert {
 		})
 	}
 	if sig.DeviceID == "" {
-		c.global = append(c.global, sig)
 		return nil
 	}
 	hist := append(c.signals[sig.DeviceID], sig)

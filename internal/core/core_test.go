@@ -199,6 +199,9 @@ func TestUnattributedSignalsStored(t *testing.T) {
 	if a := c.Ingest(Signal{Time: time.Second, Layer: Network, Kind: "ddos-flood", Score: 0.9}); a != nil {
 		t.Error("unattributed signal raised a device alert")
 	}
+	if got := c.Stats().Ingested; got != 1 {
+		t.Errorf("Ingested = %d, want the unattributed signal counted", got)
+	}
 }
 
 func TestOnAlertCallbackAndQueries(t *testing.T) {

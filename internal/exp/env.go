@@ -279,11 +279,7 @@ func (e *Env) TelemetryEvicted() uint64 {
 }
 
 // NewEnv returns the standard environment: seeded randomness and
-// wall-clock throughput timing. Envs (and the Fork tree grown from
-// them) are per-experiment state owned by the exp domain
-// (DESIGN.md §14).
-//
-//xlf:owned(exp)
+// wall-clock throughput timing.
 func NewEnv(seed int64) *Env {
 	return &Env{Seed: seed, Clock: WallClock(), ClockFactory: WallClock}
 }
@@ -293,8 +289,6 @@ func NewEnv(seed int64) *Env {
 // time and the rendered report is byte-identical across runs and across
 // -parallel levels. cmd/xlf-bench's -clock step mode and the determinism
 // tests use it.
-//
-//xlf:owned(exp)
 func NewStepEnv(seed int64) *Env {
 	factory := func() Clock { return StepClock(time.Millisecond) }
 	return &Env{Seed: seed, Clock: factory(), ClockFactory: factory}
@@ -304,8 +298,6 @@ func NewStepEnv(seed int64) *Env {
 // budget, with a fresh clock from ClockFactory when one is present. The
 // scheduler forks once per experiment and Sweep once per sweep point, so
 // no two goroutines ever share a clock closure.
-//
-//xlf:owned(exp)
 func (e *Env) Fork() *Env {
 	out := &Env{Seed: e.Seed, Clock: e.Clock, ClockFactory: e.ClockFactory, Workers: e.Workers}
 	if e.ClockFactory != nil {

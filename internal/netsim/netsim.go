@@ -139,11 +139,7 @@ type Network struct {
 	bytes     uint64
 }
 
-// New creates an empty network on a kernel. The network (nodes,
-// links, in-flight packets) is per-run state owned by the net domain
-// (DESIGN.md §14).
-//
-//xlf:owned(net)
+// New creates an empty network on a kernel.
 func New(k *sim.Kernel) *Network {
 	n := &Network{
 		kernel: k,

@@ -67,8 +67,6 @@ type DetectionTracker struct {
 // NewDetectionTracker builds a tracker registering its metrics in reg (a
 // private registry when reg is nil) with the given latency SLO
 // (DefaultDetectionSLO when slo <= 0).
-//
-//xlf:owned(obs)
 func NewDetectionTracker(reg *Registry, slo time.Duration) *DetectionTracker {
 	if reg == nil {
 		reg = NewRegistry()

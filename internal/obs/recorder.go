@@ -92,8 +92,6 @@ type FlightRecorder struct {
 // NewFlightRecorder builds a recorder with the given span-ring capacity
 // (DefaultRecorderSpans when <= 0) and retained-dump bound
 // (DefaultRecorderDumps when <= 0).
-//
-//xlf:owned(obs)
 func NewFlightRecorder(capacity, maxDumps int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderSpans

@@ -149,10 +149,7 @@ type Registry struct {
 	histograms map[string]*Histogram
 }
 
-// NewRegistry builds an empty metrics registry. Registries are per-run
-// observability state owned by the obs domain (DESIGN.md §14).
-//
-//xlf:owned(obs)
+// NewRegistry builds an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),

@@ -91,8 +91,6 @@ type Rollup struct {
 // NewRollup builds a rollup over reg with the given window interval and
 // ring size (DefaultRollupWindows when windows <= 0). interval must be
 // positive; reg may be nil (every window is then empty).
-//
-//xlf:owned(obs)
 func NewRollup(reg *Registry, interval time.Duration, windows int) *Rollup {
 	if interval <= 0 {
 		interval = time.Second

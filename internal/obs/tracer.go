@@ -85,8 +85,6 @@ type Tracer struct {
 // NewTracer builds a tracer with the given ring capacity (DefaultCapacity
 // when capacity <= 0). clock supplies timestamps for Emit; it may be nil
 // (spans then carry Time 0 until SetClock binds the simulation clock).
-//
-//xlf:owned(obs)
 func NewTracer(capacity int, clock func() time.Duration) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity

@@ -93,10 +93,6 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // The same seed and the same scheduling sequence yield identical runs.
-// The kernel (and every RNG stream drawn from it) is per-shard state:
-// it must stay confined to the run that created it (DESIGN.md §14).
-//
-//xlf:owned(sim)
 func NewKernel(seed int64) *Kernel {
 	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	k.wheel.init()
@@ -183,11 +179,7 @@ func (k *Kernel) StopNow() { k.stopped = true }
 // drained from a presorted batch, so a burst of N simultaneous events
 // costs one wheel access, not N heap operations.
 //
-// Step is shard-phase work: when ROADMAP item 2 shards the kernel, it
-// runs inside one shard's window and must not touch another domain.
-//
 //xlf:hotpath
-//xlf:phase(shard)
 func (k *Kernel) Step() bool {
 	for {
 		if k.batchIdx >= len(k.batch) {
@@ -224,8 +216,6 @@ func (k *Kernel) Step() bool {
 // would pass until. The clock is left at until if the horizon was reached
 // with events still pending, or at the last executed event otherwise.
 // Run returns ErrStopped if StopNow was called during an event.
-//
-//xlf:phase(shard)
 func (k *Kernel) Run(until time.Duration) error {
 	k.stopped = false
 	if until < k.now {
@@ -257,8 +247,6 @@ func (k *Kernel) Run(until time.Duration) error {
 // bounds runaway self-rescheduling loops; it returns an error when the
 // bound is hit. Like Run, it clears the effect of a previous StopNow
 // before entering the loop.
-//
-//xlf:phase(shard)
 func (k *Kernel) RunAll(maxEvents int) error {
 	k.stopped = false
 	for i := 0; ; i++ {

@@ -120,8 +120,6 @@ func (s CityStats) String() string {
 
 // NewCity wires the scenario: one kernel, one network, Districts sink
 // nodes, and Devices sensors with staggered first reports.
-//
-//xlf:owned(testbed)
 func NewCity(cfg CityConfig) (*City, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 1000

@@ -73,11 +73,7 @@ type Home struct {
 	tracer *obs.Tracer
 }
 
-// New builds the standard home with the full device catalog. Homes
-// are per-run testbed state owned by the testbed domain
-// (DESIGN.md §14).
-//
-//xlf:owned(testbed)
+// New builds the standard home with the full device catalog.
 func New(cfg Config) (*Home, error) {
 	if cfg.ResolverMode == "" {
 		cfg.ResolverMode = "DNS"
