@@ -23,6 +23,8 @@
 //	          -rollup-interval 1s       # windowed rollups + flight-recorder
 //	                                    # dumps (xlf-metrics/v1); render with
 //	                                    # xlf-trace metrics
+//	xlf-bench -exp E1,E10 -clock step \
+//	          -trace t.jsonl -telemetry m.jsonl  # both, from one run
 //	xlf-bench -exp E1 -cpuprofile cpu.pprof \
 //	          -memprofile mem.pprof     # pprof profiles of the run
 //	                                    # (go tool pprof cpu.pprof)
@@ -31,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -122,7 +125,7 @@ func run(args []string) int {
 	}
 	env.Workers = *parallel
 	if *traceOut != "" {
-		env.EnableTracing(0)
+		env.EnableTracing()
 	}
 	if *telOut != "" {
 		if *rollupIv <= 0 {
@@ -150,26 +153,38 @@ func run(args []string) int {
 		}()
 	}
 
-	sched := &exp.Scheduler{Parallel: *parallel}
-	results := sched.Run(env, selection)
+	results := exp.Run(env, selection)
 	fmt.Print(exp.Render(results))
 
 	if *memProf != "" {
-		if err := writeMemProfile(*memProf); err != nil {
+		// The GC run first makes the profile reflect retained memory, not
+		// garbage awaiting collection.
+		runtime.GC()
+		if err := writeFile(*memProf, "heap profile", pprof.WriteHeapProfile); err != nil {
 			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
 			return 1
 		}
 	}
 
+	// With -clock step both files are byte-identical across runs and
+	// -parallel levels; render them with xlf-trace and xlf-trace metrics.
+	ids := make([]string, len(selection))
+	for i, e := range selection {
+		ids[i] = e.ID
+	}
+	o := env.Collect(*clock, "xlf-bench "+strings.Join(ids, ","))
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, env, *seed, *clock, selection); err != nil {
+		if err := writeFile(*traceOut, "trace", func(w io.Writer) error {
+			return obs.WriteTrace(w, o.TraceMeta, o.Spans)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
 			return 1
 		}
 	}
-
 	if *telOut != "" {
-		if err := writeMetrics(*telOut, env, *seed, *clock, selection); err != nil {
+		if err := writeFile(*telOut, "telemetry", func(w io.Writer) error {
+			return obs.WriteMetrics(w, o.MetricsMeta, o.Windows, o.Dumps)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
 			return 1
 		}
@@ -187,84 +202,19 @@ func run(args []string) int {
 	return 0
 }
 
-// writeMemProfile snapshots the live heap after the experiments finish.
-// The GC run first makes the profile reflect retained memory, not
-// garbage awaiting collection.
-func writeMemProfile(path string) error {
+// writeFile creates path, fills it with write and reports what it wrote.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC()
-	if werr := pprof.WriteHeapProfile(f); werr != nil {
+	if werr := write(f); werr != nil {
 		f.Close()
 		return werr
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "xlf-bench: wrote heap profile to %s\n", path)
-	return nil
-}
-
-// writeTrace serializes the run's span tree as an xlf-trace/v1 artifact.
-// With -clock step the file is byte-identical across runs and -parallel
-// levels; render it with cmd/xlf-trace.
-func writeTrace(path string, env *exp.Env, seed int64, clock string, selection []exp.Experiment) error {
-	ids := make([]string, len(selection))
-	for i, e := range selection {
-		ids[i] = e.ID
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	meta := obs.TraceMeta{
-		Seed:    seed,
-		Clock:   clock,
-		Source:  "xlf-bench " + strings.Join(ids, ","),
-		Evicted: env.TraceEvicted(),
-	}
-	if werr := obs.WriteTrace(f, meta, env.TraceSpans()); werr != nil {
-		f.Close()
-		return werr
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "xlf-bench: wrote trace to %s\n", path)
-	return nil
-}
-
-// writeMetrics serializes the run's telemetry tree as an xlf-metrics/v1
-// artifact: every experiment's rollup windows and flight-recorder dumps,
-// depth-first in dispatch order. With -clock step the file is
-// byte-identical across runs and -parallel levels; render it with
-// `xlf-trace metrics`.
-func writeMetrics(path string, env *exp.Env, seed int64, clock string, selection []exp.Experiment) error {
-	ids := make([]string, len(selection))
-	for i, e := range selection {
-		ids[i] = e.ID
-	}
-	windows, dumps := env.TelemetryWindows()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	meta := obs.MetricsMeta{
-		Seed:     seed,
-		Clock:    clock,
-		Source:   "xlf-bench " + strings.Join(ids, ","),
-		Interval: env.RollupInterval(),
-		Evicted:  env.TelemetryEvicted(),
-	}
-	if werr := obs.WriteMetrics(f, meta, windows, dumps); werr != nil {
-		f.Close()
-		return werr
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "xlf-bench: wrote telemetry to %s\n", path)
+	fmt.Fprintf(os.Stderr, "xlf-bench: wrote %s to %s\n", what, path)
 	return nil
 }

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"xlf/internal/exp"
 	"xlf/internal/obs"
 )
 
 func TestRunFlagValidation(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")
 	cases := []struct {
 		args []string
 		want int
@@ -32,6 +35,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-exp", "E4", "-clock", "sundial"}, 2},
 		{[]string{"-exp", "E4", "-parallel", "0"}, 2},
 		{[]string{"-exp", "E4,E5", "-parallel", "4", "-clock", "step"}, 0},
+		{[]string{"-exp", "F2", "-telemetry", "x", "-rollup-interval", "0"}, 2},
+		{[]string{"-exp", "F2", "-telemetry", unwritable}, 1},
 	}
 	for _, tc := range cases {
 		if got := run(tc.args); got != tc.want {
@@ -98,44 +103,57 @@ func TestRunJSONFailure(t *testing.T) {
 	}
 }
 
-// TestRunTraceByteIdentity drives -trace end to end: a step-clock E8 run
-// must serialize the identical trace file across repeated runs and across
-// -parallel levels, and the file must parse as xlf-trace/v1.
+// TestRunTraceByteIdentity drives -trace and -telemetry together end to
+// end: a step-clock E1,E8 run must serialize identical trace and telemetry
+// files across repeated runs and across -parallel levels, and both files
+// must parse under their schemas. E1 supplies the telemetry windows; E8
+// forks two homes through Sweep, so its spans pin the fork-ordered trace.
 func TestRunTraceByteIdentity(t *testing.T) {
 	dir := t.TempDir()
-	paths := []string{
-		filepath.Join(dir, "a.jsonl"),
-		filepath.Join(dir, "b.jsonl"),
-		filepath.Join(dir, "c.jsonl"),
-	}
-	for i, p := range paths {
-		args := []string{"-exp", "E8", "-clock", "step", "-seed", "7", "-trace", p}
-		if i == 2 {
-			args = append(args, "-parallel", "4")
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b
+	}
+	for i, parallel := range []string{"1", "1", "4"} {
+		args := []string{"-exp", "E1,E8", "-clock", "step", "-seed", "7", "-parallel", parallel,
+			"-trace", filepath.Join(dir, fmt.Sprintf("t%d.jsonl", i)),
+			"-telemetry", filepath.Join(dir, fmt.Sprintf("m%d.jsonl", i))}
 		if got := run(args); got != 0 {
 			t.Fatalf("run(%v) = %d, want 0", args, got)
 		}
 	}
-	a, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths[1:] {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs from %s: step-clock traces must be byte-identical", p, paths[0])
+	for _, kind := range []string{"t", "m"} {
+		a := read(kind + "0.jsonl")
+		for _, i := range []string{"1", "2"} {
+			if !bytes.Equal(a, read(kind+i+".jsonl")) {
+				t.Errorf("%s%s.jsonl differs from %s0.jsonl: step-clock artifacts must be byte-identical", kind, i, kind)
+			}
 		}
 	}
-	meta, spans, err := obs.ReadTrace(bytes.NewReader(a))
+	meta, spans, err := obs.ReadTrace(bytes.NewReader(read("t0.jsonl")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Seed != 7 || meta.Clock != exp.ClockStep || len(spans) == 0 {
 		t.Errorf("trace meta = %+v with %d spans", meta, len(spans))
+	}
+	// E8's homes must contribute spans of their own.
+	if got := run([]string{"-exp", "E1", "-clock", "step", "-seed", "7", "-trace", filepath.Join(dir, "e1.jsonl")}); got != 0 {
+		t.Fatalf("E1-only run = %d, want 0", got)
+	}
+	if _, e1, err := obs.ReadTrace(bytes.NewReader(read("e1.jsonl"))); err != nil || len(e1) >= len(spans) {
+		t.Errorf("E1 alone traced %d spans (err %v), E1,E8 traced %d: E8 is missing from the trace", len(e1), err, len(spans))
+	}
+	mmeta, windows, _, err := obs.ReadMetrics(bytes.NewReader(read("m0.jsonl")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mmeta.Seed != 7 || mmeta.Interval != time.Second || len(windows) == 0 {
+		t.Errorf("metrics meta = %+v with %d windows", mmeta, len(windows))
 	}
 }
 

@@ -60,38 +60,45 @@ func run(args []string, out io.Writer) int {
 		return 2
 	}
 
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xlf-trace:", err)
-		return 1
-	}
-	defer f.Close()
-	meta, spans, err := obs.ReadTrace(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xlf-trace:", err)
-		return 1
+	var meta obs.TraceMeta
+	var spans []obs.Span
+	if code := readFile(fs.Arg(0), func(r io.Reader) (err error) {
+		meta, spans, err = obs.ReadTrace(r)
+		return err
+	}); code != 0 {
+		return code
 	}
 
 	total := len(spans)
-	spans = filter(spans, *device, *layer)
+	spans = filter(spans, func(s obs.Span) bool {
+		return (*device == "" || s.Device == *device) && (*layer == "" || s.Layer == *layer)
+	})
 	render(out, meta, spans, total, *width, *ops)
 	return 0
 }
 
-// filter keeps spans matching the device and layer selectors ("" = all).
-func filter(spans []obs.Span, device, layer string) []obs.Span {
-	if device == "" && layer == "" {
-		return spans
+// readFile opens one artifact and decodes it with read; an unreadable or
+// invalid file is exit status 1.
+func readFile(path string, read func(io.Reader) error) int {
+	f, err := os.Open(path)
+	if err == nil {
+		err = read(f)
+		f.Close()
 	}
-	out := spans[:0:0]
-	for _, s := range spans {
-		if device != "" && s.Device != device {
-			continue
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xlf-trace:", err)
+		return 1
+	}
+	return 0
+}
+
+// filter keeps the records keep selects, in order.
+func filter[T any](recs []T, keep func(T) bool) []T {
+	out := recs[:0:0]
+	for _, r := range recs {
+		if keep(r) {
+			out = append(out, r)
 		}
-		if layer != "" && s.Layer != layer {
-			continue
-		}
-		out = append(out, s)
 	}
 	return out
 }

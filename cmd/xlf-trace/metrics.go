@@ -30,47 +30,23 @@ func runMetrics(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "xlf-trace metrics: exactly one metrics file expected (try -h)")
 		return 2
 	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xlf-trace:", err)
-		return 1
-	}
-	defer f.Close()
-	meta, recs, dumps, err := obs.ReadMetrics(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xlf-trace:", err)
-		return 1
+	var meta obs.MetricsMeta
+	var recs []obs.WindowRecord
+	var dumps []obs.Dump
+	if code := readFile(fs.Arg(0), func(r io.Reader) (err error) {
+		meta, recs, dumps, err = obs.ReadMetrics(r)
+		return err
+	}); code != 0 {
+		return code
 	}
 
 	totalW, totalD := len(recs), len(dumps)
 	if *src != "" {
-		recs = filterWindows(recs, *src)
-		dumps = filterDumps(dumps, *src)
+		recs = filter(recs, func(w obs.WindowRecord) bool { return w.Src == *src })
+		dumps = filter(dumps, func(d obs.Dump) bool { return d.Src == *src })
 	}
 	renderMetrics(out, meta, recs, dumps, totalW, totalD, *windows)
 	return 0
-}
-
-// filterWindows keeps windows from one source label.
-func filterWindows(recs []obs.WindowRecord, src string) []obs.WindowRecord {
-	out := recs[:0:0]
-	for _, r := range recs {
-		if r.Src == src {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// filterDumps keeps dumps from one source label.
-func filterDumps(dumps []obs.Dump, src string) []obs.Dump {
-	out := dumps[:0:0]
-	for _, d := range dumps {
-		if d.Src == src {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 func renderMetrics(out io.Writer, meta obs.MetricsMeta, recs []obs.WindowRecord, dumps []obs.Dump, totalW, totalD int, everyWindow bool) {
@@ -91,8 +67,8 @@ func renderMetrics(out io.Writer, meta obs.MetricsMeta, recs []obs.WindowRecord,
 		return
 	}
 
-	// Windows arrive grouped by source (the exp telemetry tree collects
-	// depth-first), so one pass cuts the per-source sections.
+	// Windows arrive grouped by source (exp.Env collects its observation
+	// tree depth-first), so one pass cuts the per-source sections.
 	for start := 0; start < len(recs); {
 		end := start + 1
 		for end < len(recs) && recs[end].Src == recs[start].Src {

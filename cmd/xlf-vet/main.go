@@ -16,7 +16,7 @@
 // determinism rules: detflow (wall-clock and global-rand reachability
 // from deterministic packages through any depth of cross-package
 // helpers), globalmut (writes to mutable package-level state reachable
-// from the packages exp.Scheduler runs concurrently) and maporder (map
+// from the packages exp.Run runs concurrently) and maporder (map
 // iteration order escaping into returns, sinks, or unsorted appends).
 // Lock copies and unreachable code are go vet's copylocks and
 // unreachable passes, which the CI gate runs alongside. See

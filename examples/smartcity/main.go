@@ -81,7 +81,7 @@ func main() {
 
 // reportTelemetry prints the windowed throughput envelope and the
 // detection-latency outcome of the attack timeline.
-func reportTelemetry(tel *testbed.CityTelemetry) {
+func reportTelemetry(tel *obs.Telemetry) {
 	var minRate, maxRate float64
 	windows := tel.Rollup.Windows()
 	for i, w := range windows {
@@ -113,7 +113,7 @@ func reportTelemetry(tel *testbed.CityTelemetry) {
 }
 
 // writeTelemetry serializes the run's windows and dumps as xlf-metrics/v1.
-func writeTelemetry(path string, tel *testbed.CityTelemetry, seed int64) error {
+func writeTelemetry(path string, tel *obs.Telemetry, seed int64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

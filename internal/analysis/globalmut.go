@@ -1,6 +1,6 @@
 package analysis
 
-// GlobalMut guards the isolation invariant exp.Scheduler rests on: it
+// GlobalMut guards the isolation invariant exp.Run rests on: it
 // runs experiments on concurrent worker goroutines, so any write to
 // mutable package-level state reachable from simulation, network-sim,
 // experiment or Core code is shared between experiments — a data race

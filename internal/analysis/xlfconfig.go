@@ -115,7 +115,7 @@ var XLFDeterministicPackages = []string{
 }
 
 // XLFSchedulerRootPackages are the call-tree roots that must stay free
-// of package-level mutation: exp.Scheduler runs experiments on worker
+// of package-level mutation: exp.Run runs experiments on worker
 // goroutines (exp/sched.go), and every experiment drives the Core, the
 // network simulator and the kernel, so any global these packages reach
 // is shared between concurrent experiments — a data race under -parallel

@@ -46,7 +46,7 @@ type Artifact struct {
 	// under -clock step it is stable across machines and parallelism.
 	OutputSHA256 string `json:"output_sha256"`
 	OutputBytes  int    `json:"output_bytes"`
-	// Telemetry is the scheduler's measurement of this run (wall time
+	// Telemetry is Run's measurement of this run (wall time
 	// always; allocation deltas only when the run was sequential).
 	Telemetry *Telemetry `json:"telemetry,omitempty"`
 }

@@ -42,32 +42,32 @@ func TestFullReportDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-report determinism sweep in -short mode")
 	}
-	a := Render(AllEnv(envFor(3)))
-	b := Render(AllEnv(envFor(3)))
+	a := Render(Run(envFor(3), Registry()))
+	b := Render(Run(envFor(3), Registry()))
 	if a != b {
 		t.Fatal("full report differs between two runs with the same seed and a fake clock")
 	}
 }
 
 // TestSchedulerDeterminismMatrix is the tentpole contract: at every
-// parallelism level and for every seed, the scheduled report must be
+// parallelism level and for every seed, the report Run schedules must be
 // byte-identical to the sequential one. Each experiment (and each inner
 // sweep point) gets a forked Env with its own step clock and a restarted
 // RNG stream, so neither pool interleaving nor sweep fan-out may leak into
 // the rendered bytes.
 func TestSchedulerDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite scheduler matrix in -short mode")
+		t.Skip("full-suite Run matrix in -short mode")
 	}
 	for _, seed := range []int64{3, 11} {
 		env := envFor(seed)
-		baseline := Render((&Scheduler{Parallel: 1}).Run(env, Registry()))
+		baseline := Render(Run(env, Registry()))
 		for _, parallel := range []int{4, 16} {
 			parallel := parallel
 			t.Run(fmt.Sprintf("seed%d_parallel%d", seed, parallel), func(t *testing.T) {
 				env := envFor(seed)
 				env.Workers = parallel
-				got := Render((&Scheduler{Parallel: parallel}).Run(env, Registry()))
+				got := Render(Run(env, Registry()))
 				if got != baseline {
 					t.Errorf("parallel %d report differs from sequential at seed %d", parallel, seed)
 				}
@@ -76,30 +76,38 @@ func TestSchedulerDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// traceE1 runs E1 under a step clock with tracing on at the given
-// parallelism and returns the serialized xlf-trace/v1 artifact.
-func traceE1(t *testing.T, seed int64, parallel int) []byte {
+// observe runs one registry entry under a step clock at the given
+// parallelism with tracing and telemetry as enabled by on, and returns
+// the env's collected observations.
+func observe(t *testing.T, id string, seed int64, parallel int, on func(*Env)) Observations {
 	t.Helper()
-	ex, ok := Lookup("E1")
+	ex, ok := Lookup(id)
 	if !ok {
-		t.Fatal("registry lost E1")
+		t.Fatalf("registry lost %s", id)
 	}
 	env := envFor(seed)
 	env.Workers = parallel
-	env.EnableTracing(0)
-	(&Scheduler{Parallel: parallel}).Run(env, []Experiment{ex})
+	on(env)
+	Run(env, []Experiment{ex})
+	return env.Collect(ClockStep, id)
+}
+
+// traceE1 runs E1 with tracing on and returns the serialized
+// xlf-trace/v1 artifact.
+func traceE1(t *testing.T, seed int64, parallel int) []byte {
+	t.Helper()
+	o := observe(t, "E1", seed, parallel, (*Env).EnableTracing)
 	var buf bytes.Buffer
-	meta := obs.TraceMeta{Seed: seed, Clock: ClockStep, Source: "E1", Evicted: env.TraceEvicted()}
-	if err := obs.WriteTrace(&buf, meta, env.TraceSpans()); err != nil {
+	if err := obs.WriteTrace(&buf, o.TraceMeta, o.Spans); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
 	return buf.Bytes()
 }
 
 // TestTraceDeterminismMatrix is the observability analogue of the
-// scheduler matrix: with a step clock, the serialized trace of an E1 run
+// Run matrix: with a step clock, the serialized trace of an E1 run
 // must be byte-identical across runs and across -parallel levels, because
-// the env forks its trace tree sequentially in dispatch order and
+// the env forks its observation tree sequentially in dispatch order and
 // WriteTrace renumbers span sequence numbers into file order.
 func TestTraceDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
@@ -135,28 +143,13 @@ func TestTraceDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// telemetryE10 runs E10 under a step clock with telemetry on at the given
-// parallelism and returns the serialized xlf-metrics/v1 artifact.
+// telemetryE10 runs E10 with telemetry on and returns the serialized
+// xlf-metrics/v1 artifact.
 func telemetryE10(t *testing.T, seed int64, parallel int) []byte {
 	t.Helper()
-	ex, ok := Lookup("E10")
-	if !ok {
-		t.Fatal("registry lost E10")
-	}
-	env := envFor(seed)
-	env.Workers = parallel
-	env.EnableTelemetry(time.Second)
-	(&Scheduler{Parallel: parallel}).Run(env, []Experiment{ex})
-	windows, dumps := env.TelemetryWindows()
+	o := observe(t, "E10", seed, parallel, func(env *Env) { env.EnableTelemetry(time.Second) })
 	var buf bytes.Buffer
-	meta := obs.MetricsMeta{
-		Seed:     seed,
-		Clock:    ClockStep,
-		Source:   "E10",
-		Interval: env.RollupInterval(),
-		Evicted:  env.TelemetryEvicted(),
-	}
-	if err := obs.WriteMetrics(&buf, meta, windows, dumps); err != nil {
+	if err := obs.WriteMetrics(&buf, o.MetricsMeta, o.Windows, o.Dumps); err != nil {
 		t.Fatalf("WriteMetrics: %v", err)
 	}
 	return buf.Bytes()
@@ -165,7 +158,7 @@ func telemetryE10(t *testing.T, seed int64, parallel int) []byte {
 // TestTelemetryDeterminismMatrix is the rollup analogue of the trace
 // matrix: with a step clock, the serialized telemetry of an E10 run (the
 // attack timeline included) must be byte-identical across runs and across
-// -parallel levels, because sweep points fork the telemetry tree
+// -parallel levels, because sweep points fork the observation tree
 // sequentially in dispatch order and each city runs on its own sim clock.
 func TestTelemetryDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
@@ -204,6 +197,42 @@ func TestTelemetryDeterminismMatrix(t *testing.T) {
 	}
 	if len(dumps) == 0 {
 		t.Error("no flight-recorder dumps despite the attack timeline")
+	}
+}
+
+// TestObservationTree pins the one walk behind every artifact: spans,
+// windows and dumps come back depth-first in fork order whatever order
+// the forks recorded in, eviction counts and the interval land in the
+// headers, and telemetry alone leaves the tracer nil.
+func TestObservationTree(t *testing.T) {
+	env := NewStepEnv(4)
+	env.EnableTelemetry(0)
+	if env.Tracer() != nil || env.RollupInterval() != time.Second {
+		t.Fatalf("telemetry-only env: tracer %v, interval %s", env.Tracer(), env.RollupInterval())
+	}
+	env.EnableTracing()
+	a, b := env.Fork(), env.Fork()
+	aa := a.Fork()
+	for i, e := range []*Env{b, aa, a, env} {
+		e.Tracer().EmitAt(time.Duration(i), obs.LayerSim, "event", "", "")
+		tel := obs.NewTelemetry(nil, time.Second, 0)
+		tel.Tick(time.Second)
+		e.AttachTelemetry(fmt.Sprint(i), tel)
+	}
+	o := env.Collect(ClockStep, "test")
+	var spans, srcs string
+	for _, s := range o.Spans {
+		spans += fmt.Sprint(int(s.Time))
+	}
+	for _, w := range o.Windows {
+		srcs += w.Src
+	}
+	// Fork order is root, a, aa, b: recorded as 3, 2, 1, 0.
+	if spans != "3210" || srcs != "3210" {
+		t.Errorf("walk order: spans %q, window sources %q, want 3210", spans, srcs)
+	}
+	if o.TraceMeta.Seed != 4 || o.MetricsMeta.Interval != time.Second || o.MetricsMeta.Source != "test" {
+		t.Errorf("headers = %+v / %+v", o.TraceMeta, o.MetricsMeta)
 	}
 }
 

@@ -111,24 +111,14 @@ func runE1Config(env *Env, label string, layers []core.LayerName, bonus float64,
 		// observe them), and tee spans into the flight recorder. The
 		// ticker runs with zero jitter: a jittered ticker would consume
 		// kernel RNG and perturb the scenario it is observing.
-		reg := sys.Core.Metrics()
-		det := obs.NewDetectionTracker(reg, 90*time.Second)
-		rec := obs.NewFlightRecorder(0, 0)
-		det.SetRecorder(rec)
-		sys.Core.Detections = det
-		sys.Core.Recorder = rec
-		sys.Home.Detections = det
-		if tr := env.Tracer(); tr != nil {
-			tr.SetRecorder(rec)
-		}
-		rollup := obs.NewRollup(reg, interval, 0)
+		tel := obs.NewTelemetry(sys.Core.Metrics(), interval, 90*time.Second)
+		sys.Core.Detections = tel.Detections
+		sys.Core.Recorder = tel.Recorder
+		sys.Home.Detections = tel.Detections
+		env.Tracer().SetRecorder(tel.Recorder)
 		k := sys.Home.Kernel
-		k.Every(interval, 0, "telemetry-rollup", func() {
-			now := k.Now()
-			rollup.Tick(now)
-			rec.Flush(now)
-		})
-		env.AttachTelemetry(label, rollup, rec)
+		k.Every(interval, 0, "telemetry-rollup", func() { tel.Tick(k.Now()) })
+		env.AttachTelemetry(label, tel)
 	}
 	runE1Scenario(sys)
 

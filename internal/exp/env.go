@@ -47,235 +47,164 @@ type Env struct {
 
 	// ClockFactory, when set, supplies an independent Clock for every
 	// Fork. Clocks are stateful closures, so concurrent experiments must
-	// not share one: the scheduler forks the root Env per experiment (and
-	// Sweep per sweep point) and relies on this factory for isolation.
-	// When nil, Fork reuses Clock and only sequential execution is safe.
+	// not share one: Run forks the root Env per experiment (and Sweep per
+	// sweep point) and relies on this factory for isolation. When nil,
+	// Fork reuses Clock and only sequential execution is safe.
 	ClockFactory func() Clock
 
-	// Workers bounds the fan-out of inner parameter sweeps (see Sweep).
-	// Zero or one means sequential.
+	// Workers bounds the fan-out of Run and of inner parameter sweeps
+	// (see Sweep). Zero or one means sequential.
 	Workers int
 
-	// trace, when non-nil, is this env's node in the trace tree: each env
-	// records into its own obs.Tracer, and forks hang child nodes off the
-	// parent in fork order. Because the scheduler and Sweep fork
-	// sequentially in dispatch order, the tree shape — and therefore the
-	// TraceSpans concatenation — is identical at any parallelism.
-	trace *traceNode
-
-	// telemetry, when non-nil, is this env's node in the telemetry tree:
-	// experiments attach their rollups and flight recorders here, and
-	// TelemetryWindows concatenates the subtree depth-first in fork
-	// order — the same determinism template as the trace tree.
-	telemetry *telemetryNode
+	// tree, when non-nil, is this env's node in the observation tree: its
+	// tracer (nil unless tracing is on) and the telemetry experiments
+	// attached here. Forks hang child nodes off the parent in fork order,
+	// and Sweep forks sequentially in index order, so the tree shape — and
+	// therefore every collected artifact — is identical at any
+	// parallelism.
+	tree *obsNode
 }
 
-// telemetrySink is one attached (rollup, recorder) pair with its source
-// label, in attach order.
-type telemetrySink struct {
-	label  string
-	rollup *obs.Rollup
-	rec    *obs.FlightRecorder
-}
-
-// telemetryNode is one env's telemetry sinks plus its forked children,
-// in fork order.
-type telemetryNode struct {
+// obsNode is one env's observations plus its forked children, in fork
+// order.
+type obsNode struct {
 	mu       sync.Mutex
-	interval time.Duration
+	tracer   *obs.Tracer   // nil when tracing is off
+	interval time.Duration // rollup window; 0 when telemetry is off
 	sinks    []telemetrySink
-	children []*telemetryNode
+	children []*obsNode
 }
 
-// fork creates a child node. Safe for concurrent use; deterministic child
-// order requires forking from a single goroutine (the scheduler and Sweep
-// dispatch loops do).
-func (n *telemetryNode) fork() *telemetryNode {
-	child := &telemetryNode{interval: n.interval}
+// telemetrySink is one attached run's telemetry under its source label.
+type telemetrySink struct {
+	label string
+	tel   *obs.Telemetry
+}
+
+// fork creates a child node (with its own tracer when tracing is on).
+// Safe for concurrent use; a deterministic child order requires forking
+// from one goroutine, which Sweep does.
+func (n *obsNode) fork() *obsNode {
+	child := &obsNode{interval: n.interval}
+	if n.tracer != nil {
+		child.tracer = obs.NewTracer(0, nil)
+	}
 	n.mu.Lock()
 	n.children = append(n.children, child)
 	n.mu.Unlock()
 	return child
 }
 
-// attach registers one experiment run's telemetry under its source label.
-func (n *telemetryNode) attach(label string, rollup *obs.Rollup, rec *obs.FlightRecorder) {
-	n.mu.Lock()
-	n.sinks = append(n.sinks, telemetrySink{label: label, rollup: rollup, rec: rec})
-	n.mu.Unlock()
-}
-
-// collect appends this node's windows and dumps (stamped with their
-// source labels) and then its children's, depth-first.
-func (n *telemetryNode) collect(windows []obs.WindowRecord, dumps []obs.Dump) ([]obs.WindowRecord, []obs.Dump) {
+// walk visits this node's tracer and sinks, then its children's,
+// depth-first in fork order. It is the one rule that orders every
+// artifact an env writes.
+func (n *obsNode) walk(visit func(tr *obs.Tracer, sinks []telemetrySink)) {
 	n.mu.Lock()
 	sinks := append([]telemetrySink(nil), n.sinks...)
-	children := append([]*telemetryNode(nil), n.children...)
+	children := append([]*obsNode(nil), n.children...)
 	n.mu.Unlock()
-	for _, s := range sinks {
-		for _, w := range s.rollup.Windows() {
-			w.Src = s.label
-			windows = append(windows, w)
-		}
-		for _, d := range s.rec.Dumps() {
-			d.Src = s.label
-			dumps = append(dumps, d)
-		}
-	}
+	visit(n.tracer, sinks)
 	for _, c := range children {
-		windows, dumps = c.collect(windows, dumps)
+		c.walk(visit)
 	}
-	return windows, dumps
 }
 
-// evicted sums rollup-ring evictions over the subtree.
-func (n *telemetryNode) evicted() uint64 {
-	n.mu.Lock()
-	sinks := append([]telemetrySink(nil), n.sinks...)
-	children := append([]*telemetryNode(nil), n.children...)
-	n.mu.Unlock()
-	var total uint64
-	for _, s := range sinks {
-		total += s.rollup.Evicted()
+// root returns the env's observation node, creating it on first use.
+func (e *Env) root() *obsNode {
+	if e.tree == nil {
+		e.tree = &obsNode{}
 	}
-	for _, c := range children {
-		total += c.evicted()
-	}
-	return total
+	return e.tree
 }
 
-// traceNode is one env's tracer plus its forked children, in fork order.
-type traceNode struct {
-	mu       sync.Mutex
-	capacity int
-	tracer   *obs.Tracer
-	children []*traceNode
-}
-
-// fork creates a child node with its own tracer. Safe for concurrent use,
-// but callers that need a deterministic child order must fork from a
-// single goroutine (the scheduler's dispatch loop does).
-func (n *traceNode) fork() *traceNode {
-	child := &traceNode{capacity: n.capacity, tracer: obs.NewTracer(n.capacity, nil)}
-	n.mu.Lock()
-	n.children = append(n.children, child)
-	n.mu.Unlock()
-	return child
-}
-
-// collect appends this node's spans and then its children's, depth-first.
-func (n *traceNode) collect(spans []obs.Span) []obs.Span {
-	spans = append(spans, n.tracer.Spans()...)
-	n.mu.Lock()
-	children := append([]*traceNode(nil), n.children...)
-	n.mu.Unlock()
-	for _, c := range children {
-		spans = c.collect(spans)
-	}
-	return spans
-}
-
-// evicted sums ring-buffer evictions over the subtree.
-func (n *traceNode) evicted() uint64 {
-	total := n.tracer.Evicted()
-	n.mu.Lock()
-	children := append([]*traceNode(nil), n.children...)
-	n.mu.Unlock()
-	for _, c := range children {
-		total += c.evicted()
-	}
-	return total
-}
-
-// EnableTracing attaches a trace tree to the env: this env and every env
-// forked from it record spans into per-fork ring buffers of the given
-// capacity (obs.DefaultCapacity when capacity <= 0). Call before Fork.
-func (e *Env) EnableTracing(capacity int) {
-	if capacity <= 0 {
-		capacity = obs.DefaultCapacity
-	}
-	e.trace = &traceNode{capacity: capacity, tracer: obs.NewTracer(capacity, nil)}
-}
+// EnableTracing turns on span recording: this env and every env forked
+// from it record into their own obs.DefaultCapacity ring. Call before
+// Fork.
+func (e *Env) EnableTracing() { e.root().tracer = obs.NewTracer(0, nil) }
 
 // Tracer returns this env's span recorder, or nil when tracing is off —
 // callers pass it straight into xlf.Options.Tracer either way.
 func (e *Env) Tracer() *obs.Tracer {
-	if e.trace == nil {
+	if e.tree == nil {
 		return nil
 	}
-	return e.trace.tracer
+	return e.tree.tracer
 }
 
-// TraceSpans returns every span recorded in this env's subtree: the env's
-// own spans first, then each forked child's, depth-first in fork order.
-// With a step clock the result is byte-stable across runs and -parallel
-// levels once obs.WriteTrace renumbers the sequence numbers.
-func (e *Env) TraceSpans() []obs.Span {
-	if e.trace == nil {
-		return nil
-	}
-	return e.trace.collect(nil)
-}
-
-// TraceEvicted reports how many spans the subtree's ring buffers
-// displaced; nonzero means TraceSpans is incomplete.
-func (e *Env) TraceEvicted() uint64 {
-	if e.trace == nil {
-		return 0
-	}
-	return e.trace.evicted()
-}
-
-// EnableTelemetry attaches a telemetry tree to the env: experiments in
-// this env and every env forked from it build per-run rollups at the
+// EnableTelemetry turns on telemetry: experiments in this env and every
+// env forked from it build per-run obs.Telemetry stacks rolled up at the
 // given sim-time interval (1s when interval <= 0) and register them via
 // AttachTelemetry. Call before Fork.
 func (e *Env) EnableTelemetry(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	e.telemetry = &telemetryNode{interval: interval}
+	e.root().interval = interval
 }
 
 // RollupInterval returns the telemetry window length, or 0 when
 // telemetry is off — experiments use it as the enablement check.
 func (e *Env) RollupInterval() time.Duration {
-	if e.telemetry == nil {
+	if e.tree == nil {
 		return 0
 	}
-	return e.telemetry.interval
+	return e.tree.interval
 }
 
-// AttachTelemetry registers one run's rollup and flight recorder under a
-// source label (e.g. "E10/1000"). The label is stamped into each
-// collected window and dump, so one telemetry file can carry several
-// runs. No-op when telemetry is off.
-func (e *Env) AttachTelemetry(label string, rollup *obs.Rollup, rec *obs.FlightRecorder) {
-	if e.telemetry == nil {
+// AttachTelemetry registers one run's telemetry under a source label
+// (e.g. "E10/1000"). The label is stamped into each collected window and
+// dump, so one telemetry file can carry several runs. No-op when
+// telemetry is off or tel is nil.
+func (e *Env) AttachTelemetry(label string, tel *obs.Telemetry) {
+	if e.RollupInterval() == 0 || tel == nil {
 		return
 	}
-	e.telemetry.attach(label, rollup, rec)
+	e.tree.mu.Lock()
+	e.tree.sinks = append(e.tree.sinks, telemetrySink{label: label, tel: tel})
+	e.tree.mu.Unlock()
 }
 
-// TelemetryWindows returns every rollup window and flight-recorder dump
-// in this env's subtree, depth-first in fork/attach order with source
-// labels stamped. Deterministic across -parallel levels for the same
-// reason TraceSpans is: the tree shape follows the sequential dispatch
-// order, not goroutine timing.
-func (e *Env) TelemetryWindows() ([]obs.WindowRecord, []obs.Dump) {
-	if e.telemetry == nil {
-		return nil, nil
-	}
-	return e.telemetry.collect(nil, nil)
+// Observations is what an env's subtree recorded, gathered by one walk:
+// each node's spans, windows and dumps (stamped with their source labels)
+// and then its children's, depth-first in fork order. The headers carry
+// provenance, the rollup interval and the eviction counts (nonzero means
+// the ring buffers dropped records); obs.WriteTrace and obs.WriteMetrics
+// fill in the record counts.
+type Observations struct {
+	TraceMeta   obs.TraceMeta
+	Spans       []obs.Span
+	MetricsMeta obs.MetricsMeta
+	Windows     []obs.WindowRecord
+	Dumps       []obs.Dump
 }
 
-// TelemetryEvicted reports how many rollup windows the subtree's rings
-// displaced; nonzero means TelemetryWindows is incomplete.
-func (e *Env) TelemetryEvicted() uint64 {
-	if e.telemetry == nil {
-		return 0
+// Collect walks the env's observation tree. clock names the clock mode
+// and source the producer; the seed is the env's. With a step clock the
+// result is byte-stable across runs and -parallel levels.
+func (e *Env) Collect(clock, source string) Observations {
+	o := Observations{
+		TraceMeta:   obs.TraceMeta{Seed: e.Seed, Clock: clock, Source: source},
+		MetricsMeta: obs.MetricsMeta{Seed: e.Seed, Clock: clock, Source: source, Interval: e.RollupInterval()},
 	}
-	return e.telemetry.evicted()
+	if e.tree == nil {
+		return o
+	}
+	e.tree.walk(func(tr *obs.Tracer, sinks []telemetrySink) {
+		o.Spans = append(o.Spans, tr.Spans()...)
+		o.TraceMeta.Evicted += tr.Evicted()
+		for _, s := range sinks {
+			for _, w := range s.tel.Rollup.Windows() {
+				w.Src = s.label
+				o.Windows = append(o.Windows, w)
+			}
+			for _, d := range s.tel.Recorder.Dumps() {
+				d.Src = s.label
+				o.Dumps = append(o.Dumps, d)
+			}
+			o.MetricsMeta.Evicted += s.tel.Rollup.Evicted()
+		}
+	})
+	return o
 }
 
 // NewEnv returns the standard environment: seeded randomness and
@@ -295,19 +224,16 @@ func NewStepEnv(seed int64) *Env {
 }
 
 // Fork returns an independent child environment: same seed and worker
-// budget, with a fresh clock from ClockFactory when one is present. The
-// scheduler forks once per experiment and Sweep once per sweep point, so
-// no two goroutines ever share a clock closure.
+// budget, with a fresh clock from ClockFactory when one is present. Run
+// forks once per experiment and Sweep once per sweep point, so no two
+// goroutines ever share a clock closure.
 func (e *Env) Fork() *Env {
 	out := &Env{Seed: e.Seed, Clock: e.Clock, ClockFactory: e.ClockFactory, Workers: e.Workers}
 	if e.ClockFactory != nil {
 		out.Clock = e.ClockFactory()
 	}
-	if e.trace != nil {
-		out.trace = e.trace.fork()
-	}
-	if e.telemetry != nil {
-		out.telemetry = e.telemetry.fork()
+	if e.tree != nil {
+		out.tree = e.tree.fork()
 	}
 	return out
 }

@@ -22,7 +22,7 @@ type Result struct {
 	Output string
 	// Numbers holds headline metrics by name for tests/benches.
 	Numbers map[string]float64
-	// Telemetry is attached by the scheduler (wall time, allocations) and
+	// Telemetry is attached by Run (wall time, allocations) and
 	// serialized into BENCH artifacts. It is deliberately excluded from
 	// String(): rendered reports stay byte-identical across machines and
 	// parallelism levels.
@@ -66,17 +66,6 @@ func scenarioAttacks() ([]attack.Attack, map[string]bool) {
 		"fridge-1":  true,
 	}
 	return atks, victims
-}
-
-// All runs every experiment with the given seed under the standard
-// environment, in report order.
-func All(seed int64) []*Result { return AllEnv(NewEnv(seed)) }
-
-// AllEnv runs every registry entry under env, in report order. With a
-// deterministic clock family (NewStepEnv) the whole report replays
-// byte-identically at any parallelism.
-func AllEnv(env *Env) []*Result {
-	return (&Scheduler{Parallel: 1}).Run(env, Registry())
 }
 
 // Render formats a set of results as one report.

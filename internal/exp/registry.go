@@ -2,10 +2,10 @@ package exp
 
 import "strings"
 
-// Experiment is one registry entry: the descriptor the scheduler,
+// Experiment is one registry entry: the descriptor exp.Run,
 // cmd/xlf-bench and the tests iterate instead of hand-maintained switch
 // statements. Run must be a pure function of its Env (the reproduction
-// contract), so the scheduler may execute entries in any order and at any
+// contract), so exp.Run may execute entries in any order and at any
 // parallelism.
 type Experiment struct {
 	// ID is the report identifier: "T1"-"T3", "F1"-"F4", "E1"-"E10".
@@ -37,8 +37,8 @@ func (e Experiment) Kind() string {
 
 // registry is the single source of truth for the experiment suite, in
 // report order. Adding an experiment here is the whole integration: the
-// scheduler, cmd/xlf-bench (-all, -exp, -table, -figure, -list), AllEnv
-// and the determinism tests all iterate this slice.
+// exp.Run, cmd/xlf-bench (-all, -exp, -table, -figure, -list) and the
+// determinism tests all iterate this slice.
 var registry = []Experiment{
 	{ID: "T1", Title: "Device-layer components (paper Table I) + crypto feasibility", Tables: []int{1}, Run: runTable1},
 	{ID: "T2", Title: "Device-layer attack surface (paper Table II), executed", Tables: []int{2}, Run: runTable2},

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Telemetry is the scheduler's per-experiment measurement: how long the
+// Telemetry is Run's per-experiment measurement: how long the
 // run took and what it allocated. It feeds the BENCH_<id>.json artifacts
 // only — Result.String() never renders it, so telemetry cannot break the
 // byte-identity contract between runs.
@@ -20,67 +20,16 @@ type Telemetry struct {
 	Allocs     int64 `json:"allocs"`
 }
 
-// Scheduler fans experiments out across a bounded worker pool. Results
-// come back in input order regardless of completion order, and every
-// experiment runs under its own forked Env (fresh clock, restarted RNG
-// streams), so a parallel schedule renders byte-identically to the
-// sequential one whenever the env's clock family is deterministic.
-type Scheduler struct {
-	// Parallel is the worker count; values below one mean sequential.
-	Parallel int
-}
-
-// workers clamps the pool size for n jobs under env: never more workers
-// than jobs, and strictly sequential when the env cannot mint independent
-// clocks (forks would share one stateful clock closure, a data race).
-func (s *Scheduler) workers(env *Env, n int) int {
-	w := s.Parallel
-	if w < 1 || env.ClockFactory == nil {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// Run executes the given experiments and returns their results in input
-// order. Each worker pulls the next job index from a shared channel, so a
-// slow experiment (T2, E9) never blocks the rest of the pool.
-func (s *Scheduler) Run(env *Env, exps []Experiment) []*Result {
-	n := len(exps)
-	results := make([]*Result, n)
-	w := s.workers(env, n)
-	// Fork every child env up front, sequentially, in input order: fork
-	// order decides the trace tree's child order, so it must not depend on
-	// which worker goroutine grabs which job.
-	envs := make([]*Env, n)
-	for i := range envs {
-		envs[i] = env.Fork()
-	}
-	if w == 1 {
-		for i, ex := range exps {
-			results[i] = runMeasured(ex, envs[i], true)
-		}
-		return results
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runMeasured(exps[i], envs[i], false)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
+// Run executes the given experiments on Sweep's worker pool (env.Workers
+// wide) and returns their results in input order. Every experiment runs
+// under its own forked Env (fresh clock, restarted RNG streams), so a
+// parallel schedule renders byte-identically to the sequential one
+// whenever the env's clock family is deterministic.
+func Run(env *Env, exps []Experiment) []*Result {
+	exclusive := env.workers(len(exps)) == 1
+	return Sweep(env, len(exps), func(i int, env *Env) *Result {
+		return runMeasured(exps[i], env, exclusive)
+	})
 }
 
 // runMeasured executes one experiment and attaches telemetry. Wall time is
@@ -105,28 +54,33 @@ func runMeasured(ex Experiment, env *Env, exclusive bool) *Result {
 	return r
 }
 
-// Sweep fans an experiment's inner parameter grid (E1's ablation configs,
-// E2's shaping intensities, ...) across the env's worker budget and
-// returns the point results in index order. Every point receives its own
-// forked Env, so points are as isolated from each other as experiments
-// are and the fan-out cannot change rendered output.
-func Sweep[T any](env *Env, n int, point func(i int, env *Env) T) []T {
-	out := make([]T, n)
-	w := env.Workers
-	if w < 1 || env.ClockFactory == nil {
+// workers clamps the pool size for n jobs: never more workers than jobs,
+// and strictly sequential when the env cannot mint independent clocks
+// (forks would share one stateful clock closure, a data race).
+func (e *Env) workers(n int) int {
+	w := e.Workers
+	if w < 1 || e.ClockFactory == nil {
 		w = 1
 	}
-	if w > n {
-		w = n
-	}
-	// Pre-fork in index order for the same reason Scheduler.Run does: the
-	// trace tree's child order must match the sweep grid, not goroutine
-	// scheduling.
+	return min(w, n)
+}
+
+// Sweep fans n jobs — Run's experiments, or an experiment's inner
+// parameter grid (E1's ablation configs, E2's shaping intensities, ...) —
+// across the env's worker budget and returns the results in index order.
+// Every job receives its own forked Env, so jobs are isolated from each
+// other and the fan-out cannot change rendered output.
+func Sweep[T any](env *Env, n int, point func(i int, env *Env) T) []T {
+	out := make([]T, n)
+	// Fork every child up front, sequentially, in index order: fork order
+	// decides the observation tree's child order, so it must follow the
+	// job index, not which worker goroutine grabs which job.
 	envs := make([]*Env, n)
 	for i := range envs {
 		envs[i] = env.Fork()
 	}
-	if w == 1 {
+	w := env.workers(n)
+	if w <= 1 {
 		for i := range out {
 			out[i] = point(i, envs[i])
 		}

@@ -30,14 +30,14 @@ func syntheticRegistry(n int) []Experiment {
 	return exps
 }
 
-// TestSchedulerOrderAndIsolation runs a synthetic registry at several pool
+// TestSchedulerOrderAndIsolation runs a synthetic registry through Run at several pool
 // sizes and requires bit-identical, input-ordered results every time —
 // the worker pool's core contract. Under -race this is also the pool's
 // data-race probe.
 func TestSchedulerOrderAndIsolation(t *testing.T) {
 	exps := syntheticRegistry(64)
 	baselineEnv := NewStepEnv(9)
-	baseline := (&Scheduler{Parallel: 1}).Run(baselineEnv, exps)
+	baseline := Run(baselineEnv, exps)
 	for i, r := range baseline {
 		if want := fmt.Sprintf("S%d", i); r.ID != want {
 			t.Fatalf("sequential result %d is %s, want %s", i, r.ID, want)
@@ -48,7 +48,7 @@ func TestSchedulerOrderAndIsolation(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel%d", parallel), func(t *testing.T) {
 			env := NewStepEnv(9)
 			env.Workers = parallel
-			got := (&Scheduler{Parallel: parallel}).Run(env, exps)
+			got := Run(env, exps)
 			if len(got) != len(baseline) {
 				t.Fatalf("got %d results, want %d", len(got), len(baseline))
 			}
@@ -87,26 +87,25 @@ func TestSchedulerOverlapsWork(t *testing.T) {
 			},
 		}
 	}
-	(&Scheduler{Parallel: 4}).Run(NewStepEnv(1), exps)
+	env := NewStepEnv(1)
+	env.Workers = 4
+	Run(env, exps)
 	if p := peak.Load(); p < 2 {
 		t.Errorf("peak in-flight experiments = %d, want >= 2 (pool did not overlap work)", p)
 	}
 }
 
-// TestSchedulerSequentialFallbacks pins the clamps: parallel < 1 and envs
+// TestSchedulerSequentialFallbacks pins Run's clamps: Workers < 1 and envs
 // without a clock factory must both degrade to a safe sequential run with
 // exact allocation telemetry.
 func TestSchedulerSequentialFallbacks(t *testing.T) {
 	exps := syntheticRegistry(4)
 	for name, env := range map[string]*Env{
-		"parallel0":      NewStepEnv(2),
-		"no-factory-env": {Seed: 2, Clock: StepClock(time.Millisecond)},
+		"workers0": NewStepEnv(2),
+		// Must still clamp to 1: forks would share the clock.
+		"no-factory-env": {Seed: 2, Clock: StepClock(time.Millisecond), Workers: 8},
 	} {
-		s := &Scheduler{Parallel: 0}
-		if name == "no-factory-env" {
-			s.Parallel = 8 // must still clamp to 1: forks would share the clock
-		}
-		results := s.Run(env, exps)
+		results := Run(env, exps)
 		for i, r := range results {
 			if r == nil || r.ID != fmt.Sprintf("S%d", i) {
 				t.Fatalf("%s: bad result at %d: %+v", name, i, r)
@@ -129,7 +128,8 @@ func TestSchedulerSequentialFallbacks(t *testing.T) {
 // misleading number.
 func TestSchedulerParallelTelemetry(t *testing.T) {
 	env := NewStepEnv(2)
-	results := (&Scheduler{Parallel: 4}).Run(env, syntheticRegistry(8))
+	env.Workers = 4
+	results := Run(env, syntheticRegistry(8))
 	for i, r := range results {
 		if r.Telemetry == nil {
 			t.Fatalf("result %d missing telemetry", i)

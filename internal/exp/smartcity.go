@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xlf/internal/metrics"
-	"xlf/internal/obs"
 	"xlf/internal/testbed"
 )
 
@@ -28,11 +27,6 @@ func runE10(env *Env) *Result {
 	type point struct {
 		st           testbed.CityStats
 		eventsPerSec float64
-		injected     uint64
-		detected     uint64
-		breaches     uint64
-		windows      uint64
-		dumps        int
 	}
 	rows := Sweep(env, len(scales), func(i int, env *Env) point {
 		cfg := testbed.CityConfig{
@@ -42,7 +36,7 @@ func runE10(env *Env) *Result {
 			Horizon:     60 * time.Second,
 		}
 		// With telemetry on, each scale point runs the default attack
-		// timeline and its rollups/dumps flow into the env's telemetry
+		// timeline and its rollups/dumps flow into the env's observation
 		// tree under a per-scale source label.
 		if interval := env.RollupInterval(); interval > 0 {
 			cfg.RollupInterval = interval
@@ -62,32 +56,17 @@ func runE10(env *Env) *Result {
 		if elapsed > 0 {
 			p.eventsPerSec = float64(st.Events) / elapsed.Seconds()
 		}
-		if tel := city.Telemetry(); tel != nil {
-			env.AttachTelemetry(fmt.Sprintf("E10/%d", scales[i]), tel.Rollup, tel.Recorder)
-			p.injected = tel.Registry.Counter(obs.DetectInjected).Value()
-			p.detected = tel.Registry.Counter(obs.DetectDetected).Value()
-			p.breaches = tel.Registry.Counter(obs.DetectSLOBreach).Value()
-			p.windows = uint64(tel.Rollup.Total())
-			p.dumps = len(tel.Recorder.Dumps())
-		}
+		env.AttachTelemetry(fmt.Sprintf("E10/%d", scales[i]), city.Telemetry())
 		return p
 	})
 
 	var events uint64
-	telemetry := env.RollupInterval() > 0
-	var injected, detected, breaches, windows uint64
-	var dumps int
 	for i, scale := range scales {
 		st := rows[i].st
 		if st.Dropped != 0 || st.Sent == 0 {
 			panic(fmt.Sprintf("exp: E10 scale %d lost reports: %+v", scale, st))
 		}
 		events += st.Events
-		injected += rows[i].injected
-		detected += rows[i].detected
-		breaches += rows[i].breaches
-		windows += rows[i].windows
-		dumps += rows[i].dumps
 		t.AddRow(
 			fmt.Sprintf("%d", st.Devices),
 			fmt.Sprintf("%d", st.Districts),
@@ -104,13 +83,5 @@ func runE10(env *Env) *Result {
 	r.num("events_total", float64(events))
 	// Host-dependent: excluded from Output so reports stay byte-identical.
 	r.num("events_per_sec_max_scale", rows[len(rows)-1].eventsPerSec)
-	if telemetry {
-		// Present only under -telemetry; bench-compare skips the prefix.
-		r.num("telemetry.injected", float64(injected))
-		r.num("telemetry.detected", float64(detected))
-		r.num("telemetry.slo_breaches", float64(breaches))
-		r.num("telemetry.windows", float64(windows))
-		r.num("telemetry.dumps", float64(dumps))
-	}
 	return r
 }

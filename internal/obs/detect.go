@@ -103,14 +103,6 @@ func (d *DetectionTracker) SLO() time.Duration {
 	return d.slo
 }
 
-// Registry returns the registry the tracker's metrics live in. Nil-safe.
-func (d *DetectionTracker) Registry() *Registry {
-	if d == nil {
-		return nil
-	}
-	return d.reg
-}
-
 // Inject marks that an attack of the given class touched device at the
 // given sim time. If the device already carries an undetected injection
 // the earlier one is kept — the first alert on a device answers for the

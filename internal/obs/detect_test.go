@@ -109,7 +109,7 @@ func TestDetectionNilSafety(t *testing.T) {
 		t.Error("nil tracker matched an injection")
 	}
 	d.SetRecorder(nil)
-	if d.Pending() != 0 || d.Stats() != nil || d.SLO() != 0 || d.Registry() != nil {
+	if d.Pending() != 0 || d.Stats() != nil || d.SLO() != 0 {
 		t.Error("nil tracker leaked state")
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -56,85 +54,33 @@ func (m MetricsMeta) Validate() error {
 // WriteMetrics encodes a telemetry artifact as JSONL: one meta line, then
 // the windows, then the dumps. The meta's Schema and the two counts are
 // filled in here; callers set the provenance fields. Window and dump
-// order must already be deterministic (the exp telemetry tree collects
-// depth-first in fork order), so the bytes are reproducible across
-// scheduler parallelism.
+// order must already be deterministic (exp.Env collects its observation
+// tree depth-first in fork order), so the bytes are reproducible across
+// -parallel levels.
 func WriteMetrics(w io.Writer, meta MetricsMeta, windows []WindowRecord, dumps []Dump) error {
 	meta.Schema = MetricsSchema
 	meta.Windows = len(windows)
 	meta.Dumps = len(dumps)
-	if err := meta.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(meta); err != nil {
-		return fmt.Errorf("obs: encode metrics meta: %w", err)
-	}
-	for i, rec := range windows {
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("obs: encode window %d: %w", i, err)
-		}
-	}
-	for i, d := range dumps {
-		if err := enc.Encode(d); err != nil {
-			return fmt.Errorf("obs: encode dump %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("obs: flush metrics: %w", err)
-	}
-	return nil
+	return writeJSONL(w, "metrics", meta,
+		jsonlSection{name: "window", n: len(windows), encode: func(i int) any { return windows[i] }},
+		jsonlSection{name: "dump", n: len(dumps), encode: func(i int) any { return dumps[i] }})
 }
 
 // ReadMetrics decodes a telemetry artifact written by WriteMetrics,
 // validating the schema version and that the file holds exactly the
 // window and dump counts the header promises.
 func ReadMetrics(r io.Reader) (MetricsMeta, []WindowRecord, []Dump, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return MetricsMeta{}, nil, nil, fmt.Errorf("obs: read metrics header: %w", err)
-		}
-		return MetricsMeta{}, nil, nil, fmt.Errorf("obs: empty metrics file")
-	}
 	var meta MetricsMeta
-	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return MetricsMeta{}, nil, nil, fmt.Errorf("obs: decode metrics header: %w", err)
-	}
-	if err := meta.Validate(); err != nil {
+	var windows []WindowRecord
+	var dumps []Dump
+	err := readJSONL(r, "metrics", &meta, func() []jsonlSection {
+		return []jsonlSection{
+			{name: "window", n: meta.Windows, decode: decodeInto(&windows)},
+			{name: "dump", n: meta.Dumps, decode: decodeInto(&dumps)},
+		}
+	})
+	if err != nil {
 		return MetricsMeta{}, nil, nil, err
-	}
-	windows := make([]WindowRecord, 0, meta.Windows)
-	dumps := make([]Dump, 0, meta.Dumps)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if len(windows) < meta.Windows {
-			var rec WindowRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return MetricsMeta{}, nil, nil, fmt.Errorf("obs: decode window %d: %w", len(windows), err)
-			}
-			windows = append(windows, rec)
-			continue
-		}
-		var d Dump
-		if err := json.Unmarshal(line, &d); err != nil {
-			return MetricsMeta{}, nil, nil, fmt.Errorf("obs: decode dump %d: %w", len(dumps), err)
-		}
-		dumps = append(dumps, d)
-	}
-	if err := sc.Err(); err != nil {
-		return MetricsMeta{}, nil, nil, fmt.Errorf("obs: read metrics: %w", err)
-	}
-	if len(windows) != meta.Windows {
-		return MetricsMeta{}, nil, nil, fmt.Errorf("obs: metrics file holds %d windows, header promises %d", len(windows), meta.Windows)
-	}
-	if len(dumps) != meta.Dumps {
-		return MetricsMeta{}, nil, nil, fmt.Errorf("obs: metrics file holds %d dumps, header promises %d", len(dumps), meta.Dumps)
 	}
 	return meta, windows, dumps, nil
 }

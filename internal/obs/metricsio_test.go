@@ -28,6 +28,27 @@ func sampleTelemetry() ([]WindowRecord, []Dump) {
 	return windows, dumps
 }
 
+// TestMetricsGolden pins the exact xlf-metrics/v1 wire format. If this
+// test breaks, the schema changed: bump MetricsSchema.
+func TestMetricsGolden(t *testing.T) {
+	windows, dumps := sampleTelemetry()
+	var buf bytes.Buffer
+	meta := MetricsMeta{Seed: 7, Clock: "step", Source: "test", Interval: time.Second, Evicted: 4}
+	if err := WriteMetrics(&buf, meta, windows, dumps); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		`{"schema":"xlf-metrics/v1","seed":7,"clock":"step","source":"test","interval_ns":1000000000,"windows":2,"dumps":1,"evicted":4}`,
+		`{"src":"E10/1000","w":0,"start_ns":0,"end_ns":1000000000,"counters":[{"name":"city.sent","total":100,"delta":100,"per_sec":100}],"gauges":[{"name":"q.depth","value":3}],"hists":[{"name":"detect.latency_ns.flood","delta":2,"count":2,"sum":100,"p50":48,"p95":60,"p99":60,"cum_p50":48,"cum_p95":60,"cum_p99":60}]}`,
+		`{"src":"E10/1000","w":1,"start_ns":1000000000,"end_ns":2000000000}`,
+		`{"src":"E10/1000","t_ns":1500000000,"reasons":["alert","slo-breach"],"suppressed":3,"spans":[{"seq":1,"t_ns":1000000000,"layer":"core","op":"alert"}]}`,
+		``,
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Errorf("golden mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestMetricsRoundTrip: WriteMetrics then ReadMetrics reproduces the
 // windows and dumps exactly, and two writes are byte-identical.
 func TestMetricsRoundTrip(t *testing.T) {
@@ -69,27 +90,11 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsValidation: wrong schema, truncation, and count mismatches
-// are rejected.
+// TestMetricsValidation: the header invariants Validate enforces before
+// any record is read (file-level rejections are in TestArtifactRejection).
 func TestMetricsValidation(t *testing.T) {
-	windows, dumps := sampleTelemetry()
-	meta := MetricsMeta{Seed: 1, Clock: "step", Interval: time.Second}
-	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, meta, windows, dumps); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, _, err := ReadMetrics(strings.NewReader("")); err == nil {
-		t.Error("empty file accepted")
-	}
-	bad := strings.Replace(buf.String(), MetricsSchema, "xlf-metrics/v999", 1)
-	if _, _, _, err := ReadMetrics(strings.NewReader(bad)); err == nil {
-		t.Error("wrong schema accepted")
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	truncated := strings.Join(lines[:len(lines)-1], "\n")
-	if _, _, _, err := ReadMetrics(strings.NewReader(truncated)); err == nil {
-		t.Error("truncated file accepted")
+	if err := (MetricsMeta{Schema: MetricsSchema, Clock: "step", Interval: 1}).Validate(); err != nil {
+		t.Errorf("well-formed header rejected: %v", err)
 	}
 	if err := (MetricsMeta{Schema: MetricsSchema, Clock: "step"}).Validate(); err == nil {
 		t.Error("zero interval accepted")

@@ -106,10 +106,6 @@ func NewFlightRecorder(capacity, maxDumps int) *FlightRecorder {
 	}
 }
 
-// Enabled reports whether the recorder records anything; the idiomatic
-// nil check.
-func (f *FlightRecorder) Enabled() bool { return f != nil }
-
 // Record pushes one span into the ring, evicting the oldest when full.
 // Nil-safe; the disabled path is one branch.
 //

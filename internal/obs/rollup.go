@@ -84,8 +84,6 @@ type Rollup struct {
 	prevC map[string]uint64
 	prevG map[string]int64
 	prevH map[string]*histState
-
-	onWindow func(*WindowRecord)
 }
 
 // NewRollup builds a rollup over reg with the given window interval and
@@ -114,17 +112,6 @@ func (r *Rollup) Interval() time.Duration {
 		return 0
 	}
 	return r.interval
-}
-
-// SetOnWindow registers a hook invoked with each completed window before
-// the ring advances — the flight recorder and harness detectors use it to
-// observe window deltas without polling. The record is only valid for the
-// duration of the call. Nil-safe.
-func (r *Rollup) SetOnWindow(fn func(*WindowRecord)) {
-	if r == nil {
-		return
-	}
-	r.onWindow = fn
 }
 
 // Tick closes the window ending at now: it snapshots the registry,
@@ -201,10 +188,6 @@ func (r *Rollup) Tick(now time.Duration) {
 		prev.sum = h.Sum
 		prev.counts = cum
 		w.Hists = append(w.Hists, wh)
-	}
-
-	if r.onWindow != nil {
-		r.onWindow(w)
 	}
 
 	r.total++

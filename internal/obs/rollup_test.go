@@ -110,28 +110,10 @@ func TestRollupRingEviction(t *testing.T) {
 	}
 }
 
-// TestRollupOnWindowHook checks the per-window hook sees each completed
-// record before the ring advances.
-func TestRollupOnWindowHook(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("n")
-	ru := NewRollup(reg, time.Second, 4)
-	var seen []int
-	ru.SetOnWindow(func(w *WindowRecord) { seen = append(seen, w.Index) })
-	c.Inc()
-	ru.Tick(time.Second)
-	c.Inc()
-	ru.Tick(2 * time.Second)
-	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
-		t.Errorf("hook saw %v, want [0 1]", seen)
-	}
-}
-
 // TestRollupNilSafety: the disabled rollup no-ops everywhere.
 func TestRollupNilSafety(t *testing.T) {
 	var ru *Rollup
 	ru.Tick(time.Second)
-	ru.SetOnWindow(func(*WindowRecord) {})
 	if ru.Windows() != nil || ru.Total() != 0 || ru.Evicted() != 0 || ru.Interval() != 0 {
 		t.Error("nil rollup leaked state")
 	}

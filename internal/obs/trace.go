@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -53,62 +51,24 @@ func (m TraceMeta) Validate() error {
 func WriteTrace(w io.Writer, meta TraceMeta, spans []Span) error {
 	meta.Schema = TraceSchema
 	meta.Spans = len(spans)
-	if err := meta.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(meta); err != nil {
-		return fmt.Errorf("obs: encode trace meta: %w", err)
-	}
-	for i, s := range spans {
+	return writeJSONL(w, "trace", meta, jsonlSection{name: "span", n: len(spans), encode: func(i int) any {
+		s := spans[i]
 		s.Seq = uint64(i + 1)
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("obs: encode span %d: %w", i+1, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("obs: flush trace: %w", err)
-	}
-	return nil
+		return s
+	}})
 }
 
 // ReadTrace decodes a trace written by WriteTrace, validating the schema
 // version and that the file holds exactly the span count the header
-// promises (a short file means truncation; extra lines mean corruption).
+// promises.
 func ReadTrace(r io.Reader) (TraceMeta, []Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return TraceMeta{}, nil, fmt.Errorf("obs: read trace header: %w", err)
-		}
-		return TraceMeta{}, nil, fmt.Errorf("obs: empty trace file")
-	}
 	var meta TraceMeta
-	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return TraceMeta{}, nil, fmt.Errorf("obs: decode trace header: %w", err)
-	}
-	if err := meta.Validate(); err != nil {
+	var spans []Span
+	err := readJSONL(r, "trace", &meta, func() []jsonlSection {
+		return []jsonlSection{{name: "span", n: meta.Spans, decode: decodeInto(&spans)}}
+	})
+	if err != nil {
 		return TraceMeta{}, nil, err
-	}
-	spans := make([]Span, 0, meta.Spans)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(line, &s); err != nil {
-			return TraceMeta{}, nil, fmt.Errorf("obs: decode span %d: %w", len(spans)+1, err)
-		}
-		spans = append(spans, s)
-	}
-	if err := sc.Err(); err != nil {
-		return TraceMeta{}, nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	if len(spans) != meta.Spans {
-		return TraceMeta{}, nil, fmt.Errorf("obs: trace holds %d spans, header promises %d", len(spans), meta.Spans)
 	}
 	return meta, spans, nil
 }

@@ -92,10 +92,6 @@ func NewTracer(capacity int, clock func() time.Duration) *Tracer {
 	return &Tracer{buf: make([]Span, capacity), clock: clock}
 }
 
-// Enabled reports whether the tracer records anything; it is the
-// idiomatic nil check.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetClock binds the timestamp source for Emit — the testbed points it at
 // the simulation kernel's Now. Nil-safe.
 func (t *Tracer) SetClock(clock func() time.Duration) {

@@ -39,10 +39,7 @@ type City struct {
 	// Telemetry pipeline (nil unless CityConfig.RollupInterval > 0; see
 	// citytelemetry.go). The hot paths hold the instruments directly, so
 	// the disabled state costs one nil branch per event.
-	reg           *obs.Registry
-	rollup        *obs.Rollup
-	det           *obs.DetectionTracker
-	rec           *obs.FlightRecorder
+	tel           *obs.Telemetry
 	cSent         *obs.Counter
 	cDelivered    *obs.Counter
 	cAttackSent   *obs.Counter
@@ -75,17 +72,11 @@ type CityConfig struct {
 	// Horizon is how much simulated time Run covers (default 60s).
 	Horizon time.Duration
 
-	// RollupInterval, when positive, enables the telemetry pipeline: a
-	// Rollup over the city's metrics registry ticked at this sim-time
-	// interval, a detection-latency tracker, and an anomaly flight
-	// recorder (citytelemetry.go). Zero disables all of it.
+	// RollupInterval, when positive, enables the telemetry pipeline: an
+	// obs.Telemetry over the city's metrics registry ticked at this
+	// sim-time interval, with the default detection SLO
+	// (citytelemetry.go). Zero disables all of it.
 	RollupInterval time.Duration
-	// RollupWindows bounds the rollup ring (default
-	// obs.DefaultRollupWindows).
-	RollupWindows int
-	// DetectionSLO is the detection-latency objective (default
-	// obs.DefaultDetectionSLO).
-	DetectionSLO time.Duration
 	// Attacks is the scripted attack timeline; requires RollupInterval
 	// > 0 (the flood detector scans per rollup window).
 	Attacks []CityAttack
@@ -197,7 +188,7 @@ func NewCity(cfg CityConfig) (*City, error) {
 func (c *City) deliver(d int, p *netsim.Packet) {
 	c.delivered[d]++
 	c.cDelivered.Inc()
-	if c.reg == nil {
+	if c.tel == nil {
 		return
 	}
 	c.windowCount[d]++
@@ -217,8 +208,8 @@ func (c *City) deliver(d int, p *netsim.Packet) {
 	}
 	if p.Size >= exfilSizeThreshold {
 		now := c.Kernel.Now()
-		c.det.Observe(now, string(p.Src))
-		c.rec.Trigger(now, obs.TriggerAlert)
+		c.tel.Detections.Observe(now, string(p.Src))
+		c.tel.Recorder.Trigger(now, obs.TriggerAlert)
 	}
 }
 

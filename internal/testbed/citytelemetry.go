@@ -67,31 +67,13 @@ type cityAttacker struct {
 	injected bool
 }
 
-// CityTelemetry exposes the pipeline a telemetry-enabled city runs.
-type CityTelemetry struct {
-	Registry   *obs.Registry
-	Rollup     *obs.Rollup
-	Detections *obs.DetectionTracker
-	Recorder   *obs.FlightRecorder
-}
-
 // Telemetry returns the city's telemetry pipeline, or nil when
 // RollupInterval was not set.
-func (c *City) Telemetry() *CityTelemetry {
-	if c.reg == nil {
-		return nil
-	}
-	return &CityTelemetry{
-		Registry:   c.reg,
-		Rollup:     c.rollup,
-		Detections: c.det,
-		Recorder:   c.rec,
-	}
-}
+func (c *City) Telemetry() *obs.Telemetry { return c.tel }
 
-// initTelemetry wires the rollup, tracker, recorder, detector state and
-// attack timeline. Called from NewCity after the sensor fleet is built;
-// a no-op when RollupInterval is zero.
+// initTelemetry wires the obs.Telemetry stack (default detection SLO),
+// the detector state and the attack timeline. Called from NewCity after
+// the sensor fleet is built; a no-op when RollupInterval is zero.
 func (c *City) initTelemetry() error {
 	cfg := &c.cfg
 	if cfg.RollupInterval <= 0 {
@@ -101,16 +83,13 @@ func (c *City) initTelemetry() error {
 		return nil
 	}
 
-	c.reg = obs.NewRegistry()
-	c.cSent = c.reg.Counter("city.sent")
-	c.cDelivered = c.reg.Counter("city.delivered")
-	c.cAttackSent = c.reg.Counter("city.attack_sent")
-	c.cFloodFlagged = c.reg.Counter("city.flood_flagged")
-	c.cDropped = c.reg.Counter("net.dropped")
-	c.det = obs.NewDetectionTracker(c.reg, cfg.DetectionSLO)
-	c.rec = obs.NewFlightRecorder(0, 0)
-	c.det.SetRecorder(c.rec)
-	c.rollup = obs.NewRollup(c.reg, cfg.RollupInterval, cfg.RollupWindows)
+	c.tel = obs.NewTelemetry(nil, cfg.RollupInterval, 0)
+	reg := c.tel.Registry
+	c.cSent = reg.Counter("city.sent")
+	c.cDelivered = reg.Counter("city.delivered")
+	c.cAttackSent = reg.Counter("city.attack_sent")
+	c.cFloodFlagged = reg.Counter("city.flood_flagged")
+	c.cDropped = reg.Counter("net.dropped")
 
 	c.windowCount = make([]uint64, cfg.Districts)
 	c.mgIdx = make([]int, cfg.Districts)
@@ -134,8 +113,7 @@ func (c *City) initTelemetry() error {
 	c.telemetryTick = func(any) {
 		now := c.Kernel.Now()
 		c.scanWindow(now)
-		c.rollup.Tick(now)
-		c.rec.Flush(now)
+		c.tel.Tick(now)
 		c.Kernel.ScheduleArg(c.cfg.RollupInterval, "city-telemetry", c.telemetryTick, nil)
 	}
 	c.Kernel.ScheduleArg(cfg.RollupInterval, "city-telemetry", c.telemetryTick, nil)
@@ -208,7 +186,7 @@ func (c *City) initAttacks() error {
 		}
 		if !at.injected {
 			at.injected = true
-			at.city.det.Inject(now, at.class, string(at.pkt.Src))
+			at.city.tel.Detections.Inject(now, at.class, string(at.pkt.Src))
 		}
 		at.city.cAttackSent.Inc()
 		at.city.Net.Send(&at.pkt)
@@ -229,8 +207,8 @@ func (c *City) scanWindow(now time.Duration) {
 	for d := range c.windowCount {
 		if c.windowCount[d] > c.floodThreshold && c.mgCnt[d] > 0 {
 			c.cFloodFlagged.Inc()
-			c.det.Observe(now, string(c.sensors[c.mgIdx[d]].pkt.Src))
-			c.rec.Trigger(now, obs.TriggerAlert)
+			c.tel.Detections.Observe(now, string(c.sensors[c.mgIdx[d]].pkt.Src))
+			c.tel.Recorder.Trigger(now, obs.TriggerAlert)
 		}
 		c.windowCount[d] = 0
 		c.mgCnt[d] = 0
@@ -238,7 +216,7 @@ func (c *City) scanWindow(now time.Duration) {
 	if _, dropped, _ := c.Net.Stats(); dropped > c.lastDropped {
 		c.cDropped.Add(dropped - c.lastDropped)
 		c.lastDropped = dropped
-		c.rec.Trigger(now, obs.TriggerDropSpike)
+		c.tel.Recorder.Trigger(now, obs.TriggerDropSpike)
 	}
 }
 

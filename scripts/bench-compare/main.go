@@ -20,7 +20,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"xlf/internal/exp"
 	"xlf/internal/metrics"
@@ -112,15 +111,10 @@ func run(args []string, w io.Writer) int {
 }
 
 // numberDrift flags headline numbers that moved beyond tol or vanished,
-// appending to regressions; it returns how many drifted. Keys under the
-// "telemetry." prefix are excluded: those numbers exist only when the run
-// had -telemetry on, so their presence tracks a flag, not a regression.
+// appending to regressions; it returns how many drifted.
 func numberDrift(b, n *exp.Artifact, tol float64, regressions *[]string) int {
 	keys := make([]string, 0, len(b.Numbers))
 	for k := range b.Numbers {
-		if strings.HasPrefix(k, "telemetry.") {
-			continue
-		}
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -60,19 +60,18 @@ func TestCompareFlagsNumberDrift(t *testing.T) {
 	}
 }
 
-// TestCompareSkipsTelemetryNumbers: telemetry.* numbers exist only in
-// -telemetry runs, so a baseline produced with telemetry on must compare
-// clean against a run with it off (and drift in them is never flagged).
-func TestCompareSkipsTelemetryNumbers(t *testing.T) {
+// TestCompareGatesEveryNumber: no key prefix is exempt. A baseline
+// number the candidate lacks is a regression, whatever its name.
+func TestCompareGatesEveryNumber(t *testing.T) {
 	a := write(t, stepMeta(), result("E10", "out\n", 1e6,
-		map[string]float64{"events_total": 100, "telemetry.detected": 3, "telemetry.windows": 180}))
+		map[string]float64{"events_total": 100, "telemetry.detected": 3}))
 	b := write(t, stepMeta(), result("E10", "out\n", 1e6,
 		map[string]float64{"events_total": 100}))
 	var out strings.Builder
-	if code := run([]string{"-base", a, "-new", b}, &out); code != 0 {
-		t.Fatalf("exit %d, want 0; output:\n%s", code, out.String())
+	if code := run([]string{"-base", a, "-new", b}, &out); code != 1 {
+		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "no regressions") {
+	if !strings.Contains(out.String(), `number "telemetry.detected" missing`) {
 		t.Errorf("output:\n%s", out.String())
 	}
 }

@@ -5,6 +5,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# One scratch directory for every stage's outputs, removed on exit.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo '>> gofmt'
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -42,11 +46,9 @@ go run ./cmd/xlf-vet -baseline vet-baseline.json -strict-baseline ./...
 # -parallel 1 and -parallel 8, with the worker pool (and the call graph
 # every interprocedural rule reads from it) under the race detector.
 echo '>> xlf-vet determinism (parallel 8 vs sequential, race detector)'
-vetdir=$(mktemp -d)
-trap 'rm -rf "$vetdir"' EXIT
-go run -race ./cmd/xlf-vet -sarif -parallel 1 ./... >"$vetdir/serial.sarif" || true
-go run -race ./cmd/xlf-vet -sarif -parallel 8 ./... >"$vetdir/parallel.sarif" || true
-cmp "$vetdir/serial.sarif" "$vetdir/parallel.sarif"
+go run -race ./cmd/xlf-vet -sarif -parallel 1 ./... >"$tmp/serial.sarif" || true
+go run -race ./cmd/xlf-vet -sarif -parallel 8 ./... >"$tmp/parallel.sarif" || true
+cmp "$tmp/serial.sarif" "$tmp/parallel.sarif"
 
 # Blocking: full-repo vet wall time must stay within 1.25x of the
 # committed bench/seed/VET.json budget (best of three timed runs).
@@ -57,18 +59,16 @@ XLF_VET_WALL_GUARD=1 go test -run='^TestVetWarmWallBudget$' -v ./cmd/xlf-vet
 # byte-identical to the sequential run under the step clock, with the
 # worker pool running under the race detector.
 echo '>> xlf-bench determinism (parallel 8 vs sequential, race detector)'
-benchdir=$(mktemp -d)
-trap 'rm -rf "$benchdir"' EXIT
 go run -race ./cmd/xlf-bench -all -clock step -seed 1 -parallel 1 \
-	-json "$benchdir/sequential" >"$benchdir/report-sequential.txt"
+	-json "$tmp/sequential" >"$tmp/report-sequential.txt"
 go run -race ./cmd/xlf-bench -all -clock step -seed 1 -parallel 8 \
-	-json "$benchdir/parallel" >"$benchdir/report-parallel.txt"
-cmp "$benchdir/report-sequential.txt" "$benchdir/report-parallel.txt"
+	-json "$tmp/parallel" >"$tmp/report-parallel.txt"
+cmp "$tmp/report-sequential.txt" "$tmp/report-parallel.txt"
 
 # Non-blocking: the artifact differ reports drift between the two runs
 # (step-clock hashes must match; wall-clock ratios are informational).
 echo '>> bench-compare (non-blocking)'
-go run ./scripts/bench-compare -base "$benchdir/sequential" -new "$benchdir/parallel" ||
+go run ./scripts/bench-compare -base "$tmp/sequential" -new "$tmp/parallel" ||
 	echo 'bench-compare: drift noted (non-blocking)'
 
 # Blocking: the step-clock run must reproduce the committed bench/seed
@@ -76,32 +76,22 @@ go run ./scripts/bench-compare -base "$benchdir/sequential" -new "$benchdir/para
 # tolerance is wide open because the committed telemetry is
 # machine-specific; only determinism drift fails here.
 echo '>> bench-compare vs committed bench/seed (blocking on numbers/output)'
-go run ./scripts/bench-compare -base bench/seed -new "$benchdir/sequential" -wall-tolerance 1e9
+go run ./scripts/bench-compare -base bench/seed -new "$tmp/sequential" -wall-tolerance 1e9
 
-# Trace determinism: with the step clock and the tracer enabled, the
-# serialized span timeline must be byte-identical across runs and across
-# -parallel levels (the worker pool again under the race detector), and
-# xlf-trace must render it.
-echo '>> xlf-trace determinism (tracer on, parallel 4 vs sequential, race detector)'
-go run -race ./cmd/xlf-bench -exp E1 -clock step -seed 1 -parallel 1 \
-	-trace "$benchdir/trace-sequential.jsonl" >/dev/null
-go run -race ./cmd/xlf-bench -exp E1 -clock step -seed 1 -parallel 4 \
-	-trace "$benchdir/trace-parallel.jsonl" >/dev/null
-cmp "$benchdir/trace-sequential.jsonl" "$benchdir/trace-parallel.jsonl"
-go run ./cmd/xlf-trace "$benchdir/trace-sequential.jsonl" >"$benchdir/trace-timeline.txt"
-
-# Telemetry determinism: with the step clock and telemetry enabled, the
-# serialized xlf-metrics/v1 artifact (rollup windows + flight-recorder
-# dumps, attack timeline included) must be byte-identical across
-# -parallel levels with the worker pool under the race detector, and
-# `xlf-trace metrics` must render it.
-echo '>> telemetry determinism (rollups on, parallel 8 vs sequential, race detector)'
-go run -race ./cmd/xlf-bench -exp E10 -clock step -seed 1 -parallel 1 \
-	-telemetry "$benchdir/metrics-sequential.jsonl" >/dev/null
-go run -race ./cmd/xlf-bench -exp E10 -clock step -seed 1 -parallel 8 \
-	-telemetry "$benchdir/metrics-parallel.jsonl" >/dev/null
-cmp "$benchdir/metrics-sequential.jsonl" "$benchdir/metrics-parallel.jsonl"
-go run ./cmd/xlf-trace metrics "$benchdir/metrics-sequential.jsonl" >"$benchdir/metrics-rollup.txt"
+# Observation determinism: with the step clock and both halves of the
+# observation tree on (E1 traces and rolls up, E10 rolls up its attack
+# timeline), the serialized xlf-trace/v1 and xlf-metrics/v1 files must be
+# byte-identical across -parallel levels with the worker pool under the
+# race detector, and xlf-trace must render both.
+echo '>> trace + telemetry determinism (parallel 8 vs sequential, race detector)'
+for p in 1 8; do
+	go run -race ./cmd/xlf-bench -exp E1,E10 -clock step -seed 1 -parallel $p \
+		-trace "$tmp/trace-$p.jsonl" -telemetry "$tmp/metrics-$p.jsonl" >/dev/null
+done
+cmp "$tmp/trace-1.jsonl" "$tmp/trace-8.jsonl"
+cmp "$tmp/metrics-1.jsonl" "$tmp/metrics-8.jsonl"
+go run ./cmd/xlf-trace "$tmp/trace-1.jsonl" >"$tmp/trace-timeline.txt"
+go run ./cmd/xlf-trace metrics "$tmp/metrics-1.jsonl" >"$tmp/metrics-rollup.txt"
 
 # Non-blocking: disabled-tracer overhead on the Core hot path. The two
 # ingest benchmarks must stay within noise of each other; the numbers are
