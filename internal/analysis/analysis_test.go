@@ -198,10 +198,10 @@ func TestRepoCleanUnderAllRules(t *testing.T) {
 	}
 	// The baseline must not rot: every waiver still matches a finding.
 	// (The count dropped from 7 when the pooled kernel made netsim's Send
-	// allocation-free, and from 6 when Core.Ingest lost its unattributed
-	// history append.)
-	if want := len(findings) - len(kept); suppressed != want || suppressed != 5 {
-		t.Errorf("baseline suppressed %d finding(s), want 5; stale entries must be pruned", suppressed)
+	// allocation-free, from 6 when Core.Ingest lost its unattributed
+	// history append, and to 3 when its window became a ring.)
+	if want := len(findings) - len(kept); suppressed != want || suppressed != 3 {
+		t.Errorf("baseline suppressed %d finding(s), want 3; stale entries must be pruned", suppressed)
 	}
 }
 

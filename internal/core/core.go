@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -136,10 +137,9 @@ type Core struct {
 	cfg     Config
 	contain Containment
 
-	signals   map[string][]Signal // per device
-	alerts    []Alert
-	lastA     map[string]time.Duration
-	contained map[string]bool
+	devs    map[string]*devState
+	alerts  []Alert
+	enabled [numLayers]bool
 
 	// OnAlert, when set, observes every raised alert.
 	OnAlert func(Alert)
@@ -181,18 +181,20 @@ func New(cfg Config, contain Containment) *Core {
 		cfg.Cooldown = DefaultConfig().Cooldown
 	}
 	reg := obs.NewRegistry()
-	return &Core{
+	c := &Core{
 		cfg:        cfg,
 		contain:    contain,
-		signals:    make(map[string][]Signal),
-		lastA:      make(map[string]time.Duration),
-		contained:  make(map[string]bool),
+		devs:       make(map[string]*devState),
 		reg:        reg,
 		cIngested:  reg.Counter("core.ingested"),
 		cDropped:   reg.Counter("core.dropped"),
 		cAlerts:    reg.Counter("core.alerts"),
 		cContained: reg.Counter("core.contained"),
 	}
+	for i, l := range layerNames {
+		c.enabled[i] = len(cfg.EnabledLayers) == 0 || slices.Contains(cfg.EnabledLayers, l)
+	}
+	return c
 }
 
 // Config returns the active configuration.
@@ -225,29 +227,20 @@ func (c *Core) Stats() CoreStats {
 // counters, for snapshotting alongside trace exports.
 func (c *Core) Metrics() *obs.Registry { return c.reg }
 
-// layerEnabled applies the ablation filter.
-func (c *Core) layerEnabled(l LayerName) bool {
-	if len(c.cfg.EnabledLayers) == 0 {
-		return true
-	}
-	for _, e := range c.cfg.EnabledLayers {
-		if e == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Ingest feeds one signal into the correlation engine, returning the alert
-// it raised, if any. This is the per-signal hot path: the disabled-layer
-// and no-tracer branches must stay allocation-free. The history append
-// is amortised-O(1) against a window-bounded slice and is the one
-// reviewed exception (waived in vet-baseline.json). An unattributed
-// signal is counted and traced but correlates with nothing.
+// it raised, if any. This is the per-signal hot path: O(1) amortised and,
+// unless it alerts, allocation-free once the device's window has grown to
+// its peak size. A signal whose layer is disabled by the ablation filter,
+// or is not one of the three XLF layers, is counted as dropped. An
+// unattributed signal is counted and traced but correlates with nothing.
+//
+// The returned alert is the caller's own copy; its Layers and Evidence
+// share backing arrays with the recorded alert, as Alerts' copies do.
 //
 //xlf:hotpath
 func (c *Core) Ingest(sig Signal) *Alert {
-	if !c.layerEnabled(sig.Layer) {
+	li := layerIndex(sig.Layer)
+	if li < 0 || !c.enabled[li] {
 		c.cDropped.Inc()
 		if c.Tracer != nil {
 			c.Tracer.EmitSpan(obs.Span{
@@ -267,41 +260,26 @@ func (c *Core) Ingest(sig Signal) *Alert {
 	if sig.DeviceID == "" {
 		return nil
 	}
-	hist := append(c.signals[sig.DeviceID], sig)
-	// Evict signals outside the window.
-	cut := 0
-	for cut < len(hist) && hist[cut].Time < sig.Time-c.cfg.Window {
-		cut++
+	d := c.devs[sig.DeviceID]
+	if d == nil {
+		d = new(devState) //xlf:allow-hotpath once per device, on its first signal
+		c.devs[sig.DeviceID] = d
 	}
-	hist = hist[cut:]
-	// Bound per-device history: a detector misfiring at line rate (or an
-	// adversary flooding a sensor) must not make the Core itself O(n^2).
-	// The newest signals carry the evidence that matters.
-	const maxHist = 2048
-	if len(hist) > maxHist {
-		hist = hist[len(hist)-maxHist:]
-	}
-	c.signals[sig.DeviceID] = hist
-
-	return c.evaluate(sig.DeviceID, sig.Time)
+	d.push(sig, li, c.cfg.Window)
+	return c.evaluate(sig.DeviceID, d, sig.Time)
 }
 
-// evaluate computes correlated confidence for a device and raises an alert
-// when warranted.
-func (c *Core) evaluate(deviceID string, now time.Duration) *Alert {
-	hist := c.signals[deviceID]
-	if len(hist) == 0 {
+// evaluate computes the device's correlated confidence — the window's
+// peak score times the bonus for each extra corroborating layer — and
+// raises an alert when warranted.
+//
+//xlf:hotpath
+func (c *Core) evaluate(deviceID string, d *devState, now time.Duration) *Alert {
+	if d.sigs.n == 0 {
 		return nil
 	}
-	layerSet := make(map[LayerName]struct{})
-	var maxScore float64
-	for _, s := range hist {
-		layerSet[s.Layer] = struct{}{}
-		if s.Score > maxScore {
-			maxScore = s.Score
-		}
-	}
-	conf := maxScore * (1 + c.cfg.LayerBonus*float64(len(layerSet)-1))
+	maxScore, layers := d.peakScore()
+	conf := maxScore * (1 + c.cfg.LayerBonus*float64(layers-1))
 	if conf > 1 {
 		conf = 1
 	}
@@ -310,18 +288,27 @@ func (c *Core) evaluate(deviceID string, now time.Duration) *Alert {
 	}
 	// Cooldown suppresses repeats — but never the first escalation to
 	// containment level on a device whose prior alerts stayed below it.
-	escalation := conf >= c.cfg.ContainThreshold && !c.contained[deviceID]
-	if last, ok := c.lastA[deviceID]; ok && now-last < c.cfg.Cooldown && !escalation {
+	escalation := conf >= c.cfg.ContainThreshold && !d.contained
+	if n := len(d.alertTimes); n > 0 && now-d.alertTimes[n-1] < c.cfg.Cooldown && !escalation {
 		return nil
 	}
-	c.lastA[deviceID] = now
+	return c.raise(deviceID, d, now, conf) //xlf:allow-hotpath raising an alert copies its provenance; non-alerting signals return above
+}
 
-	layers := make([]LayerName, 0, len(layerSet))
-	for l := range layerSet {
-		layers = append(layers, l)
+// raise records an alert for the device's current window, runs
+// containment when conf reaches ContainThreshold, and notifies the
+// observers.
+func (c *Core) raise(deviceID string, d *devState, now time.Duration, conf float64) *Alert {
+	d.alertTimes = append(d.alertTimes, now)
+
+	// The peak deques are non-empty exactly for the layers with retained
+	// signals; walking them in slot order yields the layers sorted.
+	layers := make([]LayerName, 0, numLayers)
+	for i := range d.peaks {
+		if d.peaks[i].n > 0 {
+			layers = append(layers, layerNames[i])
+		}
 	}
-	sort.Slice(layers, func(i, j int) bool { return layers[i] < layers[j] })
-
 	sev := SevWarning
 	if conf >= c.cfg.ContainThreshold {
 		sev = SevCritical
@@ -332,14 +319,14 @@ func (c *Core) evaluate(deviceID string, now time.Duration) *Alert {
 		Severity:   sev,
 		Confidence: conf,
 		Layers:     layers,
-		Evidence:   append([]Signal(nil), hist...),
+		Evidence:   d.sigs.appendTo(make([]Signal, 0, d.sigs.n)),
 	}
 
 	if conf >= c.cfg.ContainThreshold {
-		a.Action = c.containDevice(deviceID, hist)
+		a.Action = c.containDevice(deviceID, a.Evidence)
 		// Whether or not an enforcement hook was installed, containment
 		// has been attempted: later repeats fall back under the cooldown.
-		c.contained[deviceID] = true
+		d.contained = true
 		if a.Action != "" {
 			c.cContained.Inc()
 			if c.Tracer != nil {
@@ -364,7 +351,8 @@ func (c *Core) evaluate(deviceID string, now time.Duration) *Alert {
 	if c.OnAlert != nil {
 		c.OnAlert(a)
 	}
-	return &c.alerts[len(c.alerts)-1]
+	out := a
+	return &out
 }
 
 // containDevice picks and executes a containment action based on the
@@ -429,9 +417,12 @@ func (c *Core) FlaggedDevices() []string {
 // devices with recent alerts get sharply shorter token lifetimes.
 func (c *Core) TokenLifetimeFor(deviceID string, base time.Duration, now time.Duration) time.Duration {
 	recent := 0
-	for _, a := range c.AlertsFor(deviceID) {
-		if now-a.Time <= c.cfg.Window*5 {
-			recent++
+	if d := c.devs[deviceID]; d != nil {
+		// Only none, one or several matters: stop counting at two.
+		for i := len(d.alertTimes) - 1; i >= 0 && recent < 2; i-- {
+			if now-d.alertTimes[i] <= c.cfg.Window*5 {
+				recent++
+			}
 		}
 	}
 	switch {

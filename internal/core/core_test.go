@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xlf/internal/netsim"
+	"xlf/internal/obs"
 )
 
 func sig(t time.Duration, layer LayerName, dev, kind string, score float64) Signal {
@@ -150,6 +151,50 @@ func TestLayerAblation(t *testing.T) {
 	}
 	if a := c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.99)); a == nil {
 		t.Error("enabled layer's signal ignored")
+	}
+}
+
+// TestUnknownLayerDropped pins that a layer outside the three XLF
+// layers is handled like a disabled one: counted as dropped and traced
+// as a filter decision, never correlated.
+func TestUnknownLayerDropped(t *testing.T) {
+	c := New(DefaultConfig(), Containment{})
+	c.Tracer = obs.NewTracer(16, nil)
+	if a := c.Ingest(sig(time.Second, "radio", "cam-1", "jam", 0.99)); a != nil {
+		t.Errorf("unknown layer's signal alerted: %s", a)
+	}
+	if st := c.Stats(); st.Ingested != 0 || st.Dropped != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	if spans := c.Tracer.Spans(); len(spans) != 1 || spans[0].Op != "filter" {
+		t.Errorf("spans = %+v, want one filter span", spans)
+	}
+}
+
+// TestIngestReturnsOwnCopy pins that Ingest's alert is the caller's:
+// mutating it leaves the recorded alert alone, and later alerts do not
+// move it.
+func TestIngestReturnsOwnCopy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cooldown = time.Millisecond
+	c := New(cfg, Containment{})
+	a := c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.7))
+	if a == nil {
+		t.Fatal("no alert")
+	}
+	want := *a
+	a.Confidence, a.Action, a.DeviceID = 0, "mutated", "other"
+	if got := c.Alerts()[0]; got.Confidence != want.Confidence || got.Action != want.Action || got.DeviceID != want.DeviceID {
+		t.Errorf("recorded alert = %s after mutating the returned one, want %s", got, want)
+	}
+	*a = want
+	for i := 0; i < 1000; i++ {
+		if c.Ingest(sig(2*time.Second+time.Duration(i)*time.Second, Network, "cam-1", "scan", 0.7)) == nil {
+			t.Fatalf("signal %d did not alert", i)
+		}
+	}
+	if a.Time != want.Time || a.Confidence != want.Confidence || a.DeviceID != want.DeviceID || len(a.Evidence) != len(want.Evidence) {
+		t.Errorf("returned alert reads %s after 1000 more alerts, want %s", a, want)
 	}
 }
 

@@ -91,6 +91,22 @@ func (p *NACPolicy) Denials() uint64 {
 	return p.denials
 }
 
+// NACError is the gateway hook's refusal of one outbound packet. Its
+// message is formatted only when read.
+type NACError struct {
+	Src, Dst netsim.Addr
+	// Quarantined reports that Src is under containment; otherwise Dst
+	// is not enrolled for Src.
+	Quarantined bool
+}
+
+func (e *NACError) Error() string {
+	if e.Quarantined {
+		return "core: " + string(e.Src) + " is quarantined"
+	}
+	return "core: NAC denies " + string(e.Src) + " -> " + string(e.Dst)
+}
+
 // GatewayHook returns the function to install as Gateway.OutboundPolicy.
 func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 	return func(pkt *netsim.Packet) error {
@@ -99,7 +115,7 @@ func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 			p.denials++
 			p.mu.Unlock()
 			p.traceDeny(pkt, "quarantined")
-			return fmt.Errorf("core: %s is quarantined", pkt.Src)
+			return &NACError{Src: pkt.Src, Dst: pkt.Dst, Quarantined: true}
 		}
 		if p.alwaysAllow[pkt.Dst] {
 			p.mu.Unlock()
@@ -116,7 +132,7 @@ func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 		if cb != nil {
 			cb(pkt)
 		}
-		return fmt.Errorf("core: NAC denies %s -> %s", pkt.Src, pkt.Dst)
+		return &NACError{Src: pkt.Src, Dst: pkt.Dst}
 	}
 }
 

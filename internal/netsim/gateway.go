@@ -117,6 +117,16 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 	net.Send(in)
 }
 
+// BlockedError is SendOut's refusal of a packet by the outbound policy.
+// It wraps the policy's error and formats its message only when read:
+// under a flood of denied packets most refusals are counted, not printed.
+type BlockedError struct{ Err error }
+
+func (e *BlockedError) Error() string { return "netsim: outbound blocked: " + e.Err.Error() }
+
+// Unwrap returns the policy's error.
+func (e *BlockedError) Unwrap() error { return e.Err }
+
 // SendOut NATs a LAN packet to the WAN and transmits it, applying the
 // outbound policy and the traffic shaper. Devices and the home router
 // call this for WAN-bound traffic.
@@ -127,7 +137,7 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if g.OutboundPolicy != nil {
 		if err := g.OutboundPolicy(pkt); err != nil {
 			g.blockedOut++
-			return fmt.Errorf("netsim: outbound blocked: %w", err)
+			return &BlockedError{Err: err}
 		}
 	}
 	key := natKey{lanSrc: pkt.Src, lanPort: pkt.SrcPort, dst: pkt.Dst, dstPort: pkt.DstPort}

@@ -38,6 +38,7 @@ go test -run='^$' -fuzz='^FuzzCFGBuild$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzLockOrderGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzCallGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzKernelSchedule$' -fuzztime=5s ./internal/sim
+go test -run='^$' -fuzz='^FuzzCoreIngest$' -fuzztime=5s ./internal/core
 
 echo '>> xlf-vet ./... (self-gate, baselined, strict on stale waivers)'
 go run ./cmd/xlf-vet -baseline vet-baseline.json -strict-baseline ./...

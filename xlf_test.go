@@ -1,12 +1,15 @@
 package xlf
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"xlf/internal/analytics"
 	"xlf/internal/attack"
+	"xlf/internal/core"
 	"xlf/internal/netsim"
 	"xlf/internal/service"
 )
@@ -119,6 +122,47 @@ func TestNACBlocksCCBeacons(t *testing.T) {
 		if r.Dst == "wan:cnc" {
 			t.Fatalf("C&C beacon escaped the NAC: %+v", r)
 		}
+	}
+}
+
+// TestNACDenialErrorAndSignal pins the deny path's output: the error
+// SendOut returns (its text and its wrapped NAC refusal) and the Detail
+// of the constrained-access signal the Core receives.
+func TestNACDenialErrorAndSignal(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.AlertThreshold = 0.4 // one denial (score 0.5) alerts, exposing its evidence
+	sys, err := New(Options{Seed: 1, CoreConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}
+	err = sys.Home.Gateway.SendOut(sys.Home.Net, pkt)
+	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: NAC denies lan:cam-1 -> wan:cnc"; got != want {
+		t.Errorf("denied SendOut error = %q, want %q", got, want)
+	}
+	var blocked *netsim.BlockedError
+	var nac *core.NACError
+	if !errors.As(err, &blocked) || !errors.As(err, &nac) || !errors.Is(err, nac) {
+		t.Fatalf("error chain %#v lacks *netsim.BlockedError wrapping *core.NACError", err)
+	}
+	if nac.Src != pkt.Src || nac.Dst != pkt.Dst || nac.Quarantined {
+		t.Errorf("NAC refusal = %+v", *nac)
+	}
+	alerts := sys.Core.AlertsFor("cam-1")
+	if len(alerts) != 1 || len(alerts[0].Evidence) != 1 {
+		t.Fatalf("alerts = %v, want one carrying the denial", alerts)
+	}
+	if got, want := alerts[0].Evidence[0].Detail, "denied lan:cam-1 -> wan:cnc:23"; got != want {
+		t.Errorf("denial signal Detail = %q, want %q", got, want)
+	}
+
+	sys.NAC.Block("lan:cam-1")
+	err = sys.Home.Gateway.SendOut(sys.Home.Net, pkt)
+	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: lan:cam-1 is quarantined"; got != want {
+		t.Errorf("quarantined SendOut error = %q, want %q", got, want)
+	}
+	if !errors.As(err, &nac) || !nac.Quarantined || nac.Src != pkt.Src {
+		t.Errorf("quarantine refusal = %#v", err)
 	}
 }
 
