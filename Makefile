@@ -51,6 +51,8 @@ report:
 	$(GO) run ./cmd/xlf-bench -all
 
 # bench runs the full experiment suite in parallel and writes the
-# versioned BENCH_<id>.json artifacts to out/bench.
+# versioned BENCH_<id>.json artifacts to out/bench. They record results,
+# not host timing: compare step-clock sets with cmp, and measure wall
+# time with bench/_perf/run.sh.
 bench:
 	$(GO) run ./cmd/xlf-bench -all -parallel 8 -json out/bench

@@ -1,10 +1,11 @@
 package xlf_test
 
 // Benchmark harness: one benchmark per paper table and figure plus one per
-// quantitative experiment (E1-E8), as indexed in DESIGN.md. Each bench
+// quantitative experiment (E1-E10), as indexed in DESIGN.md. Each bench
 // regenerates its artifact end to end, so `go test -bench=.` reproduces
-// the entire evaluation; per-cipher micro-benchmarks cover the Table III
-// throughput column at testing.B fidelity.
+// the entire evaluation, and go test's profiling flags profile any one
+// experiment; per-cipher micro-benchmarks cover the Table III throughput
+// column at testing.B fidelity.
 
 import (
 	"testing"
@@ -79,6 +80,8 @@ func BenchmarkE7DNSPrivacy(b *testing.B) { benchRegistry(b, "E7") }
 func BenchmarkE8Botnet(b *testing.B) { benchRegistry(b, "E8") }
 
 func BenchmarkE9Stability(b *testing.B) { benchRegistry(b, "E9") }
+
+func BenchmarkE10SmartCity(b *testing.B) { benchRegistry(b, "E10") }
 
 // BenchmarkTable3Cipher/<name> measures each Table III algorithm's block
 // throughput individually (the table's software metric at testing.B

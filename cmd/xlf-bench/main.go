@@ -12,9 +12,11 @@
 //	xlf-bench -figure 4                 # just Figure 4
 //	xlf-bench -exp E1,E4,T3             # a comma list of registry IDs
 //	xlf-bench -seed 7 -all              # different deterministic seed
-//	xlf-bench -all -json out/           # write BENCH_<id>.json artifacts
 //	xlf-bench -all -clock step          # fixed fake clock: byte-identical
 //	                                    # output at any -parallel level
+//	xlf-bench -all -clock step \
+//	          -json out/                # write BENCH_<id>.json artifacts;
+//	                                    # compare them with cmp
 //	xlf-bench -exp E1 -clock step \
 //	          -trace out.jsonl          # cross-layer span trace (xlf-trace/v1);
 //	                                    # render with cmd/xlf-trace
@@ -25,9 +27,10 @@
 //	                                    # xlf-trace metrics
 //	xlf-bench -exp E1,E10 -clock step \
 //	          -trace t.jsonl -telemetry m.jsonl  # both, from one run
-//	xlf-bench -exp E1 -cpuprofile cpu.pprof \
-//	          -memprofile mem.pprof     # pprof profiles of the run
-//	                                    # (go tool pprof cpu.pprof)
+//
+// Host timing is not xlf-bench's job: bench/_perf measures wall time, and
+// the root package's Benchmark<ID> functions take go test's profiling
+// flags.
 package main
 
 import (
@@ -35,8 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -63,8 +64,6 @@ func run(args []string) int {
 		traceOut = fs.String("trace", "", "file to write the xlf-trace/v1 span timeline into")
 		telOut   = fs.String("telemetry", "", "file to write the xlf-metrics/v1 rollup/dump artifact into")
 		rollupIv = fs.Duration("rollup-interval", time.Second, "sim-time rollup window length (with -telemetry)")
-		cpuProf  = fs.String("cpuprofile", "", "file to write a CPU profile of the experiment run into")
-		memProf  = fs.String("memprofile", "", "file to write an end-of-run heap profile into")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -135,36 +134,8 @@ func run(args []string) int {
 		env.EnableTelemetry(*rollupIv)
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "xlf-bench: wrote CPU profile to %s\n", *cpuProf)
-		}()
-	}
-
 	results := exp.Run(env, selection)
 	fmt.Print(exp.Render(results))
-
-	if *memProf != "" {
-		// The GC run first makes the profile reflect retained memory, not
-		// garbage awaiting collection.
-		runtime.GC()
-		if err := writeFile(*memProf, "heap profile", pprof.WriteHeapProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "xlf-bench:", err)
-			return 1
-		}
-	}
 
 	// With -clock step both files are byte-identical across runs and
 	// -parallel levels; render them with xlf-trace and xlf-trace metrics.
@@ -191,7 +162,7 @@ func run(args []string) int {
 	}
 
 	if *jsonDir != "" {
-		meta := exp.RunMeta{Seed: *seed, Parallel: *parallel, Clock: *clock}
+		meta := exp.RunMeta{Seed: *seed, Clock: *clock}
 		paths, err := exp.WriteArtifacts(*jsonDir, results, meta)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xlf-bench:", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,49 +46,46 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunWritesArtifacts drives the -json flag end to end and validates
-// the written files against the schema via the exp loader.
+// TestRunWritesArtifacts drives the -json flag end to end: every written
+// file decodes and validates under the schema, and a step-clock run
+// writes byte-identical files at -parallel 1 and 2.
 func TestRunWritesArtifacts(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "bench")
-	if got := run([]string{"-exp", "E4,T3", "-clock", "step", "-parallel", "2", "-seed", "7", "-json", dir}); got != 0 {
-		t.Fatalf("run = %d, want 0", got)
-	}
-	byID, ids, err := exp.ReadArtifactDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 {
-		t.Fatalf("artifacts = %v, want E4 and T3", ids)
-	}
-	for _, id := range []string{"E4", "T3"} {
-		a, ok := byID[id]
-		if !ok {
-			t.Fatalf("missing artifact %s", id)
+	ids := []string{"E4", "T3"}
+	dirs := map[string]string{}
+	for _, parallel := range []string{"1", "2"} {
+		dirs[parallel] = filepath.Join(t.TempDir(), "bench"+parallel)
+		if got := run([]string{"-exp", "E4,T3", "-clock", "step", "-parallel", parallel, "-seed", "7", "-json", dirs[parallel]}); got != 0 {
+			t.Fatalf("run at -parallel %s = %d, want 0", parallel, got)
 		}
-		if a.Seed != 7 || a.Parallel != 2 || a.Clock != exp.ClockStep {
+	}
+	for _, id := range ids {
+		seq, err := os.ReadFile(exp.ArtifactPath(dirs["1"], id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a exp.Artifact
+		if err := json.Unmarshal(seq, &a); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Error(err)
+		}
+		if a.ID != id || a.Seed != 7 || a.Clock != exp.ClockStep {
 			t.Errorf("%s metadata = %+v", id, a.RunMeta)
-		}
-		if a.Telemetry == nil || a.Telemetry.WallNS <= 0 {
-			t.Errorf("%s telemetry = %+v", id, a.Telemetry)
 		}
 		if len(a.Numbers) == 0 {
 			t.Errorf("%s has no headline numbers", id)
 		}
-	}
-	// Artifacts from the same step-clock env are reproducible: a second
-	// run must report the same output hashes.
-	dir2 := filepath.Join(t.TempDir(), "bench2")
-	if got := run([]string{"-exp", "E4,T3", "-clock", "step", "-seed", "7", "-json", dir2}); got != 0 {
-		t.Fatalf("second run failed")
-	}
-	again, _, err := exp.ReadArtifactDir(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if byID[id].OutputSHA256 != again[id].OutputSHA256 {
-			t.Errorf("%s: step-clock hash not reproducible", id)
+		par, err := os.ReadFile(exp.ArtifactPath(dirs["2"], id))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(seq, par) {
+			t.Errorf("%s: -parallel 1 and -parallel 2 artifacts differ:\n%s\nvs\n%s", id, seq, par)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dirs["1"], "*")); len(files) != len(ids) {
+		t.Errorf("wrote %v, want one artifact per experiment", files)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // for a full-module run.
 type vetSeed struct {
 	Schema    string  `json:"schema"`
-	WallNS    int64   `json:"wall_ns"`
+	BudgetNS  int64   `json:"wall_ns"`
 	Tolerance float64 `json:"tolerance"`
 }
 
@@ -38,7 +38,7 @@ func TestVetWarmWallBudget(t *testing.T) {
 	if err := json.Unmarshal(data, &seed); err != nil {
 		t.Fatalf("bad bench/seed/VET.json: %v", err)
 	}
-	if seed.Schema != "xlf-vet-wall/v2" || seed.WallNS <= 0 || seed.Tolerance < 1 {
+	if seed.Schema != "xlf-vet-wall/v2" || seed.BudgetNS <= 0 || seed.Tolerance < 1 {
 		t.Fatalf("implausible budget: %+v", seed)
 	}
 
@@ -56,9 +56,9 @@ func TestVetWarmWallBudget(t *testing.T) {
 	vet() // warm-up, never timed
 	runs := []time.Duration{vet(), vet(), vet()}
 	best := slices.Min(runs)
-	budget := time.Duration(float64(seed.WallNS) * seed.Tolerance)
+	budget := time.Duration(float64(seed.BudgetNS) * seed.Tolerance)
 	t.Logf("vet runs %v: best = %v, budget = %v (%.2fx of %v)",
-		runs, best, budget, seed.Tolerance, time.Duration(seed.WallNS))
+		runs, best, budget, seed.Tolerance, time.Duration(seed.BudgetNS))
 	if best > budget {
 		t.Fatalf("full-module vet took %v, over the %v budget — either make the analyzers cheaper or consciously re-record bench/seed/VET.json", best, budget)
 	}

@@ -90,10 +90,6 @@ var XLFLayerTable = map[string][]string{
 	"cmd/xlf-trace":  {"internal/obs"},
 	"cmd/xlf-vet":    {"internal/analysis"},
 
-	// Repo tooling: the bench-artifact differ reads exp artifacts and
-	// renders with the metrics table.
-	"scripts/bench-compare": {"internal/exp", "internal/metrics"},
-
 	"examples/botnet":         {".", "internal/attack", "internal/netsim", "internal/service"},
 	"examples/quickstart":     {".", "internal/attack", "internal/service"},
 	"examples/smartcity":      {"internal/obs", "internal/testbed"},

@@ -289,7 +289,7 @@ func (c *Core) evaluate(deviceID string, d *devState, now time.Duration) *Alert 
 	// Cooldown suppresses repeats — but never the first escalation to
 	// containment level on a device whose prior alerts stayed below it.
 	escalation := conf >= c.cfg.ContainThreshold && !d.contained
-	if n := len(d.alertTimes); n > 0 && now-d.alertTimes[n-1] < c.cfg.Cooldown && !escalation {
+	if d.nAlerts > 0 && now-d.lastAlert < c.cfg.Cooldown && !escalation {
 		return nil
 	}
 	return c.raise(deviceID, d, now, conf) //xlf:allow-hotpath raising an alert copies its provenance; non-alerting signals return above
@@ -299,7 +299,7 @@ func (c *Core) evaluate(deviceID string, d *devState, now time.Duration) *Alert 
 // containment when conf reaches ContainThreshold, and notifies the
 // observers.
 func (c *Core) raise(deviceID string, d *devState, now time.Duration, conf float64) *Alert {
-	d.alertTimes = append(d.alertTimes, now)
+	d.recordAlert(now)
 
 	// The peak deques are non-empty exactly for the layers with retained
 	// signals; walking them in slot order yields the layers sorted.
@@ -418,9 +418,8 @@ func (c *Core) FlaggedDevices() []string {
 func (c *Core) TokenLifetimeFor(deviceID string, base time.Duration, now time.Duration) time.Duration {
 	recent := 0
 	if d := c.devs[deviceID]; d != nil {
-		// Only none, one or several matters: stop counting at two.
-		for i := len(d.alertTimes) - 1; i >= 0 && recent < 2; i-- {
-			if now-d.alertTimes[i] <= c.cfg.Window*5 {
+		for _, t := range d.alerts[:d.nAlerts] {
+			if now-t <= c.cfg.Window*5 {
 				recent++
 			}
 		}

@@ -455,6 +455,16 @@ func TestCoreMatchesReference(t *testing.T) {
 			s(6, Network, "bulb-1", "scan", math.Inf(1)), s(7, Network, "plug-1", "scan", math.Inf(-1)),
 		}},
 		{"cooldown-against-escalation", DefaultConfig(), true, escalation},
+		// Alerts at 100s, then 50s (an escalation), 111s, 175s and 300s:
+		// the cooldown runs from the last raised alert, not the latest in
+		// time, and the fifth alert makes the Core drop one from its
+		// alert history.
+		{"last-raised-not-latest", DefaultConfig(), true, []Signal{
+			s(100*time.Second, Network, "cam-1", "scan", 0.7), s(50*time.Second, Network, "cam-1", "scan", 0.9),
+			s(105*time.Second, Network, "cam-1", "scan", 0.7), s(111*time.Second, Network, "cam-1", "scan", 0.7),
+			s(175*time.Second, Network, "cam-1", "scan", 0.7), s(-10*time.Second, Device, "cam-1", "scan", 0.95),
+			s(300*time.Second, Network, "cam-1", "scan", 0.7),
+		}},
 		{"escalation-without-hooks", DefaultConfig(), false, escalation},
 		{"enabled-layers", cfg(func(c *Config) { c.EnabledLayers = []LayerName{Network, Service} }), true, []Signal{
 			s(0, Device, "cam-1", "firmware-tamper", 0.99), s(1, Network, "cam-1", "scan", 0.55),

@@ -97,11 +97,37 @@ type devState struct {
 	next  uint64
 	peaks [numLayers]ring[peak]
 
-	// alertTimes are the times of the device's alerts in raise order:
-	// the last one starts the cooldown, and TokenLifetimeFor counts the
-	// recent ones.
-	alertTimes []time.Duration
-	contained  bool
+	// lastAlert is the time of the device's last raised alert, which
+	// starts the cooldown. alerts holds the alert times TokenLifetimeFor
+	// counts, sorted: all of them up to four, then the two earliest and
+	// the two latest (see recordAlert).
+	lastAlert time.Duration
+	alerts    [4]time.Duration
+	nAlerts   int
+	contained bool
+}
+
+// recordAlert notes an alert raised at t. Past four alerts the median of
+// the five is dropped. TokenLifetimeFor only tells none, one or several
+// recent alerts apart, and the ones it counts (now-t <= 5*Window, with
+// now-t wrapping) are a prefix, a suffix, or both, of the sorted alert
+// times, unless those times span more than 2^63+5*Window. So the two
+// earliest and the two latest decide it.
+func (d *devState) recordAlert(t time.Duration) {
+	d.lastAlert = t
+	var all [5]time.Duration
+	n := copy(all[:], d.alerts[:d.nAlerts])
+	i := n
+	for ; i > 0 && all[i-1] > t; i-- {
+		all[i] = all[i-1]
+	}
+	all[i] = t
+	if n == len(d.alerts) {
+		copy(all[2:], all[3:])
+	} else {
+		d.nAlerts++
+	}
+	copy(d.alerts[:], all[:])
 }
 
 // push adds a signal of layer slot li and evicts everything the window

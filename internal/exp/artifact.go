@@ -7,34 +7,35 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // ArtifactSchema is the version tag every BENCH_<id>.json carries. Bump it
-// whenever a field changes meaning; readers (scripts/bench-compare, CI)
-// refuse artifacts from a schema they do not understand.
-const ArtifactSchema = "xlf-bench/v1"
+// whenever a field changes meaning. v2 carries only content that is a
+// function of the seed and the clock family: no worker count and no
+// host timing, so step-clock artifacts compare byte for byte.
+const ArtifactSchema = "xlf-bench/v2"
 
 // ClockWall and ClockStep name the two clock families an artifact can be
-// produced under. Only step-clock artifacts promise byte-identical output
-// hashes across runs; wall-clock artifacts carry real throughput numbers.
+// produced under. Only step-clock artifacts are byte-identical across
+// runs; under the wall clock, the numbers and output of the experiments
+// that time a section on env.Clock (T3, E4) vary from run to run.
 const (
 	ClockWall = "wall"
 	ClockStep = "step"
 )
 
-// RunMeta describes the run that produced a set of artifacts.
+// RunMeta describes the run that produced a set of artifacts. The worker
+// count is deliberately absent: it cannot change an artifact's content.
 type RunMeta struct {
-	Seed     int64  `json:"seed"`
-	Parallel int    `json:"parallel"`
-	Clock    string `json:"clock"`
+	Seed  int64  `json:"seed"`
+	Clock string `json:"clock"`
 }
 
 // Artifact is the machine-readable record of one experiment run: the
-// BENCH_<id>.json contract that perf PRs are judged against. The rendered
-// output itself is summarized by hash (byte-identity checks) and length;
-// the headline numbers and telemetry are carried in full.
+// BENCH_<id>.json files bench/seed pins. The rendered output itself is
+// summarized by hash and length; the headline numbers are carried in
+// full. Host timing belongs to bench/_perf, not here.
 type Artifact struct {
 	Schema string `json:"schema"`
 	ID     string `json:"id"`
@@ -46,9 +47,6 @@ type Artifact struct {
 	// under -clock step it is stable across machines and parallelism.
 	OutputSHA256 string `json:"output_sha256"`
 	OutputBytes  int    `json:"output_bytes"`
-	// Telemetry is Run's measurement of this run (wall time
-	// always; allocation deltas only when the run was sequential).
-	Telemetry *Telemetry `json:"telemetry,omitempty"`
 }
 
 // NewArtifact captures one result under the given run metadata.
@@ -63,12 +61,11 @@ func NewArtifact(r *Result, meta RunMeta) *Artifact {
 		Numbers:      r.Numbers,
 		OutputSHA256: hex.EncodeToString(sum[:]),
 		OutputBytes:  len(out),
-		Telemetry:    r.Telemetry,
 	}
 }
 
-// Validate checks the documented schema invariants. Readers call it on
-// every loaded file so a hand-edited or truncated artifact fails loudly.
+// Validate checks the documented schema invariants; WriteArtifacts runs
+// it on every artifact before writing.
 func (a *Artifact) Validate() error {
 	switch {
 	case a.Schema != ArtifactSchema:
@@ -81,10 +78,6 @@ func (a *Artifact) Validate() error {
 		return fmt.Errorf("artifact %q: negative output_bytes %d", a.ID, a.OutputBytes)
 	case a.Clock != ClockWall && a.Clock != ClockStep:
 		return fmt.Errorf("artifact %q: unknown clock %q", a.ID, a.Clock)
-	case a.Parallel < 1:
-		return fmt.Errorf("artifact %q: parallel %d < 1", a.ID, a.Parallel)
-	case a.Telemetry != nil && a.Telemetry.WallNS < 0:
-		return fmt.Errorf("artifact %q: negative wall_ns %d", a.ID, a.Telemetry.WallNS)
 	}
 	return nil
 }
@@ -118,44 +111,4 @@ func WriteArtifacts(dir string, results []*Result, meta RunMeta) ([]string, erro
 		paths = append(paths, p)
 	}
 	return paths, nil
-}
-
-// ReadArtifact loads and validates one artifact file.
-func ReadArtifact(path string) (*Artifact, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench artifact: %w", err)
-	}
-	var a Artifact
-	if err := json.Unmarshal(buf, &a); err != nil {
-		return nil, fmt.Errorf("bench artifact %s: %w", path, err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("bench artifact %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// ReadArtifactDir loads every BENCH_*.json in dir, keyed and sorted by
-// experiment ID.
-func ReadArtifactDir(dir string) (map[string]*Artifact, []string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench artifacts: %w", err)
-	}
-	byID := make(map[string]*Artifact, len(matches))
-	ids := make([]string, 0, len(matches))
-	for _, p := range matches {
-		a, err := ReadArtifact(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, dup := byID[a.ID]; dup {
-			return nil, nil, fmt.Errorf("bench artifacts: duplicate id %q in %s", a.ID, dir)
-		}
-		byID[a.ID] = a
-		ids = append(ids, a.ID)
-	}
-	sort.Strings(ids)
-	return byID, ids, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,14 +13,13 @@ func sampleResult(id string) *Result {
 	r := &Result{ID: id, Title: "sample " + id, Output: "table for " + id + "\n"}
 	r.num("metric_a", 1.5)
 	r.num("metric_b", 0)
-	r.Telemetry = &Telemetry{WallNS: 1234567, AllocBytes: 4096, Allocs: 17}
 	return r
 }
 
-func sampleMeta() RunMeta { return RunMeta{Seed: 1, Parallel: 4, Clock: ClockStep} }
+func sampleMeta() RunMeta { return RunMeta{Seed: 1, Clock: ClockStep} }
 
-// TestArtifactRoundTrip writes artifacts for a result set and reads them
-// back bit-equal through the public API.
+// TestArtifactRoundTrip writes artifacts for a result set and decodes
+// them back unchanged.
 func TestArtifactRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	results := []*Result{sampleResult("E1"), sampleResult("T3")}
@@ -37,33 +37,34 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Errorf("artifact name = %q, want BENCH_T3.json", filepath.Base(paths[1]))
 	}
 
-	byID, ids, err := ReadArtifactDir(dir)
+	buf, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] != "E1" || ids[1] != "T3" {
-		t.Fatalf("ids = %v", ids)
+	var a Artifact
+	if err := json.Unmarshal(buf, &a); err != nil {
+		t.Fatal(err)
 	}
-	a := byID["E1"]
-	if a.Schema != ArtifactSchema || a.Seed != 1 || a.Parallel != 4 || a.Clock != ClockStep {
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if a.ID != "E1" || a.Schema != ArtifactSchema || a.Seed != 1 || a.Clock != ClockStep {
 		t.Errorf("metadata lost: %+v", a)
 	}
 	if a.Numbers["metric_a"] != 1.5 {
 		t.Errorf("numbers lost: %v", a.Numbers)
 	}
-	if a.Telemetry == nil || a.Telemetry.WallNS != 1234567 {
-		t.Errorf("telemetry lost: %+v", a.Telemetry)
-	}
 	// The hash commits to the rendered section, so two identical runs
-	// produce identical artifacts modulo telemetry.
+	// produce identical artifacts.
 	b := NewArtifact(sampleResult("E1"), sampleMeta())
 	if a.OutputSHA256 != b.OutputSHA256 || a.OutputBytes != b.OutputBytes {
 		t.Errorf("hash not reproducible: %s vs %s", a.OutputSHA256, b.OutputSHA256)
 	}
 }
 
-// TestArtifactSchemaFields pins the documented v1 JSON schema: key names
-// are the wire contract bench-compare and external tooling parse.
+// TestArtifactSchemaFields pins the documented v2 JSON schema: exactly
+// these keys, so no worker count or host timing creeps back into the
+// byte-compared artifacts.
 func TestArtifactSchemaFields(t *testing.T) {
 	buf, err := json.Marshal(NewArtifact(sampleResult("E2"), sampleMeta()))
 	if err != nil {
@@ -73,22 +74,17 @@ func TestArtifactSchemaFields(t *testing.T) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"schema", "id", "title", "seed", "parallel", "clock", "numbers", "output_sha256", "output_bytes", "telemetry"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("schema missing key %q in %s", key, buf)
-		}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if m["schema"] != "xlf-bench/v1" {
+	slices.Sort(keys)
+	want := []string{"clock", "id", "numbers", "output_bytes", "output_sha256", "schema", "seed", "title"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("artifact keys = %v, want %v", keys, want)
+	}
+	if m["schema"] != "xlf-bench/v2" {
 		t.Errorf("schema tag = %v", m["schema"])
-	}
-	tel, ok := m["telemetry"].(map[string]any)
-	if !ok {
-		t.Fatalf("telemetry not an object: %v", m["telemetry"])
-	}
-	for _, key := range []string{"wall_ns", "alloc_bytes", "allocs"} {
-		if _, ok := tel[key]; !ok {
-			t.Errorf("telemetry missing key %q", key)
-		}
 	}
 }
 
@@ -104,8 +100,6 @@ func TestArtifactValidate(t *testing.T) {
 		{"missing id", func(a *Artifact) { a.ID = "" }, "missing id"},
 		{"bad hash", func(a *Artifact) { a.OutputSHA256 = "abc" }, "sha256"},
 		{"bad clock", func(a *Artifact) { a.Clock = "sundial" }, "clock"},
-		{"bad parallel", func(a *Artifact) { a.Parallel = 0 }, "parallel"},
-		{"negative wall", func(a *Artifact) { a.Telemetry.WallNS = -5 }, "wall_ns"},
 	}
 	if err := good().Validate(); err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
@@ -117,39 +111,5 @@ func TestArtifactValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wants) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wants)
 		}
-	}
-}
-
-// TestReadArtifactDirRejects covers the loader's failure modes: invalid
-// JSON, schema violations, and duplicate experiment IDs.
-func TestReadArtifactDirRejects(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := WriteArtifacts(dir, []*Result{sampleResult("E1")}, sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_E9.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadArtifactDir(dir); err == nil {
-		t.Error("corrupt JSON accepted")
-	}
-	if err := os.Remove(filepath.Join(dir, "BENCH_E9.json")); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second file claiming the same ID under a different name.
-	src, err := os.ReadFile(ArtifactPath(dir, "E1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_COPY.json"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadArtifactDir(dir); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate IDs accepted: %v", err)
-	}
-
-	if _, err := ReadArtifact(filepath.Join(dir, "BENCH_NONE.json")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

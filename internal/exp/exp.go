@@ -22,11 +22,6 @@ type Result struct {
 	Output string
 	// Numbers holds headline metrics by name for tests/benches.
 	Numbers map[string]float64
-	// Telemetry is attached by Run (wall time, allocations) and
-	// serialized into BENCH artifacts. It is deliberately excluded from
-	// String(): rendered reports stay byte-identical across machines and
-	// parallelism levels.
-	Telemetry *Telemetry
 }
 
 func (r *Result) String() string {

@@ -1,24 +1,6 @@
 package exp
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
-
-// Telemetry is Run's per-experiment measurement: how long the
-// run took and what it allocated. It feeds the BENCH_<id>.json artifacts
-// only — Result.String() never renders it, so telemetry cannot break the
-// byte-identity contract between runs.
-type Telemetry struct {
-	// WallNS is the experiment's wall-clock duration in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// AllocBytes and Allocs are heap-allocation deltas over the run,
-	// measured from runtime.MemStats. Attribution is only exact when one
-	// experiment runs at a time, so parallel schedules record -1.
-	AllocBytes int64 `json:"alloc_bytes"`
-	Allocs     int64 `json:"allocs"`
-}
+import "sync"
 
 // Run executes the given experiments on Sweep's worker pool (env.Workers
 // wide) and returns their results in input order. Every experiment runs
@@ -26,32 +8,7 @@ type Telemetry struct {
 // parallel schedule renders byte-identically to the sequential one
 // whenever the env's clock family is deterministic.
 func Run(env *Env, exps []Experiment) []*Result {
-	exclusive := env.workers(len(exps)) == 1
-	return Sweep(env, len(exps), func(i int, env *Env) *Result {
-		return runMeasured(exps[i], env, exclusive)
-	})
-}
-
-// runMeasured executes one experiment and attaches telemetry. Wall time is
-// a sanctioned measurement read; allocation deltas are only recorded when
-// the run is exclusive (exact), since MemStats is process-global.
-func runMeasured(ex Experiment, env *Env, exclusive bool) *Result {
-	tel := &Telemetry{AllocBytes: -1, Allocs: -1}
-	var m0 runtime.MemStats
-	if exclusive {
-		runtime.ReadMemStats(&m0)
-	}
-	start := time.Now() //xlf:allow-wallclock telemetry timing source
-	r := ex.Run(env)
-	tel.WallNS = time.Since(start).Nanoseconds() //xlf:allow-wallclock telemetry timing source
-	if exclusive {
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		tel.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-		tel.Allocs = int64(m1.Mallocs - m0.Mallocs)
-	}
-	r.Telemetry = tel
-	return r
+	return Sweep(env, len(exps), func(i int, env *Env) *Result { return exps[i].Run(env) })
 }
 
 // workers clamps the pool size for n jobs: never more workers than jobs,

@@ -7,7 +7,7 @@ import (
 
 // TraceSchema is the versioned identifier stamped into every trace file.
 // Readers reject anything else, so the format can evolve without silent
-// misparses — the same contract as the xlf-bench/v1 artifacts.
+// misparses — the same contract as the xlf-bench artifacts.
 const TraceSchema = "xlf-trace/v1"
 
 // TraceMeta is the header line of a trace file: run provenance plus the
