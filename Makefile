@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-fix vet-concurrency vet-determinism fmt check report bench
+.PHONY: build test race vet vet-concurrency vet-determinism fmt check report bench
 
 build:
 	$(GO) build ./...
@@ -14,30 +14,24 @@ race:
 # vet runs both the standard toolchain vet (which owns lock copies and
 # unreachable code) and the repository's own cross-layer analyzers
 # (layer DAG, determinism, error discipline, pairing, crypto misuse,
-# dead stores, taint, concurrency). DESIGN.md §6 lists what each guards.
+# dead stores, taint, concurrency). DESIGN.md §6 lists what each guards;
+# sanctioned exceptions are inline //xlf:allow-* markers.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/xlf-vet -baseline vet-baseline.json ./...
-
-# vet-fix applies xlf-vet's suggested mechanical edits, then fails if
-# the tree is left dirty — i.e. there were fixable findings. Run it,
-# review the diff, commit.
-vet-fix:
-	$(GO) run ./cmd/xlf-vet -baseline vet-baseline.json -fix ./... || true
-	git diff --exit-code
+	$(GO) run ./cmd/xlf-vet ./...
 
 # vet-concurrency runs just the concurrency-safety layer — the
 # lock-order graph, goroutine-leak and //xlf:hotpath allocation rules —
 # for quick iteration on locking or hot-path code.
 vet-concurrency:
-	$(GO) run ./cmd/xlf-vet -only lockorder,goroleak,hotpathalloc -baseline vet-baseline.json ./...
+	$(GO) run ./cmd/xlf-vet -only lockorder,goroleak,hotpathalloc ./...
 
-# vet-determinism runs the reproduction-contract layer — the per-file
-# determinism rule plus the call-graph rules detflow, globalmut,
-# maporder and hotpathalloc — for quick iteration on simulator or
-# experiment code.
+# vet-determinism runs the reproduction-contract layer — determinism
+# (direct and call-graph reachability of the wall clock and global
+# rand), globalmut, maporder and hotpathalloc — for quick iteration on
+# simulator or experiment code.
 vet-determinism:
-	$(GO) run ./cmd/xlf-vet -only determinism,detflow,globalmut,maporder,hotpathalloc -baseline vet-baseline.json ./...
+	$(GO) run ./cmd/xlf-vet -only determinism,globalmut,maporder,hotpathalloc ./...
 
 fmt:
 	gofmt -w .

@@ -45,7 +45,7 @@ func TestVetWarmWallBudget(t *testing.T) {
 	vet := func() time.Duration {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		args := []string{"-root", root, "-baseline", filepath.Join(root, "vet-baseline.json"), "./..."}
+		args := []string{"-root", root, "./..."}
 		start := time.Now()
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())

@@ -27,25 +27,12 @@ import (
 
 // Finding is one diagnostic, printed as "file:line: [rule] message".
 type Finding struct {
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col,omitempty"`
-	Rule    string         `json:"rule"`
-	Message string         `json:"message"`
-	// Fix, when non-nil, is a mechanical edit that resolves the finding;
-	// xlf-vet -fix applies it.
-	Fix *SuggestedFix `json:"fix,omitempty"`
-}
-
-// SuggestedFix is one byte-range replacement within the finding's file.
-// Offsets index the file content as parsed; AddImport names an import
-// path the replacement text requires.
-type SuggestedFix struct {
-	Start     int    `json:"start"`
-	End       int    `json:"end"`
-	NewText   string `json:"new_text"`
-	AddImport string `json:"add_import,omitempty"`
+	Pos     token.Position
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 func (f Finding) String() string {
@@ -72,7 +59,7 @@ type Package struct {
 
 // Analyzer checks one package.
 type Analyzer interface {
-	// Name is the rule name used in diagnostics and -disable flags.
+	// Name is the rule name used in diagnostics and -only flags.
 	Name() string
 	Check(pkg *Package) []Finding
 }

@@ -16,7 +16,7 @@ package analysis
 // literal, or a bare method/function value reference — because the
 // rules disagree about which of those transfer the caller's context:
 // lockorder must not treat a closure's acquisitions as the creator's
-// (the closure runs later, with nothing held), while detflow must
+// (the closure runs later, with nothing held), while determinism must
 // (capturing a wall-clock read is already a determinism hazard). Each
 // client passes a follow predicate and gets exactly the reachability
 // it means.
@@ -316,12 +316,14 @@ func (g *CallGraph) ResolveKey(pkg *Package, file *File, imports map[string]stri
 // through an edge the follow predicate accepts. Sets are sorted and,
 // when maxFacts > 0, truncated to their smallest maxFacts elements —
 // clients that only need a witness cap at 1 and keep the fixpoint
-// cheap. The iteration cap bounds adversarial (fuzzed) call graphs;
-// real ones converge in a handful of rounds.
+// cheap. Rounds repeat until nothing changes: a round resolves one more
+// call level when callers sort before callees, so any fixed cap would
+// silently drop deep chains. Every set only gains facts or trades one
+// for a smaller one, over a finite fact universe, so the loop ends.
 func (g *CallGraph) Fixpoint(direct map[string][]string, follow func(CallEdge) bool, maxFacts int) map[string][]string {
 	out := make(map[string][]string, len(g.keys))
-	for iter := 0; iter < 32; iter++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		for _, key := range g.keys {
 			fn := g.funcs[key]
 			set := make(map[string]bool)
@@ -348,9 +350,6 @@ func (g *CallGraph) Fixpoint(direct map[string][]string, follow func(CallEdge) b
 				out[key] = facts
 				changed = true
 			}
-		}
-		if !changed {
-			break
 		}
 	}
 	return out

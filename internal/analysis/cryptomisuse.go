@@ -9,7 +9,7 @@ package analysis
 // (XLFCryptoConfig); fixtures configure their own.
 //
 // Deliberate exceptions — the simulation's fixed demo keys — are waived
-// with an `xlf:allow-cryptomisuse` comment or a baseline entry.
+// with an `xlf:allow-cryptomisuse` comment carrying the justification.
 
 import (
 	"go/ast"
@@ -123,19 +123,6 @@ type site struct {
 
 func (w *cryptoWalker) reportf(pos token.Pos, format string, args ...any) {
 	w.findings = append(w.findings, w.pkg.finding("cryptomisuse", pos, format, args...))
-}
-
-// reportFixable is reportf with a mechanical edit attached: replace the
-// source range [start, end) with newText, importing crypto/hmac.
-func (w *cryptoWalker) reportFixable(pos token.Pos, start, end token.Pos, newText, format string, args ...any) {
-	f := w.pkg.finding("cryptomisuse", pos, format, args...)
-	f.Fix = &SuggestedFix{
-		Start:     w.pkg.Fset.Position(start).Offset,
-		End:       w.pkg.Fset.Position(end).Offset,
-		NewText:   newText,
-		AddImport: "crypto/hmac",
-	}
-	w.findings = append(w.findings, f)
 }
 
 func (w *cryptoWalker) check() []Finding {
@@ -588,36 +575,26 @@ func splitIdent(name string) []string {
 	return segs
 }
 
-// checkEqualCall flags bytes.Equal on a mac-ish operand. The fix swaps
-// the callee for crypto/hmac.Equal, which takes the same arguments.
+// checkEqualCall flags bytes.Equal on a mac-ish operand.
 func (w *cryptoWalker) checkEqualCall(call *ast.CallExpr) {
 	cal, _ := resolveCall(w.pt, w.imports, w.pkg.ImportPath, call)
 	if cal.pkg == "bytes" && cal.name == "Equal" && len(call.Args) == 2 {
 		if macish(call.Args[0]) || macish(call.Args[1]) {
-			w.reportFixable(call.Pos(), call.Fun.Pos(), call.Fun.End(), "hmac.Equal",
+			w.reportf(call.Pos(),
 				"MAC/tag compared with bytes.Equal; use crypto/hmac.Equal or crypto/subtle.ConstantTimeCompare")
 		}
 	}
 }
 
 // checkCompare flags ==/!= between mac-ish string values. Comparing
-// integers named tagSize is fine; comparing tag strings is not. The fix
-// rewrites the whole comparison to (!)hmac.Equal over []byte operands —
-// a []byte conversion is valid on both string and []byte values, so it
-// stays well-typed whichever the operands were.
+// integers named tagSize is fine; comparing tag strings is not.
 func (w *cryptoWalker) checkCompare(n *ast.BinaryExpr) {
 	if n.Op != token.EQL && n.Op != token.NEQ {
 		return
 	}
 	side := func(e ast.Expr) bool { return macish(e) && w.stringish(e) }
 	if side(n.X) || side(n.Y) {
-		not := ""
-		if n.Op == token.NEQ {
-			not = "!"
-		}
-		fix := not + "hmac.Equal([]byte(" + exprText(n.X) + "), []byte(" + exprText(n.Y) + "))"
-		w.reportFixable(n.Pos(), n.Pos(), n.End(), fix,
-			"MAC/tag compared with %s; use crypto/hmac.Equal or crypto/subtle.ConstantTimeCompare", n.Op)
+		w.reportf(n.Pos(), "MAC/tag compared with %s; use crypto/hmac.Equal or crypto/subtle.ConstantTimeCompare", n.Op)
 	}
 }
 

@@ -1,8 +1,40 @@
 package analysis
 
+// Determinism enforces the simulator's reproduction contract: inside
+// simulation/experiment packages, nothing may read the wall clock
+// (time.Now, time.Since) or draw from the global math/rand generator —
+// randomness must come from an injected seeded *rand.Rand and timing
+// from an injected clock, so that the same seed replays bit-identically.
+// Constructors (rand.New, rand.NewSource, ...) are exempt: they are how
+// seeded generators are built.
+//
+// The rule is one pass over the module-wide call graph, whose edges
+// resolve qualifiers by go/types object identity (import aliases are
+// caught, locals shadowing an import name stay quiet). Inside a
+// deterministic package it reports:
+//
+//   - a direct call of a primitive;
+//   - a bare reference to one (f := time.Now hands the real clock
+//     around as a value, a leak the moment anything invokes it);
+//   - a boundary call: a call site whose callee lives outside the set and
+//     reaches a primitive through any depth of helpers. Every function's
+//     fixpoint summary records one witness primitive it may reach;
+//     callees inside the set are reported in their own package.
+//
+// Package-level declarations the graph does not index (var initializers,
+// a second init function) are scanned for direct calls too.
+//
+// A //xlf:allow-wallclock comment on (or directly above) a line, or in
+// the enclosing function's doc comment, waives it. A waived primitive
+// site produces no fact at all, so the sanctioned measurement code in
+// internal/exp stays invisible to every caller; the marker on a
+// boundary call site waives that root individually. Test files are
+// exempt: tests may time themselves freely.
+
 import (
 	"go/ast"
-	"go/types"
+	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -10,27 +42,20 @@ import (
 // benchmark timing inside deterministic packages.
 const AllowWallclockMarker = "xlf:allow-wallclock"
 
-// Determinism enforces the simulator's reproduction contract: inside
-// simulation/experiment packages, nothing may read the wall clock
-// (time.Now, time.Since) or draw from the global math/rand generator —
-// randomness must come from an injected seeded *rand.Rand and timing from
-// an injected clock, so that the same seed replays bit-identically.
-// Constructors (rand.New, rand.NewSource, rand.NewZipf) are exempt: they
-// are how seeded generators are built. A //xlf:allow-wallclock comment on
-// (or directly above) the offending line, or in the enclosing function's
-// doc comment, waives the rule for sanctioned measurement code.
-//
-// Test files are exempt: tests may time themselves freely.
+// Determinism reports reachability of nondeterministic primitives from
+// the deterministic package set.
 type Determinism struct {
-	// Packages lists the import paths (exact, or "prefix/..." patterns)
-	// the contract applies to.
+	// Packages is the deterministic set (exact paths or "prefix/...").
 	Packages []string
 
-	// graph supplies go/types object identity so aliased imports
-	// (import t "time"; t.Now()) resolve and locals shadowing an import
-	// name stay quiet. Without it the rule falls back to selector text.
 	graph    *CallGraph
 	prepared bool
+	// facts maps funcKey → at most one primitive description the
+	// function reaches ("wall-clock read time.Now", ...).
+	facts map[string][]string
+	// direct holds the per-function direct facts, kept so Chain can
+	// identify the fact-bearing endpoint of a witness path.
+	direct map[string][]string
 }
 
 // NewDeterminism builds the analyzer for the given package set on a
@@ -42,36 +67,12 @@ func NewDeterminism(packages []string, g *CallGraph) *Determinism {
 	return &Determinism{Packages: packages, graph: g}
 }
 
-// Prepare implements ModuleAnalyzer: the shared type-check resolves
-// import aliases by object identity.
-func (d *Determinism) Prepare(pkgs []*Package) {
-	if d.prepared {
-		return
-	}
-	d.prepared = true
-	d.graph.Build(pkgs)
-}
-
 // Name implements Analyzer.
 func (d *Determinism) Name() string { return "determinism" }
 
 // Doc implements Documented.
 func (d *Determinism) Doc() string {
 	return "simulator packages must stay deterministic: no wall clock, global rand, or map-order iteration"
-}
-
-// applies reports whether the contract covers importPath.
-func (d *Determinism) applies(importPath string) bool {
-	for _, p := range d.Packages {
-		if prefix, ok := strings.CutSuffix(p, "/..."); ok {
-			if importPath == prefix || strings.HasPrefix(importPath, prefix+"/") {
-				return true
-			}
-		} else if importPath == p {
-			return true
-		}
-	}
-	return false
 }
 
 // randConstructors build seeded generators and are therefore allowed.
@@ -83,85 +84,193 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-// Check implements Analyzer.
+// primitiveDesc classifies a callee key as a nondeterministic
+// primitive, returning a diagnostic description or "".
+func primitiveDesc(key string) string {
+	pkg, recv, name := splitKey(key)
+	if recv != "" {
+		return "" // methods on seeded *rand.Rand values are fine
+	}
+	switch pkg {
+	case "time":
+		if name == "Now" || name == "Since" {
+			return "wall-clock read time." + name
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[name] {
+			return "global math/rand." + name
+		}
+	}
+	return ""
+}
+
+// followDeterminism accepts every precisely-resolved edge: plain,
+// deferred and spawned calls, calls inside closures (capturing a clock
+// read is already a hazard) and bare references. Fallback-resolved
+// edges are excluded — a unique-method-name guess must not manufacture
+// a determinism violation.
+func followDeterminism(e CallEdge) bool { return !e.Fallback }
+
+// Prepare implements ModuleAnalyzer: build the graph, collect direct
+// primitive facts (skipping waived lines), and run the fixpoint.
+func (d *Determinism) Prepare(pkgs []*Package) {
+	if d.prepared {
+		return
+	}
+	d.prepared = true
+	d.graph.Build(pkgs)
+
+	d.direct = make(map[string][]string)
+	allowed := make(map[*File]map[int]bool)
+	for _, key := range d.graph.Keys() {
+		fn := d.graph.Func(key)
+		for _, e := range fn.Edges {
+			desc := primitiveDesc(e.Callee)
+			if desc == "" {
+				continue
+			}
+			if allowed[fn.File] == nil {
+				allowed[fn.File] = allowedLines(fn.Pkg.Fset, fn.File.AST, AllowWallclockMarker)
+			}
+			if allowed[fn.File][fn.Pkg.Fset.Position(e.Pos).Line] {
+				continue
+			}
+			d.direct[key] = append(d.direct[key], desc)
+		}
+	}
+	for key, facts := range d.direct {
+		d.direct[key] = dedupSorted(facts)
+	}
+	d.facts = d.graph.Fixpoint(d.direct, followDeterminism, 1)
+}
+
+// Check implements Analyzer: report primitive calls and references,
+// and boundary calls, inside deterministic packages.
 func (d *Determinism) Check(pkg *Package) []Finding {
 	if !d.prepared {
 		d.Prepare([]*Package{pkg})
 	}
-	if !d.applies(pkg.ImportPath) {
+	if !matchPackages(d.Packages, pkg.ImportPath) {
 		return nil
 	}
-	pt := d.graph.oracle.typesOf(pkg)
+	allowed := make(map[*File]map[int]bool)
+	waived := func(file *File, pos token.Pos) bool {
+		if allowed[file] == nil {
+			allowed[file] = allowedLines(pkg.Fset, file.AST, AllowWallclockMarker)
+		}
+		return allowed[file][pkg.Fset.Position(pos).Line]
+	}
 	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
+	// Direct calls: every declaration, so var initializers and a second
+	// init, which the graph does not index, are covered too.
+	for fi := range pkg.Files {
+		file := &pkg.Files[fi]
+		if file.Test {
 			continue
 		}
-		timeName, hasTime := importName(f.AST, "time")
-		randName, hasRand := importName(f.AST, "math/rand")
-		randV2Name, hasRandV2 := importName(f.AST, "math/rand/v2")
-		if !hasTime && !hasRand && !hasRandV2 {
-			continue
-		}
-		allowed := allowedLines(pkg.Fset, f.AST, AllowWallclockMarker)
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			recv, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			line := pkg.Fset.Position(call.Pos()).Line
-			if allowed[line] {
-				return true
-			}
-			// Resolve the qualifier by object identity when the oracle
-			// knows it: any alias of "time" counts, and a local variable
-			// that happens to be named like the import does not. The
-			// selector-text fallback covers oracle-less loads.
-			path, resolved := "", false
-			if pt != nil {
-				switch obj := pt.info.Uses[recv].(type) {
-				case *types.PkgName:
-					path, resolved = obj.Imported().Path(), true
-				case nil:
-					// No entry: fall back to selector text below.
-				default:
-					return true // a local shadowing the import name
+		imports := importMap(file.AST)
+		ast.Inspect(file.AST, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				key, fallback, ok := d.graph.ResolveKey(pkg, file, imports, call)
+				if desc := primitiveDesc(key); ok && !fallback && desc != "" && !waived(file, call.Pos()) {
+					out = append(out, d.directFinding(pkg, call.Pos(), desc))
 				}
-			}
-			if !resolved {
-				switch {
-				case hasTime && recv.Name == timeName:
-					path = "time"
-				case hasRand && recv.Name == randName:
-					path = "math/rand"
-				case hasRandV2 && recv.Name == randV2Name:
-					path = "math/rand/v2"
-				default:
-					return true
-				}
-			}
-			switch {
-			case path == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since"):
-				out = append(out, pkg.finding(d.Name(), call.Pos(),
-					"wall-clock read time.%s in deterministic package %s; inject a clock (or annotate //%s)",
-					sel.Sel.Name, pkg.ImportPath, AllowWallclockMarker))
-			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name]:
-				out = append(out, pkg.finding(d.Name(), call.Pos(),
-					"global math/rand.%s in deterministic package %s; draw from an injected seeded *rand.Rand",
-					sel.Sel.Name, pkg.ImportPath))
 			}
 			return true
 		})
 	}
+	// References and boundary calls: the graph's edges.
+	for _, key := range d.graph.Keys() {
+		fn := d.graph.Func(key)
+		if fn.Pkg != pkg || fn.File.Test {
+			continue
+		}
+		reported := make(map[token.Pos]bool)
+		for _, e := range fn.Edges {
+			if e.Fallback || reported[e.Pos] || waived(fn.File, e.Pos) {
+				continue
+			}
+			if desc := primitiveDesc(e.Callee); desc != "" {
+				if e.Kind == EdgeRef {
+					reported[e.Pos] = true
+					out = append(out, pkg.finding(d.Name(), e.Pos,
+						"reference to %s in deterministic package %s; inject a clock/seeded generator (or annotate //%s)",
+						desc, pkg.ImportPath, AllowWallclockMarker))
+				}
+				continue
+			}
+			if matchPackages(d.Packages, keyPkg(e.Callee)) {
+				continue // reported inside the callee's own package
+			}
+			facts := d.facts[e.Callee]
+			if len(facts) == 0 {
+				continue
+			}
+			reported[e.Pos] = true
+			out = append(out, pkg.finding(d.Name(), e.Pos,
+				"call to %s reaches %s (%s) from deterministic package %s; inject a clock/seeded generator (or annotate //%s)",
+				FuncDisplay(e.Callee), facts[0], d.witness(e.Callee), pkg.ImportPath, AllowWallclockMarker))
+		}
+	}
 	return out
 }
 
-var _ ModuleAnalyzer = (*Determinism)(nil)
+// directFinding reports a primitive called directly at pos.
+func (d *Determinism) directFinding(pkg *Package, pos token.Pos, desc string) Finding {
+	advice := "draw from an injected seeded *rand.Rand"
+	if strings.HasPrefix(desc, "wall-clock") {
+		advice = "inject a clock (or annotate //" + AllowWallclockMarker + ")"
+	}
+	return pkg.finding(d.Name(), pos, "%s in deterministic package %s; %s", desc, pkg.ImportPath, advice)
+}
+
+// witness renders the call chain from the boundary callee to the
+// fact-bearing function for the diagnostic.
+func (d *Determinism) witness(from string) string {
+	chain := d.graph.Chain(from, func(k string) bool { return len(d.direct[k]) > 0 }, followDeterminism)
+	if chain == nil {
+		return "via " + FuncDisplay(from)
+	}
+	return "via " + displayChain(chain)
+}
+
+// keyPkg returns the package component of a summary key.
+func keyPkg(key string) string {
+	pkg, _, _ := splitKey(key)
+	return pkg
+}
+
+// matchPackages reports whether set covers importPath (exact entries or
+// "prefix/..." patterns), shared by the package-scoped rules.
+func matchPackages(set []string, importPath string) bool {
+	for _, p := range set {
+		if prefix, ok := strings.CutSuffix(p, "/..."); ok {
+			if importPath == prefix || strings.HasPrefix(importPath, prefix+"/") {
+				return true
+			}
+		} else if importPath == p {
+			return true
+		}
+	}
+	return false
+}
+
+// dedupSorted sorts and deduplicates a fact list in place.
+func dedupSorted(facts []string) []string {
+	if len(facts) < 2 {
+		return facts
+	}
+	sort.Strings(facts)
+	out := facts[:1]
+	for _, f := range facts[1:] {
+		if f != out[len(out)-1] {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+var (
+	_ ModuleAnalyzer = (*Determinism)(nil)
+	_ Documented     = (*Determinism)(nil)
+)

@@ -70,7 +70,7 @@ func (gm *GlobalMut) Doc() string {
 	return "sim/netsim/exp/core call trees must not mutate package-level state (experiments run concurrently)"
 }
 
-// followGlobalMut matches detflow: every precisely-resolved edge
+// followGlobalMut matches determinism: every precisely-resolved edge
 // counts, fallback guesses do not.
 func followGlobalMut(e CallEdge) bool { return !e.Fallback }
 

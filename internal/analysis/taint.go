@@ -32,7 +32,7 @@ func (r TaintRef) String() string {
 // TaintRule configures one dataflow invariant: values returned by a
 // Source must pass through a Sanitizer before reaching a Sink.
 type TaintRule struct {
-	// RuleName is the diagnostic/-disable identifier.
+	// RuleName is the diagnostic and -only identifier.
 	RuleName string
 	// RuleDoc is the one-line description used for SARIF rule metadata.
 	RuleDoc string
@@ -207,26 +207,30 @@ func (t *Taint) Prepare(pkgs []*Package) {
 		}
 	}
 
-	// Fixed point: recompute every summary with the current map until
-	// nothing changes. Summaries only grow, so this terminates; the
-	// iteration cap is belt and braces.
+	// Fixed point: start every module function at the bottom summary (no
+	// taint in, out or to a sink), then recompute every summary with the
+	// current map until nothing changes. Starting from bottom keeps module
+	// callees off call's conservative unknown-callee path, so summaries
+	// only grow over finitely many bits and the loop terminates; a round
+	// cap would drop flows deeper than it.
 	keys := make([]string, 0, len(t.funcs))
-	for k := range t.funcs {
+	for k, tf := range t.funcs {
 		keys = append(keys, k)
+		t.summaries[k] = &taintSummary{
+			propagates: make([]bool, len(tf.params)),
+			sinks:      make([]string, len(tf.params)),
+		}
 	}
 	sort.Strings(keys)
-	for iter := 0; iter < 10; iter++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		for _, k := range keys {
 			tf := t.funcs[k]
 			s := t.summarize(tf)
-			if prev, ok := t.summaries[k]; !ok || !s.equal(prev) {
+			if !s.equal(t.summaries[k]) {
 				t.summaries[k] = s
 				changed = true
 			}
-		}
-		if !changed {
-			break
 		}
 	}
 }
@@ -275,7 +279,17 @@ func recvTypeName(e ast.Expr) string {
 func (t *Taint) summarize(tf *taintFunc) *taintSummary {
 	w := t.newWalker(tf.pkg, tf.file)
 	w.summaryMode = true
+	// A parameter keeps the first sink it recorded. Which sink a parameter
+	// reaches first can change as callee summaries grow, and around a call
+	// cycle those names could rotate forever; pinned names cannot.
 	w.sinkHits = make(map[int]string)
+	if prev := t.summaries[tf.key]; prev != nil {
+		for i, hit := range prev.sinks {
+			if hit != "" {
+				w.sinkHits[i] = hit
+			}
+		}
+	}
 	for i, key := range tf.params {
 		if key != nil {
 			w.state[key] = paramBit(i)
@@ -357,14 +371,13 @@ func (t *Taint) newWalker(pkg *Package, file *File) *taintWalker {
 }
 
 // run iterates the dataflow to a fixed point, then makes one recording
-// pass that checks sinks against the converged state.
+// pass that checks sinks against the converged state. Taint only
+// accumulates over finitely many keys and bits, so the loop ends; a
+// pass cap would drop loop-carried flows longer than it.
 func (w *taintWalker) run(fd *ast.FuncDecl) {
-	for i := 0; i < 8; i++ {
+	for w.changed = true; w.changed; {
 		w.changed = false
 		w.pass(fd)
-		if !w.changed {
-			break
-		}
 	}
 	w.recording = true
 	w.pass(fd)

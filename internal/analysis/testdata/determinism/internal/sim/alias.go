@@ -9,6 +9,12 @@ import (
 	t "time"
 )
 
+// A package may declare several init functions; the call graph indexes
+// one of them, and the rule scans the rest.
+func init() {
+	_ = t.Now() // want "\[determinism\] wall-clock read time.Now"
+}
+
 func aliased(t0 t.Time) {
 	_ = t.Now()     // want "\[determinism\] wall-clock read time.Now"
 	_ = t.Since(t0) // want "\[determinism\] wall-clock read time.Since"

@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+var boot = time.Now() // want "\[determinism\] wall-clock read time.Now"
+
+func init() {
+	_ = time.Now() // want "\[determinism\] wall-clock read time.Now"
+}
+
 // Durations and seeded generators are fine; only wall-clock reads and the
 // global generator are banned.
 func ok() {

@@ -1,5 +1,6 @@
-// Package util lives OUTSIDE the deterministic set: the determinism
-// rule never looks at it, which is exactly the loophole detflow closes.
+// Package util lives OUTSIDE the deterministic set: its own clock reads
+// are legal, but simulation code calling into them is reported at the
+// boundary call site.
 package util
 
 import (

@@ -35,6 +35,7 @@ func runE3(env *Env) *Result {
 			Priv: priv, MFASecret: mfa,
 		})
 	}
+	//xlf:allow-cryptomisuse E3 is a deterministic SSO benchmark; the authority key only namespaces simulated tokens and protects nothing. Reviewed 2026-08.
 	authority, err := xauth.NewAuthority([]byte("e3-key"), users)
 	if err != nil {
 		panic(err)

@@ -20,6 +20,7 @@ func runE4(env *Env) *Result {
 	if err != nil {
 		panic(err)
 	}
+	//xlf:allow-cryptomisuse E4 reproduces the encrypted-DPI experiment; the tokenizer key must be fixed so detection counts are byte-reproducible across runs. Reviewed 2026-08.
 	tk, err := dpi.NewTokenizer([]byte("e4-session-key"))
 	if err != nil {
 		panic(err)

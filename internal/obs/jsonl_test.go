@@ -52,3 +52,58 @@ func TestArtifactRejection(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadJSONL feeds arbitrary bytes to both artifact readers, the file
+// boundary xlf-trace reads from disk: they must never panic, and
+// whatever they accept must re-encode to a file that reads back and
+// re-encodes to the same bytes, with the same header.
+// scripts/check.sh runs this as a smoke target.
+func FuzzReadJSONL(f *testing.F) {
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, TraceMeta{Seed: 1, Clock: "step", Source: "fuzz", Evicted: 2}, sampleSpans()); err != nil {
+		f.Fatal(err)
+	}
+	windows, dumps := sampleTelemetry()
+	var metrics bytes.Buffer
+	if err := WriteMetrics(&metrics, MetricsMeta{Seed: 1, Clock: "step", Interval: time.Second}, windows, dumps); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trace.Bytes())
+	f.Add(metrics.Bytes())
+	f.Add([]byte(`{"schema":"xlf-trace/v1","clock":"wall","spans":1}` + "\n\n" + `{"seq":9,"layer":"core","attrs":{}}` + "\n"))
+	f.Add([]byte(`{"schema":"xlf-metrics/v1","clock":"step","interval_ns":1,"windows":1,"dumps":0}` + "\n" + `{"counters":[]}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if meta, spans, err := ReadTrace(bytes.NewReader(data)); err == nil {
+			var once, twice bytes.Buffer
+			if err := WriteTrace(&once, meta, spans); err != nil {
+				t.Fatalf("re-encoding an accepted trace: %v", err)
+			}
+			meta2, spans2, err := ReadTrace(bytes.NewReader(once.Bytes()))
+			if err != nil {
+				t.Fatalf("re-encoded trace rejected: %v\n%s", err, once.Bytes())
+			}
+			if meta2 != meta {
+				t.Fatalf("trace header %+v read back as %+v", meta, meta2)
+			}
+			if err := WriteTrace(&twice, meta2, spans2); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("trace re-encoding not stable (err %v):\n%s\n---\n%s", err, once.Bytes(), twice.Bytes())
+			}
+		}
+		if meta, windows, dumps, err := ReadMetrics(bytes.NewReader(data)); err == nil {
+			var once, twice bytes.Buffer
+			if err := WriteMetrics(&once, meta, windows, dumps); err != nil {
+				t.Fatalf("re-encoding accepted metrics: %v", err)
+			}
+			meta2, windows2, dumps2, err := ReadMetrics(bytes.NewReader(once.Bytes()))
+			if err != nil {
+				t.Fatalf("re-encoded metrics rejected: %v\n%s", err, once.Bytes())
+			}
+			if meta2 != meta {
+				t.Fatalf("metrics header %+v read back as %+v", meta, meta2)
+			}
+			if err := WriteMetrics(&twice, meta2, windows2, dumps2); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("metrics re-encoding not stable (err %v):\n%s\n---\n%s", err, once.Bytes(), twice.Bytes())
+			}
+		}
+	})
+}

@@ -156,6 +156,7 @@ func New(opts Options) (*System, error) {
 			{Name: "guest", Password: "guest-pw", Priv: xauth.Basic},
 		}
 	}
+	//xlf:allow-cryptomisuse Default demo key for the zero-config facade; production embedders pass Options.Users and their own authority. Documented in DESIGN.md. Reviewed 2026-08.
 	s.Authority, err = xauth.NewAuthority([]byte("xlf-authority-key"), users)
 	if err != nil {
 		return nil, fmt.Errorf("xlf: authority: %w", err)
