@@ -13,11 +13,13 @@ import (
 
 	"xlf"
 	"xlf/internal/attack"
+	"xlf/internal/channel"
 	"xlf/internal/core"
 	"xlf/internal/exp"
 	"xlf/internal/lwc"
 	"xlf/internal/obs"
 	"xlf/internal/service"
+	"xlf/internal/xauth"
 )
 
 // sinkResult prevents dead-code elimination of experiment outputs.
@@ -165,4 +167,57 @@ func BenchmarkCoreIngest(b *testing.B) { benchIngest(b, nil) }
 // recorder attached, measuring the enabled-tracer cost per signal.
 func BenchmarkCoreIngestTraced(b *testing.B) {
 	benchIngest(b, obs.NewTracer(obs.DefaultCapacity, nil))
+}
+
+// sinkDigest and sinkErr keep layer benchmark results live.
+var (
+	sinkDigest uint64
+	sinkErr    error
+)
+
+// BenchmarkLayer/<layer>/<op> times one layer's hottest operation with
+// allocations reported: lwc's firmware digest (attestation re-hashes
+// every image each period), channel's Seal of a device message and
+// xauth's token verification (every proxied request).
+func BenchmarkLayer(b *testing.B) {
+	b.Run("lwc/sum64-4KiB", func(b *testing.B) {
+		image := make([]byte, 4096)
+		for i := range image {
+			image[i] = byte(i * 7)
+		}
+		b.SetBytes(int64(len(image)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkDigest ^= lwc.Sum64(image)
+		}
+	})
+	b.Run("channel/seal-64B", func(b *testing.B) {
+		info, ok := lwc.NewRegistry().Lookup("PRESENT")
+		if !ok {
+			b.Fatal("registry lost PRESENT")
+		}
+		s, err := channel.New(info, make([]byte, info.DefaultKeyBits()/8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		msg := make([]byte, 64)
+		b.SetBytes(int64(len(msg)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, sinkErr = s.Seal(msg)
+		}
+	})
+	b.Run("xauth/verify", func(b *testing.B) {
+		s, err := xauth.NewSigner([]byte("bench-signing-key"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tok := s.Issue("alice", "bulb-1", xauth.Advanced, true, time.Minute, time.Hour)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkErr = s.Verify(tok, 2*time.Minute, "bulb-1")
+		}
+	})
 }

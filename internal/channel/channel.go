@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"xlf/internal/device"
 	"xlf/internal/lwc"
@@ -25,7 +26,13 @@ var (
 	ErrReplay      = errors.New("channel: replayed or reordered nonce")
 	ErrNoCipher    = errors.New("channel: no affordable cipher for device")
 	ErrOutOfEnergy = errors.New("channel: device battery exhausted")
+	ErrTooLong     = errors.New("channel: message exceeds one nonce's keystream")
 )
+
+// Each message's CTR keystream starts at counter nonce<<ctrBits, so a
+// message may span at most 1<<ctrBits blocks before it would reuse the
+// next nonce's keystream.
+const ctrBits = 20
 
 // Negotiate picks the strongest affordable cipher for a device profile:
 // among the algorithms whose working RAM fits, it prefers the largest
@@ -65,7 +72,13 @@ type Session struct {
 	// Algorithm names the negotiated Table III cipher.
 	Algorithm string
 	blk       cipher.Block
-	tagSize   int
+	// mac is the session's CMAC, keyed once; each tag Resets it.
+	mac     hash.Hash
+	tagSize int
+
+	// Scratch blocks live here, not on the stack: a slice passed to a
+	// cipher.Block or hash.Hash method escapes through the interface.
+	ctr, ks, tagBuf [16]byte
 
 	sendNonce uint64
 	recvHigh  uint64
@@ -90,7 +103,11 @@ func New(info lwc.Info, key []byte) (*Session, error) {
 	if blk.BlockSize() < 8 {
 		return nil, fmt.Errorf("channel: %s block too small for CTR+CMAC framing", info.Name)
 	}
-	return &Session{Algorithm: info.Name, blk: blk, tagSize: 8}, nil
+	mac, err := lwc.NewCMAC(blk)
+	if err != nil {
+		return nil, fmt.Errorf("channel: %w", err)
+	}
+	return &Session{Algorithm: info.Name, blk: blk, mac: mac, tagSize: 8}, nil
 }
 
 // ForProfile negotiates a cipher for a hardware profile and derives the
@@ -148,69 +165,64 @@ func (s *Session) charge(n int) error {
 	return nil
 }
 
-// ctrXOR applies the CTR keystream for a nonce.
-func (s *Session) ctrXOR(nonce uint64, data []byte) []byte {
+// ctrXOR writes src XOR the CTR keystream from counter ctr into dst.
+func (s *Session) ctrXOR(dst, src []byte, ctr uint64) {
 	bs := s.blk.BlockSize()
-	out := make([]byte, len(data))
-	block := make([]byte, bs)
-	ks := make([]byte, bs)
-	for i := 0; i < len(data); i += bs {
-		binary.BigEndian.PutUint64(block[bs-8:], nonce+uint64(i/bs))
+	block, ks := s.ctr[:bs], s.ks[:bs]
+	for i := 0; i < len(src); i += bs {
+		binary.BigEndian.PutUint64(block[bs-8:], ctr+uint64(i/bs))
 		s.blk.Encrypt(ks, block)
-		for j := 0; j < bs && i+j < len(data); j++ {
-			out[i+j] = data[i+j] ^ ks[j]
-		}
+		subtle.XORBytes(dst[i:], src[i:], ks)
 	}
-	return out
 }
 
-func (s *Session) tag(nonce uint64, ct []byte) ([]byte, error) {
-	m, err := lwc.NewCMAC(s.blk)
-	if err != nil {
-		return nil, err
-	}
-	var nb [8]byte
-	binary.BigEndian.PutUint64(nb[:], nonce)
-	m.Write(nb[:])
-	m.Write(ct)
-	return m.Sum(nil)[:s.tagSize], nil
+// tooLong reports whether n bytes span more CTR blocks than one nonce
+// owns.
+func (s *Session) tooLong(n int) bool {
+	return uint64(n) > uint64(s.blk.BlockSize())<<ctrBits
+}
+
+// tag returns the truncated CMAC of nonce || ct, held in session scratch.
+func (s *Session) tag(body []byte) []byte {
+	s.mac.Reset()
+	s.mac.Write(body)
+	return s.mac.Sum(s.tagBuf[:0])[:s.tagSize]
 }
 
 // Seal encrypts and authenticates a message: nonce || ct || tag. The
-// device battery is charged for the processed bytes.
+// device battery is charged for the processed bytes. The returned
+// message is Seal's only allocation.
 func (s *Session) Seal(plaintext []byte) ([]byte, error) {
+	if s.tooLong(len(plaintext)) {
+		return nil, ErrTooLong
+	}
 	if err := s.charge(len(plaintext) + s.tagSize); err != nil {
 		return nil, err
 	}
 	s.sendNonce++
 	n := s.sendNonce
-	ct := s.ctrXOR(n<<20, plaintext)
-	t, err := s.tag(n, ct)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(ct)+len(t))
+	out := make([]byte, 8+len(plaintext), 8+len(plaintext)+s.tagSize)
 	binary.BigEndian.PutUint64(out, n)
-	out = append(out, ct...)
-	return append(out, t...), nil
+	s.ctrXOR(out[8:], plaintext, n<<ctrBits)
+	return append(out, s.tag(out)...), nil
 }
 
 // Open verifies and decrypts, enforcing strictly increasing nonces (replay
-// protection — one of the §II-B channel requirements).
+// protection — one of the §II-B channel requirements). The returned
+// plaintext is Open's only allocation.
 func (s *Session) Open(msg []byte) ([]byte, error) {
 	if len(msg) < 8+s.tagSize {
 		return nil, ErrTooShort
 	}
-	n := binary.BigEndian.Uint64(msg[:8])
-	ct := msg[8 : len(msg)-s.tagSize]
-	gotTag := msg[len(msg)-s.tagSize:]
-	want, err := s.tag(n, ct)
-	if err != nil {
-		return nil, err
+	body, gotTag := msg[:len(msg)-s.tagSize], msg[len(msg)-s.tagSize:]
+	ct := body[8:]
+	if s.tooLong(len(ct)) {
+		return nil, ErrTooLong
 	}
-	if !constEq(gotTag, want) {
+	if !constEq(gotTag, s.tag(body)) {
 		return nil, ErrBadTag
 	}
+	n := binary.BigEndian.Uint64(msg[:8])
 	if n <= s.recvHigh {
 		return nil, ErrReplay
 	}
@@ -218,7 +230,9 @@ func (s *Session) Open(msg []byte) ([]byte, error) {
 		return nil, err
 	}
 	s.recvHigh = n
-	return s.ctrXOR(n<<20, ct), nil
+	pt := make([]byte, len(ct))
+	s.ctrXOR(pt, ct, n<<ctrBits)
+	return pt, nil
 }
 
 // constEq compares tags in constant time via crypto/subtle; the

@@ -235,3 +235,50 @@ func TestSealOpenProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSealRefusesKeystreamOverlap: message n's keystream starts at
+// counter n<<20, so a message over 2^20 blocks would run into message
+// n+1's keystream. Seal and Open refuse it with ErrTooLong; exactly 2^20
+// blocks still round-trips.
+func TestSealRefusesKeystreamOverlap(t *testing.T) {
+	info, _ := lwc.NewRegistry().Lookup("AES")
+	key := bytes.Repeat([]byte{3}, 16)
+	a, err := New(info, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(info, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bs, blocks = 16, 1 << 20
+	long := make([]byte, (blocks+1)*bs)
+	first, err := a.Seal(long)
+	if err == nil {
+		// All-zero plaintext: the ciphertext is the keystream itself.
+		next, err := a.Seal(make([]byte, bs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(first[8+blocks*bs:8+(blocks+1)*bs], next[8:8+bs]) {
+			t.Fatal("Seal accepted 2^20+1 blocks: its last block reuses the next message's first keystream block")
+		}
+		t.Fatal("Seal accepted 2^20+1 blocks")
+	}
+	if !errors.Is(err, ErrTooLong) {
+		t.Fatalf("Seal(2^20+1 blocks) = %v, want ErrTooLong", err)
+	}
+	forged := make([]byte, 8+len(long)+8)
+	forged[7] = 1
+	if _, err := b.Open(forged); !errors.Is(err, ErrTooLong) {
+		t.Fatalf("Open(2^20+1 blocks) = %v, want ErrTooLong", err)
+	}
+	sealed, err := a.Seal(long[:blocks*bs])
+	if err != nil {
+		t.Fatalf("Seal(2^20 blocks): %v", err)
+	}
+	got, err := b.Open(sealed)
+	if err != nil || len(got) != blocks*bs {
+		t.Fatalf("Open(2^20 blocks) = %d bytes, %v", len(got), err)
+	}
+}

@@ -18,7 +18,8 @@ import (
 type DMPresent struct {
 	h   uint64
 	len uint64
-	buf []byte
+	// tail holds the len%8 bytes of a partial block.
+	tail [8]byte
 }
 
 var _ hash.Hash = (*DMPresent)(nil)
@@ -28,67 +29,71 @@ const dmPresentIV uint64 = 0x243F6A8885A308D3
 
 // NewDMPresent returns a new lightweight 64-bit hash.
 func NewDMPresent() *DMPresent {
-	d := &DMPresent{}
-	d.Reset()
-	return d
+	return &DMPresent{h: dmPresentIV}
 }
 
-func (d *DMPresent) Reset() {
-	d.h = dmPresentIV
-	d.len = 0
-	d.buf = d.buf[:0]
-}
+func (d *DMPresent) Reset() { *d = DMPresent{h: dmPresentIV} }
 
 func (d *DMPresent) Size() int      { return 8 }
 func (d *DMPresent) BlockSize() int { return 8 }
 
-// compress absorbs one 8-byte message block: H' = E_{H || M}(M) xor M.
-func (d *DMPresent) compress(block []byte) {
-	var key [16]byte
-	binary.BigEndian.PutUint64(key[0:], d.h)
-	copy(key[8:], block)
-	blk := newPresent128(key[:])
-	var out [8]byte
-	blk.Encrypt(out[:], block)
-	d.h = binary.BigEndian.Uint64(out[:]) ^ binary.BigEndian.Uint64(block)
+// compress absorbs one 8-byte message block m into the chaining value h:
+// H' = E_{H || M}(M) xor M, with the PRESENT-128 key schedule on the
+// stack.
+//
+//xlf:hotpath
+func compress(h, m uint64) uint64 {
+	var c present
+	c.expand128(h, m)
+	return c.encrypt(m) ^ m
 }
 
 func (d *DMPresent) Write(p []byte) (int, error) {
-	d.len += uint64(len(p))
-	d.buf = append(d.buf, p...)
-	for len(d.buf) >= 8 {
-		d.compress(d.buf[:8])
-		d.buf = d.buf[8:]
-	}
+	d.write(p)
 	return len(p), nil
+}
+
+// write absorbs p in place: it tops up the buffered partial block, then
+// compresses whole blocks straight from p and keeps the remainder.
+func (d *DMPresent) write(p []byte) {
+	fill := int(d.len % 8)
+	d.len += uint64(len(p))
+	if fill > 0 {
+		k := copy(d.tail[fill:], p)
+		p = p[k:]
+		if fill+k < 8 {
+			return
+		}
+		d.h = compress(d.h, binary.BigEndian.Uint64(d.tail[:]))
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		d.h = compress(d.h, binary.BigEndian.Uint64(p))
+	}
+	copy(d.tail[:], p)
 }
 
 // Sum appends the 8-byte digest to b without disturbing the running state.
 func (d *DMPresent) Sum(b []byte) []byte {
-	// Clone state, then pad: 0x80, zeros, 64-bit length.
-	clone := &DMPresent{h: d.h, len: d.len}
-	clone.buf = append(clone.buf, d.buf...)
-	clone.buf = append(clone.buf, 0x80)
-	for len(clone.buf)%8 != 0 {
-		clone.buf = append(clone.buf, 0)
-	}
-	var lenBlock [8]byte
-	binary.BigEndian.PutUint64(lenBlock[:], d.len*8)
-	clone.buf = append(clone.buf, lenBlock[:]...)
-	for len(clone.buf) >= 8 {
-		clone.compress(clone.buf[:8])
-		clone.buf = clone.buf[8:]
-	}
-	var out [8]byte
-	binary.BigEndian.PutUint64(out[:], clone.h)
-	return append(b, out[:]...)
+	return binary.BigEndian.AppendUint64(b, d.sum())
 }
 
-// Sum64 returns the digest of data as a uint64 in one call.
+// sum pads the buffered tail (0x80, zeros, 64-bit bit length) and
+// finishes the digest without touching d.
+func (d *DMPresent) sum() uint64 {
+	fill := int(d.len % 8)
+	var last [8]byte
+	copy(last[:], d.tail[:fill])
+	last[fill] = 0x80
+	h := compress(d.h, binary.BigEndian.Uint64(last[:]))
+	return compress(h, d.len*8)
+}
+
+// Sum64 returns the digest of data as a uint64 in one call, without
+// allocating.
+//
+//xlf:hotpath
 func Sum64(data []byte) uint64 {
-	d := NewDMPresent()
-	d.Write(data) //xlf:allow-droperr hash.Hash.Write never returns an error
-	var out [8]byte
-	d.Sum(out[:0])
-	return binary.BigEndian.Uint64(out[:])
+	d := DMPresent{h: dmPresentIV}
+	d.write(data)
+	return d.sum()
 }

@@ -11,7 +11,18 @@ var presentSBox = [16]byte{
 	0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2,
 }
 
-var presentSBoxInv = invert4(presentSBox)
+// presentSBox8 and presentSBoxInv8 apply the S-box (or its inverse) to
+// both nibbles of a byte in one lookup.
+var presentSBox8, presentSBoxInv8 = byteWide(presentSBox), byteWide(invert4(presentSBox))
+
+// byteWide lifts a 4-bit S-box to a byte: high and low nibbles are
+// substituted independently.
+func byteWide(s [16]byte) (t [256]byte) {
+	for b := range t {
+		t[b] = s[b>>4]<<4 | s[b&0xF]
+	}
+	return t
+}
 
 // invert4 returns the inverse of a 4-bit S-box.
 func invert4(s [16]byte) [16]byte {
@@ -92,29 +103,28 @@ func newPresent80(key []byte) *present {
 }
 
 func newPresent128(key []byte) *present {
-	hi := binary.BigEndian.Uint64(key[0:8])
-	lo := binary.BigEndian.Uint64(key[8:16])
-
 	var c present
+	c.expand128(binary.BigEndian.Uint64(key[0:8]), binary.BigEndian.Uint64(key[8:16]))
+	return &c
+}
+
+// expand128 fills the round keys for the 128-bit key hi || lo in place,
+// so a caller-owned (stack) present needs no allocation.
+func (c *present) expand128(hi, lo uint64) {
 	for r := 1; r <= presentRounds+1; r++ {
 		c.rk[r-1] = hi
 		if r == presentRounds+1 {
 			break
 		}
 		// Rotate the 128-bit register left by 61.
-		nh := hi<<61 | lo>>3
-		nl := lo<<61 | hi>>3
-		hi, lo = nh, nl
+		hi, lo = hi<<61|lo>>3, lo<<61|hi>>3
 		// S-box on the two most significant nibbles.
-		hi = hi&^(0xFF<<56) |
-			uint64(presentSBox[byte(hi>>60)])<<60 |
-			uint64(presentSBox[byte(hi>>56)&0xF])<<56
+		hi = hi&^(0xFF<<56) | uint64(presentSBox8[byte(hi>>56)])<<56
 		// XOR round counter into bits 66..62.
 		rc := uint64(r)
 		hi ^= rc >> 2
 		lo ^= (rc & 3) << 62
 	}
-	return &c
 }
 
 func (c *present) BlockSize() int { return 8 }
@@ -123,8 +133,9 @@ func (c *present) BlockSize() int { return 8 }
 // i*16 mod 63, with bit 63 fixed. Bit-at-a-time application costs ~64
 // shifts per call; instead we precompute, for each of the 8 byte lanes,
 // the spread image of every byte value — the permutation is then 8 table
-// lookups OR-ed together. The tables are built once at package
-// initialisation and immutable afterwards.
+// lookups OR-ed together. The forward table is folded into presentSP
+// below. The tables are built once at package initialisation and
+// immutable afterwards.
 var presentPermTab, presentPermInvTab = buildPresentPermTabs()
 
 func buildPresentPermTabs() (fwd, inv [8][256]uint64) {
@@ -159,17 +170,6 @@ func buildPresentPermTabs() (fwd, inv [8][256]uint64) {
 	return fwd, inv
 }
 
-func presentPermute(s uint64) uint64 {
-	return presentPermTab[0][byte(s)] |
-		presentPermTab[1][byte(s>>8)] |
-		presentPermTab[2][byte(s>>16)] |
-		presentPermTab[3][byte(s>>24)] |
-		presentPermTab[4][byte(s>>32)] |
-		presentPermTab[5][byte(s>>40)] |
-		presentPermTab[6][byte(s>>48)] |
-		presentPermTab[7][byte(s>>56)]
-}
-
 func presentPermuteInv(s uint64) uint64 {
 	return presentPermInvTab[0][byte(s)] |
 		presentPermInvTab[1][byte(s>>8)] |
@@ -181,24 +181,54 @@ func presentPermuteInv(s uint64) uint64 {
 		presentPermInvTab[7][byte(s>>56)]
 }
 
-func presentSub(s uint64, box *[16]byte) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		out |= uint64(box[s>>uint(4*i)&0xF]) << uint(4*i)
+// presentSP is one round's S-box layer and bit permutation, fused: the
+// permutation is linear, so P(S(s)) is the OR of each byte lane's
+// permuted, substituted image.
+var presentSP = buildPresentSP()
+
+func buildPresentSP() (t [8][256]uint64) {
+	for lane := range t {
+		for b := range t[lane] {
+			t[lane][b] = presentPermTab[lane][presentSBox8[b]]
+		}
 	}
-	return out
+	return t
+}
+
+// presentSubInv applies the inverse S-box to all 16 nibbles.
+func presentSubInv(s uint64) uint64 {
+	return uint64(presentSBoxInv8[byte(s)]) |
+		uint64(presentSBoxInv8[byte(s>>8)])<<8 |
+		uint64(presentSBoxInv8[byte(s>>16)])<<16 |
+		uint64(presentSBoxInv8[byte(s>>24)])<<24 |
+		uint64(presentSBoxInv8[byte(s>>32)])<<32 |
+		uint64(presentSBoxInv8[byte(s>>40)])<<40 |
+		uint64(presentSBoxInv8[byte(s>>48)])<<48 |
+		uint64(presentSBoxInv8[byte(s>>56)])<<56
 }
 
 func (c *present) Encrypt(dst, src []byte) {
 	checkBlock("PRESENT", 8, dst, src)
-	s := binary.BigEndian.Uint64(src)
+	binary.BigEndian.PutUint64(dst, c.encrypt(binary.BigEndian.Uint64(src)))
+}
+
+// encrypt is the PRESENT round loop on a block held in a register:
+// eight fused table lookups per round.
+//
+//xlf:hotpath
+func (c *present) encrypt(s uint64) uint64 {
 	for r := 0; r < presentRounds; r++ {
 		s ^= c.rk[r]
-		s = presentSub(s, &presentSBox)
-		s = presentPermute(s)
+		s = presentSP[0][byte(s)] |
+			presentSP[1][byte(s>>8)] |
+			presentSP[2][byte(s>>16)] |
+			presentSP[3][byte(s>>24)] |
+			presentSP[4][byte(s>>32)] |
+			presentSP[5][byte(s>>40)] |
+			presentSP[6][byte(s>>48)] |
+			presentSP[7][byte(s>>56)]
 	}
-	s ^= c.rk[presentRounds]
-	binary.BigEndian.PutUint64(dst, s)
+	return s ^ c.rk[presentRounds]
 }
 
 func (c *present) Decrypt(dst, src []byte) {
@@ -206,8 +236,7 @@ func (c *present) Decrypt(dst, src []byte) {
 	s := binary.BigEndian.Uint64(src)
 	s ^= c.rk[presentRounds]
 	for r := presentRounds - 1; r >= 0; r-- {
-		s = presentPermuteInv(s)
-		s = presentSub(s, &presentSBoxInv)
+		s = presentSubInv(presentPermuteInv(s))
 		s ^= c.rk[r]
 	}
 	binary.BigEndian.PutUint64(dst, s)

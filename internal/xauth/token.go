@@ -15,7 +15,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -62,9 +65,15 @@ var (
 	ErrWrongDevice  = errors.New("xauth: token bound to a different device")
 )
 
-// Signer issues and verifies tokens with a shared secret.
+// Signer issues and verifies tokens with a shared secret. It keys one
+// HMAC-SHA256 at construction and resets it per MAC; the mutex keeps a
+// Signer, which Authority.Signer hands out, safe for concurrent use.
 type Signer struct {
-	key []byte
+	mu  sync.Mutex
+	mac hash.Hash
+	// msg and sum are the MAC input and output scratch, guarded by mu.
+	msg []byte
+	sum [sha256.Size]byte
 }
 
 // NewSigner builds a signer; the key must be non-empty.
@@ -72,13 +81,28 @@ func NewSigner(key []byte) (*Signer, error) {
 	if len(key) == 0 {
 		return nil, errors.New("xauth: empty signing key")
 	}
-	return &Signer{key: append([]byte(nil), key...)}, nil
+	return &Signer{mac: hmac.New(sha256.New, key)}, nil
 }
 
-func (s *Signer) mac(t *Token) []byte {
-	m := hmac.New(sha256.New, s.key)
-	fmt.Fprintf(m, "%s|%s|%d|%d|%d|%t", t.Subject, t.Device, t.Priv, t.IssuedAt, t.ExpiresAt, t.MFA)
-	return m.Sum(nil)
+// macLocked appends the HMAC of t's claims to b. The MAC input is the
+// text fmt formats as "%s|%s|%d|%d|%d|%t" from Subject, Device, Priv,
+// IssuedAt, ExpiresAt and MFA, built without fmt. The caller holds s.mu.
+func (s *Signer) macLocked(b []byte, t *Token) []byte {
+	m := append(s.msg[:0], t.Subject...)
+	m = append(m, '|')
+	m = append(m, t.Device...)
+	m = append(m, '|')
+	m = strconv.AppendInt(m, int64(t.Priv), 10)
+	m = append(m, '|')
+	m = strconv.AppendInt(m, int64(t.IssuedAt), 10)
+	m = append(m, '|')
+	m = strconv.AppendInt(m, int64(t.ExpiresAt), 10)
+	m = append(m, '|')
+	m = strconv.AppendBool(m, t.MFA)
+	s.msg = m
+	s.mac.Reset()
+	s.mac.Write(m)
+	return s.mac.Sum(b)
 }
 
 // Issue creates a signed token valid for lifetime from now.
@@ -91,7 +115,9 @@ func (s *Signer) Issue(subject, deviceID string, priv Privilege, mfa bool, now, 
 		ExpiresAt: now + lifetime,
 		MFA:       mfa,
 	}
-	t.Sig = s.mac(&t)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.Sig = s.macLocked(make([]byte, 0, sha256.Size), &t)
 	return t
 }
 
@@ -99,8 +125,7 @@ func (s *Signer) Issue(subject, deviceID string, priv Privilege, mfa bool, now, 
 // device binding. This is the "SSO authentication and timestamps
 // validation" the paper moves off the device onto the proxy.
 func (s *Signer) Verify(t Token, now time.Duration, deviceID string) error {
-	want := s.mac(&t)
-	if !hmac.Equal(want, t.Sig) {
+	if !s.validSig(&t) {
 		return ErrBadSignature
 	}
 	if now > t.ExpiresAt {
@@ -113,6 +138,14 @@ func (s *Signer) Verify(t Token, now time.Duration, deviceID string) error {
 		return ErrWrongDevice
 	}
 	return nil
+}
+
+// validSig recomputes t's MAC into the Signer's own array and compares
+// it with t.Sig in constant time.
+func (s *Signer) validSig(t *Token) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return hmac.Equal(s.macLocked(s.sum[:0], t), t.Sig)
 }
 
 // Encode serialises a token for transport.

@@ -31,6 +31,8 @@ go test -race ./...
 # catches shallow regressions in the codec/seal paths.
 echo '>> fuzz smoke (5s per target)'
 go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime=5s ./internal/channel
+go test -run='^$' -fuzz='^FuzzSum64$' -fuzztime=5s ./internal/lwc
+go test -run='^$' -fuzz='^FuzzCMAC$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCodecOpen$' -fuzztime=5s ./internal/dnsp
 go test -run='^$' -fuzz='^FuzzSealOpenRoundTrip$' -fuzztime=5s ./internal/dnsp
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/xauth
