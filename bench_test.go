@@ -16,9 +16,12 @@ import (
 	"xlf/internal/channel"
 	"xlf/internal/core"
 	"xlf/internal/exp"
+	"xlf/internal/ids"
 	"xlf/internal/lwc"
+	"xlf/internal/netsim"
 	"xlf/internal/obs"
 	"xlf/internal/service"
+	"xlf/internal/sim"
 	"xlf/internal/xauth"
 )
 
@@ -177,8 +180,10 @@ var (
 
 // BenchmarkLayer/<layer>/<op> times one layer's hottest operation with
 // allocations reported: lwc's firmware digest (attestation re-hashes
-// every image each period), channel's Seal of a device message and
-// xauth's token verification (every proxied request).
+// every image each period), channel's Seal of a device message, xauth's
+// token verification (every proxied request), ids's per-record
+// identification at the gateway taps and netsim's NAT of a device
+// keepalive through the gateway to its delivery.
 func BenchmarkLayer(b *testing.B) {
 	b.Run("lwc/sum64-4KiB", func(b *testing.B) {
 		image := make([]byte, 4096)
@@ -206,6 +211,65 @@ func BenchmarkLayer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, sinkErr = s.Seal(msg)
+		}
+	})
+	b.Run("ids/process", func(b *testing.B) {
+		// A steady home mix at irregular steps: post-NAT keepalives from
+		// the gateway to six clouds and hub chatter to six devices, warmed
+		// past every detector window so no measured record alerts.
+		clouds := []netsim.Addr{"wan:cloud-0", "wan:cloud-1", "wan:cloud-2", "wan:cloud-3", "wan:cloud-4", "wan:cloud-5"}
+		devices := []netsim.Addr{"lan:cam", "lan:bulb", "lan:lock", "lan:plug", "lan:tv", "lan:thermo"}
+		steps := []time.Duration{90, 410, 230, 170, 350, 60, 280, 130, 500, 220, 40, 310, 190, 260, 80, 370}
+		var at time.Duration
+		next := func(i int) netsim.PacketRecord {
+			at += steps[i%len(steps)] * time.Millisecond
+			r := netsim.PacketRecord{Time: at, Proto: "XLF-LWC", Size: 180, Encrypted: true}
+			if j := i / 2 % len(devices); i%2 == 0 {
+				r.Src, r.SrcPort, r.Dst, r.DstPort = "wan:gw", 40000+j, clouds[j], 443
+			} else {
+				r.Src, r.Dst, r.DstPort = "lan:hub", devices[j], 8443
+			}
+			return r
+		}
+		p := ids.DefaultPipeline()
+		for i := 0; i < 20000; i++ {
+			p.Process(next(i))
+		}
+		warm := len(p.Alerts())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Process(next(i))
+		}
+		b.StopTimer()
+		if n := len(p.Alerts()); n != warm {
+			b.Fatalf("%d measured records alerted", n-warm)
+		}
+	})
+	b.Run("netsim/sendout", func(b *testing.B) {
+		k := sim.NewKernel(1)
+		n := netsim.New(k)
+		gw := netsim.NewGateway("lan:gw", "wan:home")
+		for _, node := range []netsim.Node{gw, gw.WANNode(), &netsim.FuncNode{Address: "wan:cloud"}} {
+			if err := n.Attach(node, netsim.Link{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// One keepalive, rewound by its last owner after each delivery;
+		// the first send creates the NAT binding the measured ones reuse.
+		pkt := &netsim.Packet{Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48)}
+		keepalive := func() {
+			pkt.Src, pkt.SrcPort, pkt.Dst, pkt.DstPort = "lan:cam", 7443, "wan:cloud", 443
+			sinkErr = gw.SendOut(n, pkt)
+			if !k.Step() {
+				b.Fatal("no delivery event")
+			}
+		}
+		keepalive()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keepalive()
 		}
 	})
 	b.Run("xauth/verify", func(b *testing.B) {

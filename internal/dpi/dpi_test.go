@@ -2,7 +2,9 @@ package dpi
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -71,29 +73,58 @@ func TestMatcherAgainstNaive(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			pats = append(pats, randBytes(1+rng.Intn(4)))
 		}
-		text := randBytes(rng.Intn(60))
-		m := NewMatcher(pats)
-		got := make(map[Match]int)
-		for _, mt := range m.FindAll(text) {
-			got[mt]++
+		checkMatcher(t, pats, randBytes(rng.Intn(60)))
+	}
+}
+
+// FuzzMatcherFindAll holds the Aho-Corasick matcher, which reads
+// attacker-controlled LAN payloads, to the naive scan on arbitrary
+// patterns and data. Patterns are the first input split at 0x00.
+func FuzzMatcherFindAll(f *testing.F) {
+	f.Add([]byte("he\x00she\x00his\x00hers"), []byte("ushers"))
+	f.Add([]byte("a\x00aa\x00aaa"), []byte("aaaaaa"))
+	f.Add([]byte("abc\x00bc\x00\x00c\x00abc"), []byte("xabcabcbc"))
+	f.Add([]byte("/bin/busybox\x00MIRAI"), []byte("GET /bin/busybox MIRAI"))
+	f.Fuzz(func(t *testing.T, pats, data []byte) {
+		if len(pats) > 256 || len(data) > 4096 {
+			return
 		}
-		want := make(map[Match]int)
-		for pi, p := range m.patterns {
-			for i := 0; i+len(p) <= len(text); i++ {
-				if bytes.Equal(text[i:i+len(p)], p) {
-					want[Match{Pattern: pi, End: i + len(p)}]++
-				}
+		checkMatcher(t, bytes.Split(pats, []byte{0}), data)
+	})
+}
+
+// checkMatcher compiles pats and requires FindAll to equal naiveMatches,
+// as a sorted list of (pattern, end) pairs, and Contains to agree.
+func checkMatcher(t *testing.T, pats [][]byte, data []byte) {
+	t.Helper()
+	m := NewMatcher(pats)
+	got, want := m.FindAll(data), naiveMatches(m.patterns, data)
+	byEnd := func(a, b Match) int { return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Pattern, b.Pattern)) }
+	slices.SortFunc(got, byEnd)
+	slices.SortFunc(want, byEnd)
+	if !slices.Equal(got, want) {
+		t.Fatalf("FindAll = %v, naive %v (pats=%q data=%q)", got, want, pats, data)
+	}
+	if c := m.Contains(data); c != (len(want) > 0) {
+		t.Fatalf("Contains = %v with %d naive matches (pats=%q data=%q)", c, len(want), pats, data)
+	}
+}
+
+// naiveMatches finds every occurrence of every pattern, overlapping ones
+// included, by repeated bytes.Index from just past the last hit.
+func naiveMatches(patterns [][]byte, data []byte) []Match {
+	var out []Match
+	for pi, p := range patterns {
+		for off := 0; off < len(data); {
+			i := bytes.Index(data[off:], p)
+			if i < 0 {
+				break
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %v want %v (pats=%q text=%q)", trial, got, want, pats, text)
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("trial %d: mismatch at %v (pats=%q text=%q)", trial, k, pats, text)
-			}
+			out = append(out, Match{Pattern: pi, End: off + i + len(p)})
+			off += i + 1
 		}
 	}
+	return out
 }
 
 func mustRules(t *testing.T) *RuleSet {

@@ -39,6 +39,44 @@ func TestSendDeliverAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSendOutAllocBudget: a keepalive on an existing NAT binding costs
+// nothing from SendOut to delivery. SendOut rewrites the caller's packet
+// in place, so the only packet is the sender's; once the cloud has
+// received it the test, as its last owner, rewinds it for the next round.
+func TestSendOutAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+
+	k := sim.NewKernel(1)
+	n := New(k)
+	gw := NewGateway("lan:gw", "wan:home")
+	for _, node := range []Node{gw, gw.WANNode(), &FuncNode{Address: "wan:cloud", Fn: func(*Network, *Packet) {}}} {
+		if err := n.Attach(node, Link{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gw.OnForward = func(*Packet) {}
+	pkt := &Packet{Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48)}
+	keepalive := func() {
+		pkt.Src, pkt.SrcPort, pkt.Dst, pkt.DstPort = "lan:cam", 7443, "wan:cloud", 443
+		if err := gw.SendOut(n, pkt); err != nil {
+			t.Fatal(err)
+		}
+		if !k.Step() {
+			t.Fatal("no delivery event")
+		}
+	}
+	keepalive() // creates the NAT binding
+
+	if a := testing.AllocsPerRun(200, keepalive); a != 0 {
+		t.Errorf("SendOut+deliver allocates %.1f per keepalive, want 0", a)
+	}
+	if pkt.Src != "wan:home" {
+		t.Errorf("delivered packet src = %q, want the gateway's wan:home", pkt.Src)
+	}
+}
+
 // BenchmarkNetsimSend measures the packet hot path end to end
 // (Send → pooled delivery event → deliver) and must report 0 allocs/op.
 // The AllocsPerRun test above enforces the 0; scripts/check.sh prints

@@ -35,6 +35,11 @@ type Gateway struct {
 	// see the gateway's own address.
 	OnForward func(pkt *Packet)
 
+	// shapeNet and shapeSend are the send function handed to Shaper,
+	// built once for the network SendOut last saw rather than per packet.
+	shapeNet  *Network
+	shapeSend func(*Packet)
+
 	blockedOut uint64
 	blockedIn  uint64
 	forwarded  uint64
@@ -130,6 +135,11 @@ func (e *BlockedError) Unwrap() error { return e.Err }
 // SendOut NATs a LAN packet to the WAN and transmits it, applying the
 // outbound policy and the traffic shaper. Devices and the home router
 // call this for WAN-bound traffic.
+//
+// SendOut takes ownership of pkt: the caller must not read or reuse it
+// afterwards. OutboundPolicy and OnForward see it with its LAN source;
+// SendOut then rewrites Src and SrcPort in place to the gateway's WAN
+// address and external port and sends (or shapes) that same packet.
 func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if !pkt.Src.IsLAN() {
 		return fmt.Errorf("netsim: SendOut from non-LAN address %q", pkt.Src)
@@ -151,15 +161,16 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if g.OnForward != nil {
 		g.OnForward(pkt)
 	}
-	out := pkt.Clone()
-	out.Src = g.wanAddr
-	out.SrcPort = ext
+	pkt.Src, pkt.SrcPort = g.wanAddr, ext
 	g.forwarded++
 	if g.Shaper != nil {
-		g.Shaper(out, func(p *Packet) { net.Send(p) })
+		if g.shapeNet != net {
+			g.shapeNet, g.shapeSend = net, net.Send
+		}
+		g.Shaper(pkt, g.shapeSend)
 		return nil
 	}
-	net.Send(out)
+	net.Send(pkt)
 	return nil
 }
 

@@ -53,7 +53,9 @@ type Packet struct {
 	Dummy bool
 }
 
-// Clone returns a deep copy (payload included) for NAT rewriting and taps.
+// Clone returns a deep copy (payload included), for a holder that keeps
+// the packet while another copy travels on: the gateway's inbound un-NAT
+// and the shaper's continuation cells.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)

@@ -211,6 +211,50 @@ func TestGatewayNAT(t *testing.T) {
 	}
 }
 
+// TestSendOutOwnership pins SendOut's single-copy rewrite: the outbound
+// policy and OnForward read the packet with its LAN source, and the WAN
+// tap (and the receiver) see that same packet rewritten to the gateway's
+// address and external port.
+func TestSendOutOwnership(t *testing.T) {
+	k, n := newTestNet(t)
+	gw := NewGateway("lan:gw", "wan:home")
+	cloud := &sink{addr: "wan:cloud"}
+	n.Attach(gw, DefaultLAN())
+	n.Attach(gw.WANNode(), DefaultWAN())
+	n.Attach(cloud, DefaultWAN())
+
+	var policySrc, forwardSrc Addr
+	var policyPort, forwardPort int
+	gw.OutboundPolicy = func(p *Packet) error { policySrc, policyPort = p.Src, p.SrcPort; return nil }
+	gw.OnForward = func(p *Packet) { forwardSrc, forwardPort = p.Src, p.SrcPort }
+	var tapped []*Packet
+	var tapSrc Addr
+	var tapPort int
+	n.AddTap(TapWAN, func(_ TapDirection, p *Packet) {
+		tapped = append(tapped, p)
+		tapSrc, tapPort = p.Src, p.SrcPort
+	})
+
+	pkt := &Packet{Src: "lan:dev", SrcPort: 7443, Dst: "wan:cloud", DstPort: 443, Size: 80, Payload: []byte("sealed")}
+	if err := gw.SendOut(n, pkt); err != nil {
+		t.Fatal(err)
+	}
+	k.Run(time.Second)
+	if policySrc != "lan:dev" || policyPort != 7443 {
+		t.Errorf("OutboundPolicy saw %s:%d, want lan:dev:7443", policySrc, policyPort)
+	}
+	if forwardSrc != "lan:dev" || forwardPort != 7443 {
+		t.Errorf("OnForward saw %s:%d, want lan:dev:7443", forwardSrc, forwardPort)
+	}
+	ext, ok := gw.ExternalPortFor("lan:dev", 7443, "wan:cloud", 443)
+	if !ok || tapSrc != "wan:home" || tapPort != ext {
+		t.Errorf("WAN tap saw %s:%d, want wan:home:%d", tapSrc, tapPort, ext)
+	}
+	if len(tapped) != 1 || tapped[0] != pkt || len(cloud.got) != 1 || cloud.got[0] != pkt {
+		t.Error("SendOut did not send the caller's packet itself")
+	}
+}
+
 func TestGatewayPolicies(t *testing.T) {
 	k, n := newTestNet(t)
 	gw := NewGateway("lan:gw", "wan:home")

@@ -41,6 +41,8 @@ go test -run='^$' -fuzz='^FuzzLockOrderGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzCallGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzKernelSchedule$' -fuzztime=5s ./internal/sim
 go test -run='^$' -fuzz='^FuzzCoreIngest$' -fuzztime=5s ./internal/core
+go test -run='^$' -fuzz='^FuzzIDSProcess$' -fuzztime=5s ./internal/ids
+go test -run='^$' -fuzz='^FuzzMatcherFindAll$' -fuzztime=5s ./internal/dpi
 go test -run='^$' -fuzz='^FuzzReadJSONL$' -fuzztime=5s ./internal/obs
 
 # Blocking: any finding fails. Exceptions are inline //xlf:allow-*

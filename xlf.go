@@ -491,13 +491,19 @@ func (s *System) volumeTick() {
 	}
 }
 
-// recordRF notes radio activity for a device, keeping a short ring.
+// rfHistory is how many radio-activity times recordRF keeps per device.
+const rfHistory = 16
+
+// recordRF notes radio activity for a device, keeping its last rfHistory
+// times oldest first; a full history shifts in place.
 func (s *System) recordRF(dev string, at time.Duration) {
-	hist := append(s.rfSeen[dev], at)
-	if len(hist) > 16 {
-		hist = hist[len(hist)-16:]
+	hist := s.rfSeen[dev]
+	if len(hist) == rfHistory {
+		copy(hist, hist[1:])
+		hist[rfHistory-1] = at
+		return
 	}
-	s.rfSeen[dev] = hist
+	s.rfSeen[dev] = append(hist, at)
 }
 
 // scheduleRFCheck verifies, a short grace period after a cloud event, that
