@@ -88,17 +88,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// Module-scoped analyzers (the call-graph and taint rules) need the
-	// whole module to compute cross-package function summaries, even
-	// when the command line narrows the packages actually checked.
-	analysis.Prepare(allPkgs, analyzers)
-
 	pkgs, err := filterPackages(allPkgs, moduleRoot, fs.Args())
 	if err != nil {
 		return fail(err)
 	}
 
-	findings := analysis.RunParallel(pkgs, analyzers, *parallel)
+	// The model covers the whole module even when the command line
+	// narrows the packages reported on, so cross-package call-graph and
+	// taint summaries stay visible.
+	findings := analysis.NewModule(allPkgs).Run(pkgs, analyzers, *parallel)
 	relativize(findings, moduleRoot)
 
 	if *sarifOut {
@@ -119,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // relativize rewrites finding paths relative to the module root, so
 // output is stable across checkouts. Every path shares
-// the root prefix, so the sorted order RunParallel returned still holds
+// the root prefix, so the sorted order Module.Run returned still holds
 // and the output is byte-identical at any worker count.
 func relativize(findings []analysis.Finding, root string) {
 	for i := range findings {

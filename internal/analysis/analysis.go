@@ -8,9 +8,9 @@
 // dependencies). Rules go vet already runs (copylocks, unreachable) are
 // not duplicated here.
 //
-// Each Analyzer inspects one parsed Package at a time and reports
-// Findings; cmd/xlf-vet loads the module, runs every analyzer and exits
-// non-zero when anything is found.
+// cmd/xlf-vet loads the module, builds its model once (NewModule: one
+// tolerant type-check, one call graph, one waiver index), runs every
+// Analyzer over it and exits non-zero when anything is found.
 package analysis
 
 import (
@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one diagnostic, printed as "file:line: [rule] message".
@@ -57,36 +56,26 @@ type Package struct {
 	Files      []File
 }
 
-// Analyzer checks one package.
+// Analyzer is one rule. Check reads the shared module model — types,
+// call graph — and reports the rule's findings in one package; Module.Run
+// drops those a //xlf:allow-<Marker> directive waives.
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and -only flags.
 	Name() string
-	Check(pkg *Package) []Finding
+	// Doc is the one-line rule description (SARIF rule metadata).
+	Doc() string
+	// Marker is the directive that waives the rule's findings
+	// ("xlf:allow-pairing"), or "" when the rule has none.
+	Marker() string
+	Check(m *Module, pkg *Package) []Finding
 }
 
-// ModuleAnalyzer is an Analyzer that needs the whole module before
-// per-package Check calls — the taint engine computes cross-package
-// function summaries this way. Prepare is idempotent: the first call
-// wins, so a driver can prepare on the full module and then Check a
-// filtered subset without losing cross-package context.
+// ModuleAnalyzer is an Analyzer that derives module-wide facts (call
+// graph summaries) before any Check. Module.Run calls Prepare once per
+// run, before the per-package fan-out; Check then only reads them.
 type ModuleAnalyzer interface {
 	Analyzer
-	Prepare(pkgs []*Package)
-}
-
-// Documented is optionally implemented by analyzers that carry a one-line
-// rule description (surfaced as SARIF rule metadata).
-type Documented interface {
-	Doc() string
-}
-
-// Prepare runs every ModuleAnalyzer's Prepare step over the package set.
-func Prepare(pkgs []*Package, analyzers []Analyzer) {
-	for _, a := range analyzers {
-		if m, ok := a.(ModuleAnalyzer); ok {
-			m.Prepare(pkgs)
-		}
-	}
+	Prepare(m *Module)
 }
 
 // finding builds a Finding at pos.
@@ -100,54 +89,6 @@ func (p *Package) finding(rule string, pos token.Pos, format string, args ...any
 		Rule:    rule,
 		Message: fmt.Sprintf(format, args...),
 	}
-}
-
-// Run applies every analyzer to every package and returns the combined
-// findings sorted by file, line, rule and message. Module-scoped
-// analyzers are prepared over the same package set first (a no-op when
-// the driver already prepared them on the full module).
-func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	return RunParallel(pkgs, analyzers, 1)
-}
-
-// RunParallel is Run with the per-package Check calls fanned out over a
-// worker pool. Analyzer state is frozen by Prepare before the fan-out
-// (the oracle and taint summaries become read-only), so Check calls on
-// distinct packages are safe concurrently. The output is sorted with
-// SortFindings and therefore byte-identical at any worker count.
-func RunParallel(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
-	Prepare(pkgs, analyzers)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	results := make([][]Finding, len(pkgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				for _, a := range analyzers {
-					results[i] = append(results[i], a.Check(pkgs[i])...)
-				}
-			}
-		}()
-	}
-	for i := range pkgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	var out []Finding
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	SortFindings(out)
-	return out
 }
 
 // SortFindings orders findings by file, line, column, rule and message —
@@ -295,48 +236,4 @@ func importMap(f *ast.File) map[string]string {
 		}
 	}
 	return imports
-}
-
-// allowedLines collects source lines covered by comments containing
-// marker (e.g. "xlf:allow-wallclock"): the comment's own lines plus the
-// line immediately after, so both end-of-line and line-above annotations
-// work. A marker in a function's doc comment allows the whole function.
-func allowedLines(fset *token.FileSet, f *ast.File, marker string) map[int]bool {
-	allowed := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !strings.Contains(c.Text, marker) {
-				continue
-			}
-			start := fset.Position(c.Pos()).Line
-			end := fset.Position(c.End()).Line
-			for l := start; l <= end+1; l++ {
-				allowed[l] = true
-			}
-		}
-	}
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		// Scan the raw comment list: //xlf:... is a directive, which
-		// (*CommentGroup).Text() strips.
-		marked := false
-		for _, c := range fd.Doc.List {
-			if strings.Contains(c.Text, marker) {
-				marked = true
-				break
-			}
-		}
-		if !marked {
-			continue
-		}
-		start := fset.Position(fd.Pos()).Line
-		end := fset.Position(fd.End()).Line
-		for l := start; l <= end; l++ {
-			allowed[l] = true
-		}
-	}
-	return allowed
 }

@@ -58,11 +58,12 @@ var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
 
 // checkFixture runs the analyzers over a fixture tree and matches
 // findings 1:1 against the `// want "regexp"` expectations in the
-// sources.
-func checkFixture(t *testing.T, rule string, ans ...Analyzer) {
+// sources. It returns the module model the analyzers read.
+func checkFixture(t *testing.T, rule string, ans ...Analyzer) *Module {
 	t.Helper()
 	pkgs := fixturePackages(t, rule)
-	findings := Run(pkgs, ans)
+	m := NewModule(pkgs)
+	findings := m.Run(pkgs, ans, 1)
 
 	type key struct {
 		file string
@@ -111,6 +112,7 @@ func checkFixture(t *testing.T, rule string, ans ...Analyzer) {
 			t.Errorf("%s:%d: expected a finding matching %q, got none", k.file, k.line, re)
 		}
 	}
+	return m
 }
 
 func TestLayerCheckFixture(t *testing.T) {
@@ -121,7 +123,7 @@ func TestLayerCheckFixture(t *testing.T) {
 }
 
 func TestDeterminismFixture(t *testing.T) {
-	checkFixture(t, "determinism", NewDeterminism([]string{fixtureModule + "/internal/sim"}, nil))
+	checkFixture(t, "determinism", NewDeterminism([]string{fixtureModule + "/internal/sim"}))
 }
 
 func TestErrDropFixture(t *testing.T) {
@@ -147,11 +149,11 @@ func fixtureTaintRule(r TaintRule) TaintRule {
 	return r
 }
 
-// TestTaintFixture runs both dataflow rules (sharing one type-check)
+// TestTaintFixture runs both dataflow rules (sharing one module model)
 // over the seeded flow shapes: direct leak, sealed path, interprocedural
 // in both directions, field writes, and waivers.
 func TestTaintFixture(t *testing.T) {
-	suite := NewTaintSuite(nil, fixtureTaintRule(XLFPlaintextEscape), fixtureTaintRule(XLFSecretLeak))
+	suite := NewTaintSuite(fixtureTaintRule(XLFPlaintextEscape), fixtureTaintRule(XLFSecretLeak))
 	checkFixture(t, "taint", suite...)
 }
 

@@ -9,7 +9,7 @@ package analysis
 // function keyed the way taint.go keys its summaries, resolved call
 // edges out of every body, and a bottom-up fixed-point over those
 // edges. This file extracts that machinery so all of them share one
-// graph (and one tolerant type-check of the module).
+// graph, built once per run as part of the module model (module.go).
 //
 // Edges are classified by how the callee is reached — a plain call, a
 // deferred call, a go statement, a call made inside a nested function
@@ -22,9 +22,9 @@ package analysis
 // it means.
 //
 // Receivers the type oracle cannot resolve fall back to a unique-name
-// lookup over the module's declared methods (the taint engine's
-// fallback); edges resolved that way carry Fallback=true so
-// conservative clients can skip them.
+// lookup over the module's declared methods (calleeKey, which the taint
+// engine's summary lookup shares); edges resolved that way carry
+// Fallback=true so conservative clients can skip them.
 
 import (
 	"go/ast"
@@ -79,13 +79,10 @@ type GraphFunc struct {
 	Edges []CallEdge
 }
 
-// CallGraph is the module's call graph plus the shared type oracle it
-// was resolved with. Build is idempotent (first package set wins), so
-// several analyzers can share one graph the way they share one oracle.
+// CallGraph is the module's call graph, resolved with the module
+// model's type-check (see NewModule).
 type CallGraph struct {
-	oracle *typeOracle
-	built  bool
-
+	types *typeOracle
 	funcs map[string]*GraphFunc
 	keys  []string // sorted
 	// methodsByName backs the unique-name fallback for unresolved
@@ -93,27 +90,14 @@ type CallGraph struct {
 	methodsByName map[string][]string
 }
 
-// NewCallGraph returns an empty graph with its own type oracle; Build
-// populates it.
-func NewCallGraph() *CallGraph {
-	return &CallGraph{
-		oracle:        newTypeOracle(),
+// newCallGraph indexes every declared function (test files included —
+// clients filter on File.Test) and resolves its outgoing edges.
+func newCallGraph(pkgs []*Package, types *typeOracle) *CallGraph {
+	g := &CallGraph{
+		types:         types,
 		funcs:         make(map[string]*GraphFunc),
 		methodsByName: make(map[string][]string),
 	}
-}
-
-// Build indexes every declared function (test files included — clients
-// filter on File.Test) and resolves its outgoing edges. The first call
-// wins; later calls are no-ops, matching the Prepare idempotence
-// contract.
-func (g *CallGraph) Build(pkgs []*Package) {
-	if g.built {
-		return
-	}
-	g.built = true
-	g.oracle.check(pkgs)
-
 	for _, pkg := range pkgs {
 		for fi := range pkg.Files {
 			file := &pkg.Files[fi]
@@ -122,10 +106,7 @@ func (g *CallGraph) Build(pkgs []*Package) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				recv := ""
-				if fd.Recv != nil && len(fd.Recv.List) > 0 {
-					recv = recvTypeName(fd.Recv.List[0].Type)
-				}
+				recv := declRecv(fd)
 				key := funcKey(pkg.ImportPath, recv, fd.Name.Name)
 				if _, dup := g.funcs[key]; dup {
 					continue
@@ -146,6 +127,7 @@ func (g *CallGraph) Build(pkgs []*Package) {
 		fn := g.funcs[key]
 		fn.Edges = g.edgesOf(fn)
 	}
+	return g
 }
 
 // Func returns the indexed function for a summary key, or nil.
@@ -159,7 +141,7 @@ func (g *CallGraph) Keys() []string { return g.keys }
 // EdgeClosure; otherwise the exact CallExpr of a defer/go statement is
 // EdgeDefer/EdgeGo; everything else is EdgeCall.
 func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
-	pt := g.oracle.typesOf(fn.Pkg)
+	pt := g.types.typesOf(fn.Pkg)
 	imports := importMap(fn.File.AST)
 
 	var litRanges [][2]token.Pos
@@ -181,15 +163,7 @@ func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
 		case *ast.SelectorExpr:
 			selSels[n.Sel] = true
 		case *ast.CallExpr:
-			f := n.Fun
-			for {
-				if p, ok := f.(*ast.ParenExpr); ok {
-					f = p.X
-					continue
-				}
-				break
-			}
-			callFuns[f] = true
+			callFuns[ast.Unparen(n.Fun)] = true
 		}
 		return true
 	})
@@ -232,22 +206,20 @@ func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
 			}
 			// Method value (x.M as a value) via the oracle; package-level
 			// function value (pkg.Fn as a value) via Uses.
-			if pt != nil {
-				if sel, ok := pt.info.Selections[n]; ok && sel.Kind() == types.MethodVal {
-					obj := sel.Obj()
-					if obj != nil && obj.Pkg() != nil {
-						add(funcKey(obj.Pkg().Path(), namedOf(sel.Recv()), obj.Name()), n.Pos(), EdgeRef, false)
-					}
-					return true
+			if sel, ok := pt.info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+				obj := sel.Obj()
+				if obj != nil && obj.Pkg() != nil {
+					add(funcKey(obj.Pkg().Path(), namedOf(sel.Recv()), obj.Name()), n.Pos(), EdgeRef, false)
 				}
-				if f, ok := pt.info.Uses[n.Sel].(*types.Func); ok && f.Pkg() != nil {
-					add(funcKey(f.Pkg().Path(), "", f.Name()), n.Pos(), EdgeRef, false)
-					return true
-				}
+				return true
 			}
-			// Syntactic fallback for pkg.Fn references when the oracle has
-			// no entry (stubbed imports keep PkgName uses, so this only
-			// fires for unchecked packages).
+			if f, ok := pt.info.Uses[n.Sel].(*types.Func); ok && f.Pkg() != nil {
+				add(funcKey(f.Pkg().Path(), "", f.Name()), n.Pos(), EdgeRef, false)
+				return true
+			}
+			// Syntactic fallback for pkg.Fn references into stubbed
+			// imports (the standard library), whose members the tolerant
+			// check cannot resolve.
 			if id, ok := n.X.(*ast.Ident); ok && !isLocalIdent(pt, id) {
 				if path, ok := imports[id.Name]; ok {
 					add(funcKey(path, "", n.Sel.Name), n.Pos(), EdgeRef, false)
@@ -258,11 +230,9 @@ func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
 			if callFuns[n] || selSels[n] {
 				return true
 			}
-			if pt != nil {
-				if f, ok := pt.info.Uses[n].(*types.Func); ok && f.Pkg() != nil && f.Type() != nil {
-					if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() == nil {
-						add(funcKey(f.Pkg().Path(), "", f.Name()), n.Pos(), EdgeRef, false)
-					}
+			if f, ok := pt.info.Uses[n].(*types.Func); ok && f.Pkg() != nil && f.Type() != nil {
+				if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() == nil {
+					add(funcKey(f.Pkg().Path(), "", f.Name()), n.Pos(), EdgeRef, false)
 				}
 			}
 		}
@@ -300,11 +270,11 @@ func (g *CallGraph) calleeKey(c callee) (key string, fallback, ok bool) {
 	return candidates[0], true, true
 }
 
-// ResolveKey resolves a call expression appearing in file to a summary
-// key, with the same fallback calleeKey applies. Reporting passes use
+// ResolveKey resolves a call expression in pkg (imports is its file's
+// import map) to a summary key, with the same fallback calleeKey applies. Reporting passes use
 // it so their per-site resolution matches the graph's edges exactly.
-func (g *CallGraph) ResolveKey(pkg *Package, file *File, imports map[string]string, call *ast.CallExpr) (key string, fallback, ok bool) {
-	c, _ := resolveCall(g.oracle.typesOf(pkg), imports, pkg.ImportPath, call)
+func (g *CallGraph) ResolveKey(pkg *Package, imports map[string]string, call *ast.CallExpr) (key string, fallback, ok bool) {
+	c, _ := resolveCall(g.types.typesOf(pkg), imports, pkg.ImportPath, call)
 	if c.name == "" {
 		return "", false, false
 	}

@@ -120,10 +120,8 @@ func Functions(f *ast.File) []Function {
 			continue
 		}
 		name := fd.Name.Name
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			if recv := recvTypeName(fd.Recv.List[0].Type); recv != "" {
-				name = "(" + recv + ")." + name
-			}
+		if recv := declRecv(fd); recv != "" {
+			name = "(" + recv + ")." + name
 		}
 		out = append(out, Function{Name: name, Decl: fd, Body: fd.Body, Type: fd.Type})
 		lit := 0

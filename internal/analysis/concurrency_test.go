@@ -13,7 +13,7 @@ import (
 )
 
 func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", NewLockOrder(nil))
+	checkFixture(t, "lockorder", NewLockOrder())
 }
 
 func TestGoroLeakFixture(t *testing.T) {
@@ -21,7 +21,7 @@ func TestGoroLeakFixture(t *testing.T) {
 }
 
 func TestHotPathAllocFixture(t *testing.T) {
-	checkFixture(t, "hotpathalloc", NewHotPathAlloc(nil))
+	checkFixture(t, "hotpathalloc", NewHotPathAlloc())
 }
 
 // FuzzLockOrderGraph feeds arbitrary source through the full lockorder
@@ -47,8 +47,6 @@ func FuzzLockOrderGraph(f *testing.F) {
 			Fset:       fset,
 			Files:      []File{{Name: "fuzz.go", AST: file}},
 		}
-		a := NewLockOrder(nil)
-		a.Prepare([]*Package{pkg})
-		_ = a.Check(pkg)
+		_ = Run([]*Package{pkg}, []Analyzer{NewLockOrder()})
 	})
 }

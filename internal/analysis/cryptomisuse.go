@@ -57,31 +57,26 @@ type CryptoConfig struct {
 // NewCryptoMisuse builds the cryptomisuse analyzer for one consumer
 // table.
 func NewCryptoMisuse(cfg CryptoConfig) Analyzer {
-	return &cryptoMisuse{cfg: cfg, oracle: newTypeOracle()}
+	return &cryptoMisuse{cfg: cfg}
 }
 
-type cryptoMisuse struct {
-	cfg    CryptoConfig
-	oracle *typeOracle
-}
+type cryptoMisuse struct{ cfg CryptoConfig }
 
 func (c *cryptoMisuse) Name() string { return "cryptomisuse" }
 func (c *cryptoMisuse) Doc() string {
 	return "key material must not be hardcoded, short or math/rand-derived; nonces must be fresh; MAC compares must be constant-time"
 }
+func (c *cryptoMisuse) Marker() string { return CryptoAllowMarker }
 
-func (c *cryptoMisuse) Prepare(pkgs []*Package) { c.oracle.check(pkgs) }
-
-func (c *cryptoMisuse) Check(pkg *Package) []Finding {
+func (c *cryptoMisuse) Check(m *Module, pkg *Package) []Finding {
 	var out []Finding
-	pt := c.oracle.typesOf(pkg)
+	pt := m.typesOf(pkg)
 	for fi := range pkg.Files {
 		f := &pkg.Files[fi]
 		if f.Test {
 			// Test vectors legitimately hardcode keys and nonces.
 			continue
 		}
-		allowed := allowedLines(pkg.Fset, f.AST, CryptoAllowMarker)
 		imports := importMap(f.AST)
 		for _, fn := range Functions(f.AST) {
 			w := &cryptoWalker{
@@ -89,11 +84,7 @@ func (c *cryptoMisuse) Check(pkg *Package) []Finding {
 				g: BuildCFG(fn.Name, fn.Body),
 			}
 			w.rd = NewReachingDefs(w.g, pt)
-			for _, fnd := range w.check() {
-				if !allowed[fnd.Line] {
-					out = append(out, fnd)
-				}
-			}
+			out = append(out, w.check()...)
 		}
 	}
 	return out
@@ -344,21 +335,7 @@ func (w *cryptoWalker) callIsRand(call *ast.CallExpr) bool {
 // exprUsesRand reports whether e contains a call into a RandPkgs
 // package.
 func (w *cryptoWalker) exprUsesRand(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, isCall := x.(*ast.CallExpr); isCall && w.callIsRand(call) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return e != nil && containsCall(e, w.callIsRand)
 }
 
 func (w *cryptoWalker) randPkgList() string {
@@ -439,14 +416,13 @@ func nonceName(call *ast.CallExpr, specs []CryptoNonceCall) string {
 	return "?"
 }
 
-// reachesWithoutKill walks the CFG from just after `from` looking for
-// `to` along paths where obj is never completely rewritten. from == to
-// detects reuse through a loop back edge.
+// reachesWithoutKill reports whether the CFG leads from just after
+// `from` to `to` along a path where obj is never completely rewritten.
+// from == to detects reuse through a loop back edge.
 func (w *cryptoWalker) reachesWithoutKill(from, to site, obj any) bool {
-	// nodeKills reports whether executing node (block b, index i) fully
-	// rewrites obj.
-	nodeKills := func(b *Block, i int) bool {
-		_, writes := nodeRefs(b.Nodes[i])
+	atTo := func(b *Block, i int) bool { return b == to.block && i == to.idx }
+	kills := func(n ast.Node) bool {
+		_, writes := nodeRefs(n)
 		for _, wr := range writes {
 			if wr.Complete && identObj(w.pt, wr.Ident) == obj {
 				return true
@@ -454,49 +430,7 @@ func (w *cryptoWalker) reachesWithoutKill(from, to site, obj any) bool {
 		}
 		return false
 	}
-	// scan advances through b starting at node index start; it returns
-	// (found, blocked).
-	scan := func(b *Block, start int) (bool, bool) {
-		for i := start; i < len(b.Nodes); i++ {
-			if b == to.block && i == to.idx {
-				return true, false
-			}
-			if nodeKills(b, i) {
-				return false, true
-			}
-		}
-		return false, false
-	}
-	if found, blocked := scan(from.block, from.idx+1); found {
-		return true
-	} else if blocked {
-		return false
-	}
-	seen := map[*Block]bool{}
-	var walk func(b *Block) bool
-	walk = func(b *Block) bool {
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		if found, blocked := scan(b, 0); found {
-			return true
-		} else if blocked {
-			return false
-		}
-		for _, s := range b.Succs {
-			if walk(s) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range from.block.Succs {
-		if walk(s) {
-			return true
-		}
-	}
-	return false
+	return cfgPath(w.g, from.block, from.idx, atTo, kills) != nil
 }
 
 // ---------------------------------------------------------------------
@@ -606,12 +540,9 @@ func (w *cryptoWalker) stringish(e ast.Expr) bool {
 			return true
 		}
 	}
-	if w.pt != nil {
-		if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
-			if basic, isBasic := tv.Type.Underlying().(*types.Basic); isBasic && basic.Kind() == types.String {
-				return true
-			}
-		}
+	if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
+		basic, isBasic := tv.Type.Underlying().(*types.Basic)
+		return isBasic && basic.Kind() == types.String
 	}
 	return false
 }

@@ -3,8 +3,8 @@ package analysis
 // The forward dataflow layer on top of the CFG: identifier reference
 // classification, a textbook reaching-definitions fixpoint, and the
 // per-definition liveness query the deadstore and cryptomisuse rules
-// share. Identifier identity comes from the tolerant type oracle when
-// available (so shadowing resolves correctly) and falls back to names.
+// share. Identifier identity comes from the module's tolerant type-check
+// (so shadowing resolves correctly) and falls back to names.
 
 import (
 	"go/ast"
@@ -13,15 +13,13 @@ import (
 
 // identObj resolves an identifier to a stable object key: the
 // types.Object when the tolerant checker has one, otherwise a name key.
-// Shared by the taint walker and the CFG analyses.
+// Shared by every rule that tracks variables.
 func identObj(pt *pkgTypes, id *ast.Ident) any {
-	if pt != nil {
-		if obj := pt.info.Defs[id]; obj != nil {
-			return obj
-		}
-		if obj := pt.info.Uses[id]; obj != nil {
-			return obj
-		}
+	if obj := pt.info.Defs[id]; obj != nil {
+		return obj
+	}
+	if obj := pt.info.Uses[id]; obj != nil {
+		return obj
 	}
 	return "ident:" + id.Name
 }

@@ -20,31 +20,21 @@ import (
 const DeadStoreAllowMarker = "xlf:allow-deadstore"
 
 // NewDeadStore builds the dead-store analyzer.
-func NewDeadStore() Analyzer {
-	return &deadStore{oracle: newTypeOracle()}
-}
+func NewDeadStore() Analyzer { return deadStore{} }
 
-type deadStore struct{ oracle *typeOracle }
+type deadStore struct{}
 
-func (d *deadStore) Name() string { return "deadstore" }
-func (d *deadStore) Doc() string {
+func (deadStore) Name() string { return "deadstore" }
+func (deadStore) Doc() string {
 	return "a value assigned to a local variable must be readable on some path"
 }
+func (deadStore) Marker() string { return DeadStoreAllowMarker }
 
-func (d *deadStore) Prepare(pkgs []*Package) { d.oracle.check(pkgs) }
-
-func (d *deadStore) Check(pkg *Package) []Finding {
+func (deadStore) Check(m *Module, pkg *Package) []Finding {
 	var out []Finding
-	pt := d.oracle.typesOf(pkg)
-	for fi := range pkg.Files {
-		f := &pkg.Files[fi]
-		allowed := allowedLines(pkg.Fset, f.AST, DeadStoreAllowMarker)
+	for _, f := range pkg.Files {
 		for _, fn := range Functions(f.AST) {
-			for _, fnd := range checkDeadStores(pkg, pt, fn) {
-				if !allowed[fnd.Line] {
-					out = append(out, fnd)
-				}
-			}
+			out = append(out, checkDeadStores(pkg, m.typesOf(pkg), fn)...)
 		}
 	}
 	return out

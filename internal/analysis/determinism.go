@@ -48,8 +48,7 @@ type Determinism struct {
 	// Packages is the deterministic set (exact paths or "prefix/...").
 	Packages []string
 
-	graph    *CallGraph
-	prepared bool
+	graph *CallGraph
 	// facts maps funcKey → at most one primitive description the
 	// function reaches ("wall-clock read time.Now", ...).
 	facts map[string][]string
@@ -58,22 +57,21 @@ type Determinism struct {
 	direct map[string][]string
 }
 
-// NewDeterminism builds the analyzer for the given package set on a
-// shared call graph (nil builds a private one).
-func NewDeterminism(packages []string, g *CallGraph) *Determinism {
-	if g == nil {
-		g = NewCallGraph()
-	}
-	return &Determinism{Packages: packages, graph: g}
+// NewDeterminism builds the analyzer for the given package set.
+func NewDeterminism(packages []string) *Determinism {
+	return &Determinism{Packages: packages}
 }
 
 // Name implements Analyzer.
 func (d *Determinism) Name() string { return "determinism" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (d *Determinism) Doc() string {
 	return "simulator packages must stay deterministic: no wall clock, global rand, or map-order iteration"
 }
+
+// Marker implements Analyzer.
+func (d *Determinism) Marker() string { return AllowWallclockMarker }
 
 // randConstructors build seeded generators and are therefore allowed.
 var randConstructors = map[string]bool{
@@ -111,31 +109,18 @@ func primitiveDesc(key string) string {
 // a determinism violation.
 func followDeterminism(e CallEdge) bool { return !e.Fallback }
 
-// Prepare implements ModuleAnalyzer: build the graph, collect direct
-// primitive facts (skipping waived lines), and run the fixpoint.
-func (d *Determinism) Prepare(pkgs []*Package) {
-	if d.prepared {
-		return
-	}
-	d.prepared = true
-	d.graph.Build(pkgs)
-
+// Prepare implements ModuleAnalyzer: collect direct primitive facts
+// (skipping waived lines) and run the fixpoint.
+func (d *Determinism) Prepare(m *Module) {
+	d.graph = m.Graph
 	d.direct = make(map[string][]string)
-	allowed := make(map[*File]map[int]bool)
 	for _, key := range d.graph.Keys() {
 		fn := d.graph.Func(key)
 		for _, e := range fn.Edges {
 			desc := primitiveDesc(e.Callee)
-			if desc == "" {
-				continue
+			if desc != "" && !m.waived(AllowWallclockMarker, fn.Pkg.Fset.Position(e.Pos)) {
+				d.direct[key] = append(d.direct[key], desc)
 			}
-			if allowed[fn.File] == nil {
-				allowed[fn.File] = allowedLines(fn.Pkg.Fset, fn.File.AST, AllowWallclockMarker)
-			}
-			if allowed[fn.File][fn.Pkg.Fset.Position(e.Pos).Line] {
-				continue
-			}
-			d.direct[key] = append(d.direct[key], desc)
 		}
 	}
 	for key, facts := range d.direct {
@@ -146,19 +131,9 @@ func (d *Determinism) Prepare(pkgs []*Package) {
 
 // Check implements Analyzer: report primitive calls and references,
 // and boundary calls, inside deterministic packages.
-func (d *Determinism) Check(pkg *Package) []Finding {
-	if !d.prepared {
-		d.Prepare([]*Package{pkg})
-	}
+func (d *Determinism) Check(m *Module, pkg *Package) []Finding {
 	if !matchPackages(d.Packages, pkg.ImportPath) {
 		return nil
-	}
-	allowed := make(map[*File]map[int]bool)
-	waived := func(file *File, pos token.Pos) bool {
-		if allowed[file] == nil {
-			allowed[file] = allowedLines(pkg.Fset, file.AST, AllowWallclockMarker)
-		}
-		return allowed[file][pkg.Fset.Position(pos).Line]
 	}
 	var out []Finding
 	// Direct calls: every declaration, so var initializers and a second
@@ -171,8 +146,8 @@ func (d *Determinism) Check(pkg *Package) []Finding {
 		imports := importMap(file.AST)
 		ast.Inspect(file.AST, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				key, fallback, ok := d.graph.ResolveKey(pkg, file, imports, call)
-				if desc := primitiveDesc(key); ok && !fallback && desc != "" && !waived(file, call.Pos()) {
+				key, fallback, ok := d.graph.ResolveKey(pkg, imports, call)
+				if desc := primitiveDesc(key); ok && !fallback && desc != "" {
 					out = append(out, d.directFinding(pkg, call.Pos(), desc))
 				}
 			}
@@ -187,7 +162,7 @@ func (d *Determinism) Check(pkg *Package) []Finding {
 		}
 		reported := make(map[token.Pos]bool)
 		for _, e := range fn.Edges {
-			if e.Fallback || reported[e.Pos] || waived(fn.File, e.Pos) {
+			if e.Fallback || reported[e.Pos] {
 				continue
 			}
 			if desc := primitiveDesc(e.Callee); desc != "" {
@@ -269,8 +244,3 @@ func dedupSorted(facts []string) []string {
 	}
 	return out
 }
-
-var (
-	_ ModuleAnalyzer = (*Determinism)(nil)
-	_ Documented     = (*Determinism)(nil)
-)

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // AllowDropErrMarker waives the errdrop rule for a call whose error is
 // deliberately irrelevant (documented fire-and-forget).
@@ -35,23 +32,13 @@ func NewErrDrop(packages []string) *ErrDrop {
 // Name implements Analyzer.
 func (e *ErrDrop) Name() string { return "errdrop" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (e *ErrDrop) Doc() string {
 	return "security-critical packages must not discard error results"
 }
 
-func (e *ErrDrop) applies(importPath string) bool {
-	for _, p := range e.Packages {
-		if prefix, ok := strings.CutSuffix(p, "/..."); ok {
-			if importPath == prefix || strings.HasPrefix(importPath, prefix+"/") {
-				return true
-			}
-		} else if importPath == p {
-			return true
-		}
-	}
-	return false
-}
+// Marker implements Analyzer.
+func (e *ErrDrop) Marker() string { return AllowDropErrMarker }
 
 // returnsError reports whether the function type's results include an
 // identifier spelled "error".
@@ -103,8 +90,8 @@ func calleeName(call *ast.CallExpr) (name string, method bool, ok bool) {
 }
 
 // Check implements Analyzer.
-func (e *ErrDrop) Check(pkg *Package) []Finding {
-	if !e.applies(pkg.ImportPath) {
+func (e *ErrDrop) Check(_ *Module, pkg *Package) []Finding {
+	if !matchPackages(e.Packages, pkg.ImportPath) {
 		return nil
 	}
 	funcs, methods := errFuncs(pkg)
@@ -113,7 +100,6 @@ func (e *ErrDrop) Check(pkg *Package) []Finding {
 		if f.Test {
 			continue
 		}
-		allowed := allowedLines(pkg.Fset, f.AST, AllowDropErrMarker)
 		dropped := func(call *ast.CallExpr) bool {
 			name, method, ok := calleeName(call)
 			if !ok {
@@ -125,9 +111,6 @@ func (e *ErrDrop) Check(pkg *Package) []Finding {
 			return funcs[name]
 		}
 		flag := func(call *ast.CallExpr, how string) {
-			if allowed[pkg.Fset.Position(call.Pos()).Line] {
-				return
-			}
 			name, _, _ := calleeName(call)
 			out = append(out, pkg.finding(e.Name(), call.Pos(),
 				"error from %s %s in security-critical package %s; handle it (or annotate //%s)",
@@ -160,5 +143,3 @@ func (e *ErrDrop) Check(pkg *Package) []Finding {
 	}
 	return out
 }
-
-var _ Analyzer = (*ErrDrop)(nil)

@@ -35,8 +35,7 @@ type GlobalMut struct {
 	// must stay free of global mutation.
 	Roots []string
 
-	graph    *CallGraph
-	prepared bool
+	graph *CallGraph
 	// facts maps funcKey → at most one global-write description the
 	// function reaches.
 	facts map[string][]string
@@ -53,56 +52,41 @@ type globalWrite struct {
 	desc string // "package-level var pkg.name"
 }
 
-// NewGlobalMut builds the analyzer on a shared call graph (nil builds
-// a private one).
-func NewGlobalMut(roots []string, g *CallGraph) *GlobalMut {
-	if g == nil {
-		g = NewCallGraph()
-	}
-	return &GlobalMut{Roots: roots, graph: g}
+// NewGlobalMut builds the analyzer for the given root packages.
+func NewGlobalMut(roots []string) *GlobalMut {
+	return &GlobalMut{Roots: roots}
 }
 
 // Name implements Analyzer.
 func (gm *GlobalMut) Name() string { return "globalmut" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (gm *GlobalMut) Doc() string {
 	return "sim/netsim/exp/core call trees must not mutate package-level state (experiments run concurrently)"
 }
+
+// Marker implements Analyzer.
+func (gm *GlobalMut) Marker() string { return AllowGlobalMutMarker }
 
 // followGlobalMut matches determinism: every precisely-resolved edge
 // counts, fallback guesses do not.
 func followGlobalMut(e CallEdge) bool { return !e.Fallback }
 
-// Prepare implements ModuleAnalyzer.
-func (gm *GlobalMut) Prepare(pkgs []*Package) {
-	if gm.prepared {
-		return
-	}
-	gm.prepared = true
-	gm.graph.Build(pkgs)
-
+// Prepare implements ModuleAnalyzer: collect direct writes (skipping
+// waived lines) and run the fixpoint.
+func (gm *GlobalMut) Prepare(m *Module) {
+	gm.graph = m.Graph
 	gm.direct = make(map[string][]string)
 	gm.writes = make(map[string][]globalWrite)
-	allowed := make(map[*File]map[int]bool)
 	for _, key := range gm.graph.Keys() {
 		fn := gm.graph.Func(key)
 		if fn.Decl.Recv == nil && fn.Decl.Name.Name == "init" {
 			continue // once-before-main registration runs before any worker
 		}
-		pt := gm.graph.oracle.typesOf(fn.Pkg)
-		if pt == nil {
-			continue
-		}
+		pt := m.typesOf(fn.Pkg)
 		collect := func(target ast.Expr, pos token.Pos) {
 			v := packageLevelVar(pt, target)
-			if v == nil {
-				return
-			}
-			if allowed[fn.File] == nil {
-				allowed[fn.File] = allowedLines(fn.Pkg.Fset, fn.File.AST, AllowGlobalMutMarker)
-			}
-			if allowed[fn.File][fn.Pkg.Fset.Position(pos).Line] {
+			if v == nil || m.waived(AllowGlobalMutMarker, fn.Pkg.Fset.Position(pos)) {
 				return
 			}
 			w := globalWrite{pos: pos, desc: "package-level var " + shortLock(v.Pkg().Path()+"."+v.Name())}
@@ -172,14 +156,10 @@ func pkgVarObj(obj types.Object) *types.Var {
 
 // Check implements Analyzer: direct writes and boundary calls inside
 // the root packages.
-func (gm *GlobalMut) Check(pkg *Package) []Finding {
-	if !gm.prepared {
-		gm.Prepare([]*Package{pkg})
-	}
+func (gm *GlobalMut) Check(m *Module, pkg *Package) []Finding {
 	if !matchPackages(gm.Roots, pkg.ImportPath) {
 		return nil
 	}
-	allowed := make(map[*File]map[int]bool)
 	var out []Finding
 	for _, key := range gm.graph.Keys() {
 		fn := gm.graph.Func(key)
@@ -191,10 +171,6 @@ func (gm *GlobalMut) Check(pkg *Package) []Finding {
 				"write to %s in scheduler-root package %s; move it into per-run state (or annotate //%s)",
 				w.desc, pkg.ImportPath, AllowGlobalMutMarker))
 		}
-		if allowed[fn.File] == nil {
-			allowed[fn.File] = allowedLines(pkg.Fset, fn.File.AST, AllowGlobalMutMarker)
-		}
-		waived := allowed[fn.File]
 		reported := make(map[token.Pos]bool)
 		for _, e := range fn.Edges {
 			if e.Fallback || e.Kind == EdgeRef || reported[e.Pos] {
@@ -204,7 +180,7 @@ func (gm *GlobalMut) Check(pkg *Package) []Finding {
 				continue // reported inside the callee's own package
 			}
 			facts := gm.facts[e.Callee]
-			if len(facts) == 0 || waived[pkg.Fset.Position(e.Pos).Line] {
+			if len(facts) == 0 {
 				continue
 			}
 			reported[e.Pos] = true
@@ -225,8 +201,3 @@ func (gm *GlobalMut) witness(from string) string {
 	}
 	return "via " + displayChain(chain)
 }
-
-var (
-	_ ModuleAnalyzer = (*GlobalMut)(nil)
-	_ Documented     = (*GlobalMut)(nil)
-)

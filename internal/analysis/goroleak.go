@@ -34,55 +34,35 @@ import (
 const AllowGoroLeakMarker = "xlf:allow-goroleak"
 
 // GoroLeak detects leak-shaped goroutine launches.
-type GoroLeak struct {
-	oracle   *typeOracle
-	prepared bool
-}
+type GoroLeak struct{}
 
 // NewGoroLeak builds the analyzer.
-func NewGoroLeak() *GoroLeak {
-	return &GoroLeak{oracle: newTypeOracle()}
-}
+func NewGoroLeak() *GoroLeak { return &GoroLeak{} }
 
 // Name implements Analyzer.
 func (g *GoroLeak) Name() string { return "goroleak" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (g *GoroLeak) Doc() string {
 	return "launched goroutines need a shutdown path, a receiver for their sends, and Add-before-go WaitGroup use"
 }
 
-// Prepare implements ModuleAnalyzer: the tolerant type-check supplies
-// object identity so channel and WaitGroup references resolve through
-// shadowing.
-func (g *GoroLeak) Prepare(pkgs []*Package) {
-	if g.prepared {
-		return
-	}
-	g.prepared = true
-	g.oracle.check(pkgs)
-}
+// Marker implements Analyzer.
+func (g *GoroLeak) Marker() string { return AllowGoroLeakMarker }
 
-// Check implements Analyzer. Test files are skipped: tests launch
-// scaffolding goroutines whose lifetime is the test binary's.
-func (g *GoroLeak) Check(pkg *Package) []Finding {
-	if !g.prepared {
-		g.Prepare([]*Package{pkg})
-	}
-	pt := g.oracle.typesOf(pkg)
+// Check implements Analyzer. The module's type-check supplies object
+// identity, so channel and WaitGroup references resolve through
+// shadowing. Test files are skipped: tests launch scaffolding goroutines
+// whose lifetime is the test binary's.
+func (g *GoroLeak) Check(m *Module, pkg *Package) []Finding {
+	pt := m.typesOf(pkg)
 	var out []Finding
 	for fi := range pkg.Files {
 		file := &pkg.Files[fi]
 		if file.Test {
 			continue
 		}
-		w := &goroWalker{
-			pkg:     pkg,
-			pt:      pt,
-			allowed: allowedLines(pkg.Fset, file.AST, AllowGoroLeakMarker),
-			wgObjs:  collectWaitGroups(pt, file.AST),
-			decls:   funcDeclIndex(pt, pkg),
-		}
+		w := &goroWalker{m: m, pkg: pkg, pt: pt, wgObjs: collectWaitGroups(pt, file.AST)}
 		for _, fn := range Functions(file.AST) {
 			w.checkFunction(fn)
 		}
@@ -134,40 +114,14 @@ func collectWaitGroups(pt *pkgTypes, f *ast.File) map[any]token.Pos {
 
 // goroWalker checks one file's functions.
 type goroWalker struct {
-	pkg     *Package
-	pt      *pkgTypes
-	allowed map[int]bool
-	wgObjs  map[any]token.Pos
-	decls   map[*types.Func]*ast.FuncDecl
-	out     []Finding
-}
-
-// funcDeclIndex maps every declared function object in the package to
-// its declaration, so go statements launching named functions and
-// method values resolve to a checkable body.
-func funcDeclIndex(pt *pkgTypes, pkg *Package) map[*types.Func]*ast.FuncDecl {
-	if pt == nil {
-		return nil
-	}
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for fi := range pkg.Files {
-		for _, decl := range pkg.Files[fi].AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := pt.info.Defs[fd.Name].(*types.Func); ok {
-				out[obj] = fd
-			}
-		}
-	}
-	return out
+	m      *Module
+	pkg    *Package
+	pt     *pkgTypes
+	wgObjs map[any]token.Pos
+	out    []Finding
 }
 
 func (w *goroWalker) report(pos token.Pos, format string, args ...any) {
-	if w.allowed[w.pkg.Fset.Position(pos).Line] {
-		return
-	}
 	w.out = append(w.out, w.pkg.finding("goroleak", pos, format, args...))
 }
 
@@ -215,10 +169,8 @@ func (w *goroWalker) checkFunction(fn Function) {
 					continue
 				}
 				for i, nm := range vs.Names {
-					if w.wgObjs != nil {
-						if _, isWG := w.wgObjs[identObj(w.pt, nm)]; isWG {
-							localWGs = append(localWGs, nm)
-						}
+					if _, isWG := w.wgObjs[identObj(w.pt, nm)]; isWG {
+						localWGs = append(localWGs, nm)
 					}
 					if i < len(vs.Values) && isUnbufferedChanMake(vs.Values[i]) {
 						chans = append(chans, chanMake{identObj(w.pt, nm), nm.Name})
@@ -235,7 +187,7 @@ func (w *goroWalker) checkFunction(fn Function) {
 			w.checkNamedGo(fn, gs)
 			continue
 		}
-		if fs := infiniteForNoExit(lit); fs != nil {
+		if fs := infiniteForNoExit(lit.Body); fs != nil {
 			w.report(fs.Pos(), "goroutine loops forever with no shutdown path (no return, break, receive or select); it can never be stopped")
 		}
 		w.checkAddInsideGo(lit)
@@ -269,35 +221,42 @@ func isUnbufferedChanMake(e ast.Expr) bool {
 // package callees, reassigned function variables) stays quiet.
 func (w *goroWalker) checkNamedGo(fn Function, gs *ast.GoStmt) {
 	fd := w.resolveFuncDecl(fn, gs.Call.Fun, true)
-	if fd == nil || fd.Body == nil {
+	if fd == nil {
 		return
 	}
-	if infiniteForNoExitBody(fd.Body) != nil {
+	if infiniteForNoExit(fd.Body) != nil {
 		w.report(gs.Pos(), "goroutine %s loops forever with no shutdown path (no return, break, receive or select); it can never be stopped", declDisplay(fd))
 	}
 }
 
 // resolveFuncDecl resolves a go statement's callee expression to a
-// function declared in this package. With followVars set, an identifier
-// bound exactly once to a method or function value inside fn resolves
-// through that binding.
+// function declared in this package, through the type-check's objects
+// and the call graph's function index. With followVars set, an
+// identifier bound exactly once to a method or function value inside fn
+// resolves through that binding.
 func (w *goroWalker) resolveFuncDecl(fn Function, e ast.Expr, followVars bool) *ast.FuncDecl {
-	if w.pt == nil || w.decls == nil {
-		return nil
-	}
+	var obj types.Object
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
-		if obj, ok := w.pt.info.Uses[e.Sel].(*types.Func); ok {
-			return w.decls[obj]
-		}
+		obj = w.pt.info.Uses[e.Sel]
 	case *ast.Ident:
-		switch obj := w.pt.info.Uses[e].(type) {
-		case *types.Func:
-			return w.decls[obj]
-		case *types.Var:
-			if followVars {
-				return w.resolveFuncVar(fn, obj)
-			}
+		obj = w.pt.info.Uses[e]
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		if obj.Pkg() == nil || obj.Pkg().Path() != w.pkg.ImportPath {
+			return nil
+		}
+		recv := ""
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			recv = namedOf(sig.Recv().Type())
+		}
+		if gf := w.m.Graph.Func(funcKey(w.pkg.ImportPath, recv, obj.Name())); gf != nil {
+			return gf.Decl
+		}
+	case *types.Var:
+		if _, isIdent := ast.Unparen(e).(*ast.Ident); isIdent && followVars {
+			return w.resolveFuncVar(fn, obj)
 		}
 	}
 	return nil
@@ -335,24 +294,17 @@ func (w *goroWalker) resolveFuncVar(fn Function, obj *types.Var) *ast.FuncDecl {
 
 // declDisplay names a declaration for diagnostics: "run" or "pump.run".
 func declDisplay(fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		if recv := recvTypeName(fd.Recv.List[0].Type); recv != "" {
-			return recv + "." + fd.Name.Name
-		}
+	if recv := declRecv(fd); recv != "" {
+		return recv + "." + fd.Name.Name
 	}
 	return fd.Name.Name
 }
 
-// infiniteForNoExit finds a `for { ... }` loop inside the goroutine
-// body whose body contains no construct that could ever leave it or
-// park it on an external signal. Nested function literals are opaque.
-func infiniteForNoExit(lit *ast.FuncLit) *ast.ForStmt {
-	return infiniteForNoExitBody(lit.Body)
-}
-
-// infiniteForNoExitBody is infiniteForNoExit over any function body —
-// literal or declared.
-func infiniteForNoExitBody(body *ast.BlockStmt) *ast.ForStmt {
+// infiniteForNoExit finds a `for { ... }` loop inside a goroutine's
+// body — literal or declared — whose body contains no construct that
+// could ever leave it or park it on an external signal. Nested function
+// literals are opaque.
+func infiniteForNoExit(body *ast.BlockStmt) *ast.ForStmt {
 	var bad *ast.ForStmt
 	ast.Inspect(body, func(n ast.Node) bool {
 		if bad != nil {
@@ -413,12 +365,8 @@ func hasExitSignal(body *ast.BlockStmt) bool {
 
 // checkAddInsideGo flags wg.Add on a WaitGroup declared outside the
 // launched literal: the goroutine may not be scheduled before Wait
-// runs, so Wait can return while work is still pending. Requires type
-// info — without it a captured group cannot be told from a local one.
+// runs, so Wait can return while work is still pending.
 func (w *goroWalker) checkAddInsideGo(lit *ast.FuncLit) {
-	if w.pt == nil {
-		return
-	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -449,11 +397,9 @@ func (w *goroWalker) wgTarget(e ast.Expr) (token.Pos, bool) {
 		pos, ok := w.wgObjs[identObj(w.pt, v)]
 		return pos, ok
 	case *ast.SelectorExpr:
-		if w.pt != nil {
-			if obj := w.pt.info.Uses[v.Sel]; obj != nil {
-				pos, ok := w.wgObjs[obj]
-				return pos, ok
-			}
+		if obj := w.pt.info.Uses[v.Sel]; obj != nil {
+			pos, ok := w.wgObjs[obj]
+			return pos, ok
 		}
 	}
 	return token.NoPos, false
@@ -551,36 +497,27 @@ func (w *goroWalker) checkUnbufferedSend(fn Function, gs *ast.GoStmt, lit *ast.F
 	if blk == nil {
 		return
 	}
-	classify := func(n ast.Node) pairUse {
+	receives := func(n ast.Node) bool {
 		// A range head's body is lowered into other blocks; ranging over
 		// the channel itself is a receive.
 		if r, ok := n.(*ast.RangeStmt); ok && w.rootObj(r.X) == ch.obj {
-			return useRelease
+			return true
 		}
-		use := useNone
+		used := false
 		inspectNode(n, func(x ast.Node) bool {
-			if use != useNone {
-				return false
-			}
 			switch x := x.(type) {
 			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && w.rootObj(x.X) == ch.obj {
-					use = useRelease
-					return false
-				}
+				used = used || x.Op == token.ARROW && w.rootObj(x.X) == ch.obj
 			case *ast.Ident:
 				// Any other mention — passed along, closed, captured by
 				// another goroutine — may hand the receive obligation off.
-				if identObj(w.pt, x) == ch.obj {
-					use = useEscape
-					return false
-				}
+				used = used || identObj(w.pt, x) == ch.obj
 			}
-			return true
+			return !used
 		})
-		return use
+		return used
 	}
-	if leak := cfgLeakPath(g, blk, idx, classify); leak != nil {
+	if leak := cfgPath(g, blk, idx, nil, receives); leak != nil {
 		w.report(gs.Pos(), "goroutine sends on unbuffered channel %s but %s has no receive; the send blocks forever and the goroutine leaks", ch.name, cfgPathDesc(w.pkg, leak))
 	}
 }
@@ -599,5 +536,3 @@ func (w *goroWalker) rootObj(e ast.Expr) any {
 		}
 	}
 }
-
-var _ ModuleAnalyzer = (*GoroLeak)(nil)

@@ -10,7 +10,8 @@ package analysis
 // magnitude. The static lint and the testing.AllocsPerRun guards in the
 // annotated packages enforce the same bar from two directions.
 //
-// The lint is intraprocedural and flags constructs that usually allocate:
+// The lint flags constructs that usually allocate, in the annotated
+// function itself and, through the call graph, in everything it calls:
 //
 //   - composite literals whose address is taken, and slice/map literals;
 //   - make, new and append;
@@ -38,21 +39,19 @@ import (
 const HotPathMarker = "xlf:hotpath"
 
 // AllowHotPathMarker waives a hotpathalloc finding on its line (or the
-// whole function when placed in the doc comment) for reviewed,
-// deliberately-bounded allocations.
+// next) for reviewed, deliberately-bounded allocations. It never waives
+// a whole function: in a doc comment it covers nothing.
 const AllowHotPathMarker = "xlf:allow-hotpath"
 
-// HotPathAlloc enforces the //xlf:hotpath contract. With a call graph
-// it is transitive: callees of an annotated function must themselves
-// be alloc-free to any depth, reported at the hot function's call site
-// with a witness chain. Callees that carry their own //xlf:hotpath
-// annotation are skipped — their own gate covers them.
+// HotPathAlloc enforces the //xlf:hotpath contract. It is transitive:
+// callees of an annotated function must themselves be alloc-free to any
+// depth, reported at the hot function's call site with a witness chain.
+// Callees that carry their own //xlf:hotpath annotation are skipped —
+// their own gate covers them.
 type HotPathAlloc struct {
-	graph    *CallGraph
-	oracle   *typeOracle
-	prepared bool
+	graph *CallGraph
 	// facts maps funcKey → at most one allocation description the
-	// function (transitively) performs; nil when built without a graph.
+	// function (transitively) performs.
 	facts map[string][]string
 	// direct marks the fact-bearing functions for chain witnesses.
 	direct map[string][]string
@@ -60,23 +59,19 @@ type HotPathAlloc struct {
 	hot map[string]bool
 }
 
-// NewHotPathAlloc builds the analyzer on a shared call graph; nil
-// keeps the rule intraprocedural (annotated frames only).
-func NewHotPathAlloc(g *CallGraph) *HotPathAlloc {
-	h := &HotPathAlloc{graph: g, oracle: newTypeOracle()}
-	if g != nil {
-		h.oracle = g.oracle
-	}
-	return h
-}
+// NewHotPathAlloc builds the analyzer.
+func NewHotPathAlloc() *HotPathAlloc { return &HotPathAlloc{} }
 
 // Name implements Analyzer.
 func (h *HotPathAlloc) Name() string { return "hotpathalloc" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (h *HotPathAlloc) Doc() string {
 	return "functions annotated //xlf:hotpath must not contain or call into allocating constructs"
 }
+
+// Marker implements Analyzer.
+func (h *HotPathAlloc) Marker() string { return AllowHotPathMarker }
 
 // followHotPath follows plain and deferred calls: both run in the hot
 // frame. Spawned goroutines and closure bodies are excluded — their
@@ -86,23 +81,13 @@ func followHotPath(e CallEdge) bool {
 	return !e.Fallback && (e.Kind == EdgeCall || e.Kind == EdgeDefer)
 }
 
-// Prepare implements ModuleAnalyzer: the shared tolerant type-check
-// powers the conversion and map-range classifications; with a graph,
-// per-function allocation facts are collected and made transitive.
-func (h *HotPathAlloc) Prepare(pkgs []*Package) {
-	if h.prepared {
-		return
-	}
-	h.prepared = true
-	if h.graph == nil {
-		h.oracle.check(pkgs)
-		return
-	}
-	h.graph.Build(pkgs)
-
+// Prepare implements ModuleAnalyzer: collect every production
+// function's own allocation facts (skipping waived lines) and make them
+// transitive over the call graph.
+func (h *HotPathAlloc) Prepare(m *Module) {
+	h.graph = m.Graph
 	h.direct = make(map[string][]string)
 	h.hot = make(map[string]bool)
-	allowed := make(map[*File]map[int]bool)
 	for _, key := range h.graph.Keys() {
 		fn := h.graph.Func(key)
 		if fn.File.Test {
@@ -111,17 +96,11 @@ func (h *HotPathAlloc) Prepare(pkgs []*Package) {
 		if isHotPath(fn.Decl) {
 			h.hot[key] = true
 		}
-		if allowed[fn.File] == nil {
-			allowed[fn.File] = allowedLinesExceptDoc(fn.Pkg.Fset, fn.File.AST, AllowHotPathMarker)
-		}
-		key := key
-		w := &hotWalker{
-			pkg: fn.Pkg, pt: h.oracle.typesOf(fn.Pkg), imports: importMap(fn.File.AST),
-			fn: fn.Decl.Name.Name, allowed: allowed[fn.File],
-			emit: func(pos token.Pos, desc string) {
+		w := &hotWalker{pt: m.typesOf(fn.Pkg), imports: importMap(fn.File.AST), report: func(pos token.Pos, desc string) {
+			if !m.waived(AllowHotPathMarker, fn.Pkg.Fset.Position(pos)) {
 				h.direct[key] = append(h.direct[key], desc+" in "+FuncDisplay(key))
-			},
-		}
+			}
+		}}
 		w.walk(fn.Decl.Body)
 	}
 	for key, facts := range h.direct {
@@ -148,27 +127,25 @@ func isHotPath(fd *ast.FuncDecl) bool {
 }
 
 // Check implements Analyzer.
-func (h *HotPathAlloc) Check(pkg *Package) []Finding {
-	if !h.prepared {
-		h.Prepare([]*Package{pkg})
-	}
-	pt := h.oracle.typesOf(pkg)
+func (h *HotPathAlloc) Check(m *Module, pkg *Package) []Finding {
 	var out []Finding
 	for fi := range pkg.Files {
 		file := &pkg.Files[fi]
 		if file.Test {
 			continue
 		}
-		allowed := allowedLinesExceptDoc(pkg.Fset, file.AST, AllowHotPathMarker)
 		for _, decl := range file.AST.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !isHotPath(fd) {
 				continue
 			}
-			w := &hotWalker{pkg: pkg, pt: pt, imports: importMap(file.AST), fn: fd.Name.Name, allowed: allowed}
+			w := &hotWalker{pt: m.typesOf(pkg), imports: importMap(file.AST), report: func(pos token.Pos, desc string) {
+				out = append(out, pkg.finding("hotpathalloc", pos,
+					"hot path %s: %s; hoist it out of the hot path or waive with //%s",
+					fd.Name.Name, desc, AllowHotPathMarker))
+			}}
 			w.walk(fd.Body)
-			out = append(out, w.out...)
-			out = append(out, h.transitive(pkg, fd, allowed)...)
+			out = append(out, h.transitive(pkg, fd)...)
 		}
 	}
 	return out
@@ -176,26 +153,16 @@ func (h *HotPathAlloc) Check(pkg *Package) []Finding {
 
 // transitive reports calls out of a hot function into callees that
 // (transitively) allocate, using the graph summaries from Prepare.
-func (h *HotPathAlloc) transitive(pkg *Package, fd *ast.FuncDecl, allowed map[int]bool) []Finding {
-	if h.graph == nil {
-		return nil
-	}
-	recv := ""
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recv = recvTypeName(fd.Recv.List[0].Type)
-	}
-	fn := h.graph.Func(funcKey(pkg.ImportPath, recv, fd.Name.Name))
+func (h *HotPathAlloc) transitive(pkg *Package, fd *ast.FuncDecl) []Finding {
+	fn := h.graph.Func(funcKey(pkg.ImportPath, declRecv(fd), fd.Name.Name))
 	if fn == nil || fn.Decl != fd {
 		return nil
 	}
 	var out []Finding
 	reported := make(map[token.Pos]bool)
 	for _, e := range fn.Edges {
-		if !followHotPath(e) || h.hot[e.Callee] || reported[e.Pos] {
-			continue
-		}
 		facts := h.facts[e.Callee]
-		if len(facts) == 0 || allowed[pkg.Fset.Position(e.Pos).Line] {
+		if !followHotPath(e) || h.hot[e.Callee] || reported[e.Pos] || len(facts) == 0 {
 			continue
 		}
 		reported[e.Pos] = true
@@ -211,58 +178,12 @@ func (h *HotPathAlloc) transitive(pkg *Package, fd *ast.FuncDecl, allowed map[in
 	return out
 }
 
-// allowedLinesExceptDoc is allowedLines without the doc-comment
-// whole-function grant: //xlf:allow-hotpath in a doc comment must not
-// waive the body wholesale (that would silently negate //xlf:hotpath in
-// the same comment group); the annotation is surgical, per line.
-func allowedLinesExceptDoc(fset *token.FileSet, f *ast.File, marker string) map[int]bool {
-	docs := make(map[*ast.Comment]bool)
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-			for _, c := range fd.Doc.List {
-				docs[c] = true
-			}
-		}
-	}
-	allowed := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if docs[c] || !strings.Contains(c.Text, marker) {
-				continue
-			}
-			start := fset.Position(c.Pos()).Line
-			end := fset.Position(c.End()).Line
-			for l := start; l <= end+1; l++ {
-				allowed[l] = true
-			}
-		}
-	}
-	return allowed
-}
-
-// hotWalker lints one annotated function body (or, with emit set,
-// collects allocation facts for the transitive summaries).
+// hotWalker lints one function body, passing each allocating construct
+// to report: a finding in an annotated function, a fact otherwise.
 type hotWalker struct {
-	pkg     *Package
 	pt      *pkgTypes
 	imports map[string]string
-	fn      string
-	allowed map[int]bool
-	emit    func(pos token.Pos, desc string)
-	out     []Finding
-}
-
-func (w *hotWalker) report(pos token.Pos, desc string) {
-	if w.allowed[w.pkg.Fset.Position(pos).Line] {
-		return
-	}
-	if w.emit != nil {
-		w.emit(pos, desc)
-		return
-	}
-	w.out = append(w.out, w.pkg.finding("hotpathalloc", pos,
-		"hot path %s: %s; hoist it out of the hot path or waive with //%s",
-		w.fn, desc, AllowHotPathMarker))
+	report  func(pos token.Pos, desc string)
 }
 
 // walk lints the body without descending into function literals: a
@@ -295,7 +216,7 @@ func (w *hotWalker) walk(body *ast.BlockStmt) {
 				w.report(n.Pos(), "string concatenation allocates")
 			}
 		case *ast.RangeStmt:
-			if w.isMap(n.X) {
+			if isMap(w.pt, n.X) {
 				w.report(n.Pos(), "map iteration order is nondeterministic on a hot path")
 			}
 		case *ast.CallExpr:
@@ -308,23 +229,19 @@ func (w *hotWalker) walk(body *ast.BlockStmt) {
 // call classifies one call expression: builtins, fmt, and allocating
 // type conversions.
 func (w *hotWalker) call(call *ast.CallExpr) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if w.isBuiltin(fun) {
-			switch fun.Name {
-			case "make", "new":
-				w.report(call.Pos(), fun.Name+" allocates")
-			case "append":
-				w.report(call.Pos(), "append may grow its backing array")
-			}
-			return
+	if name, ok := builtinName(w.pt, call.Fun); ok {
+		switch name {
+		case "make", "new":
+			w.report(call.Pos(), name+" allocates")
+		case "append":
+			w.report(call.Pos(), "append may grow its backing array")
 		}
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok && !isLocalIdent(w.pt, id) {
-			if w.imports[id.Name] == "fmt" {
-				w.report(call.Pos(), "fmt."+fun.Sel.Name+" boxes its arguments and allocates")
-				return
-			}
+		return
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok && !isLocalIdent(w.pt, id) && w.imports[id.Name] == "fmt" {
+			w.report(call.Pos(), "fmt."+sel.Sel.Name+" boxes its arguments and allocates")
+			return
 		}
 	}
 	w.conversion(call)
@@ -332,16 +249,9 @@ func (w *hotWalker) call(call *ast.CallExpr) {
 
 // conversion flags string<->byte/rune-slice conversions, which copy.
 // A conversion whose operand is already a string (string(addr[4:])) is
-// free and stays quiet; without type info only the syntactic []T(x)
-// form is flagged.
+// free and stays quiet.
 func (w *hotWalker) conversion(call *ast.CallExpr) {
 	if len(call.Args) != 1 {
-		return
-	}
-	if w.pt == nil {
-		if _, isArray := call.Fun.(*ast.ArrayType); isArray {
-			w.report(call.Pos(), "slice conversion copies its operand")
-		}
 		return
 	}
 	tv, ok := w.pt.info.Types[call.Fun]
@@ -383,10 +293,8 @@ func isByteOrRuneSlice(t types.Type) bool {
 // isString reports whether the expression's type is string-kinded (true
 // when the oracle has no answer but either operand is a string literal).
 func (w *hotWalker) isString(e *ast.BinaryExpr) bool {
-	if w.pt != nil {
-		if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
-			return isStringType(tv.Type.Underlying())
-		}
+	if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
+		return isStringType(tv.Type.Underlying())
 	}
 	for _, op := range []ast.Expr{e.X, e.Y} {
 		if lit, ok := op.(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -395,33 +303,3 @@ func (w *hotWalker) isString(e *ast.BinaryExpr) bool {
 	}
 	return false
 }
-
-// isMap reports whether e has map type (syntactically a map literal
-// or via the oracle).
-func (w *hotWalker) isMap(e ast.Expr) bool {
-	if w.pt != nil {
-		if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
-			_, isMap := tv.Type.Underlying().(*types.Map)
-			return isMap
-		}
-	}
-	_, isMapType := e.(*ast.MapType)
-	return isMapType
-}
-
-// isBuiltin reports whether the identifier denotes a Go builtin.
-func (w *hotWalker) isBuiltin(id *ast.Ident) bool {
-	if w.pt != nil {
-		if obj := w.pt.info.Uses[id]; obj != nil {
-			_, isBuiltin := obj.(*types.Builtin)
-			return isBuiltin
-		}
-	}
-	switch id.Name {
-	case "make", "new", "append":
-		return true
-	}
-	return false
-}
-
-var _ ModuleAnalyzer = (*HotPathAlloc)(nil)

@@ -12,23 +12,22 @@ import (
 	"testing"
 )
 
-// TestDetFlowFixture runs the determinism rule on a caller-supplied call
-// graph, the way xlf-vet shares one graph across the graph-backed rules.
+// TestDetFlowFixture checks the determinism rule reads the module model's
+// call graph, the one graph xlf-vet shares across the graph-backed rules.
 // The fixture's boundary-call cases (sim/flow.go, sim/deep.go) reach the
 // clock only through package util, which lies outside the covered set, so
-// the supplied graph must index those helpers for the findings to appear.
+// the model's graph must index those helpers for the findings to appear.
 func TestDetFlowFixture(t *testing.T) {
-	g := NewCallGraph()
-	checkFixture(t, "determinism", NewDeterminism([]string{fixtureModule + "/internal/sim"}, g))
+	m := checkFixture(t, "determinism", NewDeterminism([]string{fixtureModule + "/internal/sim"}))
 	for _, name := range []string{"Stamp", "now", "Draw", "C01", "C35"} {
-		if g.Func(funcKey(fixtureModule+"/internal/util", "", name)) == nil {
-			t.Errorf("supplied call graph does not index util.%s", name)
+		if m.Graph.Func(funcKey(fixtureModule+"/internal/util", "", name)) == nil {
+			t.Errorf("module call graph does not index util.%s", name)
 		}
 	}
 }
 
 func TestGlobalMutFixture(t *testing.T) {
-	checkFixture(t, "globalmut", NewGlobalMut([]string{fixtureModule + "/internal/sim"}, nil))
+	checkFixture(t, "globalmut", NewGlobalMut([]string{fixtureModule + "/internal/sim"}))
 }
 
 func TestMapOrderFixture(t *testing.T) {
@@ -36,14 +35,13 @@ func TestMapOrderFixture(t *testing.T) {
 		{Pkg: "fmt", Name: "Println"},
 		{Pkg: "fmt", Name: "Printf"},
 	}
-	checkFixture(t, "maporder", NewMapOrder([]string{fixtureModule + "/internal/sim"}, sinks, nil))
+	checkFixture(t, "maporder", NewMapOrder([]string{fixtureModule + "/internal/sim"}, sinks))
 }
 
-// TestHotPathTransFixture exercises the transitive half of hotpathalloc,
-// which only activates on a shared graph (nil keeps the historical
-// intraprocedural behavior, pinned by TestHotPathAllocFixture).
+// TestHotPathTransFixture exercises the transitive half of hotpathalloc:
+// calls out of a hot function into callees that allocate, to any depth.
 func TestHotPathTransFixture(t *testing.T) {
-	checkFixture(t, "hotpathtrans", NewHotPathAlloc(NewCallGraph()))
+	checkFixture(t, "hotpathtrans", NewHotPathAlloc())
 }
 
 // graphPackages parses one file per package from src keyed by import
@@ -82,8 +80,7 @@ func graphPackages(t *testing.T, srcs map[string]string) []*Package {
 // TestCallGraphEdgeKinds pins the edge classification: plain, deferred,
 // spawned and closure calls plus method/function value references.
 func TestCallGraphEdgeKinds(t *testing.T) {
-	g := NewCallGraph()
-	g.Build(graphPackages(t, map[string]string{
+	g := NewModule(graphPackages(t, map[string]string{
 		"example.com/m/a": `package a
 
 import "example.com/m/b"
@@ -107,7 +104,7 @@ func caller() {
 
 func Helper() {}
 `,
-	}))
+	})).Graph
 
 	fn := g.Func(funcKey("example.com/m/a", "", "caller"))
 	if fn == nil {
@@ -144,8 +141,7 @@ func Helper() {}
 // TestCallGraphFixpoint checks bottom-up propagation, the recursion
 // cap, and maxFacts truncation to the smallest elements.
 func TestCallGraphFixpoint(t *testing.T) {
-	g := NewCallGraph()
-	g.Build(graphPackages(t, map[string]string{
+	g := NewModule(graphPackages(t, map[string]string{
 		"example.com/m/p": `package p
 
 func a() { b() }
@@ -154,7 +150,7 @@ func b() { c(); c() }
 
 func c() { c() }
 `,
-	}))
+	})).Graph
 	key := func(name string) string { return funcKey("example.com/m/p", "", name) }
 	direct := map[string][]string{
 		key("c"): {"zulu", "alpha"},
@@ -177,8 +173,7 @@ func c() { c() }
 // TestCallGraphChain checks the witness path and the follow predicate's
 // pruning.
 func TestCallGraphChain(t *testing.T) {
-	g := NewCallGraph()
-	g.Build(graphPackages(t, map[string]string{
+	g := NewModule(graphPackages(t, map[string]string{
 		"example.com/m/p": `package p
 
 func a() { b() }
@@ -187,7 +182,7 @@ func b() { go c() }
 
 func c() {}
 `,
-	}))
+	})).Graph
 	key := func(name string) string { return funcKey("example.com/m/p", "", name) }
 	isC := func(k string) bool { return k == key("c") }
 
@@ -225,8 +220,7 @@ func FuzzCallGraph(f *testing.F) {
 			Fset:       fset,
 			Files:      []File{{Name: "fuzz.go", AST: file}},
 		}
-		g := NewCallGraph()
-		g.Build([]*Package{pkg})
+		g := NewModule([]*Package{pkg}).Graph
 		direct := make(map[string][]string)
 		for _, key := range g.Keys() {
 			direct[key] = []string{FuncDisplay(key)}

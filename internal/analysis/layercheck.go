@@ -29,10 +29,14 @@ func NewLayerCheck(module string, allowed map[string][]string) *LayerCheck {
 // Name implements Analyzer.
 func (l *LayerCheck) Name() string { return "layercheck" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (l *LayerCheck) Doc() string {
 	return "package imports must follow the XLF layer DAG in DESIGN.md"
 }
+
+// Marker implements Analyzer: a layer edge is changed in the table, never
+// waived in place.
+func (l *LayerCheck) Marker() string { return "" }
 
 // rel maps an import path inside the module to its table key.
 func (l *LayerCheck) rel(importPath string) (string, bool) {
@@ -46,7 +50,7 @@ func (l *LayerCheck) rel(importPath string) (string, bool) {
 }
 
 // Check implements Analyzer.
-func (l *LayerCheck) Check(pkg *Package) []Finding {
+func (l *LayerCheck) Check(_ *Module, pkg *Package) []Finding {
 	self, ok := l.rel(pkg.ImportPath)
 	if !ok {
 		return nil
@@ -82,5 +86,3 @@ func (l *LayerCheck) Check(pkg *Package) []Finding {
 	}
 	return out
 }
-
-var _ Analyzer = (*LayerCheck)(nil)

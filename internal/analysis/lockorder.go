@@ -44,9 +44,6 @@ const AllowLockOrderMarker = "xlf:allow-lockorder"
 // LockOrder builds the module's lock-acquisition graph and reports
 // cycles.
 type LockOrder struct {
-	graph    *CallGraph
-	oracle   *typeOracle
-	prepared bool
 	// summaries maps funcKey → sorted lock ids the function may acquire,
 	// transitively.
 	summaries map[string][]string
@@ -65,28 +62,19 @@ type lockWitness struct {
 	loc  string // checkout-independent "importpath/file.go:line"
 }
 
-// NewLockOrder builds the analyzer on a shared call graph (nil builds
-// a private one).
-func NewLockOrder(g *CallGraph) *LockOrder {
-	if g == nil {
-		g = NewCallGraph()
-	}
-	return &LockOrder{
-		graph:     g,
-		oracle:    g.oracle,
-		summaries: make(map[string][]string),
-		edges:     make(map[lockEdge][]lockWitness),
-		adj:       make(map[string]map[string]bool),
-	}
-}
+// NewLockOrder builds the analyzer.
+func NewLockOrder() *LockOrder { return &LockOrder{} }
 
 // Name implements Analyzer.
 func (l *LockOrder) Name() string { return "lockorder" }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (l *LockOrder) Doc() string {
 	return "lock acquisition order must be consistent module-wide; cycles in the lock graph are potential deadlocks"
 }
+
+// Marker implements Analyzer.
+func (l *LockOrder) Marker() string { return AllowLockOrderMarker }
 
 // followLockOrder follows plain, deferred and spawned calls — all run
 // the callee's acquisitions eventually — but not calls inside nested
@@ -102,19 +90,15 @@ func followLockOrder(e CallEdge) bool {
 // held→acquired edges. Test files participate in summaries and edges
 // like any other caller: a deadlock triggered from a test hangs CI
 // just as hard (the graph indexes them for exactly this client).
-func (l *LockOrder) Prepare(pkgs []*Package) {
-	if l.prepared {
-		return
-	}
-	l.prepared = true
-	l.graph.Build(pkgs)
-
+func (l *LockOrder) Prepare(m *Module) {
+	l.edges = make(map[lockEdge][]lockWitness)
+	l.adj = make(map[string]map[string]bool)
 	// Direct acquisitions per function, skipping nested literals; the
 	// graph's fixpoint makes them transitive.
 	direct := make(map[string][]string)
-	for _, key := range l.graph.Keys() {
-		fn := l.graph.Func(key)
-		pt := l.oracle.typesOf(fn.Pkg)
+	for _, key := range m.Graph.Keys() {
+		fn := m.Graph.Func(key)
+		pt := m.typesOf(fn.Pkg)
 		set := make(map[string]bool)
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 			if _, isLit := n.(*ast.FuncLit); isLit {
@@ -136,13 +120,13 @@ func (l *LockOrder) Prepare(pkgs []*Package) {
 			direct[key] = ids
 		}
 	}
-	l.summaries = l.graph.Fixpoint(direct, followLockOrder, 0)
+	l.summaries = m.Graph.Fixpoint(direct, followLockOrder, 0)
 
 	// Edge pass over every function body, literals included (a literal
 	// starts with nothing held: it runs on its own goroutine or later —
 	// assuming the creator's locks are still held would invent edges).
-	for _, pkg := range pkgs {
-		pt := l.oracle.typesOf(pkg)
+	for _, pkg := range m.Pkgs {
+		pt := m.typesOf(pkg)
 		for fi := range pkg.Files {
 			file := &pkg.Files[fi]
 			imports := importMap(file.AST)
@@ -309,9 +293,6 @@ func lockIdOf(pt *pkgTypes, call *ast.CallExpr) (id string, acquire bool, ok boo
 	default:
 		return "", false, false
 	}
-	if pt == nil {
-		return "", false, false
-	}
 	switch recv := sel.X.(type) {
 	case *ast.SelectorExpr: // x.mu.Lock()
 		if s, found := pt.info.Selections[recv]; found && s.Kind() == types.FieldVal {
@@ -335,10 +316,7 @@ func lockIdOf(pt *pkgTypes, call *ast.CallExpr) (id string, acquire bool, ok boo
 // that lie on a cycle. One witness per edge per package keeps the
 // output readable; every package on the cycle still gets its own
 // report, so cross-package inconsistencies surface on both sides.
-func (l *LockOrder) Check(pkg *Package) []Finding {
-	if !l.prepared {
-		l.Prepare([]*Package{pkg})
-	}
+func (l *LockOrder) Check(m *Module, pkg *Package) []Finding {
 	edges := make([]lockEdge, 0, len(l.edges))
 	for e := range l.edges {
 		edges = append(edges, e)
@@ -349,17 +327,10 @@ func (l *LockOrder) Check(pkg *Package) []Finding {
 		}
 		return edges[i].to < edges[j].to
 	})
-	allowed := make(map[*File]map[int]bool)
 	var out []Finding
 	for _, e := range edges {
 		w, found := l.packageWitness(e, pkg)
 		if !found || !l.reaches(e.to, e.from) {
-			continue
-		}
-		if allowed[w.file] == nil {
-			allowed[w.file] = allowedLines(pkg.Fset, w.file.AST, AllowLockOrderMarker)
-		}
-		if allowed[w.file][pkg.Fset.Position(w.pos).Line] {
 			continue
 		}
 		var msg string
@@ -452,5 +423,3 @@ func shortLock(id string) string {
 	}
 	return id
 }
-
-var _ ModuleAnalyzer = (*LockOrder)(nil)

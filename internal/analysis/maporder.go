@@ -26,7 +26,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
 // AllowMapOrderMarker waives a maporder finding on its line; on the
@@ -41,64 +40,43 @@ type MapOrder struct {
 	// Sinks are calls whose argument order is observable output.
 	Sinks []TaintRef
 
-	graph    *CallGraph
-	prepared bool
-	sinks    *refMatcher
+	sinks *refMatcher
 }
 
-// NewMapOrder builds the analyzer on a shared call graph (nil builds a
-// private one; only the graph's type oracle is used).
-func NewMapOrder(packages []string, sinks []TaintRef, g *CallGraph) *MapOrder {
-	if g == nil {
-		g = NewCallGraph()
-	}
-	return &MapOrder{Packages: packages, Sinks: sinks, graph: g, sinks: newRefMatcher(sinks)}
+// NewMapOrder builds the analyzer.
+func NewMapOrder(packages []string, sinks []TaintRef) *MapOrder {
+	return &MapOrder{Packages: packages, Sinks: sinks, sinks: newRefMatcher(sinks)}
 }
 
 // Name implements Analyzer.
-func (m *MapOrder) Name() string { return "maporder" }
+func (mo *MapOrder) Name() string { return "maporder" }
 
-// Doc implements Documented.
-func (m *MapOrder) Doc() string {
+// Doc implements Analyzer.
+func (mo *MapOrder) Doc() string {
 	return "map iteration order must not flow into returns, sinks, or unsorted slice appends in deterministic packages"
 }
 
-// Prepare implements ModuleAnalyzer: the shared graph's tolerant
-// type-check supplies map types and range-variable identity.
-func (m *MapOrder) Prepare(pkgs []*Package) {
-	if m.prepared {
-		return
-	}
-	m.prepared = true
-	m.graph.Build(pkgs)
-}
+// Marker implements Analyzer.
+func (mo *MapOrder) Marker() string { return AllowMapOrderMarker }
 
 // Check implements Analyzer.
-func (m *MapOrder) Check(pkg *Package) []Finding {
-	if !m.prepared {
-		m.Prepare([]*Package{pkg})
-	}
-	if !matchPackages(m.Packages, pkg.ImportPath) {
+func (mo *MapOrder) Check(m *Module, pkg *Package) []Finding {
+	if !matchPackages(mo.Packages, pkg.ImportPath) {
 		return nil
 	}
-	pt := m.graph.oracle.typesOf(pkg)
 	var out []Finding
 	for fi := range pkg.Files {
 		file := &pkg.Files[fi]
 		if file.Test {
 			continue
 		}
-		allowed := allowedLines(pkg.Fset, file.AST, AllowMapOrderMarker)
 		imports := importMap(file.AST)
 		for _, decl := range file.AST.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &mapOrderWalker{
-				m: m, pkg: pkg, pt: pt, imports: imports,
-				fn: fd, allowed: allowed,
-			}
+			w := &mapOrderWalker{mo: mo, m: m, pkg: pkg, pt: m.typesOf(pkg), imports: imports, fn: fd}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if r, ok := n.(*ast.RangeStmt); ok {
 					w.rangeStmt(r)
@@ -113,29 +91,23 @@ func (m *MapOrder) Check(pkg *Package) []Finding {
 
 // mapOrderWalker checks the map ranges of one function.
 type mapOrderWalker struct {
-	m       *MapOrder
+	mo      *MapOrder
+	m       *Module
 	pkg     *Package
 	pt      *pkgTypes
 	imports map[string]string
 	fn      *ast.FuncDecl
-	allowed map[int]bool
 	out     []Finding
 }
 
 func (w *mapOrderWalker) report(pos ast.Node, format string, args ...any) {
-	if w.allowed[w.pkg.Fset.Position(pos.Pos()).Line] {
-		return
-	}
 	w.out = append(w.out, w.pkg.finding("maporder", pos.Pos(), format, args...))
 }
 
 // rangeStmt checks one `range` statement ranging over a map.
 func (w *mapOrderWalker) rangeStmt(r *ast.RangeStmt) {
-	if !w.isMap(r.X) {
-		return
-	}
-	if w.allowed[w.pkg.Fset.Position(r.Pos()).Line] {
-		return // waiver on the range covers the whole loop
+	if !isMap(w.pt, r.X) || w.m.waived(AllowMapOrderMarker, w.pkg.Fset.Position(r.Pos())) {
+		return // not a map range, or a waiver on it covers the whole loop
 	}
 	objs := w.rangeVarObjs(r)
 	if len(objs) == 0 {
@@ -146,68 +118,52 @@ func (w *mapOrderWalker) rangeStmt(r *ast.RangeStmt) {
 
 // walkBody scans the loop body. guarded counts enclosing if/switch
 // nesting inside the loop: a return under a guard is a search, not an
-// arbitrary pick. Nested function literals are skipped (their bodies
-// run as their own functions).
-func (w *mapOrderWalker) walkBody(r *ast.RangeStmt, n ast.Node, objs map[types.Object]string, guarded int) {
-	switch n := n.(type) {
-	case nil:
-		return
-	case *ast.FuncLit:
-		return
-	case *ast.IfStmt:
-		w.walkBody(r, n.Body, objs, guarded+1)
-		w.walkBody(r, n.Else, objs, guarded+1)
-		return
-	case *ast.SwitchStmt:
-		w.walkBody(r, n.Body, objs, guarded+1)
-		return
-	case *ast.TypeSwitchStmt:
-		w.walkBody(r, n.Body, objs, guarded+1)
-		return
-	case *ast.SelectStmt:
-		w.walkBody(r, n.Body, objs, guarded+1)
-		return
-	case *ast.ReturnStmt:
-		if guarded == 0 {
-			for _, res := range n.Results {
-				if name, ok := w.refers(res, objs); ok {
-					w.report(n, "map iteration order flows into a return value through %s; collect and sort first (or annotate //%s)",
-						name, AllowMapOrderMarker)
-					break
+// arbitrary pick. Only the bodies of guards are scanned, and nested
+// function literals are skipped (their bodies run as their own
+// functions).
+func (w *mapOrderWalker) walkBody(r *ast.RangeStmt, body ast.Node, objs map[any]string, guarded int) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.IfStmt:
+			w.walkBody(r, n.Body, objs, guarded+1)
+			if n.Else != nil {
+				w.walkBody(r, n.Else, objs, guarded+1)
+			}
+			return false
+		case *ast.SwitchStmt:
+			w.walkBody(r, n.Body, objs, guarded+1)
+			return false
+		case *ast.TypeSwitchStmt:
+			w.walkBody(r, n.Body, objs, guarded+1)
+			return false
+		case *ast.SelectStmt:
+			w.walkBody(r, n.Body, objs, guarded+1)
+			return false
+		case *ast.ReturnStmt:
+			if guarded == 0 {
+				for _, res := range n.Results {
+					if name, ok := w.refers(res, objs); ok {
+						w.report(n, "map iteration order flows into a return value through %s; collect and sort first (or annotate //%s)",
+							name, AllowMapOrderMarker)
+						break
+					}
 				}
 			}
+			return false
+		case *ast.AssignStmt:
+			w.appendStmt(r, n, objs)
+		case *ast.CallExpr:
+			w.sinkCall(n, objs)
 		}
-		return
-	case *ast.AssignStmt:
-		w.appendStmt(r, n, objs)
-		// fall through to scan RHS calls as sinks
-	case *ast.CallExpr:
-		w.sinkCall(n, objs)
-	}
-	// Generic recursion over children.
-	children(n, func(c ast.Node) {
-		w.walkBody(r, c, objs, guarded)
-	})
-}
-
-// children invokes f over n's immediate AST children.
-func children(n ast.Node, f func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			f(c)
-		}
-		return false
+		return true
 	})
 }
 
 // appendStmt flags `dst = append(dst, ...key/value...)` unless dst is
 // sorted later in the enclosing function.
-func (w *mapOrderWalker) appendStmt(r *ast.RangeStmt, n *ast.AssignStmt, objs map[types.Object]string) {
+func (w *mapOrderWalker) appendStmt(r *ast.RangeStmt, n *ast.AssignStmt, objs map[any]string) {
 	for _, rhs := range n.Rhs {
 		call, ok := rhs.(*ast.CallExpr)
 		if !ok {
@@ -242,9 +198,9 @@ func (w *mapOrderWalker) appendStmt(r *ast.RangeStmt, n *ast.AssignStmt, objs ma
 
 // sinkCall flags configured sink calls taking key/value-derived
 // arguments.
-func (w *mapOrderWalker) sinkCall(call *ast.CallExpr, objs map[types.Object]string) {
+func (w *mapOrderWalker) sinkCall(call *ast.CallExpr, objs map[any]string) {
 	c, _ := resolveCall(w.pt, w.imports, w.pkg.ImportPath, call)
-	if c.name == "" || !w.m.sinks.match(c, w.pkg.ImportPath, w.imports) {
+	if c.name == "" || !w.mo.sinks.match(c, w.pkg.ImportPath, w.imports) {
 		return
 	}
 	for _, a := range call.Args {
@@ -261,7 +217,6 @@ func (w *mapOrderWalker) sinkCall(call *ast.CallExpr, objs map[types.Object]stri
 // targets sort.* / slices.* directly, or a module helper that reaches
 // either package through the call graph (sortStrings-style wrappers).
 func (w *mapOrderWalker) sortedAfter(r *ast.RangeStmt, dst *ast.Ident) bool {
-	dstObj := w.identObj(dst)
 	found := false
 	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
 		if found {
@@ -280,7 +235,7 @@ func (w *mapOrderWalker) sortedAfter(r *ast.RangeStmt, dst *ast.Ident) bool {
 			if !ok {
 				continue
 			}
-			if (dstObj != nil && w.identObj(root) == dstObj) || root.Name == dst.Name {
+			if root.Name == dst.Name {
 				found = true
 				return false
 			}
@@ -297,82 +252,38 @@ func (w *mapOrderWalker) isSortCall(c callee) bool {
 	if c.pkg == "sort" || c.pkg == "slices" {
 		return true
 	}
-	key, _, ok := w.m.graph.calleeKey(c)
+	key, _, ok := w.m.Graph.calleeKey(c)
 	if !ok {
 		return false
 	}
-	chain := w.m.graph.Chain(key, func(k string) bool {
+	chain := w.m.Graph.Chain(key, func(k string) bool {
 		pkg := keyPkg(k)
 		return pkg == "sort" || pkg == "slices"
 	}, func(e CallEdge) bool { return !e.Fallback && e.Kind == EdgeCall })
 	return chain != nil
 }
 
-// rangeVarObjs collects the range statement's key/value variables as
-// type objects; without an oracle entry the loop is skipped (the rule
-// needs identity, not names, to avoid shadowing false positives).
-func (w *mapOrderWalker) rangeVarObjs(r *ast.RangeStmt) map[types.Object]string {
-	objs := make(map[types.Object]string)
+// rangeVarObjs collects the range statement's key/value variables by
+// object identity (identObj), so shadowing never yields a false match.
+func (w *mapOrderWalker) rangeVarObjs(r *ast.RangeStmt) map[any]string {
+	objs := make(map[any]string)
 	for _, e := range []ast.Expr{r.Key, r.Value} {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if obj := w.identObj(id); obj != nil {
-			objs[obj] = id.Name
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			objs[identObj(w.pt, id)] = id.Name
 		}
 	}
 	return objs
 }
 
-// identObj resolves an identifier to its object (Defs first — range
-// `:=` variables are definitions — then Uses).
-func (w *mapOrderWalker) identObj(id *ast.Ident) types.Object {
-	if w.pt == nil {
-		return nil
-	}
-	if obj := w.pt.info.Defs[id]; obj != nil {
-		return obj
-	}
-	return w.pt.info.Uses[id]
-}
-
 // refers reports whether expr references one of the range variables,
 // returning its name.
-func (w *mapOrderWalker) refers(expr ast.Expr, objs map[types.Object]string) (string, bool) {
+func (w *mapOrderWalker) refers(expr ast.Expr, objs map[any]string) (string, bool) {
 	name, found := "", false
 	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
+		if id, ok := n.(*ast.Ident); ok && !found {
+			name, found = objs[identObj(w.pt, id)]
 		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := w.identObj(id); obj != nil {
-			if n, ok := objs[obj]; ok {
-				name, found = n, true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return name, found
 }
-
-// isMap reports whether e has map type.
-func (w *mapOrderWalker) isMap(e ast.Expr) bool {
-	if w.pt != nil {
-		if tv, ok := w.pt.info.Types[e]; ok && tv.Type != nil {
-			_, isMap := tv.Type.Underlying().(*types.Map)
-			return isMap
-		}
-	}
-	_, isMapType := e.(*ast.MapType)
-	return isMapType
-}
-
-var (
-	_ ModuleAnalyzer = (*MapOrder)(nil)
-	_ Documented     = (*MapOrder)(nil)
-)

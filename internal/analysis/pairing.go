@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -63,36 +64,34 @@ type ValuePairSpec struct {
 
 // pairingAnalyzer runs both engines over every function CFG.
 type pairingAnalyzer struct {
-	recv   []ReceiverPairSpec
-	value  []ValuePairSpec
-	oracle *typeOracle
+	recv  []ReceiverPairSpec
+	value []ValuePairSpec
 }
 
 // NewPairingAnalyzer builds the pairing analyzer with the given specs.
 func NewPairingAnalyzer(recv []ReceiverPairSpec, value []ValuePairSpec) Analyzer {
-	return &pairingAnalyzer{recv: recv, value: value, oracle: newTypeOracle()}
+	return &pairingAnalyzer{recv: recv, value: value}
 }
 
 func (a *pairingAnalyzer) Name() string { return "pairing" }
 func (a *pairingAnalyzer) Doc() string {
 	return "acquired resources (locks, trace regions, timers) must be released on every path"
 }
+func (a *pairingAnalyzer) Marker() string { return PairingAllowMarker }
 
-func (a *pairingAnalyzer) Prepare(pkgs []*Package) { a.oracle.check(pkgs) }
-
-func (a *pairingAnalyzer) Check(pkg *Package) []Finding {
+func (a *pairingAnalyzer) Check(m *Module, pkg *Package) []Finding {
 	var out []Finding
-	pt := a.oracle.typesOf(pkg)
 	for _, f := range pkg.Files {
-		allowed := allowedLines(pkg.Fset, f.AST, PairingAllowMarker)
+		imports := importMap(f.AST)
 		for _, fn := range Functions(f.AST) {
-			g := BuildCFG(fn.Name, fn.Body)
-			w := &pairWalker{a: a, pkg: pkg, file: f.AST, pt: pt, g: g, fn: fn}
-			for _, fnd := range w.check() {
-				if !allowed[fnd.Line] {
-					out = append(out, fnd)
+			w := &pairWalker{a: a, pkg: pkg, imports: imports, pt: m.typesOf(pkg), g: BuildCFG(fn.Name, fn.Body)}
+			for _, b := range w.g.Blocks {
+				for i, n := range b.Nodes {
+					w.checkReceiverAcquires(b, i, n)
+					w.checkValueAcquires(b, i, n)
 				}
 			}
+			out = append(out, w.out...)
 		}
 	}
 	return out
@@ -100,23 +99,16 @@ func (a *pairingAnalyzer) Check(pkg *Package) []Finding {
 
 // pairWalker checks one function's CFG.
 type pairWalker struct {
-	a    *pairingAnalyzer
-	pkg  *Package
-	file *ast.File
-	pt   *pkgTypes
-	g    *CFG
-	fn   Function
+	a       *pairingAnalyzer
+	pkg     *Package
+	imports map[string]string
+	pt      *pkgTypes
+	g       *CFG
+	out     []Finding
 }
 
-func (w *pairWalker) check() []Finding {
-	var out []Finding
-	for _, b := range w.g.Blocks {
-		for i, n := range b.Nodes {
-			out = append(out, w.checkReceiverAcquires(b, i, n)...)
-			out = append(out, w.checkValueAcquires(b, i, n)...)
-		}
-	}
-	return out
+func (w *pairWalker) report(pos token.Pos, format string, args ...any) {
+	w.out = append(w.out, w.pkg.finding("pairing", pos, format, args...))
 }
 
 // exprText renders an expression as compact source text; used to match
@@ -128,36 +120,17 @@ func exprText(e ast.Expr) string {
 	return strings.Join(strings.Fields(buf.String()), " ")
 }
 
-// methodCall matches n as a method call `recv.Name(...)` and returns
-// the receiver expression. Package-qualified calls (pkg.Func) are
-// excluded by checking the receiver against the file's imports.
-func (w *pairWalker) methodCall(n ast.Node) (call *ast.CallExpr, recv ast.Expr, name string, ok bool) {
-	c, isCall := n.(*ast.CallExpr)
-	if !isCall {
-		return nil, nil, "", false
-	}
-	sel, isSel := c.Fun.(*ast.SelectorExpr)
+// methodCall matches call as a method call `recv.Name(...)`; package
+// qualified calls (pkg.Func) are excluded by the file's imports.
+func (w *pairWalker) methodCall(call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return nil, nil, "", false
+		return nil, "", false
 	}
-	if id, isID := sel.X.(*ast.Ident); isID && w.isImportName(id.Name) {
-		return nil, nil, "", false
+	if id, isID := sel.X.(*ast.Ident); isID && w.imports[id.Name] != "" {
+		return nil, "", false
 	}
-	return c, sel.X, sel.Sel.Name, true
-}
-
-func (w *pairWalker) isImportName(name string) bool {
-	for _, imp := range w.file.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		local := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		if local == name {
-			return true
-		}
-	}
-	return false
+	return sel.X, sel.Sel.Name, true
 }
 
 // ---------------------------------------------------------------------
@@ -165,8 +138,7 @@ func (w *pairWalker) isImportName(name string) bool {
 
 // checkReceiverAcquires scans node n for acquire method calls and
 // verifies each is released on every path.
-func (w *pairWalker) checkReceiverAcquires(b *Block, idx int, n ast.Node) []Finding {
-	var out []Finding
+func (w *pairWalker) checkReceiverAcquires(b *Block, idx int, n ast.Node) {
 	inspectNode(n, func(x ast.Node) bool {
 		if _, isLit := x.(*ast.FuncLit); isLit {
 			return false // literal bodies have their own CFG
@@ -175,8 +147,8 @@ func (w *pairWalker) checkReceiverAcquires(b *Block, idx int, n ast.Node) []Find
 		if !isCall {
 			return true
 		}
-		c, recv, name, ok := w.methodCall(call)
-		if !ok || len(c.Args) != 0 {
+		recv, name, ok := w.methodCall(call)
+		if !ok || len(call.Args) != 0 {
 			return true
 		}
 		for _, spec := range w.a.recv {
@@ -184,80 +156,47 @@ func (w *pairWalker) checkReceiverAcquires(b *Block, idx int, n ast.Node) []Find
 				continue
 			}
 			recvText := exprText(recv)
-			if w.deferredReceiverRelease(recvText, spec.Release) {
+			releases := func(call *ast.CallExpr) bool {
+				r, name, ok := w.methodCall(call)
+				return ok && name == spec.Release && exprText(r) == recvText
+			}
+			if w.deferredRelease(releases) {
 				continue
 			}
-			if blk := w.leakPath(b, idx, func(node ast.Node) pairUse {
-				return w.receiverUse(node, recvText, spec)
-			}); blk != nil {
-				out = append(out, w.pkg.finding("pairing", call.Pos(),
+			// A closure that releases the lock (handed to a helper, run
+			// deferred, ...) discharges the local obligation too.
+			if blk := cfgPath(w.g, b, idx, nil, func(node ast.Node) bool { return containsCall(node, releases) }); blk != nil {
+				w.report(call.Pos(),
 					"%s.%s() is not paired with %s.%s() on the path reaching %s; release on every path or defer the release",
-					recvText, spec.Acquire, recvText, spec.Release, w.pathDesc(blk)))
+					recvText, spec.Acquire, recvText, spec.Release, cfgPathDesc(w.pkg, blk))
 			}
 		}
 		return true
 	})
-	return out
 }
 
-// receiverUse classifies what node does to the obligation opened by
-// recvText.Acquire().
-func (w *pairWalker) receiverUse(n ast.Node, recvText string, spec ReceiverPairSpec) pairUse {
-	use := useNone
-	inspectNode(n, func(x ast.Node) bool {
-		if use != useNone {
-			return false
-		}
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			// A closure that releases the lock (handed to a helper,
-			// run deferred, ...) discharges the local obligation.
-			if w.litReleases(x.(*ast.FuncLit), recvText, spec.Release) {
-				use = useRelease
-			}
-			return false
-		}
-		call, isCall := x.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		if _, recv, name, ok := w.methodCall(call); ok && name == spec.Release && exprText(recv) == recvText {
-			use = useRelease
-			return false
-		}
-		return true
-	})
-	return use
-}
-
-func (w *pairWalker) litReleases(lit *ast.FuncLit, recvText string, release string) bool {
-	found := false
-	ast.Inspect(lit.Body, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, isCall := x.(*ast.CallExpr); isCall {
-			if _, recv, name, ok := w.methodCall(call); ok && name == release && exprText(recv) == recvText {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// deferredReceiverRelease reports whether any deferred call in the
-// function releases recvText (directly or inside a deferred closure).
-func (w *pairWalker) deferredReceiverRelease(recvText, release string) bool {
+// deferredRelease reports whether any deferred call releases the
+// obligation, directly or inside a deferred closure.
+func (w *pairWalker) deferredRelease(releases func(*ast.CallExpr) bool) bool {
 	for _, d := range w.g.Defers {
-		if _, recv, name, ok := w.methodCall(d); ok && name == release && exprText(recv) == recvText {
-			return true
-		}
-		if lit, isLit := d.Fun.(*ast.FuncLit); isLit && w.litReleases(lit, recvText, release) {
+		if lit, isLit := d.Fun.(*ast.FuncLit); releases(d) || isLit && containsCall(lit.Body, releases) {
 			return true
 		}
 	}
 	return false
+}
+
+// containsCall reports whether n (a CFG node: a range head counts only
+// its operands) contains a call pred accepts.
+func containsCall(n ast.Node, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	inspectNode(n, func(x ast.Node) bool {
+		if call, isCall := x.(*ast.CallExpr); isCall && !found {
+			found = pred(call)
+		}
+		return !found
+	})
+	return found
 }
 
 // ---------------------------------------------------------------------
@@ -265,12 +204,7 @@ func (w *pairWalker) deferredReceiverRelease(recvText, release string) bool {
 
 // checkValueAcquires matches nodes that bind an acquire call's result to
 // a variable (or drop it) and verifies the release.
-func (w *pairWalker) checkValueAcquires(b *Block, idx int, n ast.Node) []Finding {
-	var out []Finding
-	report := func(pos token.Pos, spec ValuePairSpec, format string, args ...any) {
-		out = append(out, w.pkg.finding("pairing", pos, format, args...))
-	}
-
+func (w *pairWalker) checkValueAcquires(b *Block, idx int, n ast.Node) {
 	bind := func(lhs ast.Expr, rhs ast.Expr) {
 		call, isCall := rhs.(*ast.CallExpr)
 		if !isCall {
@@ -285,19 +219,21 @@ func (w *pairWalker) checkValueAcquires(b *Block, idx int, n ast.Node) []Finding
 			return // stored straight into a field/slot: obligation escapes
 		}
 		if id.Name == "_" {
-			report(call.Pos(), spec, "%s from %s is discarded; it must be released with %s",
+			w.report(call.Pos(), "%s from %s is discarded; it must be released with %s",
 				spec.Noun, exprText(call.Fun), releaseList(spec))
 			return
 		}
-		if w.deferredValueRelease(id.Name, spec.Release) {
+		releases := func(call *ast.CallExpr) bool {
+			recv, name, ok := w.methodCall(call)
+			r, isID := recv.(*ast.Ident)
+			return ok && isID && r.Name == id.Name && slices.Contains(spec.Release, name)
+		}
+		if w.deferredRelease(releases) {
 			return
 		}
-		if blk := w.leakPath(b, idx, func(node ast.Node) pairUse {
-			return w.valueUse(node, id.Name, spec)
-		}); blk != nil {
-			report(call.Pos(), spec,
-				"%s %q from %s is not released with %s on the path reaching %s",
-				spec.Noun, id.Name, exprText(call.Fun), releaseList(spec), w.pathDesc(blk))
+		if blk := cfgPath(w.g, b, idx, nil, func(node ast.Node) bool { return w.valueUse(node, id.Name, spec) }); blk != nil {
+			w.report(call.Pos(), "%s %q from %s is not released with %s on the path reaching %s",
+				spec.Noun, id.Name, exprText(call.Fun), releaseList(spec), cfgPathDesc(w.pkg, blk))
 		}
 	}
 
@@ -321,12 +257,11 @@ func (w *pairWalker) checkValueAcquires(b *Block, idx int, n ast.Node) []Finding
 	case *ast.ExprStmt:
 		if call, isCall := n.X.(*ast.CallExpr); isCall {
 			if spec, ok := w.matchValueAcquire(call); ok {
-				report(call.Pos(), spec, "%s from %s is discarded; it must be released with %s",
+				w.report(call.Pos(), "%s from %s is discarded; it must be released with %s",
 					spec.Noun, exprText(call.Fun), releaseList(spec))
 			}
 		}
 	}
-	return out
 }
 
 func releaseList(spec ValuePairSpec) string { return strings.Join(spec.Release, "/") }
@@ -337,240 +272,134 @@ func (w *pairWalker) matchValueAcquire(call *ast.CallExpr) (ValuePairSpec, bool)
 	if !isSel {
 		return ValuePairSpec{}, false
 	}
+	id, _ := sel.X.(*ast.Ident)
+	qualified := id != nil && w.imports[id.Name] != ""
 	for _, spec := range w.a.value {
 		// Package-level acquire: pkg.Func where pkg imports spec.PkgPath.
-		if spec.PkgPath != "" && spec.Func != "" && sel.Sel.Name == spec.Func {
-			if id, isID := sel.X.(*ast.Ident); isID {
-				if local, imports := importName(w.file, spec.PkgPath); imports && id.Name == local {
-					return spec, true
-				}
-			}
-		}
-		// Method acquire: name match plus result-type confirmation when
-		// the oracle resolved the call.
-		for _, m := range spec.Methods {
-			if sel.Sel.Name != m {
-				continue
-			}
-			if id, isID := sel.X.(*ast.Ident); isID && w.isImportName(id.Name) {
-				continue
-			}
-			if w.pt != nil {
-				if tv, resolved := w.pt.info.Types[ast.Expr(call)]; resolved && tv.Type != nil {
-					if name := namedOf(tv.Type); name != "" {
-						if name == spec.ResultType {
-							return spec, true
-						}
-						continue // resolved to something else: not ours
-					}
-				}
-			}
+		if qualified && w.imports[id.Name] == spec.PkgPath && sel.Sel.Name == spec.Func {
 			return spec, true
 		}
+		// Method acquire: name match plus result-type confirmation when
+		// the type-check resolved the call.
+		if qualified || !slices.Contains(spec.Methods, sel.Sel.Name) {
+			continue
+		}
+		if tv, resolved := w.pt.info.Types[call]; resolved && tv.Type != nil {
+			if name := namedOf(tv.Type); name != "" && name != spec.ResultType {
+				continue // resolved to something else: not ours
+			}
+		}
+		return spec, true
 	}
 	return ValuePairSpec{}, false
 }
 
-// valueUse classifies what node does with the bound variable.
-func (w *pairWalker) valueUse(n ast.Node, varName string, spec ValuePairSpec) pairUse {
-	use := useNone
-	merge := func(u pairUse) {
-		if u == useRelease || use == useNone {
-			use = u
-		}
-	}
+// valueUse reports whether node discharges the obligation bound to
+// varName: a release method call on it, or an escape that hands it to
+// someone else — passed, returned, sent, stored, aliased, its address
+// taken or captured by a closure. An overwrite of the variable orphans
+// the old obligation, but a rebind from the same acquire family
+// (r = tracer.Start(...) in a loop) is treated as an escape of the old
+// value to keep the check conservative.
+func (w *pairWalker) valueUse(n ast.Node, varName string, spec ValuePairSpec) bool {
 	isVar := func(e ast.Expr) bool {
 		id, isID := e.(*ast.Ident)
 		return isID && id.Name == varName
 	}
-	// An overwrite of the variable orphans the old obligation, but a
-	// rebind from the same acquire family (r = tracer.Start(...) in a
-	// loop) is treated as an escape of the old value to keep the check
-	// conservative.
-	if asg, isAsg := n.(*ast.AssignStmt); isAsg {
-		for _, l := range asg.Lhs {
-			if isVar(l) {
-				merge(useEscape)
-			}
-		}
+	if asg, isAsg := n.(*ast.AssignStmt); isAsg && slices.ContainsFunc(asg.Lhs, isVar) {
+		return true
 	}
+	used := false
 	inspectNode(n, func(x ast.Node) bool {
-		if use == useRelease {
+		if used {
 			return false
 		}
 		switch x := x.(type) {
 		case *ast.FuncLit:
-			// Captured by a closure: the closure may release it later.
-			captured := false
 			ast.Inspect(x.Body, func(y ast.Node) bool {
-				if id, isID := y.(*ast.Ident); isID && id.Name == varName {
-					captured = true
-					return false
-				}
-				return true
+				e, _ := y.(ast.Expr)
+				used = used || isVar(e)
+				return !used
 			})
-			if captured {
-				merge(useEscape)
-			}
 			return false
 		case *ast.CallExpr:
-			if _, recv, name, ok := w.methodCall(x); ok && isVar(recv) {
-				for _, r := range spec.Release {
-					if name == r {
-						merge(useRelease)
-						return false
-					}
-				}
-				return true
+			if recv, name, ok := w.methodCall(x); ok && isVar(recv) {
+				used = slices.Contains(spec.Release, name)
+				return !used
 			}
-			// Passed as an argument: obligation transferred.
-			for _, arg := range x.Args {
-				if isVar(arg) {
-					merge(useEscape)
-				}
-			}
+			used = slices.ContainsFunc(x.Args, isVar)
 		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if isVar(r) {
-					merge(useEscape)
-				}
-			}
+			used = slices.ContainsFunc(x.Results, isVar)
 		case *ast.SendStmt:
-			if isVar(x.Value) {
-				merge(useEscape)
-			}
+			used = isVar(x.Value)
 		case *ast.AssignStmt:
-			// v on the RHS of an assignment aliases it away.
-			for _, r := range x.Rhs {
-				if isVar(r) {
-					merge(useEscape)
-				}
-			}
+			used = slices.ContainsFunc(x.Rhs, isVar)
 		case *ast.KeyValueExpr:
-			if isVar(x.Value) {
-				merge(useEscape)
-			}
+			used = isVar(x.Value)
 		case *ast.UnaryExpr:
-			if x.Op == token.AND && isVar(x.X) {
-				merge(useEscape)
-			}
+			used = x.Op == token.AND && isVar(x.X)
 		}
-		return true
+		return !used
 	})
-	return use
-}
-
-// deferredValueRelease reports whether a deferred call releases varName.
-func (w *pairWalker) deferredValueRelease(varName string, release []string) bool {
-	releases := func(call *ast.CallExpr) bool {
-		_, recv, name, ok := w.methodCall(call)
-		if !ok {
-			return false
-		}
-		id, isID := recv.(*ast.Ident)
-		if !isID || id.Name != varName {
-			return false
-		}
-		for _, r := range release {
-			if name == r {
-				return true
-			}
-		}
-		return false
-	}
-	for _, d := range w.g.Defers {
-		if releases(d) {
-			return true
-		}
-		if lit, isLit := d.Fun.(*ast.FuncLit); isLit {
-			found := false
-			ast.Inspect(lit.Body, func(x ast.Node) bool {
-				if found {
-					return false
-				}
-				if call, isCall := x.(*ast.CallExpr); isCall && releases(call) {
-					found = true
-					return false
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
-	}
-	return false
+	return used
 }
 
 // ---------------------------------------------------------------------
 // Shared path search.
 
-// pairUse is what one CFG node does with an open obligation.
-type pairUse int
-
-const (
-	useNone    pairUse = iota
-	useRelease         // obligation discharged
-	useEscape          // obligation transferred elsewhere; stop tracking
-)
-
-// leakPath searches every CFG path from just after Nodes[idx] of block b
-// for one that reaches the exit without classify returning a release or
-// escape. It returns a block on the leaking path (the exit's predecessor
-// where the path leaves the function) or nil when every path discharges
-// the obligation.
-func (w *pairWalker) leakPath(b *Block, idx int, classify func(ast.Node) pairUse) *Block {
-	return cfgLeakPath(w.g, b, idx, classify)
-}
-
-// cfgLeakPath is the shared obligation path search (pairing, goroleak):
-// it walks every path from just after Nodes[idx] of block b and returns a
-// block on the first path that reaches the exit without classify seeing a
-// release or escape, or nil when every path discharges.
-func cfgLeakPath(g *CFG, b *Block, idx int, classify func(ast.Node) pairUse) *Block {
-	// Scan the remainder of the defining block first.
-	for i := idx + 1; i < len(b.Nodes); i++ {
-		if classify(b.Nodes[i]) != useNone {
-			return nil
+// cfgPath searches the CFG paths that start just after Nodes[idx] of b
+// for one reaching a goal — a node goal accepts, or the exit when goal
+// is nil — before any node stop accepts. It returns the goal node's
+// block (for the exit, the block the path leaves from) on the first
+// such path, or nil when every path is stopped. Shared by pairing,
+// goroleak and the nonce-reuse check.
+func cfgPath(g *CFG, b *Block, idx int, goal func(*Block, int) bool, stop func(ast.Node) bool) *Block {
+	scan := func(blk *Block, from int) (found, stopped bool) {
+		for i := from; i < len(blk.Nodes); i++ {
+			if goal != nil && goal(blk, i) {
+				return true, false
+			}
+			if stop(blk.Nodes[i]) {
+				return false, true
+			}
 		}
+		return false, false
+	}
+	if found, stopped := scan(b, idx+1); found || stopped {
+		if found {
+			return b
+		}
+		return nil
 	}
 	seen := map[*Block]bool{}
-	var walk func(blk *Block, from *Block) *Block
-	walk = func(blk *Block, from *Block) *Block {
-		if blk == g.Exit {
+	var walk func(blk, from *Block) *Block
+	walk = func(blk, from *Block) *Block {
+		if blk == g.Exit && goal == nil {
 			return from
 		}
 		if seen[blk] {
 			return nil
 		}
 		seen[blk] = true
-		for _, n := range blk.Nodes {
-			if classify(n) != useNone {
-				return nil
+		if found, stopped := scan(blk, 0); found || stopped {
+			if found {
+				return blk
 			}
+			return nil
 		}
 		for _, s := range blk.Succs {
-			if leak := walk(s, blk); leak != nil {
-				return leak
+			if hit := walk(s, blk); hit != nil {
+				return hit
 			}
 		}
-		return nil
-	}
-	if b == g.Exit {
 		return nil
 	}
 	for _, s := range b.Succs {
-		if leak := walk(s, b); leak != nil {
-			return leak
+		if hit := walk(s, b); hit != nil {
+			return hit
 		}
 	}
 	return nil
-}
-
-// pathDesc names where a leaking path leaves the function, for the
-// diagnostic.
-func (w *pairWalker) pathDesc(b *Block) string {
-	return cfgPathDesc(w.pkg, b)
 }
 
 // cfgPathDesc names where a leaking path leaves the function.

@@ -76,12 +76,8 @@ func WriteSARIF(w io.Writer, analyzers []Analyzer, findings []Finding) error {
 	rules := make([]sarifRule, 0, len(analyzers))
 	index := make(map[string]int, len(analyzers))
 	for _, a := range analyzers {
-		r := sarifRule{ID: a.Name()}
-		if d, ok := a.(Documented); ok {
-			r.ShortDescription = &sarifMessage{Text: d.Doc()}
-		}
 		index[a.Name()] = len(rules)
-		rules = append(rules, r)
+		rules = append(rules, sarifRule{ID: a.Name(), ShortDescription: &sarifMessage{Text: a.Doc()}})
 	}
 
 	results := make([]sarifResult, 0, len(findings))

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // AllowTaintMarker waives a taint finding on a line where the flow is
@@ -69,37 +68,26 @@ type TaintRule struct {
 type Taint struct {
 	Rule TaintRule
 
-	// graph, when set, supplies the module's function index (and the
-	// type oracle behind it) so the taint suite shares one call graph
-	// with the concurrency and determinism layers.
-	graph    *CallGraph
-	oracle   *typeOracle
-	prepared bool
+	// m is the module model Prepare ran on: its type-check, and the call
+	// graph's function index and callee resolution.
+	m *Module
 
 	sources, sinks, sanitizers *refMatcher
 
-	// funcs indexes every non-test function declaration in the prepared
-	// module by its summary key.
-	funcs map[string]*taintFunc
-	// methodsByName supports unknown-receiver fallback lookups.
-	methodsByName map[string][]string
+	// params maps the summary key of every production function to the
+	// state keys of its receiver (if any) followed by its declared
+	// parameters; nil entries are unnamed parameters.
+	params map[string][]any
 	// summaries is the fixed-point result of Prepare.
 	summaries map[string]*taintSummary
 }
 
-// NewTaintSuite builds one analyzer per rule, all sharing the given
-// call graph's tolerant type-check and function index (a nil graph
-// gets a private one).
-func NewTaintSuite(g *CallGraph, rules ...TaintRule) []Analyzer {
-	if g == nil {
-		g = NewCallGraph()
-	}
+// NewTaintSuite builds one analyzer per rule.
+func NewTaintSuite(rules ...TaintRule) []Analyzer {
 	out := make([]Analyzer, len(rules))
 	for i, r := range rules {
 		out[i] = &Taint{
 			Rule:       r,
-			graph:      g,
-			oracle:     g.oracle,
 			sources:    newRefMatcher(r.Sources),
 			sinks:      newRefMatcher(r.Sinks),
 			sanitizers: newRefMatcher(r.Sanitizers),
@@ -111,8 +99,11 @@ func NewTaintSuite(g *CallGraph, rules ...TaintRule) []Analyzer {
 // Name implements Analyzer.
 func (t *Taint) Name() string { return t.Rule.RuleName }
 
-// Doc implements Documented.
+// Doc implements Analyzer.
 func (t *Taint) Doc() string { return t.Rule.RuleDoc }
+
+// Marker implements Analyzer.
+func (t *Taint) Marker() string { return AllowTaintMarker }
 
 // taintVal is the dataflow lattice element: bit 62 marks source-derived
 // values; bits 0..61 mark parameter-derived values during summary
@@ -129,18 +120,6 @@ func paramBit(i int) taintVal {
 		i = maxParamBits - 1
 	}
 	return 1 << uint(i)
-}
-
-// taintFunc is one function declaration in the prepared module.
-type taintFunc struct {
-	pkg  *Package
-	file *File
-	decl *ast.FuncDecl
-	key  string
-	// params holds the state keys of the receiver (if any) followed by
-	// the declared parameters; nil entries are unnamed parameters.
-	params []any
-	ref    TaintRef
 }
 
 // taintSummary is the interprocedural behaviour of one function under
@@ -171,63 +150,49 @@ func funcKey(pkg, recv, name string) string {
 	return pkg + "\x00" + recv + "\x00" + name
 }
 
-// Prepare type-checks the module and computes function summaries to a
-// fixed point over the call graph. The first call wins; see
-// ModuleAnalyzer.
-func (t *Taint) Prepare(pkgs []*Package) {
-	if t.prepared {
-		return
-	}
-	t.prepared = true
-	t.graph.Build(pkgs)
+// newSummary returns the bottom summary for n parameters: no taint in,
+// out or to a sink.
+func newSummary(n int) *taintSummary {
+	return &taintSummary{propagates: make([]bool, n), sinks: make([]string, n)}
+}
 
-	// The graph indexes every declaration (test files included, for the
-	// concurrency rules); taint summarizes production code only.
-	t.funcs = make(map[string]*taintFunc)
-	t.methodsByName = make(map[string][]string)
+// Prepare implements ModuleAnalyzer: compute every production
+// function's summary to a fixed point over the call graph (the graph
+// indexes test files too, for the concurrency rules; taint summarizes
+// production code only).
+func (t *Taint) Prepare(m *Module) {
+	t.m = m
+	t.params = make(map[string][]any)
 	t.summaries = make(map[string]*taintSummary)
-	for _, key := range t.graph.Keys() {
-		gf := t.graph.Func(key)
-		if gf.File.Test {
+	var keys []string
+	for _, key := range m.Graph.Keys() {
+		fn := m.Graph.Func(key)
+		if fn.File.Test {
 			continue
 		}
-		pt := t.oracle.typesOf(gf.Pkg)
-		fd := gf.Decl
-		tf := &taintFunc{pkg: gf.Pkg, file: gf.File, decl: fd, key: key}
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			tf.params = append(tf.params, fieldKeys(pt, fd.Recv.List[0])...)
+		pt := m.typesOf(fn.Pkg)
+		var params []any
+		if fn.Decl.Recv != nil && len(fn.Decl.Recv.List) > 0 {
+			params = fieldKeys(pt, fn.Decl.Recv.List[0])
 		}
-		for _, f := range fd.Type.Params.List {
-			tf.params = append(tf.params, fieldKeys(pt, f)...)
+		for _, f := range fn.Decl.Type.Params.List {
+			params = append(params, fieldKeys(pt, f)...)
 		}
-		tf.ref = TaintRef{Pkg: gf.Pkg.ImportPath, Recv: gf.Recv, Name: fd.Name.Name}
-		t.funcs[key] = tf
-		if gf.Recv != "" {
-			t.methodsByName[fd.Name.Name] = append(t.methodsByName[fd.Name.Name], key)
-		}
+		t.params[key] = params
+		t.summaries[key] = newSummary(len(params))
+		keys = append(keys, key)
 	}
 
-	// Fixed point: start every module function at the bottom summary (no
-	// taint in, out or to a sink), then recompute every summary with the
-	// current map until nothing changes. Starting from bottom keeps module
-	// callees off call's conservative unknown-callee path, so summaries
-	// only grow over finitely many bits and the loop terminates; a round
-	// cap would drop flows deeper than it.
-	keys := make([]string, 0, len(t.funcs))
-	for k, tf := range t.funcs {
-		keys = append(keys, k)
-		t.summaries[k] = &taintSummary{
-			propagates: make([]bool, len(tf.params)),
-			sinks:      make([]string, len(tf.params)),
-		}
-	}
-	sort.Strings(keys)
+	// Fixed point: start every module function at the bottom summary,
+	// then recompute every summary with the current map until nothing
+	// changes. Starting from bottom keeps module callees off call's
+	// conservative unknown-callee path, so summaries only grow over
+	// finitely many bits and the loop terminates; a round cap would drop
+	// flows deeper than it.
 	for changed := true; changed; {
 		changed = false
 		for _, k := range keys {
-			tf := t.funcs[k]
-			s := t.summarize(tf)
-			if !s.equal(t.summaries[k]) {
+			if s := t.summarize(m.Graph.Func(k)); !s.equal(t.summaries[k]) {
 				t.summaries[k] = s
 				changed = true
 			}
@@ -243,18 +208,20 @@ func fieldKeys(pt *pkgTypes, f *ast.Field) []any {
 	}
 	keys := make([]any, len(f.Names))
 	for i, n := range f.Names {
-		if n.Name == "_" {
-			continue
+		if n.Name != "_" {
+			keys[i] = identObj(pt, n)
 		}
-		if pt != nil {
-			if obj := pt.info.Defs[n]; obj != nil {
-				keys[i] = obj
-				continue
-			}
-		}
-		keys[i] = "ident:" + n.Name
 	}
 	return keys
+}
+
+// declRecv returns a method declaration's bare receiver type name, or ""
+// for a plain function.
+func declRecv(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	return recvTypeName(fd.Recv.List[0].Type)
 }
 
 // recvTypeName extracts the bare receiver type name from its AST.
@@ -276,62 +243,49 @@ func recvTypeName(e ast.Expr) string {
 }
 
 // summarize computes one function's summary with parameters seeded.
-func (t *Taint) summarize(tf *taintFunc) *taintSummary {
-	w := t.newWalker(tf.pkg, tf.file)
+func (t *Taint) summarize(fn *GraphFunc) *taintSummary {
+	w := t.newWalker(fn.Pkg, fn.File)
 	w.summaryMode = true
 	// A parameter keeps the first sink it recorded. Which sink a parameter
 	// reaches first can change as callee summaries grow, and around a call
 	// cycle those names could rotate forever; pinned names cannot.
 	w.sinkHits = make(map[int]string)
-	if prev := t.summaries[tf.key]; prev != nil {
-		for i, hit := range prev.sinks {
-			if hit != "" {
-				w.sinkHits[i] = hit
-			}
+	for i, hit := range t.summaries[fn.Key].sinks {
+		if hit != "" {
+			w.sinkHits[i] = hit
 		}
 	}
-	for i, key := range tf.params {
+	params := t.params[fn.Key]
+	for i, key := range params {
 		if key != nil {
 			w.state[key] = paramBit(i)
 		}
 	}
-	w.run(tf.decl)
-	s := &taintSummary{
-		introduces: w.returns&taintSource != 0,
-		propagates: make([]bool, len(tf.params)),
-		sinks:      make([]string, len(tf.params)),
-	}
-	for i := range tf.params {
-		if w.returns&paramBit(i) != 0 {
-			s.propagates[i] = true
-		}
-		if hit, ok := w.sinkHits[i]; ok {
-			s.sinks[i] = hit
-		}
+	w.run(fn.Decl)
+	s := newSummary(len(params))
+	s.introduces = w.returns&taintSource != 0
+	for i := range params {
+		s.propagates[i] = w.returns&paramBit(i) != 0
+		s.sinks[i] = w.sinkHits[i]
 	}
 	return s
 }
 
 // Check implements Analyzer: the reporting pass over one package, using
 // the summaries computed in Prepare.
-func (t *Taint) Check(pkg *Package) []Finding {
-	if !t.prepared {
-		t.Prepare([]*Package{pkg})
-	}
+func (t *Taint) Check(_ *Module, pkg *Package) []Finding {
 	var out []Finding
 	for fi := range pkg.Files {
 		file := &pkg.Files[fi]
 		if file.Test {
 			continue
 		}
-		allowed := allowedLines(pkg.Fset, file.AST, AllowTaintMarker)
 		for _, decl := range file.AST.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
 			w := t.newWalker(pkg, file)
-			w.allowed = allowed
 			w.findings = &out
 			w.run(fd)
 		}
@@ -344,7 +298,7 @@ func (t *Taint) Check(pkg *Package) []Finding {
 type taintWalker struct {
 	t       *Taint
 	pkg     *Package
-	pt      *pkgTypes // may be nil when the oracle has no entry
+	pt      *pkgTypes
 	imports map[string]string
 	state   map[any]taintVal
 	changed bool
@@ -353,7 +307,6 @@ type taintWalker struct {
 	recording   bool
 	summaryMode bool
 	sinkHits    map[int]string
-	allowed     map[int]bool
 	findings    *[]Finding
 	reported    map[token.Pos]bool
 	returns     taintVal
@@ -363,7 +316,7 @@ func (t *Taint) newWalker(pkg *Package, file *File) *taintWalker {
 	return &taintWalker{
 		t:        t,
 		pkg:      pkg,
-		pt:       t.oracle.typesOf(pkg),
+		pt:       t.m.typesOf(pkg),
 		imports:  importMap(file.AST),
 		state:    make(map[any]taintVal),
 		reported: make(map[token.Pos]bool),
@@ -566,16 +519,14 @@ func (w *taintWalker) val(e ast.Expr) taintVal {
 // call classifies and evaluates one call expression.
 func (w *taintWalker) call(call *ast.CallExpr) taintVal {
 	// Type conversions keep their operand's taint.
-	if w.pt != nil {
-		if tv, ok := w.pt.info.Types[call.Fun]; ok && tv.IsType() {
-			var v taintVal
-			for _, a := range call.Args {
-				v |= w.val(a)
-			}
-			return v
+	if tv, ok := w.pt.info.Types[call.Fun]; ok && tv.IsType() {
+		var v taintVal
+		for _, a := range call.Args {
+			v |= w.val(a)
 		}
+		return v
 	}
-	if name, ok := builtinName(w, call.Fun); ok {
+	if name, ok := builtinName(w.pt, call.Fun); ok {
 		switch name {
 		case "append", "min", "max":
 			var v taintVal
@@ -625,7 +576,7 @@ func (w *taintWalker) call(call *ast.CallExpr) taintVal {
 		return 0
 	}
 
-	if s, tf := w.t.lookupSummary(c); s != nil {
+	if s, via := w.t.lookupSummary(c); s != nil {
 		var out taintVal
 		if s.introduces {
 			out |= taintSource
@@ -642,7 +593,7 @@ func (w *taintWalker) call(call *ast.CallExpr) taintVal {
 				out |= v
 			}
 			if j < len(s.sinks) && s.sinks[j] != "" {
-				w.hitSinkArg(call, s.sinks[j], tf.ref.String(), v)
+				w.hitSinkArg(call, s.sinks[j], via, v)
 			}
 		}
 		return out
@@ -684,10 +635,6 @@ func (w *taintWalker) hitSinkArg(call *ast.CallExpr, sink, via string, v taintVa
 	if w.reported[pos] {
 		return
 	}
-	line := w.pkg.Fset.Position(pos).Line
-	if w.allowed[line] {
-		return
-	}
 	w.reported[pos] = true
 	rule := w.t.Rule
 	msg := fmt.Sprintf("%s reaches sink %s", rule.Tainted, sink)
@@ -709,26 +656,6 @@ func (c callee) String() string {
 	return TaintRef{Pkg: c.pkg, Recv: c.recv, Name: c.name}.String()
 }
 
-// builtinName reports whether fun denotes a Go builtin.
-func builtinName(w *taintWalker, fun ast.Expr) (string, bool) {
-	id, ok := fun.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if w.pt != nil {
-		if obj := w.pt.info.Uses[id]; obj != nil {
-			_, isBuiltin := obj.(*types.Builtin)
-			return id.Name, isBuiltin
-		}
-	}
-	switch id.Name {
-	case "len", "cap", "append", "copy", "make", "new", "delete",
-		"clear", "min", "max", "panic", "print", "println", "recover":
-		return id.Name, true
-	}
-	return "", false
-}
-
 // resolve identifies the callee and, for method calls, returns the
 // receiver expression (so its taint participates as argument 0).
 func (w *taintWalker) resolve(call *ast.CallExpr) (callee, ast.Expr) {
@@ -741,27 +668,23 @@ func (w *taintWalker) resolve(call *ast.CallExpr) (callee, ast.Expr) {
 func resolveCall(pt *pkgTypes, imports map[string]string, selfPkg string, call *ast.CallExpr) (callee, ast.Expr) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if pt != nil {
-			if fn, ok := pt.info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
-				return callee{pkg: fn.Pkg().Path(), name: fun.Name}, nil
-			}
+		if fn, ok := pt.info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
+			return callee{pkg: fn.Pkg().Path(), name: fun.Name}, nil
 		}
 		// Unresolved plain call: assume same-package.
 		return callee{pkg: selfPkg, name: fun.Name}, nil
 	case *ast.SelectorExpr:
-		if pt != nil {
-			if sel, ok := pt.info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-				obj := sel.Obj()
-				pkgPath := ""
-				if obj.Pkg() != nil {
-					pkgPath = obj.Pkg().Path()
-				}
-				return callee{pkg: pkgPath, recv: namedOf(sel.Recv()), name: fun.Sel.Name}, fun.X
+		if sel, ok := pt.info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
+			obj := sel.Obj()
+			pkgPath := ""
+			if obj.Pkg() != nil {
+				pkgPath = obj.Pkg().Path()
 			}
-			if id, ok := fun.X.(*ast.Ident); ok {
-				if pn, ok := pt.info.Uses[id].(*types.PkgName); ok {
-					return callee{pkg: pn.Imported().Path(), name: fun.Sel.Name}, nil
-				}
+			return callee{pkg: pkgPath, recv: namedOf(sel.Recv()), name: fun.Sel.Name}, fun.X
+		}
+		if id, ok := fun.X.(*ast.Ident); ok {
+			if pn, ok := pt.info.Uses[id].(*types.PkgName); ok {
+				return callee{pkg: pn.Imported().Path(), name: fun.Sel.Name}, nil
 			}
 		}
 		if id, ok := fun.X.(*ast.Ident); ok {
@@ -781,9 +704,6 @@ func resolveCall(pt *pkgTypes, imports map[string]string, selfPkg string, call *
 // isLocalIdent reports whether id resolves to a local object (shadowing
 // an import name).
 func isLocalIdent(pt *pkgTypes, id *ast.Ident) bool {
-	if pt == nil {
-		return false
-	}
 	obj := pt.info.Uses[id]
 	if obj == nil {
 		return false
@@ -792,31 +712,16 @@ func isLocalIdent(pt *pkgTypes, id *ast.Ident) bool {
 	return !isPkg
 }
 
-// lookupSummary finds the summary for a resolved callee, handling the
-// unknown-receiver fallback (unique method name among imported
-// packages).
-func (t *Taint) lookupSummary(c callee) (*taintSummary, *taintFunc) {
-	if c.recv != "?" {
-		key := funcKey(c.pkg, c.recv, c.name)
-		if s, ok := t.summaries[key]; ok {
-			return s, t.funcs[key]
-		}
-		return nil, nil
+// lookupSummary finds the summary for a resolved callee (unknown
+// receivers resolve through the call graph's unique-method-name
+// fallback) and names the summarized function for diagnostics.
+func (t *Taint) lookupSummary(c callee) (*taintSummary, string) {
+	key, _, ok := t.m.Graph.calleeKey(c)
+	if s := t.summaries[key]; ok && s != nil {
+		pkg, recv, name := splitKey(key)
+		return s, TaintRef{Pkg: pkg, Recv: recv, Name: name}.String()
 	}
-	var found string
-	for _, key := range t.methodsByName[c.name] {
-		if found != "" && found != key {
-			return nil, nil // ambiguous: stay conservative
-		}
-		found = key
-	}
-	if found == "" {
-		return nil, nil
-	}
-	if s, ok := t.summaries[found]; ok {
-		return s, t.funcs[found]
-	}
-	return nil, nil
+	return nil, ""
 }
 
 // refMatcher matches resolved callees against a TaintRef table.
@@ -868,5 +773,3 @@ func (m *refMatcher) match(c callee, selfPkg string, imports map[string]string) 
 	}
 	return false
 }
-
-var _ ModuleAnalyzer = (*Taint)(nil)

@@ -70,7 +70,9 @@ func okBranchMixed(provisioned []byte, demo bool) *vault.Cipher {
 	return vault.NewCipher(key)
 }
 
-// demoCipher is the sanctioned escape hatch. xlf:allow-cryptomisuse
+// demoCipher is the sanctioned escape hatch.
+//
+//xlf:allow-cryptomisuse fixed demo key, reviewed
 func demoCipher() *vault.Cipher {
 	return vault.NewCipher([]byte("fixed-demo-key!!"))
 }

@@ -44,3 +44,10 @@ func waivedAbove() time.Time {
 func waivedByDoc(t0 time.Time) time.Duration {
 	return time.Since(t0)
 }
+
+// proseOnly names the waiver mid-sentence (see //xlf:allow-wallclock), as
+// exp.WallClock's doc does; only a comment that starts with the directive
+// waives, so the read below still fires.
+func proseOnly() time.Time {
+	return time.Now() // want "\[determinism\] wall-clock read time.Now"
+}

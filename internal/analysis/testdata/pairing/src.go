@@ -77,7 +77,9 @@ func runLocked(fn, unlock func()) {
 }
 
 // lockHandedOff deliberately returns while holding the lock; the caller
-// unlocks. xlf:allow-pairing
+// unlocks.
+//
+//xlf:allow-pairing the caller unlocks
 func lockHandedOff(g *guarded) {
 	g.mu.Lock()
 	g.vals["held"] = 1

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// This file gives the taint engine best-effort type information without
+// This file gives the module model best-effort type information without
 // leaving the standard library or the loaded source set. Packages are
 // type-checked in intra-module dependency order; imports that resolve to
 // another loaded package use its real checked types, while everything
@@ -23,20 +23,15 @@ type pkgTypes struct {
 	info *types.Info
 }
 
-// typeOracle owns the tolerant type-check of a loaded package set. It is
-// shared between taint rules so the module is checked once per run.
+// typeOracle is the tolerant type-check of a loaded package set. The
+// module model (NewModule) owns the only one, so a run checks the module
+// once and every rule reads the same objects.
 type typeOracle struct {
-	checked bool
-	byPkg   map[*Package]*pkgTypes
-}
-
-// newTypeOracle returns an empty oracle; check populates it.
-func newTypeOracle() *typeOracle {
-	return &typeOracle{byPkg: make(map[*Package]*pkgTypes)}
+	byPkg map[*Package]*pkgTypes
 }
 
 // typesOf returns the checked types for pkg, or nil when pkg was not part
-// of the checked set (the engine then falls back to syntactic matching).
+// of the checked set.
 func (o *typeOracle) typesOf(pkg *Package) *pkgTypes {
 	return o.byPkg[pkg]
 }
@@ -63,14 +58,9 @@ func (s *stubImporter) Import(path string) (*types.Package, error) {
 	return stub, nil
 }
 
-// check type-checks every package once, in dependency order. Repeat calls
-// are no-ops, so multiple analyzers can share one oracle.
-func (o *typeOracle) check(pkgs []*Package) {
-	if o.checked {
-		return
-	}
-	o.checked = true
-
+// newTypeOracle type-checks every package once, in dependency order.
+func newTypeOracle(pkgs []*Package) *typeOracle {
+	o := &typeOracle{byPkg: make(map[*Package]*pkgTypes, len(pkgs))}
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p
@@ -132,6 +122,7 @@ func (o *typeOracle) check(pkgs []*Package) {
 		o.byPkg[p] = pt
 		imp.loaded[p.ImportPath] = pt
 	}
+	return o
 }
 
 // namedOf unwraps pointers and returns the named type's object name, or
@@ -148,4 +139,34 @@ func namedOf(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
+}
+
+// isMap reports whether e has map type (a map type literal when the
+// check recorded no type for e).
+func isMap(pt *pkgTypes, e ast.Expr) bool {
+	if tv, ok := pt.info.Types[e]; ok && tv.Type != nil {
+		_, isMap := tv.Type.Underlying().(*types.Map)
+		return isMap
+	}
+	_, isMapType := e.(*ast.MapType)
+	return isMapType
+}
+
+// builtinName reports whether fun denotes a Go builtin, and which. An
+// identifier the check left unresolved counts when it spells one.
+func builtinName(pt *pkgTypes, fun ast.Expr) (string, bool) {
+	id, ok := fun.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	if obj := pt.info.Uses[id]; obj != nil {
+		_, isBuiltin := obj.(*types.Builtin)
+		return id.Name, isBuiltin
+	}
+	switch id.Name {
+	case "len", "cap", "append", "copy", "make", "new", "delete",
+		"clear", "min", "max", "panic", "print", "println", "recover":
+		return id.Name, true
+	}
+	return "", false
 }

@@ -272,27 +272,24 @@ var XLFCryptoConfig = CryptoConfig{
 }
 
 // XLFAnalyzers returns the full rule set configured for this
-// repository. One CallGraph (and the type oracle inside it) is shared
-// by every interprocedural rule — determinism, lockorder, hotpathalloc,
-// globalmut, maporder and the taint suite — so the module is
-// type-checked and its call edges resolved exactly once per run.
+// repository. Every rule reads one module model per run (NewModule), so
+// the module is type-checked and its call edges resolved exactly once.
 // DESIGN.md §6 gives the invariant each rule guards.
 func XLFAnalyzers() []Analyzer {
-	g := NewCallGraph()
 	out := []Analyzer{
 		NewLayerCheck(XLFModule, XLFLayerTable),
-		NewDeterminism(XLFDeterministicPackages, g),
+		NewDeterminism(XLFDeterministicPackages),
 		NewErrDrop(XLFSecurityPackages),
 		NewPairingAnalyzer(XLFReceiverPairs, XLFValuePairs),
 		NewCryptoMisuse(XLFCryptoConfig),
 		NewDeadStore(),
 		// Concurrency-safety layer (DESIGN.md §10).
-		NewLockOrder(g),
+		NewLockOrder(),
 		NewGoroLeak(),
-		NewHotPathAlloc(g),
+		NewHotPathAlloc(),
 		// Interprocedural determinism layer (DESIGN.md §11).
-		NewGlobalMut(XLFSchedulerRootPackages, g),
-		NewMapOrder(XLFDeterministicPackages, XLFMapOrderSinks, g),
+		NewGlobalMut(XLFSchedulerRootPackages),
+		NewMapOrder(XLFDeterministicPackages, XLFMapOrderSinks),
 	}
-	return append(out, NewTaintSuite(g, XLFPlaintextEscape, XLFSecretLeak)...)
+	return append(out, NewTaintSuite(XLFPlaintextEscape, XLFSecretLeak)...)
 }

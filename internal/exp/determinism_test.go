@@ -35,39 +35,39 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFullReportDeterministic replays the entire report twice. The heavy
-// experiments (T2, E9) make this the longest test in the package, so it
-// yields to -short.
-func TestFullReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-report determinism sweep in -short mode")
-	}
-	a := Render(Run(envFor(3), Registry()))
-	b := Render(Run(envFor(3), Registry()))
-	if a != b {
-		t.Fatal("full report differs between two runs with the same seed and a fake clock")
-	}
-}
-
 // TestSchedulerDeterminismMatrix is the tentpole contract: at every
 // parallelism level and for every seed, the report Run schedules must be
 // byte-identical to the sequential one. Each experiment (and each inner
 // sweep point) gets a forked Env with its own step clock and a restarted
 // RNG stream, so neither pool interleaving nor sweep fan-out may leak into
-// the rendered bytes.
+// the rendered bytes. Each parallel report is a separate run compared
+// byte for byte with the sequential one, so the matrix also pins that a
+// same-seed replay of the full report reproduces it. The sequential
+// baseline also checks that every entry renders a Result carrying its own
+// ID and title, which the artifact layer keys on.
 func TestSchedulerDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite Run matrix in -short mode")
 	}
+	reg := Registry()
 	for _, seed := range []int64{3, 11} {
 		env := envFor(seed)
-		baseline := Render(Run(env, Registry()))
+		results := Run(env, reg)
+		for i, r := range results {
+			if r.ID != reg[i].ID {
+				t.Errorf("%s rendered result ID %q", reg[i].ID, r.ID)
+			}
+			if r.Title != reg[i].Title {
+				t.Errorf("%s rendered title %q, registry says %q", reg[i].ID, r.Title, reg[i].Title)
+			}
+		}
+		baseline := Render(results)
 		for _, parallel := range []int{4, 16} {
 			parallel := parallel
 			t.Run(fmt.Sprintf("seed%d_parallel%d", seed, parallel), func(t *testing.T) {
 				env := envFor(seed)
 				env.Workers = parallel
-				got := Render(Run(env, Registry()))
+				got := Render(Run(env, reg))
 				if got != baseline {
 					t.Errorf("parallel %d report differs from sequential at seed %d", parallel, seed)
 				}

@@ -75,20 +75,3 @@ func TestRegistryRunsDeterministic(t *testing.T) {
 		})
 	}
 }
-
-// TestResultIDsMatchRegistry asserts every entry renders a Result carrying
-// its own ID and title, which the artifact layer keys on.
-func TestResultIDsMatchRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry sweep in -short mode")
-	}
-	for _, e := range Registry() {
-		r := e.Run(NewStepEnv(1))
-		if r.ID != e.ID {
-			t.Errorf("%s rendered result ID %q", e.ID, r.ID)
-		}
-		if r.Title != e.Title {
-			t.Errorf("%s rendered title %q, registry says %q", e.ID, r.Title, e.Title)
-		}
-	}
-}

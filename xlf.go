@@ -39,6 +39,9 @@ import (
 // to import internal/core for the OnAlert callback.
 type CoreAlert = core.Alert
 
+// attestEvery is the firmware attestation cadence (§IV-A4).
+const attestEvery = 30 * time.Second
+
 // Options configures a System.
 type Options struct {
 	// Seed drives all simulation randomness; equal seeds replay exactly.
@@ -51,16 +54,12 @@ type Options struct {
 	CoreConfig core.Config
 	// ShapingLevel in [0,1] enables gateway traffic shaping (0 = off).
 	ShapingLevel float64
-	// ResolverMode is "DNS" or "DoT" for the gateway resolver.
-	ResolverMode string
 	// Users provisions the cloud authority; nil installs a default owner
 	// and guest.
 	Users []xauth.User
 	// DisableProtection builds the testbed WITHOUT any XLF function —
 	// the unprotected baseline for experiments.
 	DisableProtection bool
-	// AttestEvery sets the firmware attestation cadence (0 = 30s).
-	AttestEvery time.Duration
 	// LightweightEncryption enables the §IV-A2 device-layer function:
 	// per-device sessions over negotiated Table III ciphers, with sealed
 	// payloads and battery metering.
@@ -126,7 +125,6 @@ func New(opts Options) (*System, error) {
 	home, err := testbed.New(testbed.Config{
 		Seed:                  opts.Seed,
 		Flaws:                 opts.Flaws,
-		ResolverMode:          opts.ResolverMode,
 		LightweightEncryption: opts.LightweightEncryption && !opts.DisableProtection,
 		Tracer:                opts.Tracer,
 	})
@@ -310,11 +308,7 @@ func New(opts Options) (*System, error) {
 	s.correlator = analytics.NewCorrelator(analytics.HomeRules())
 
 	// ----- Device-layer attestation (§IV-A4). -----
-	attest := opts.AttestEvery
-	if attest <= 0 {
-		attest = 30 * time.Second
-	}
-	home.Kernel.Every(attest, attest/8, "xlf-attest", func() { s.attest() })
+	home.Kernel.Every(attestEvery, attestEvery/8, "xlf-attest", func() { s.attest() })
 
 	// ----- Architecture inventory for the figures. -----
 	s.Arch = core.NewArchitecture(s.Core.Config().Deployment)
