@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,25 +44,15 @@ func TestExperimentsDeterministic(t *testing.T) {
 // the rendered bytes. Each parallel report is a separate run compared
 // byte for byte with the sequential one, so the matrix also pins that a
 // same-seed replay of the full report reproduces it. The sequential
-// baseline also checks that every entry renders a Result carrying its own
-// ID and title, which the artifact layer keys on.
+// baselines come from sequentialRun, which TestResultIDsMatchRegistry
+// shares.
 func TestSchedulerDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite Run matrix in -short mode")
 	}
 	reg := Registry()
 	for _, seed := range []int64{3, 11} {
-		env := envFor(seed)
-		results := Run(env, reg)
-		for i, r := range results {
-			if r.ID != reg[i].ID {
-				t.Errorf("%s rendered result ID %q", reg[i].ID, r.ID)
-			}
-			if r.Title != reg[i].Title {
-				t.Errorf("%s rendered title %q, registry says %q", reg[i].ID, r.Title, reg[i].Title)
-			}
-		}
-		baseline := Render(results)
+		baseline := Render(sequentialRun(seed))
 		for _, parallel := range []int{4, 16} {
 			parallel := parallel
 			t.Run(fmt.Sprintf("seed%d_parallel%d", seed, parallel), func(t *testing.T) {
@@ -74,6 +65,25 @@ func TestSchedulerDeterminismMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+var (
+	sequentialMu   sync.Mutex
+	sequentialRuns = map[int64][]*Result{}
+)
+
+// sequentialRun returns the sequential full-registry results for seed
+// under a step clock, running the registry once per seed per test binary
+// so the tests that read a sequential baseline share it.
+func sequentialRun(seed int64) []*Result {
+	sequentialMu.Lock()
+	defer sequentialMu.Unlock()
+	if rs, ok := sequentialRuns[seed]; ok {
+		return rs
+	}
+	rs := Run(envFor(seed), Registry())
+	sequentialRuns[seed] = rs
+	return rs
 }
 
 // observe runs one registry entry under a step clock at the given

@@ -75,3 +75,25 @@ func TestRegistryRunsDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestResultIDsMatchRegistry asserts every entry renders a Result carrying
+// its own ID and title, which the artifact layer keys on. It reads the
+// sequential full-registry run the scheduler matrix compares against.
+func TestResultIDsMatchRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry sweep in -short mode")
+	}
+	reg := Registry()
+	results := sequentialRun(3)
+	if len(results) != len(reg) {
+		t.Fatalf("registry run returned %d results, want %d", len(results), len(reg))
+	}
+	for i, r := range results {
+		if r.ID != reg[i].ID {
+			t.Errorf("%s rendered result ID %q", reg[i].ID, r.ID)
+		}
+		if r.Title != reg[i].Title {
+			t.Errorf("%s rendered title %q, registry says %q", reg[i].ID, r.Title, reg[i].Title)
+		}
+	}
+}
