@@ -130,7 +130,7 @@ func BenchmarkScenarioSimulation(b *testing.B) {
 		if err := sys.Home.Run(5 * time.Minute); err != nil {
 			b.Fatal(err)
 		}
-		if len(sys.Core.Alerts()) == 0 {
+		if sys.Core.Stats().Alerts == 0 {
 			b.Fatal("campaign not detected")
 		}
 	}

@@ -48,6 +48,9 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "xlf-attack:", err)
 		return 1
 	}
+	if sys.Protected() {
+		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Println("ALERT:", a) }
+	}
 	env := sys.Home.AttackEnv()
 
 	suite := append(attack.TableIIAttacks(),

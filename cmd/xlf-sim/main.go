@@ -1,7 +1,7 @@
 // Command xlf-sim runs a simulated smart home under XLF protection through
 // a scripted day — benign activity plus an attack campaign — and prints
-// the protection report, the live architecture figures, and the NAC
-// policy.
+// each alert as the Core raises it, then the protection report, the live
+// architecture figures, and the NAC policy.
 //
 // Usage:
 //
@@ -67,6 +67,7 @@ func run(args []string) int {
 	}
 	if sys.Protected() {
 		sys.SetContext(analytics.Context{OutdoorTempF: 65, UserHome: true})
+		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Println("ALERT:", a) }
 	}
 
 	// Attack campaign.

@@ -23,15 +23,17 @@ func Example() {
 		return
 	}
 
+	sys.Core.OnAlert = func(a xlf.CoreAlert) {
+		if a.DeviceID == "cam-1" {
+			fmt.Printf("alert: sev=%s action=%q\n", a.Severity, a.Action)
+		}
+	}
 	res := (&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(sys.Home.AttackEnv())
 	fmt.Println(res)
 
 	if err := sys.Home.Run(time.Minute); err != nil {
 		fmt.Println("error:", err)
 		return
-	}
-	for _, a := range sys.Core.AlertsFor("cam-1") {
-		fmt.Printf("alert: sev=%s action=%q\n", a.Severity, a.Action)
 	}
 	fmt.Println("camera quarantined:", sys.NAC.Blocked("lan:cam-1"))
 

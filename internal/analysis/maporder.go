@@ -118,24 +118,28 @@ func (w *mapOrderWalker) rangeStmt(r *ast.RangeStmt) {
 
 // walkBody scans the loop body. guarded counts enclosing if/switch
 // nesting inside the loop: a return under a guard is a search, not an
-// arbitrary pick. Only the bodies of guards are scanned, and nested
-// function literals are skipped (their bodies run as their own
-// functions).
+// arbitrary pick. A guard's init statement, condition or tag runs on
+// every iteration, so it is scanned at the enclosing level and its
+// bodies one level deeper. Nested function literals are skipped (their
+// bodies run as their own functions).
 func (w *mapOrderWalker) walkBody(r *ast.RangeStmt, body ast.Node, objs map[any]string, guarded int) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.IfStmt:
+			w.walkGuard(r, objs, guarded, n.Init, n.Cond)
 			w.walkBody(r, n.Body, objs, guarded+1)
 			if n.Else != nil {
 				w.walkBody(r, n.Else, objs, guarded+1)
 			}
 			return false
 		case *ast.SwitchStmt:
+			w.walkGuard(r, objs, guarded, n.Init, n.Tag)
 			w.walkBody(r, n.Body, objs, guarded+1)
 			return false
 		case *ast.TypeSwitchStmt:
+			w.walkGuard(r, objs, guarded, n.Init, n.Assign)
 			w.walkBody(r, n.Body, objs, guarded+1)
 			return false
 		case *ast.SelectStmt:
@@ -159,6 +163,16 @@ func (w *mapOrderWalker) walkBody(r *ast.RangeStmt, body ast.Node, objs map[any]
 		}
 		return true
 	})
+}
+
+// walkGuard scans a guard's init statement and its condition, tag or
+// type-switch assignment, either of which may be absent.
+func (w *mapOrderWalker) walkGuard(r *ast.RangeStmt, objs map[any]string, guarded int, parts ...ast.Node) {
+	for _, p := range parts {
+		if p != nil {
+			w.walkBody(r, p, objs, guarded)
+		}
+	}
 }
 
 // appendStmt flags `dst = append(dst, ...key/value...)` unless dst is

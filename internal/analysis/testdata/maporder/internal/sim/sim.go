@@ -66,6 +66,27 @@ func guardedSearch(m map[string]int, want int) string {
 	return ""
 }
 
+// guardInit emits through a sink in an if statement's init, which runs
+// on every iteration: the guard around the return does not cover it.
+func guardInit(m map[string]int) {
+	for k := range m {
+		if _, err := fmt.Println(k); err != nil { // want "\[maporder\] map iteration order flows into sink fmt.Println through k"
+			return
+		}
+	}
+}
+
+// guardedInitSearch binds in the guard's init and returns only under the
+// guard: still a lookup.
+func guardedInitSearch(m map[string]int, want int) string {
+	for k, v := range m {
+		if n := v * 2; n == want {
+			return k
+		}
+	}
+	return ""
+}
+
 // sinkCall emits values in iteration order through a configured sink.
 func sinkCall(m map[string]int) {
 	for k, v := range m {

@@ -138,10 +138,11 @@ type Core struct {
 	contain Containment
 
 	devs    map[string]*devState
-	alerts  []Alert
 	enabled [numLayers]bool
 
-	// OnAlert, when set, observes every raised alert.
+	// OnAlert, when set, observes every raised alert. The Core keeps no
+	// list of its alerts: this stream and the alert Ingest returns are
+	// the only places an alert's provenance appears.
 	OnAlert func(Alert)
 
 	// Tracer, when set, receives core-layer spans for every ingest,
@@ -235,7 +236,7 @@ func (c *Core) Metrics() *obs.Registry { return c.reg }
 // unattributed signal is counted and traced but correlates with nothing.
 //
 // The returned alert is the caller's own copy; its Layers and Evidence
-// share backing arrays with the recorded alert, as Alerts' copies do.
+// share backing arrays with the alert OnAlert received.
 //
 //xlf:hotpath
 func (c *Core) Ingest(sig Signal) *Alert {
@@ -295,9 +296,9 @@ func (c *Core) evaluate(deviceID string, d *devState, now time.Duration) *Alert 
 	return c.raise(deviceID, d, now, conf) //xlf:allow-hotpath raising an alert copies its provenance; non-alerting signals return above
 }
 
-// raise records an alert for the device's current window, runs
-// containment when conf reaches ContainThreshold, and notifies the
-// observers.
+// raise builds an alert from the device's current window, notes its time
+// in the device's state, runs containment when conf reaches
+// ContainThreshold, and notifies the observers.
 func (c *Core) raise(deviceID string, d *devState, now time.Duration, conf float64) *Alert {
 	d.recordAlert(now)
 
@@ -347,12 +348,10 @@ func (c *Core) raise(deviceID string, d *devState, now time.Duration, conf float
 			Detail: fmt.Sprintf("conf=%.2f layers=%d", conf, len(layers)),
 		})
 	}
-	c.alerts = append(c.alerts, a)
 	if c.OnAlert != nil {
 		c.OnAlert(a)
 	}
-	out := a
-	return &out
+	return &a
 }
 
 // containDevice picks and executes a containment action based on the
@@ -385,29 +384,13 @@ func (c *Core) containDevice(deviceID string, evidence []Signal) string {
 	return ""
 }
 
-// Alerts returns all raised alerts (a copy).
-func (c *Core) Alerts() []Alert { return append([]Alert(nil), c.alerts...) }
-
-// AlertsFor returns a device's alerts.
-func (c *Core) AlertsFor(deviceID string) []Alert {
-	var out []Alert
-	for _, a := range c.alerts {
-		if a.DeviceID == deviceID {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // FlaggedDevices lists devices with at least one alert, sorted.
 func (c *Core) FlaggedDevices() []string {
-	set := make(map[string]struct{})
-	for _, a := range c.alerts {
-		set[a.DeviceID] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
+	var out []string
+	for id, d := range c.devs {
+		if d.nAlerts > 0 {
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out

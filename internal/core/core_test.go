@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +20,8 @@ func TestSingleWeakSignalNoAlert(t *testing.T) {
 	if a := c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.5)); a != nil {
 		t.Errorf("weak single-layer signal alerted: %s", a)
 	}
-	if len(c.Alerts()) != 0 {
-		t.Error("alert recorded")
+	if st := c.Stats(); st.Alerts != 0 {
+		t.Errorf("Stats() = %+v, want no alert counted", st)
 	}
 }
 
@@ -40,9 +42,8 @@ func TestStrongSignalAlerts(t *testing.T) {
 func TestCrossLayerCorroborationBoostsConfidence(t *testing.T) {
 	c := New(DefaultConfig(), Containment{})
 	// Two medium signals from one layer: no alert (max score 0.55 < 0.6).
-	c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.55))
-	if got := c.Alerts(); len(got) != 0 {
-		t.Fatalf("premature alert: %v", got)
+	if a := c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.55)); a != nil {
+		t.Fatalf("premature alert: %v", a)
 	}
 	// A second layer corroborates: 0.55 * 1.25 = 0.6875 >= 0.6.
 	a := c.Ingest(sig(2*time.Second, Device, "cam-1", "firmware-tamper", 0.5))
@@ -172,20 +173,22 @@ func TestUnknownLayerDropped(t *testing.T) {
 }
 
 // TestIngestReturnsOwnCopy pins that Ingest's alert is the caller's:
-// mutating it leaves the recorded alert alone, and later alerts do not
-// move it.
+// mutating it leaves the alert OnAlert received alone, and later alerts
+// do not move it.
 func TestIngestReturnsOwnCopy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cooldown = time.Millisecond
 	c := New(cfg, Containment{})
+	var seen []Alert
+	c.OnAlert = func(a Alert) { seen = append(seen, a) }
 	a := c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.7))
 	if a == nil {
 		t.Fatal("no alert")
 	}
 	want := *a
 	a.Confidence, a.Action, a.DeviceID = 0, "mutated", "other"
-	if got := c.Alerts()[0]; got.Confidence != want.Confidence || got.Action != want.Action || got.DeviceID != want.DeviceID {
-		t.Errorf("recorded alert = %s after mutating the returned one, want %s", got, want)
+	if got := seen[0]; got.Confidence != want.Confidence || got.Action != want.Action || got.DeviceID != want.DeviceID {
+		t.Errorf("streamed alert = %s after mutating the returned one, want %s", got, want)
 	}
 	*a = want
 	for i := 0; i < 1000; i++ {
@@ -239,6 +242,41 @@ func TestIngestHistoryBounded(t *testing.T) {
 	}
 }
 
+// TestCoreStateIsBounded: one device raises 10,000 alerts, each past the
+// cooldown and carrying one evidence signal. Alerts leave through
+// OnAlert and Ingest's return, so the Core's heap after all of them stays
+// within coreHeapSlack of its heap after the first 100.
+func TestCoreStateIsBounded(t *testing.T) {
+	// Each retained alert would hold its struct, a layer slice and one
+	// evidence signal, over 200 bytes: 9,900 of them are about 2 MB.
+	const coreHeapSlack = 256 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cfg := DefaultConfig()
+	c := New(cfg, Containment{})
+	var base uint64
+	for i := 0; i < 10000; i++ {
+		if i == 100 {
+			base = heap()
+		}
+		// Spaced a window apart, each signal evicts the one before it.
+		at := time.Duration(i) * (cfg.Window + cfg.Cooldown)
+		if c.Ingest(sig(at, Network, "cam-1", "scan", 0.7)) == nil {
+			t.Fatalf("signal %d did not alert", i)
+		}
+	}
+	if grown := int64(heap()) - int64(base); grown >= coreHeapSlack {
+		t.Errorf("heap grew %d bytes over 9,900 alerts, want < %d: the Core retains alerts", grown, coreHeapSlack)
+	}
+	if got := c.Stats().Alerts; got != 10000 {
+		t.Errorf("Stats().Alerts = %d, want 10000", got)
+	}
+}
+
 func TestUnattributedSignalsStored(t *testing.T) {
 	c := New(DefaultConfig(), Containment{})
 	if a := c.Ingest(Signal{Time: time.Second, Layer: Network, Kind: "ddos-flood", Score: 0.9}); a != nil {
@@ -255,14 +293,12 @@ func TestOnAlertCallbackAndQueries(t *testing.T) {
 	c.OnAlert = func(a Alert) { seen = append(seen, a) }
 	c.Ingest(sig(time.Second, Network, "cam-1", "scan", 0.9))
 	c.Ingest(sig(time.Second, Device, "bulb-1", "x", 0.9))
-	if len(seen) != 2 {
-		t.Fatalf("callback saw %d alerts", len(seen))
+	c.Ingest(sig(time.Second, Device, "plug-1", "x", 0.3)) // ingested, never flagged
+	if len(seen) != 2 || seen[0].DeviceID != "cam-1" || seen[1].DeviceID != "bulb-1" {
+		t.Fatalf("callback saw %v", seen)
 	}
-	if got := c.FlaggedDevices(); len(got) != 2 || got[0] != "bulb-1" {
+	if got := c.FlaggedDevices(); !slices.Equal(got, []string{"bulb-1", "cam-1"}) {
 		t.Errorf("flagged = %v", got)
-	}
-	if got := c.AlertsFor("cam-1"); len(got) != 1 {
-		t.Errorf("AlertsFor cam-1 = %d", len(got))
 	}
 }
 

@@ -163,20 +163,21 @@ func (c *refCore) containDevice(deviceID string, evidence []Signal) string {
 	return ""
 }
 
-func (c *refCore) AlertsFor(deviceID string) []Alert {
-	var out []Alert
+func (c *refCore) flaggedDevices() []string {
+	var out []string
 	for _, a := range c.alerts {
-		if a.DeviceID == deviceID {
-			out = append(out, a)
+		if !slices.Contains(out, a.DeviceID) {
+			out = append(out, a.DeviceID)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
 func (c *refCore) TokenLifetimeFor(deviceID string, base time.Duration, now time.Duration) time.Duration {
 	recent := 0
-	for _, a := range c.AlertsFor(deviceID) {
-		if now-a.Time <= c.cfg.Window*5 {
+	for _, a := range c.alerts {
+		if a.DeviceID == deviceID && now-a.Time <= c.cfg.Window*5 {
 			recent++
 		}
 	}
@@ -242,6 +243,8 @@ func diffCore(t *testing.T, cfg Config, hooks bool, sigs []Signal) {
 	if hooks {
 		ref, got = newRefCore(cfg, logContainment(&refLog)), New(cfg, logContainment(&gotLog))
 	}
+	var stream []Alert
+	got.OnAlert = func(a Alert) { stream = append(stream, a) }
 	base := time.Hour
 	lifetimes := func(dev string, now time.Duration) string {
 		for _, at := range []time.Duration{now, now - cfg.Window, now + cfg.Window*5, now + cfg.Window*5 + 1, math.MinInt64, math.MaxInt64} {
@@ -266,14 +269,16 @@ func diffCore(t *testing.T, cfg Config, hooks bool, sigs []Signal) {
 			t.Fatalf("signal %d: %s", i, d)
 		}
 	}
-	all := got.Alerts()
-	if len(all) != len(ref.alerts) {
-		t.Fatalf("Alerts() holds %d, reference %d", len(all), len(ref.alerts))
+	if len(stream) != len(ref.alerts) {
+		t.Fatalf("OnAlert saw %d alerts, reference %d", len(stream), len(ref.alerts))
 	}
-	for i := range all {
-		if d := diffAlert(&ref.alerts[i], &all[i]); d != "" {
-			t.Fatalf("Alerts()[%d]: %s", i, d)
+	for i := range stream {
+		if d := diffAlert(&ref.alerts[i], &stream[i]); d != "" {
+			t.Fatalf("OnAlert alert %d: %s", i, d)
 		}
+	}
+	if g, w := got.FlaggedDevices(), ref.flaggedDevices(); !slices.Equal(g, w) {
+		t.Fatalf("FlaggedDevices() = %v, reference %v", g, w)
 	}
 	for _, dev := range progDevices {
 		for _, s := range sigs {

@@ -100,7 +100,8 @@ type devState struct {
 	// lastAlert is the time of the device's last raised alert, which
 	// starts the cooldown. alerts holds the alert times TokenLifetimeFor
 	// counts, sorted: all of them up to four, then the two earliest and
-	// the two latest (see recordAlert).
+	// the two latest (see recordAlert). nAlerts > 0 marks the device
+	// flagged.
 	lastAlert time.Duration
 	alerts    [4]time.Duration
 	nAlerts   int

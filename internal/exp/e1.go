@@ -131,13 +131,8 @@ func runE1Config(env *Env, label string, layers []core.LayerName, bonus float64,
 	for id := range sys.Home.Devices {
 		conf.Record(flagged[id], victims[id])
 	}
-	contained := 0
-	for _, a := range sys.Core.Alerts() {
-		if a.Action != "" {
-			contained++
-		}
-	}
-	return conf, len(sys.Core.Alerts()), contained
+	st := sys.Core.Stats()
+	return conf, int(st.Alerts), int(st.Contained)
 }
 
 // runE1Scenario schedules the benign background and the attack campaign,

@@ -6,6 +6,7 @@ import (
 
 	"xlf"
 	"xlf/internal/attack"
+	"xlf/internal/core"
 	"xlf/internal/metrics"
 	"xlf/internal/netsim"
 )
@@ -65,6 +66,17 @@ func e8Home(env *Env, protected bool) e8Row {
 	if err != nil {
 		panic(err)
 	}
+	row := e8Row{detectedAt: "-", containedAt: "-"}
+	if protected {
+		sys.Core.OnAlert = func(a core.Alert) {
+			if row.detectedAt == "-" {
+				row.detectedAt = a.Time.Truncate(time.Millisecond).String()
+			}
+			if a.Action != "" && row.containedAt == "-" {
+				row.containedAt = a.Time.Truncate(time.Millisecond).String()
+			}
+		}
+	}
 	aenv := sys.Home.AttackEnv()
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}
 	sys.Home.Kernel.Schedule(10*time.Second, "recruit", func() { m.Execute(aenv) })
@@ -75,23 +87,13 @@ func e8Home(env *Env, protected bool) e8Row {
 		panic(err)
 	}
 
-	row := e8Row{recruited: len(m.Recruited()), detectedAt: "-", containedAt: "-"}
+	row.recruited = len(m.Recruited())
 	for _, rec := range sys.Home.WANCap.Records() {
 		switch rec.Dst {
 		case netsim.Addr("wan:cnc"):
 			row.beacons++
 		case netsim.Addr("wan:victim"):
 			row.floodPkts++
-		}
-	}
-	if protected {
-		for _, a := range sys.Core.Alerts() {
-			if row.detectedAt == "-" {
-				row.detectedAt = a.Time.Truncate(time.Millisecond).String()
-			}
-			if a.Action != "" && row.containedAt == "-" {
-				row.containedAt = a.Time.Truncate(time.Millisecond).String()
-			}
 		}
 	}
 	return row

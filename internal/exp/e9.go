@@ -7,6 +7,7 @@ import (
 
 	"xlf"
 	"xlf/internal/attack"
+	"xlf/internal/core"
 	"xlf/internal/device"
 	"xlf/internal/metrics"
 	"xlf/internal/testbed"
@@ -42,6 +43,16 @@ func runE9(env *Env) *Result {
 	events := sys.Home.GenerateWorkload(testbed.WorkloadConfig{Days: days, Intensity: 1})
 	sys.Home.ScheduleWorkload(events)
 
+	// The victims are known only after the run: keep each alert's time,
+	// device and containment to classify it then.
+	type alertAt struct {
+		at        time.Duration
+		device    string
+		contained bool
+	}
+	var alerts []alertAt
+	sys.Core.OnAlert = func(a core.Alert) { alerts = append(alerts, alertAt{a.Time, a.DeviceID, a.Action != ""}) }
+
 	// Campaign midway through day 2.
 	campaignAt := 36 * time.Hour
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 20 * time.Second}
@@ -53,7 +64,6 @@ func runE9(env *Env) *Result {
 		panic(err)
 	}
 
-	alerts := sys.Core.Alerts()
 	victims := map[string]bool{}
 	for _, id := range m.Recruited() {
 		victims[id] = true
@@ -61,12 +71,12 @@ func runE9(env *Env) *Result {
 	falseAlerts := 0
 	var detectAt, containAt time.Duration = -1, -1
 	for _, a := range alerts {
-		if victims[a.DeviceID] {
+		if victims[a.device] {
 			if detectAt < 0 {
-				detectAt = a.Time
+				detectAt = a.at
 			}
-			if a.Action != "" && containAt < 0 {
-				containAt = a.Time
+			if a.contained && containAt < 0 {
+				containAt = a.at
 			}
 			continue
 		}

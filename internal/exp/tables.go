@@ -168,7 +168,7 @@ func runTable2(env *Env) *Result {
 		a.Execute(sys.Home.AttackEnv())
 		sys.Home.Run(2 * time.Minute)
 		det := "missed"
-		if len(sys.Core.Alerts()) > 0 {
+		if sys.Core.Stats().Alerts > 0 {
 			det = "DETECTED"
 			row.detects = true
 		}

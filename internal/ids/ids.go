@@ -155,8 +155,8 @@ func (d *ScanDetector) sweep(now time.Duration) {
 
 // FloodDetector flags destinations receiving traffic far above baseline —
 // volumetric DDoS. It tracks per-destination packet rates in fixed bins.
-// An expired bin is reset in place, and once per bin destinations whose
-// bin and last alert have both expired are dropped.
+// An expired bin is reset in place, and once per floodIdleBins bins
+// destinations whose bin and last alert are both that old are dropped.
 type FloodDetector struct {
 	// Bin is the rate-measurement bin.
 	Bin time.Duration
@@ -222,15 +222,21 @@ func (d *FloodDetector) Process(rec netsim.PacketRecord) []Alert {
 	}}
 }
 
-// sweep drops, once per bin, every destination whose bin started, and
-// whose last alert fired, a bin or more ago: its next record opens a fresh
-// bin and may alert, exactly as for a destination never seen.
+// floodIdleBins is the sweep's idle horizon in bins. Home destinations
+// recur every few seconds, so a one-bin horizon would drop and re-insert
+// them on nearly every bin; any horizon of a bin or more keeps the alerts.
+const floodIdleBins = 30
+
+// sweep drops, once per idle horizon, every destination whose bin
+// started, and whose last alert fired, that horizon or more ago: its next
+// record opens a fresh bin and may alert, exactly as for one never seen.
 func (d *FloodDetector) sweep(now time.Duration) {
-	if _, ok := sweepDue(&d.sweepAt, now, d.Bin); !ok {
+	idle := floodIdleBins * d.Bin
+	if _, ok := sweepDue(&d.sweepAt, now, idle); !ok {
 		return
 	}
 	for dst, b := range d.bins {
-		if now-b.start < d.Bin || b.alerted && now-b.lastAlert < d.Bin {
+		if now-b.start < idle || b.alerted && now-b.lastAlert < idle {
 			continue
 		}
 		delete(d.bins, dst)

@@ -10,8 +10,9 @@
 //
 //	sys, err := xlf.New(xlf.Options{Seed: 1})
 //	...
+//	sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Println(a) }
 //	sys.Home.Run(10 * time.Minute)
-//	for _, a := range sys.Core.Alerts() { fmt.Println(a) }
+//	fmt.Print(sys.Report())
 package xlf
 
 import (
@@ -650,11 +651,8 @@ func (s *System) Report() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "NAC denials: %d\n", s.NAC.Denials())
-	alerts := s.Core.Alerts()
-	fmt.Fprintf(&b, "alerts: %d\n", len(alerts))
-	for _, a := range alerts {
-		fmt.Fprintf(&b, "  %s\n", a)
-	}
+	st := s.Core.Stats()
+	fmt.Fprintf(&b, "alerts: %d (%d contained)\n", st.Alerts, st.Contained)
 	if flagged := s.Core.FlaggedDevices(); len(flagged) > 0 {
 		fmt.Fprintf(&b, "flagged devices: %s\n", strings.Join(flagged, ", "))
 	}

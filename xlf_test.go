@@ -28,8 +28,43 @@ func protectedSystem(t *testing.T, seed int64) *System {
 	return sys
 }
 
+// alertLog holds the alerts a Core raised, recorded through OnAlert.
+type alertLog []core.Alert
+
+// recordAlerts records every alert sys raises from now on.
+func recordAlerts(sys *System) *alertLog {
+	l := new(alertLog)
+	sys.Core.OnAlert = func(a core.Alert) { *l = append(*l, a) }
+	return l
+}
+
+// of returns the recorded alerts on one device.
+func (l alertLog) of(deviceID string) alertLog {
+	var out alertLog
+	for _, a := range l {
+		if a.DeviceID == deviceID {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// hasEvidence reports whether any recorded alert carries a signal that
+// match accepts.
+func (l alertLog) hasEvidence(match func(core.Signal) bool) bool {
+	for _, a := range l {
+		for _, e := range a.Evidence {
+			if match(e) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func TestBenignDayRaisesNoAlerts(t *testing.T) {
 	sys := protectedSystem(t, 7)
+	alerts := recordAlerts(sys)
 	// A normal day: keepalives plus legitimate user interactions.
 	sched := []struct {
 		at    time.Duration
@@ -60,8 +95,8 @@ func TestBenignDayRaisesNoAlerts(t *testing.T) {
 	if err := sys.Home.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if alerts := sys.Core.Alerts(); len(alerts) != 0 {
-		t.Errorf("benign day produced %d alerts: %v", len(alerts), alerts)
+	if len(*alerts) != 0 {
+		t.Errorf("benign day produced %d alerts: %v", len(*alerts), *alerts)
 	}
 	if sys.NAC.Denials() != 0 {
 		t.Errorf("benign day produced %d NAC denials", sys.NAC.Denials())
@@ -70,6 +105,7 @@ func TestBenignDayRaisesNoAlerts(t *testing.T) {
 
 func TestMiraiCampaignDetectedAndContained(t *testing.T) {
 	sys := protectedSystem(t, 11)
+	alerts := recordAlerts(sys)
 	env := sys.Home.AttackEnv()
 
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}
@@ -81,8 +117,7 @@ func TestMiraiCampaignDetectedAndContained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	alerts := sys.Core.Alerts()
-	if len(alerts) == 0 {
+	if len(*alerts) == 0 {
 		t.Fatal("XLF raised no alerts for a Mirai campaign")
 	}
 	// The recruited camera must be flagged and contained.
@@ -97,8 +132,8 @@ func TestMiraiCampaignDetectedAndContained(t *testing.T) {
 		t.Errorf("cam-1 not flagged; flagged=%v", flagged)
 	}
 	contained := false
-	for _, a := range alerts {
-		if a.DeviceID == "cam-1" && a.Action != "" {
+	for _, a := range alerts.of("cam-1") {
+		if a.Action != "" {
 			contained = true
 		}
 	}
@@ -135,6 +170,7 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recorded := recordAlerts(sys)
 	pkt := &netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}
 	err = sys.Home.Gateway.SendOut(sys.Home.Net, pkt)
 	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: NAC denies lan:cam-1 -> wan:cnc"; got != want {
@@ -148,7 +184,7 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 	if nac.Src != pkt.Src || nac.Dst != pkt.Dst || nac.Quarantined {
 		t.Errorf("NAC refusal = %+v", *nac)
 	}
-	alerts := sys.Core.AlertsFor("cam-1")
+	alerts := recorded.of("cam-1")
 	if len(alerts) != 1 || len(alerts[0].Evidence) != 1 {
 		t.Fatalf("alerts = %v, want one carrying the denial", alerts)
 	}
@@ -168,6 +204,7 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 
 func TestEventSpoofCaughtByBehaviorDFA(t *testing.T) {
 	sys := protectedSystem(t, 17)
+	alerts := recordAlerts(sys)
 	env := sys.Home.AttackEnv()
 	// Legitimate state: camera is monitoring. A spoofed "clear" event is
 	// illegal (clear is only legal while recording).
@@ -176,15 +213,7 @@ func TestEventSpoofCaughtByBehaviorDFA(t *testing.T) {
 		t.Fatalf("spoof rejected unexpectedly: %s", res)
 	}
 	sys.Home.Run(30 * time.Second)
-	found := false
-	for _, a := range sys.Core.Alerts() {
-		for _, e := range a.Evidence {
-			if e.Kind == "illegal-transition" && e.DeviceID == "cam-1" {
-				found = true
-			}
-		}
-	}
-	if !found {
+	if !alerts.hasEvidence(func(e core.Signal) bool { return e.Kind == "illegal-transition" && e.DeviceID == "cam-1" }) {
 		// A single behaviour signal may sit below the alert threshold;
 		// check the monitor recorded the deviation at minimum.
 		if _, devs := sys.Monitors["cam-1"].Stats(); devs == 0 {
@@ -195,6 +224,7 @@ func TestEventSpoofCaughtByBehaviorDFA(t *testing.T) {
 
 func TestDFALegalSpoofCaughtByRFEvidence(t *testing.T) {
 	sys := protectedSystem(t, 83)
+	alerts := recordAlerts(sys)
 	env := sys.Home.AttackEnv()
 	// "motion" IS legal in the camera's monitoring state, so the DFA
 	// check passes — but the event was injected at the service layer with
@@ -205,35 +235,26 @@ func TestDFALegalSpoofCaughtByRFEvidence(t *testing.T) {
 		t.Fatalf("spoof rejected: %s", res)
 	}
 	sys.Home.Run(30 * time.Second)
-	found := false
-	for _, a := range sys.Core.AlertsFor("cam-1") {
-		for _, e := range a.Evidence {
-			if e.Kind == "no-rf-evidence" {
-				found = true
-			}
-		}
-	}
-	if !found {
+	noRF := func(e core.Signal) bool { return e.Kind == "no-rf-evidence" }
+	if !alerts.of("cam-1").hasEvidence(noRF) {
 		t.Error("DFA-legal spoof escaped the RF-evidence check")
 	}
 
 	// A real motion event (with its uplink packet) is never flagged.
 	sys2 := protectedSystem(t, 89)
+	alerts2 := recordAlerts(sys2)
 	if err := sys2.Home.UserEvent("cam-1", "motion"); err != nil {
 		t.Fatal(err)
 	}
 	sys2.Home.Run(30 * time.Second)
-	for _, a := range sys2.Core.AlertsFor("cam-1") {
-		for _, e := range a.Evidence {
-			if e.Kind == "no-rf-evidence" {
-				t.Errorf("real event flagged as spoofed: %s", a)
-			}
-		}
+	if got := alerts2.of("cam-1"); got.hasEvidence(noRF) {
+		t.Errorf("real event flagged as spoofed: %v", got)
 	}
 }
 
 func TestRogueAppCaughtByAppVerification(t *testing.T) {
 	sys := protectedSystem(t, 19)
+	alerts := recordAlerts(sys)
 	env := sys.Home.AttackEnv()
 	res := (&attack.RogueApp{
 		AppID: "free-wallpaper", CoverDevice: "window-1", CoverCap: "contact",
@@ -252,21 +273,14 @@ func TestRogueAppCaughtByAppVerification(t *testing.T) {
 	if !removed {
 		t.Error("rogue app not removed by containment")
 	}
-	foundSignal := false
-	for _, a := range sys.Core.Alerts() {
-		for _, e := range a.Evidence {
-			if strings.HasPrefix(e.Kind, "rogue-app:") {
-				foundSignal = true
-			}
-		}
-	}
-	if !foundSignal {
+	if !alerts.hasEvidence(func(e core.Signal) bool { return strings.HasPrefix(e.Kind, "rogue-app:") }) {
 		t.Error("application verification produced no rogue-app evidence")
 	}
 }
 
 func TestPolicyAbuseCaughtByContextAnalytics(t *testing.T) {
 	sys := protectedSystem(t, 23)
+	alerts := recordAlerts(sys)
 	if err := sys.InstallApp(climateApp()); err != nil {
 		t.Fatal(err)
 	}
@@ -278,31 +292,21 @@ func TestPolicyAbuseCaughtByContextAnalytics(t *testing.T) {
 		t.Fatalf("policy abuse failed: %s", res)
 	}
 	sys.Home.Run(30 * time.Second)
-	found := false
-	for _, a := range sys.Core.Alerts() {
-		for _, e := range a.Evidence {
-			if strings.HasPrefix(e.Kind, "context:") {
-				found = true
-			}
-		}
-	}
-	if !found {
+	contextual := func(e core.Signal) bool { return strings.HasPrefix(e.Kind, "context:") }
+	if !alerts.hasEvidence(contextual) {
 		t.Error("contextual analytics missed the §IV-C3 abuse")
 	}
 	// The same automation on a hot day with the user home is fine.
 	sys2 := protectedSystem(t, 29)
+	alerts2 := recordAlerts(sys2)
 	if err := sys2.InstallApp(climateApp()); err != nil {
 		t.Fatal(err)
 	}
 	sys2.SetContext(analytics.Context{OutdoorTempF: 95, UserHome: true})
 	(&attack.PolicyAbuse{ThermoID: "thermo-1", FakeTempF: 95}).Execute(sys2.Home.AttackEnv())
 	sys2.Home.Run(30 * time.Second)
-	for _, a := range sys2.Core.Alerts() {
-		for _, e := range a.Evidence {
-			if strings.HasPrefix(e.Kind, "context:") {
-				t.Errorf("benign summer automation flagged: %s", a)
-			}
-		}
+	if alerts2.hasEvidence(contextual) {
+		t.Errorf("benign summer automation flagged: %v", *alerts2)
 	}
 }
 
@@ -323,22 +327,17 @@ func climateApp() *service.SmartApp {
 
 func TestFirmwareTamperCaughtByAttestation(t *testing.T) {
 	sys := protectedSystem(t, 31)
+	alerts := recordAlerts(sys)
 	env := sys.Home.AttackEnv()
 	res := (&attack.FirmwareModulation{Target: "cam-1"}).Execute(env)
 	if !res.Succeeded {
 		t.Fatalf("tamper failed: %s", res)
 	}
 	sys.Home.Run(2 * time.Minute)
-	found := false
-	for _, a := range sys.Core.AlertsFor("cam-1") {
-		for _, e := range a.Evidence {
-			if e.Kind == "firmware-tamper" || strings.HasPrefix(e.Kind, "dpi:") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Errorf("firmware tamper not detected; alerts=%v", sys.Core.Alerts())
+	if !alerts.of("cam-1").hasEvidence(func(e core.Signal) bool {
+		return e.Kind == "firmware-tamper" || strings.HasPrefix(e.Kind, "dpi:")
+	}) {
+		t.Errorf("firmware tamper not detected; alerts=%v", *alerts)
 	}
 }
 
@@ -371,6 +370,7 @@ func TestUnprotectedBaselineSeesNothing(t *testing.T) {
 
 func TestLearnedModelCatchesDFALessDeviceAbuse(t *testing.T) {
 	sys := protectedSystem(t, 43)
+	alerts := recordAlerts(sys)
 	// The smart speaker has no automation DFA; XLF learned its typical
 	// traces. A benign session (real device interactions, with their
 	// radio traffic) raises nothing.
@@ -380,37 +380,44 @@ func TestLearnedModelCatchesDFALessDeviceAbuse(t *testing.T) {
 		}
 	}
 	sys.Home.Run(30 * time.Second)
-	if got := sys.Core.AlertsFor("speaker-1"); len(got) != 0 {
+	if got := alerts.of("speaker-1"); len(got) != 0 {
 		t.Fatalf("benign speaker session alerted: %v", got)
 	}
 
 	// A compromised speaker suddenly emits transitions never seen in
 	// benign use (e.g. straight from idle into bulk exfil-style events).
 	sys2 := protectedSystem(t, 47)
+	alerts2 := recordAlerts(sys2)
 	for _, ev := range []string{"wake", "exfil", "exfil", "exfil"} {
 		sys2.Home.Cloud.PublishDeviceEvent("speaker-1", ev, 0)
 	}
 	sys2.Home.Run(30 * time.Second)
-	found := false
-	for _, a := range sys2.Core.AlertsFor("speaker-1") {
-		for _, e := range a.Evidence {
-			if e.Kind == "unseen-transition" {
-				found = true
-			}
-		}
-	}
-	if !found {
+	if !alerts2.of("speaker-1").hasEvidence(func(e core.Signal) bool { return e.Kind == "unseen-transition" }) {
 		t.Error("learned model missed the never-seen transitions")
 	}
 }
 
+// TestDeterministicReplay runs one seed twice and compares the Report and
+// the alert stream: each alert's String and the kinds of its evidence.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() string {
 		sys := protectedSystem(t, 99)
+		alerts := recordAlerts(sys)
 		env := sys.Home.AttackEnv()
 		(&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(env)
 		sys.Home.Run(2 * time.Minute)
-		return sys.Report()
+		var b strings.Builder
+		b.WriteString(sys.Report())
+		for _, a := range *alerts {
+			fmt.Fprintf(&b, "%s\n", a)
+			for _, e := range a.Evidence {
+				fmt.Fprintf(&b, "  %s\n", e.Kind)
+			}
+		}
+		if len(*alerts) == 0 {
+			t.Error("the replayed campaign raised no alert")
+		}
+		return b.String()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -423,6 +430,7 @@ func TestExfiltrationThroughEnrolledChannelCaughtByVolume(t *testing.T) {
 	// the destination is enrolled (NAC passes) and the payload is
 	// encrypted (DPI blind). Only the uplink volume baseline catches it.
 	sys := protectedSystem(t, 101)
+	alerts := recordAlerts(sys)
 	// Let baselines warm up on normal keepalives first.
 	sys.Home.Run(10 * time.Minute)
 	sys.Home.Devices["cam-1"].Compromise("exfil-implant")
@@ -437,15 +445,7 @@ func TestExfiltrationThroughEnrolledChannelCaughtByVolume(t *testing.T) {
 		})
 	})
 	sys.Home.Run(sys.Home.Kernel.Now() + 5*time.Minute)
-	found := false
-	for _, a := range sys.Core.AlertsFor("cam-1") {
-		for _, e := range a.Evidence {
-			if e.Kind == "traffic-anomaly" {
-				found = true
-			}
-		}
-	}
-	if !found {
+	if !alerts.of("cam-1").hasEvidence(func(e core.Signal) bool { return e.Kind == "traffic-anomaly" }) {
 		t.Error("enrolled-channel exfiltration escaped the volume baseline")
 	}
 }
@@ -455,6 +455,7 @@ func TestDetectionSurvivesPacketLoss(t *testing.T) {
 	// assembly. Scan/brute-force/loader traffic is repetitive, so the
 	// campaign must still be detected despite dropped evidence packets.
 	sys := protectedSystem(t, 53)
+	alerts := recordAlerts(sys)
 	for id := range sys.Home.Devices {
 		link, ok := sys.Home.Net.LinkOf(netsim.Addr("lan:" + id))
 		if !ok {
@@ -468,7 +469,7 @@ func TestDetectionSurvivesPacketLoss(t *testing.T) {
 	env := sys.Home.AttackEnv()
 	(&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(env)
 	sys.Home.Run(2 * time.Minute)
-	if len(sys.Core.AlertsFor("cam-1")) == 0 {
+	if len(alerts.of("cam-1")) == 0 {
 		t.Error("campaign undetected under 10% packet loss")
 	}
 }
@@ -485,9 +486,10 @@ func TestShapingDoesNotConfuseOwnDetectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alerts := recordAlerts(sys)
 	sys.Home.Run(3 * time.Minute)
-	if alerts := sys.Core.Alerts(); len(alerts) != 0 {
-		t.Errorf("shaped benign home raised %d alerts: %v", len(alerts), alerts)
+	if len(*alerts) != 0 {
+		t.Errorf("shaped benign home raised %d alerts: %v", len(*alerts), *alerts)
 	}
 	// Dummy cells are actually flowing.
 	dummies := false
@@ -508,9 +510,10 @@ func TestShapingDoesNotConfuseOwnDetectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alerts2 := recordAlerts(sys2)
 	(&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(sys2.Home.AttackEnv())
 	sys2.Home.Run(2 * time.Minute)
-	if len(sys2.Core.AlertsFor("cam-1")) == 0 {
+	if len(alerts2.of("cam-1")) == 0 {
 		t.Error("campaign undetected under full shaping")
 	}
 }
