@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,10 +22,10 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string) int {
+func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("xlf-attack", flag.ContinueOnError)
 	var (
 		seed     = fs.Int64("seed", 1, "deterministic seed")
@@ -49,7 +50,7 @@ func run(args []string) int {
 		return 1
 	}
 	if sys.Protected() {
-		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Println("ALERT:", a) }
+		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Fprintln(out, "ALERT:", a) }
 	}
 	env := sys.Home.AttackEnv()
 
@@ -61,17 +62,17 @@ func run(args []string) int {
 			TargetDevice: "window-1", TargetCommand: "unlock",
 		},
 	)
-	fmt.Printf("attack suite against %s home (seed %d)\n\n", mode(*hardened, *withXLF), *seed)
+	fmt.Fprintf(out, "attack suite against %s home (seed %d)\n\n", mode(*hardened, *withXLF), *seed)
 	for _, a := range suite {
 		res := a.Execute(env)
-		fmt.Printf("  [%-7s] %s\n", a.Layer(), res)
+		fmt.Fprintf(out, "  [%-7s] %s\n", a.Layer(), res)
 	}
 	if err := sys.Home.Run(3 * time.Minute); err != nil {
 		fmt.Fprintln(os.Stderr, "xlf-attack:", err)
 		return 1
 	}
-	fmt.Println()
-	fmt.Print(sys.Report())
+	fmt.Fprintln(out)
+	fmt.Fprint(out, sys.Report())
 	return 0
 }
 

@@ -173,7 +173,7 @@ func TestLayerTableMirrorsModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range Run(pkgs, []Analyzer{NewLayerCheck(XLFModule, XLFLayerTable)}) {
+	for _, f := range NewModule(pkgs).Run(pkgs, []Analyzer{NewLayerCheck(XLFModule, XLFLayerTable)}, 1) {
 		t.Error(f)
 	}
 }
@@ -186,7 +186,7 @@ func TestRepoCleanUnderAllRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range Run(pkgs, XLFAnalyzers()) {
+	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers(), 1) {
 		t.Error(f)
 	}
 }
@@ -276,7 +276,7 @@ func TestEveryWaiverSuppressesAFinding(t *testing.T) {
 	if len(waivers) == 0 {
 		t.Fatal("no //xlf:allow-* waivers found in the module")
 	}
-	for _, f := range Run(pkgs, XLFAnalyzers()) {
+	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers(), 1) {
 		for _, w := range waivers {
 			inScope := f.File == w.file && w.from <= f.Line && f.Line <= w.to
 			if (inScope || w.via != nil && w.via.MatchString(f.Message)) && slices.Contains(waiverRules[w.marker], f.Rule) {

@@ -47,6 +47,7 @@ func FuzzLockOrderGraph(f *testing.F) {
 			Fset:       fset,
 			Files:      []File{{Name: "fuzz.go", AST: file}},
 		}
-		_ = Run([]*Package{pkg}, []Analyzer{NewLockOrder()})
+		pkgs := []*Package{pkg}
+		_ = NewModule(pkgs).Run(pkgs, []Analyzer{NewLockOrder()}, 1)
 	})
 }

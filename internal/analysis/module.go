@@ -139,9 +139,3 @@ func (m *Module) Run(pkgs []*Package, analyzers []Analyzer, workers int) []Findi
 	SortFindings(out)
 	return out
 }
-
-// Run builds the model of pkgs and applies every analyzer to every
-// package.
-func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	return NewModule(pkgs).Run(pkgs, analyzers, 1)
-}

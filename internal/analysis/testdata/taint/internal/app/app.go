@@ -73,18 +73,10 @@ func GoodError(s *xauth.Signer) error {
 	return fmt.Errorf("rejected %s", xauth.Redact(t))
 }
 
-// BadLabel writes an encoded token into a metrics row.
+// BadLabel writes an encoded token into a metrics row: Encode is no
+// source, so the taint reaches the sink through Encode's summary.
 func BadLabel(tb *metrics.Table, s *xauth.Signer) {
 	tb.AddRow("user", xauth.Encode(s.Issue("bob"))) // want "secretleak.* reaches sink .*AddRow"
-}
-
-// BadDecodeLog prints a token recovered from the wire.
-func BadDecodeLog(raw string) {
-	t, err := xauth.Decode(raw)
-	if err != nil {
-		return
-	}
-	fmt.Println("got", t) // want "secretleak.* reaches sink fmt.Println"
 }
 
 // WaivedDump documents a reviewed token dump.

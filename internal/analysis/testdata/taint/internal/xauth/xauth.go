@@ -6,7 +6,7 @@ type Token struct {
 	Sig     []byte
 }
 
-// Signer issues tokens; Issue/Encode/Decode are secretleak sources.
+// Signer issues tokens; Issue is the secretleak source.
 type Signer struct{ key []byte }
 
 // Issue mints a signed token.
@@ -16,9 +16,6 @@ func (s *Signer) Issue(subject string) Token {
 
 // Encode serialises a token for transport (still secret material).
 func Encode(t Token) string { return t.Subject + "!" + string(t.Sig) }
-
-// Decode parses a transported token.
-func Decode(raw string) (Token, error) { return Token{Subject: raw}, nil }
 
 // Redact is the sanctioned display form — the secretleak sanitizer.
 func Redact(t Token) string { return "token(" + t.Subject + ")" }

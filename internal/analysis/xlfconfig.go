@@ -185,8 +185,6 @@ var XLFSecretLeak = TaintRule{
 	Advice:   "log the xauth.Redact form instead",
 	Sources: []TaintRef{
 		{Pkg: "xlf/internal/xauth", Recv: "Signer", Name: "Issue"},
-		{Pkg: "xlf/internal/xauth", Name: "Encode"},
-		{Pkg: "xlf/internal/xauth", Name: "Decode"},
 	},
 	Sanitizers: []TaintRef{
 		{Pkg: "xlf/internal/xauth", Name: "Redact"},
@@ -260,7 +258,6 @@ var XLFCryptoConfig = CryptoConfig{
 		{Pkg: "xlf/internal/channel", Name: "New", KeyArg: 1, MinKeyLen: 16},
 		{Pkg: "xlf/internal/xauth", Name: "NewAuthority", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "xlf/internal/xauth", Name: "NewSigner", KeyArg: 0, MinKeyLen: 16},
-		{Pkg: "xlf/internal/xauth", Name: "NewCA", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "xlf/internal/dpi", Name: "NewTokenizer", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "crypto/hmac", Name: "New", KeyArg: 1, MinKeyLen: 16},
 	},

@@ -1,16 +1,13 @@
 // Package analytics provides the statistical primitives behind XLF's
 // security analytics (§IV-C3): streaming baselines (EWMA mean/variance),
-// z-score anomaly detection, CUSUM change detection, time-of-day activity
-// profiles, and multi-domain contextual correlation (device state x
-// network rate x third-party context such as weather), which the XLF Core
-// composes into its cross-layer evaluations.
+// z-score anomaly detection, and multi-domain contextual correlation
+// (device state x network rate x third-party context such as weather),
+// which the XLF Core composes into its cross-layer evaluations.
 package analytics
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // EWMA is an exponentially weighted moving average with a variance
@@ -65,72 +62,6 @@ func (e *EWMA) ZScore(v float64) float64 {
 		return math.Inf(1)
 	}
 	return (v - e.mean) / sd
-}
-
-// CUSUM is a cumulative-sum change detector: it accumulates deviations
-// above a slack k and alarms when the sum crosses threshold h; good for
-// the slow drifts a z-score misses (e.g., a sensor's CPU creeping up).
-type CUSUM struct {
-	k, h   float64
-	target float64
-	sPos   float64
-	sNeg   float64
-}
-
-// NewCUSUM builds a detector around a target value with slack k and
-// threshold h.
-func NewCUSUM(target, k, h float64) (*CUSUM, error) {
-	if k < 0 || h <= 0 {
-		return nil, errors.New("analytics: CUSUM needs k >= 0, h > 0")
-	}
-	return &CUSUM{k: k, h: h, target: target}, nil
-}
-
-// Update absorbs an observation and reports whether a change alarm fires
-// (the detector resets after alarming).
-func (c *CUSUM) Update(v float64) bool {
-	c.sPos = math.Max(0, c.sPos+v-c.target-c.k)
-	c.sNeg = math.Max(0, c.sNeg+c.target-v-c.k)
-	if c.sPos > c.h || c.sNeg > c.h {
-		c.sPos, c.sNeg = 0, 0
-		return true
-	}
-	return false
-}
-
-// DayProfile is an hour-of-day activity baseline: devices in static home
-// deployments have strongly diurnal patterns, so per-hour baselines are a
-// better normal model than a single global one.
-type DayProfile struct {
-	hours [24]*EWMA
-}
-
-// NewDayProfile builds per-hour EWMA baselines.
-func NewDayProfile(alpha float64) (*DayProfile, error) {
-	p := &DayProfile{}
-	for i := range p.hours {
-		e, err := NewEWMA(alpha)
-		if err != nil {
-			return nil, err
-		}
-		p.hours[i] = e
-	}
-	return p, nil
-}
-
-// hourOf maps a simulation offset to an hour-of-day (epoch = midnight).
-func hourOf(t time.Duration) int {
-	return int(t/time.Hour) % 24
-}
-
-// Update absorbs an observation at simulated time t.
-func (p *DayProfile) Update(t time.Duration, v float64) {
-	p.hours[hourOf(t)].Update(v)
-}
-
-// ZScore judges v against the matching hour's baseline.
-func (p *DayProfile) ZScore(t time.Duration, v float64) float64 {
-	return p.hours[hourOf(t)].ZScore(v)
 }
 
 // Context is the third-party signal bundle of §IV-C3's example: outside

@@ -3,7 +3,6 @@ package analytics
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestEWMAValidation(t *testing.T) {
@@ -62,71 +61,6 @@ func TestEWMAColdStart(t *testing.T) {
 	}
 	if z := e.ZScore(11); !math.IsInf(z, 1) {
 		t.Errorf("divergent value z = %v, want +Inf", z)
-	}
-}
-
-func TestCUSUMDetectsDrift(t *testing.T) {
-	c, err := NewCUSUM(10, 0.5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On-target stream never alarms.
-	for i := 0; i < 100; i++ {
-		if c.Update(10) {
-			t.Fatal("false alarm on target")
-		}
-	}
-	// Small persistent drift alarms eventually.
-	fired := false
-	for i := 0; i < 100; i++ {
-		if c.Update(11.5) {
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Error("CUSUM missed a persistent drift")
-	}
-	if _, err := NewCUSUM(0, -1, 1); err == nil {
-		t.Error("negative slack accepted")
-	}
-	if _, err := NewCUSUM(0, 0, 0); err == nil {
-		t.Error("zero threshold accepted")
-	}
-}
-
-func TestCUSUMDetectsDownwardShift(t *testing.T) {
-	c, _ := NewCUSUM(10, 0.5, 5)
-	fired := false
-	for i := 0; i < 100; i++ {
-		if c.Update(8) {
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Error("CUSUM missed a downward shift")
-	}
-}
-
-func TestDayProfileSeparatesHours(t *testing.T) {
-	p, err := NewDayProfile(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Train: quiet nights (hour 3), busy evenings (hour 20), over 30 days.
-	for day := 0; day < 30; day++ {
-		base := time.Duration(day) * 24 * time.Hour
-		p.Update(base+3*time.Hour, 5+float64(day%3))
-		p.Update(base+20*time.Hour, 500+float64(day*7%50))
-	}
-	// 500 B/s at 8pm is normal...
-	if z := p.ZScore(31*24*time.Hour+20*time.Hour, 510); math.Abs(z) > 2 {
-		t.Errorf("evening normal z = %v", z)
-	}
-	// ...but the same rate at 3am is an anomaly.
-	if z := p.ZScore(31*24*time.Hour+3*time.Hour, 510); z < 10 {
-		t.Errorf("night anomaly z = %v, want large", z)
 	}
 }
 

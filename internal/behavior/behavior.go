@@ -54,15 +54,13 @@ func min3(a, b, c int) int {
 	return a
 }
 
-// Quantize buckets a packet size to blur MTU-level jitter; HoMonit
-// clusters similar sequences, and bucketing plays that role
-// deterministically.
-func Quantize(size int) int { return (size + 31) / 32 }
-
 // Fingerprint is a labelled packet-size sequence for one device event.
 type Fingerprint struct {
 	Event string
-	Seq   []int // quantized sizes in order
+	// Seq is the packet sizes in order, bucketed to blur MTU-level
+	// jitter: HoMonit clusters similar sequences, and bucketing plays
+	// that role deterministically.
+	Seq []int
 }
 
 // Library holds the fingerprint clusters per event and classifies observed
@@ -142,8 +140,7 @@ type Monitor struct {
 	dfa      *device.Behavior
 	state    device.State
 
-	observed   int
-	deviations []Deviation
+	observed, deviations int
 }
 
 // NewMonitor starts tracking a device from its automaton's initial state.
@@ -158,7 +155,7 @@ func NewMonitor(deviceID string, dfa *device.Behavior) (*Monitor, error) {
 func (m *Monitor) State() device.State { return m.state }
 
 // Observe feeds one recovered event. Legal transitions advance the tracked
-// state; illegal ones are recorded as deviations without advancing (the
+// state; illegal ones are counted as deviations without advancing (the
 // device itself would have rejected them).
 func (m *Monitor) Observe(event string) *Deviation {
 	m.observed++
@@ -168,29 +165,25 @@ func (m *Monitor) Observe(event string) *Deviation {
 			DeviceID: m.deviceID, Event: event, Kind: "illegal-transition",
 			State: m.state, Score: 1.0,
 		}
-		m.deviations = append(m.deviations, d)
+		m.deviations++
 		return &d
 	}
 	m.state = next
 	return nil
 }
 
-// ObserveUnknown records a sequence that matched no fingerprint.
+// ObserveUnknown counts a sequence that matched no fingerprint as a
+// deviation.
 func (m *Monitor) ObserveUnknown(distance int) *Deviation {
 	m.observed++
 	score := 1 - 1/float64(distance+1)
 	d := Deviation{DeviceID: m.deviceID, Kind: "unknown-event", State: m.state, Score: score}
-	m.deviations = append(m.deviations, d)
+	m.deviations++
 	return &d
 }
 
 // Stats returns (observations, deviations).
-func (m *Monitor) Stats() (int, int) { return m.observed, len(m.deviations) }
-
-// Deviations returns recorded deviations (a copy).
-func (m *Monitor) Deviations() []Deviation {
-	return append([]Deviation(nil), m.deviations...)
-}
+func (m *Monitor) Stats() (int, int) { return m.observed, m.deviations }
 
 // LearnedModel is the fallback for devices without automation-derived
 // automata (the paper's Amazon Echo point): a first-order transition model

@@ -2,8 +2,8 @@ package behavior
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
-	"testing/quick"
 
 	"xlf/internal/device"
 )
@@ -55,16 +55,6 @@ func TestLevenshteinIsAMetric(t *testing.T) {
 		if dab > max(len(a), len(b)) {
 			t.Fatalf("distance exceeds max length: %v %v", a, b)
 		}
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	f := func(n uint16) bool {
-		q := Quantize(int(n))
-		return q >= 0 && q*32 >= int(n) && (q-1)*32 < int(n) || (n == 0 && q == 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -155,6 +145,44 @@ func TestMonitorTracksAndFlags(t *testing.T) {
 	if obs != 4 || dev != 1 {
 		t.Errorf("stats = %d/%d, want 4/1", obs, dev)
 	}
+}
+
+// TestMonitorStateIsBounded: a bulb sees 10,000 illegal events, as a
+// spoofing app would send on the E5 signal path. Each deviation leaves
+// through Observe's return, so the Monitor's heap after all of them
+// stays within monitorHeapSlack of its heap after the first 100.
+func TestMonitorStateIsBounded(t *testing.T) {
+	// A retained Deviation is over 70 bytes: 9,900 of them are about
+	// 700 KB.
+	const monitorHeapSlack = 256 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	bulb := device.NewSmartBulb("bulb-1")
+	m, err := NewMonitor("bulb-1", bulb.Behavior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base uint64
+	for i := 0; i < 10000; i++ {
+		if i == 100 {
+			base = heap()
+		}
+		// "dim" is illegal in the bulb's initial state, which it never leaves.
+		if m.Observe("dim") == nil {
+			t.Fatalf("event %d not flagged", i)
+		}
+	}
+	if grown := int64(heap()) - int64(base); grown >= monitorHeapSlack {
+		t.Errorf("heap grew %d bytes over 9,900 deviations, want < %d: the Monitor retains deviations", grown, monitorHeapSlack)
+	}
+	if obs, dev := m.Stats(); obs != 10000 || dev != 10000 {
+		t.Errorf("stats = %d/%d, want 10000/10000", obs, dev)
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestMonitorUnknownEvent(t *testing.T) {

@@ -8,7 +8,6 @@ package ids
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"xlf/internal/netsim"
@@ -34,10 +33,10 @@ type Detector interface {
 	// Name identifies the detector in alerts and reports.
 	Name() string
 	// Process consumes one record and returns any alerts it triggers.
-	// Records arrive in non-decreasing Time — ProcessAll sorts them, and
-	// the gateway taps and a replayed capture see them in delivery order
-	// — so a detector may drop per-key state that has aged out of its
-	// window: no later record can read it.
+	// Records arrive in non-decreasing Time — the gateway taps and a
+	// replayed capture see them in delivery order, and nothing sorts for
+	// the caller — so a detector may drop per-key state that has aged out
+	// of its window: no later record can read it.
 	Process(rec netsim.PacketRecord) []Alert
 }
 
@@ -522,17 +521,6 @@ func (p *Pipeline) Process(rec netsim.PacketRecord) []Alert {
 		out = append(out, d.Process(rec)...)
 	}
 	p.alerts = append(p.alerts, out...)
-	return out
-}
-
-// ProcessAll feeds a capture through the pipeline in time order.
-func (p *Pipeline) ProcessAll(recs []netsim.PacketRecord) []Alert {
-	sorted := append([]netsim.PacketRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-	var out []Alert
-	for _, r := range sorted {
-		out = append(out, p.Process(r)...)
-	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package ids
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -139,7 +140,11 @@ func TestPipelineFanOutAndCollect(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		recs = append(recs, rec(time.Duration(i)*5*time.Second, "lan:cam", "wan:cnc", 6667, 64))
 	}
-	alerts := p.ProcessAll(recs)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	var alerts []Alert
+	for _, r := range recs {
+		alerts = append(alerts, p.Process(r)...)
+	}
 	byDet := map[string]int{}
 	for _, a := range alerts {
 		byDet[a.Detector]++

@@ -308,17 +308,6 @@ func (p *refPipeline) Process(rec netsim.PacketRecord) []Alert {
 	return out
 }
 
-// ProcessAll feeds a capture through the pipeline in time order.
-func (p *refPipeline) ProcessAll(recs []netsim.PacketRecord) []Alert {
-	sorted := append([]netsim.PacketRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-	var out []Alert
-	for _, r := range sorted {
-		out = append(out, p.Process(r)...)
-	}
-	return out
-}
-
 // Alerts returns every alert seen so far (a copy).
 func (p *refPipeline) Alerts() []Alert { return append([]Alert(nil), p.alerts...) }
 

@@ -14,8 +14,7 @@ import (
 // cipher.Block — the WD16-style function: four rounds of subkey XOR, four
 // 4-bit S-boxes, and the linear transform L(x) = x ^ (x<<<6) ^ (x<<<10).
 // These are structure-faithful reimplementations validated by property
-// tests. The stateful rotor mode of the original design is provided
-// separately by HummingbirdRotor.
+// tests; the stateful rotor mode of the original design is not modelled.
 
 // hb2SBoxes are the four 4-bit S-boxes of the WD16-style round.
 var hb2SBoxes = [4][16]byte{
@@ -119,91 +118,4 @@ func (c *hummingbird) Decrypt(dst, src []byte) {
 		x ^= c.rk[4*r] ^ c.rk[4*r+1]
 	}
 	binary.BigEndian.PutUint16(dst, x)
-}
-
-// HummingbirdRotor is the stateful rotor-machine encryption mode of the
-// original Hummingbird design: four chained core permutations whose
-// internal rotor registers RS1..RS4 evolve with every block, so equal
-// plaintext blocks encrypt differently over a stream. It is NOT a
-// cipher.Block; both sides must process blocks in the same order, as with
-// a synchronous stream cipher.
-type HummingbirdRotor struct {
-	e1, e2, e3, e4 cipher.Block
-	rs             [4]uint16
-	lfsr           uint16
-}
-
-// NewHummingbirdRotor builds the rotor-machine mode over a 32-byte key and
-// an 8-byte IV that seeds the rotor registers.
-func NewHummingbirdRotor(key []byte, iv []byte) (*HummingbirdRotor, error) {
-	if len(key) != 32 {
-		return nil, KeySizeError{Algorithm: "HummingbirdRotor", Len: len(key)}
-	}
-	if len(iv) != 8 {
-		return nil, KeySizeError{Algorithm: "HummingbirdRotor/IV", Len: len(iv)}
-	}
-	// The four rotors are keyed with rotations of the master key so each
-	// stage is an independent permutation.
-	mk := func(rot int) cipher.Block {
-		k := make([]byte, 32)
-		for i := range k {
-			k[i] = key[(i+rot)%32]
-		}
-		b, err := NewHummingbird(k)
-		if err != nil {
-			panic(err) // length is fixed above
-		}
-		return b
-	}
-	r := &HummingbirdRotor{e1: mk(0), e2: mk(8), e3: mk(16), e4: mk(24)}
-	for i := range r.rs {
-		r.rs[i] = binary.BigEndian.Uint16(iv[2*i:])
-	}
-	r.lfsr = r.rs[0] | 1
-	return r, nil
-}
-
-func (r *HummingbirdRotor) encBlock(b cipher.Block, x uint16) uint16 {
-	var in, out [2]byte
-	binary.BigEndian.PutUint16(in[:], x)
-	b.Encrypt(out[:], in[:])
-	return binary.BigEndian.Uint16(out[:])
-}
-
-func (r *HummingbirdRotor) decBlock(b cipher.Block, x uint16) uint16 {
-	var in, out [2]byte
-	binary.BigEndian.PutUint16(in[:], x)
-	b.Decrypt(out[:], in[:])
-	return binary.BigEndian.Uint16(out[:])
-}
-
-func (r *HummingbirdRotor) step(v1, v2, v3 uint16) {
-	// Rotor state update per the Hummingbird skeleton: modular additions
-	// of intermediate values plus an LFSR tick on RS3.
-	r.lfsr = r.lfsr>>1 ^ (-(r.lfsr & 1) & 0xB400)
-	r.rs[0] += v1
-	r.rs[1] += v2
-	r.rs[2] += r.lfsr
-	r.rs[3] += r.rs[0] + v3
-}
-
-// EncryptWord encrypts one 16-bit word and advances the rotor state.
-func (r *HummingbirdRotor) EncryptWord(pt uint16) uint16 {
-	v1 := r.encBlock(r.e1, pt+r.rs[0])
-	v2 := r.encBlock(r.e2, v1+r.rs[1])
-	v3 := r.encBlock(r.e3, v2+r.rs[2])
-	ct := r.encBlock(r.e4, v3+r.rs[3])
-	r.step(v1, v2, v3)
-	return ct
-}
-
-// DecryptWord decrypts one 16-bit word and advances the rotor state in
-// lockstep with the encrypting side.
-func (r *HummingbirdRotor) DecryptWord(ct uint16) uint16 {
-	v3 := r.decBlock(r.e4, ct) - r.rs[3]
-	v2 := r.decBlock(r.e3, v3) - r.rs[2]
-	v1 := r.decBlock(r.e2, v2) - r.rs[1]
-	pt := r.decBlock(r.e1, v1) - r.rs[0]
-	r.step(v1, v2, v3)
-	return pt
 }

@@ -249,34 +249,6 @@ func TestRC5RoundsParameter(t *testing.T) {
 	}
 }
 
-// TestHummingbirdRotorStream checks the stateful rotor mode decrypts a
-// stream in lockstep and is position-dependent.
-func TestHummingbirdRotorStream(t *testing.T) {
-	key := bytes.Repeat([]byte{0x5A}, 32)
-	iv := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	enc, err := NewHummingbirdRotor(key, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewHummingbirdRotor(key, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := []uint16{0x0000, 0x0000, 0xBEEF, 0x1234, 0x0000}
-	var cts []uint16
-	for _, w := range words {
-		cts = append(cts, enc.EncryptWord(w))
-	}
-	if cts[0] == cts[1] {
-		t.Error("rotor mode produced identical ciphertexts for repeated plaintext words")
-	}
-	for i, ct := range cts {
-		if got := dec.DecryptWord(ct); got != words[i] {
-			t.Errorf("word %d: decrypt = %04x, want %04x", i, got, words[i])
-		}
-	}
-}
-
 // TestKeySizeErrors verifies constructors reject bad key lengths.
 func TestKeySizeErrors(t *testing.T) {
 	reg := NewRegistry()

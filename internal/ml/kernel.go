@@ -87,37 +87,6 @@ func (k *RBFKernel) K(a, b Sample) float64 {
 	return math.Exp(-k.Gamma * d2)
 }
 
-// LinearKernel is the dot product over one layer's features.
-type LinearKernel struct {
-	Layer string
-	sel   view
-}
-
-// NewLinearKernel builds a linear kernel over a layer.
-func NewLinearKernel(layer string) (*LinearKernel, error) {
-	sel, err := selector(layer)
-	if err != nil {
-		return nil, err
-	}
-	return &LinearKernel{Layer: layer, sel: sel}, nil
-}
-
-// Name implements Kernel.
-func (k *LinearKernel) Name() string { return "linear:" + k.Layer }
-
-// K implements Kernel.
-func (k *LinearKernel) K(a, b Sample) float64 {
-	x, y := k.sel(a), k.sel(b)
-	if len(x) != len(y) {
-		return 0
-	}
-	var dot float64
-	for i := range x {
-		dot += x[i] * y[i]
-	}
-	return dot
-}
-
 // SpectrumKernel counts shared event p-grams, normalised; it is the
 // standard string kernel for behavioural sequences (service-layer view).
 type SpectrumKernel struct {

@@ -13,9 +13,6 @@ func TestKernelConstructors(t *testing.T) {
 	if _, err := NewRBFKernel("device", -1); err == nil {
 		t.Error("negative gamma accepted")
 	}
-	if _, err := NewLinearKernel("bogus"); err == nil {
-		t.Error("bad layer accepted")
-	}
 	if _, err := NewSpectrumKernel(0); err == nil {
 		t.Error("p=0 accepted")
 	}
@@ -37,18 +34,6 @@ func TestRBFKernelProperties(t *testing.T) {
 	}
 	if k.K(a, b) != k.K(b, a) {
 		t.Error("not symmetric")
-	}
-}
-
-func TestLinearKernel(t *testing.T) {
-	k, _ := NewLinearKernel("device")
-	a := Sample{Device: []float64{2, 3}}
-	b := Sample{Device: []float64{4, 1}}
-	if got := k.K(a, b); got != 11 {
-		t.Errorf("dot = %v, want 11", got)
-	}
-	if k.K(a, Sample{Device: []float64{1}}) != 0 {
-		t.Error("length mismatch not neutral")
 	}
 }
 
@@ -156,7 +141,7 @@ func TestMKLValidation(t *testing.T) {
 	if _, err := NewMKL(); err == nil {
 		t.Error("no kernels accepted")
 	}
-	k, _ := NewLinearKernel("device")
+	k, _ := NewRBFKernel("device", 1)
 	m, _ := NewMKL(k)
 	if err := m.Fit(nil, 5); err == nil {
 		t.Error("empty training set accepted")

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // PacketRecord is what an observer at a tap point legitimately sees: the
 // metadata of one packet. Note there is no App/Dummy field — a passive
@@ -70,50 +67,3 @@ func (c *Capture) Len() int { return len(c.records) }
 
 // Reset discards captured packets.
 func (c *Capture) Reset() { c.records = c.records[:0] }
-
-// FlowStat summarises one unidirectional flow in a capture.
-type FlowStat struct {
-	Key     FlowKey
-	Packets int
-	Bytes   int
-	First   time.Duration
-	Last    time.Duration
-}
-
-// Rate returns the mean throughput in bytes/second over the flow's active
-// interval (0 if degenerate).
-func (f FlowStat) Rate() float64 {
-	d := (f.Last - f.First).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.Bytes) / d
-}
-
-// FlowStats aggregates a capture into per-flow summaries, sorted by
-// descending byte count — step one of the Apthorpe-style observer.
-func FlowStats(records []PacketRecord) []FlowStat {
-	agg := make(map[FlowKey]*FlowStat)
-	for _, r := range records {
-		k := FlowKey{Src: r.Src, Dst: r.Dst, DstPort: r.DstPort, Proto: r.Proto}
-		s, ok := agg[k]
-		if !ok {
-			s = &FlowStat{Key: k, First: r.Time}
-			agg[k] = s
-		}
-		s.Packets++
-		s.Bytes += r.Size
-		s.Last = r.Time
-	}
-	out := make([]FlowStat, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		return out[i].Key.Src < out[j].Key.Src
-	})
-	return out
-}

@@ -38,9 +38,6 @@ func NewDNSServer(addr Addr, records []DNSRecord) *DNSServer {
 // Addr implements Node.
 func (s *DNSServer) Addr() Addr { return s.Address }
 
-// AddRecord installs or replaces a record.
-func (s *DNSServer) AddRecord(r DNSRecord) { s.records[r.Name] = r }
-
 // Queries returns the number of queries served.
 func (s *DNSServer) Queries() uint64 { return s.queries }
 
@@ -188,9 +185,6 @@ func (r *Resolver) finish(name string, addr Addr, err error) {
 		cb(addr, err)
 	}
 }
-
-// FlushCache clears the cache (remediation after detected poisoning).
-func (r *Resolver) FlushCache() { r.cache = make(map[string]cacheEntry) }
 
 // CacheSnapshot returns name -> (addr, poisoned) for inspection.
 func (r *Resolver) CacheSnapshot() map[string]struct {

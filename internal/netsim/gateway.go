@@ -42,7 +42,6 @@ type Gateway struct {
 
 	blockedOut uint64
 	blockedIn  uint64
-	forwarded  uint64
 }
 
 type natKey struct {
@@ -80,9 +79,6 @@ func (g *Gateway) WANAddr() Addr { return g.wanAddr }
 // Blocked returns (outboundBlocked, inboundBlocked).
 func (g *Gateway) Blocked() (uint64, uint64) { return g.blockedOut, g.blockedIn }
 
-// Forwarded returns the NAT-forwarded packet count.
-func (g *Gateway) Forwarded() uint64 { return g.forwarded }
-
 // Handle implements Node: LAN-side ingress. LAN packets destined to WAN
 // addresses are NATted and re-sent from the WAN face.
 func (g *Gateway) Handle(net *Network, pkt *Packet) {
@@ -118,7 +114,6 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 	in := pkt.Clone()
 	in.Dst = b.lanAddr
 	in.DstPort = b.lanPort
-	g.forwarded++
 	net.Send(in)
 }
 
@@ -162,7 +157,6 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 		g.OnForward(pkt)
 	}
 	pkt.Src, pkt.SrcPort = g.wanAddr, ext
-	g.forwarded++
 	if g.Shaper != nil {
 		if g.shapeNet != net {
 			g.shapeNet, g.shapeSend = net, net.Send

@@ -8,6 +8,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"xlf/internal/obs"
@@ -339,12 +340,18 @@ func (n *Network) deliver(pkt *Packet) {
 }
 
 // Broadcast delivers a packet to every LAN node except the sender —
-// UPnP/SSDP-style discovery chatter.
+// UPnP/SSDP-style discovery chatter. Destinations go in address order:
+// each Send draws its link delay from the kernel RNG, so map order would
+// make a seeded run's delays differ from run to run.
 func (n *Network) Broadcast(src Addr, mk func(dst Addr) *Packet) {
+	dsts := make([]Addr, 0, len(n.nodes))
 	for a := range n.nodes {
-		if a == src || !a.IsLAN() {
-			continue
+		if a != src && a.IsLAN() {
+			dsts = append(dsts, a)
 		}
+	}
+	slices.Sort(dsts)
+	for _, a := range dsts {
 		n.Send(mk(a))
 	}
 }

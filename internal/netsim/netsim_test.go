@@ -373,25 +373,6 @@ func TestDNSCachePoisoning(t *testing.T) {
 	}
 }
 
-func TestFlowStats(t *testing.T) {
-	recs := []PacketRecord{
-		{Time: 0, Src: "lan:a", Dst: "wan:x", DstPort: 443, Proto: "TLS", Size: 100},
-		{Time: time.Second, Src: "lan:a", Dst: "wan:x", DstPort: 443, Proto: "TLS", Size: 300},
-		{Time: time.Second, Src: "lan:b", Dst: "wan:y", DstPort: 80, Proto: "HTTP", Size: 50},
-	}
-	stats := FlowStats(recs)
-	if len(stats) != 2 {
-		t.Fatalf("flows = %d, want 2", len(stats))
-	}
-	top := stats[0]
-	if top.Key.Src != "lan:a" || top.Bytes != 400 || top.Packets != 2 {
-		t.Errorf("top flow = %+v", top)
-	}
-	if r := top.Rate(); r != 400 {
-		t.Errorf("rate = %v, want 400 B/s", r)
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	k, n := newTestNet(t)
 	var sinks []*sink

@@ -41,35 +41,3 @@ func TestConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: FlowStats byte totals equal the record byte total, and packet
-// counts match, for any record set.
-func TestFlowStatsConservation(t *testing.T) {
-	f := func(srcs []uint8, sizes []uint8) bool {
-		n := len(srcs)
-		if len(sizes) < n {
-			n = len(sizes)
-		}
-		var recs []PacketRecord
-		total := 0
-		for i := 0; i < n; i++ {
-			sz := int(sizes[i]) + 1
-			total += sz
-			recs = append(recs, PacketRecord{
-				Time: time.Duration(i) * time.Second,
-				Src:  Addr([]string{"lan:a", "lan:b", "lan:c"}[srcs[i]%3]),
-				Dst:  "wan:x", DstPort: 443, Proto: "TLS", Size: sz,
-			})
-		}
-		stats := FlowStats(recs)
-		gotBytes, gotPkts := 0, 0
-		for _, s := range stats {
-			gotBytes += s.Bytes
-			gotPkts += s.Packets
-		}
-		return gotBytes == total && gotPkts == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

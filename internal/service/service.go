@@ -1,7 +1,6 @@
 // Package service models the IoT service layer (§II-C, §IV-C): a
 // SmartThings-style cloud with device handlers, an event bus with
-// subscriptions, sandboxed trigger-action SmartApps (IFTTT-style applets
-// use the same model), OAuth2-style scoped API tokens, and an OTA update
+// subscriptions, sandboxed trigger-action SmartApps and an OTA update
 // pipeline. The platform reproduces the design flaws Fernandes et al.
 // found — coarse capability grants (over-privilege) and unsigned events
 // (spoofing) — behind feature flags, so the attack scenarios and the XLF
@@ -87,15 +86,14 @@ type Flaws struct {
 
 // Errors returned by platform operations.
 var (
-	ErrUnknownDevice  = errors.New("service: unknown device")
-	ErrUnknownApp     = errors.New("service: unknown app")
-	ErrNotPermitted   = errors.New("service: capability not granted")
-	ErrSpoofRejected  = errors.New("service: unsigned event rejected")
-	ErrUnsignedImage  = errors.New("service: unsigned OTA image rejected")
-	ErrScopeViolation = errors.New("service: token scope violation")
+	ErrUnknownDevice = errors.New("service: unknown device")
+	ErrUnknownApp    = errors.New("service: unknown app")
+	ErrNotPermitted  = errors.New("service: capability not granted")
+	ErrSpoofRejected = errors.New("service: unsigned event rejected")
+	ErrUnsignedImage = errors.New("service: unsigned OTA image rejected")
 )
 
-// DeviceHandler is the cloud-side shadow of a device.
+// DeviceHandler is the cloud-side model of a device.
 type DeviceHandler struct {
 	ID   string
 	Caps []string
@@ -104,8 +102,6 @@ type DeviceHandler struct {
 	// Deliver pushes a command down to the physical device; installed by
 	// the testbed. A nil Deliver records but does not actuate.
 	Deliver func(cmd Command) error
-	// shadow is the last reported event per name.
-	shadow map[string]Event
 }
 
 // Cloud is the service-layer platform.
@@ -149,9 +145,6 @@ func (c *Cloud) RegisterDevice(h *DeviceHandler) error {
 	}
 	if _, dup := c.devices[h.ID]; dup {
 		return fmt.Errorf("service: duplicate device %q", h.ID)
-	}
-	if h.shadow == nil {
-		h.shadow = make(map[string]Event)
 	}
 	c.devices[h.ID] = h
 	return nil
@@ -206,15 +199,12 @@ func (c *Cloud) hasGrant(app *SmartApp, deviceID, capability string) bool {
 }
 
 // PublishDeviceEvent is the authenticated path devices use. Events flow to
-// the shadow, the log, the monitor, and subscribed apps.
+// the log, the monitor, and subscribed apps.
 func (c *Cloud) PublishDeviceEvent(deviceID, name string, value float64) error {
-	h, ok := c.devices[deviceID]
-	if !ok {
+	if _, ok := c.devices[deviceID]; !ok {
 		return ErrUnknownDevice
 	}
-	ev := Event{Time: c.now(), DeviceID: deviceID, Name: name, Value: value, Source: "device"}
-	h.shadow[name] = ev
-	return c.dispatch(ev)
+	return c.dispatch(Event{Time: c.now(), DeviceID: deviceID, Name: name, Value: value, Source: "device"})
 }
 
 // PublishRaw is the unauthenticated publish path. With the UnsignedEvents
@@ -283,34 +273,6 @@ func (c *Cloud) issue(app *SmartApp, deviceID, command string) error {
 		return h.Deliver(cmd)
 	}
 	return nil
-}
-
-// UserCommand issues a command on behalf of an authenticated user
-// (bypasses app grants; authentication happens in xauth).
-func (c *Cloud) UserCommand(user, deviceID, command string) error {
-	h, ok := c.devices[deviceID]
-	if !ok {
-		return ErrUnknownDevice
-	}
-	cmd := Command{Time: c.now(), DeviceID: deviceID, Name: command, IssuedBy: "user:" + user}
-	c.commandLog = append(c.commandLog, cmd)
-	if c.CommandMonitor != nil {
-		c.CommandMonitor(cmd)
-	}
-	if h.Deliver != nil {
-		return h.Deliver(cmd)
-	}
-	return nil
-}
-
-// Shadow returns the last reported event for a device attribute.
-func (c *Cloud) Shadow(deviceID, name string) (Event, bool) {
-	h, ok := c.devices[deviceID]
-	if !ok {
-		return Event{}, false
-	}
-	ev, ok := h.shadow[name]
-	return ev, ok
 }
 
 // CommandLog returns issued commands (a copy).

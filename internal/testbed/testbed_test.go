@@ -70,9 +70,15 @@ func TestUserEventFlow(t *testing.T) {
 	if h.Devices["bulb-1"].State() != "on" {
 		t.Error("device state not updated")
 	}
-	// The event reached the cloud shadow.
-	if _, ok := h.Cloud.Shadow("bulb-1", "on"); !ok {
-		t.Error("cloud shadow missing the event")
+	// The event reached the cloud.
+	found := false
+	for _, ev := range h.Cloud.EventLog() {
+		if ev.DeviceID == "bulb-1" && ev.Name == "on" {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("cloud event log missing the event")
 	}
 	// Illegal event rejected.
 	if err := h.UserEvent("bulb-1", "brew"); err == nil {
@@ -85,7 +91,17 @@ func TestUserEventFlow(t *testing.T) {
 
 func TestCloudCommandReachesDevice(t *testing.T) {
 	h := newHome(t)
-	if err := h.Cloud.UserCommand("owner", "bulb-1", "on"); err != nil {
+	if err := h.Cloud.InstallApp(&service.SmartApp{
+		ID:    "heat-light",
+		Rules: []service.Rule{{TriggerDevice: "thermo-1", TriggerEvent: "temperature", ActionDevice: "bulb-1", ActionCommand: "on"}},
+		Grants: []service.Grant{
+			{DeviceID: "thermo-1", Capability: "temperature"},
+			{DeviceID: "bulb-1", Capability: "switch"},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Cloud.PublishDeviceEvent("thermo-1", "temperature", 70); err != nil {
 		t.Fatal(err)
 	}
 	// Delivery is asynchronous over the simulated network.

@@ -31,9 +31,9 @@ func randName(rng *rand.Rand) string {
 	return b.String()
 }
 
-// TestSigMatchesReference pins Issue's Sig, and so every Encode, to the
-// reference MAC over random tokens: empty and non-ASCII subjects and
-// devices, negative and out-of-range privileges, negative times.
+// TestSigMatchesReference pins Issue's Sig to the reference MAC over
+// random tokens: empty and non-ASCII subjects and devices, negative and
+// out-of-range privileges, negative times.
 func TestSigMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	key := []byte("reference-signing-key")

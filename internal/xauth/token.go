@@ -11,13 +11,10 @@ package xauth
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -46,15 +43,15 @@ func (p Privilege) String() string {
 // Token is a signed SSO token. Times are simulation offsets, not wall
 // clock: the whole testbed runs on the sim kernel.
 type Token struct {
-	Subject   string        `json:"sub"`
-	Device    string        `json:"dev"` // target device ID, "" = any
-	Priv      Privilege     `json:"prv"`
-	IssuedAt  time.Duration `json:"iat"`
-	ExpiresAt time.Duration `json:"exp"`
+	Subject   string
+	Device    string // target device ID, "" = any
+	Priv      Privilege
+	IssuedAt  time.Duration
+	ExpiresAt time.Duration
 	// MFA records that a second factor was verified at issuance.
-	MFA bool `json:"mfa"`
+	MFA bool
 	// Sig is the HMAC-SHA256 over the other fields.
-	Sig []byte `json:"sig"`
+	Sig []byte
 }
 
 // Errors returned by Verify.
@@ -148,16 +145,6 @@ func (s *Signer) validSig(t *Token) bool {
 	return hmac.Equal(s.macLocked(s.sum[:0], t), t.Sig)
 }
 
-// Encode serialises a token for transport.
-func Encode(t Token) string {
-	b, err := json.Marshal(t)
-	if err != nil {
-		// Token contains only marshalable fields; this cannot fail.
-		panic(err)
-	}
-	return base64.RawURLEncoding.EncodeToString(b)
-}
-
 // Redact renders a token for logs, errors and metrics labels without
 // the signature or device binding: subject, privilege and a 4-byte
 // signature prefix, enough to correlate log lines without making the
@@ -169,17 +156,4 @@ func Redact(t Token) string {
 		sig = fmt.Sprintf("%x…", t.Sig[:4])
 	}
 	return fmt.Sprintf("token(%s/%s sig=%s)", t.Subject, t.Priv, sig)
-}
-
-// Decode parses a transported token.
-func Decode(s string) (Token, error) {
-	var t Token
-	b, err := base64.RawURLEncoding.DecodeString(strings.TrimSpace(s))
-	if err != nil {
-		return t, fmt.Errorf("xauth: decode token: %w", err)
-	}
-	if err := json.Unmarshal(b, &t); err != nil {
-		return t, fmt.Errorf("xauth: decode token: %w", err)
-	}
-	return t, nil
 }

@@ -2,9 +2,9 @@ package xauth
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -65,40 +65,11 @@ func TestRedactHidesSignature(t *testing.T) {
 	if !strings.Contains(red, "alice") {
 		t.Errorf("Redact(%v) = %q, want the subject visible", tok, red)
 	}
-	if strings.Contains(red, string(tok.Sig)) || strings.Contains(red, Encode(tok)) {
+	if strings.Contains(red, string(tok.Sig)) || strings.Contains(red, fmt.Sprintf("%x", tok.Sig)) {
 		t.Errorf("Redact leaked raw token material: %q", red)
 	}
 	if red := Redact(Token{Subject: "x", Priv: Basic}); red != "token(x/basic sig=unsigned)" {
 		t.Errorf("unsigned form = %q", red)
-	}
-}
-
-func TestTokenEncodeDecodeRoundTrip(t *testing.T) {
-	s, _ := NewSigner([]byte("k"))
-	f := func(sub string, dev string, adv bool) bool {
-		priv := Basic
-		if adv {
-			priv = Advanced
-		}
-		tok := s.Issue(sub, dev, priv, adv, time.Minute, time.Hour)
-		dec, err := Decode(Encode(tok))
-		if err != nil {
-			return false
-		}
-		return dec.Subject == sub && dec.Device == dev && dec.Priv == priv &&
-			s.Verify(dec, 2*time.Minute, dev) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode("!!!not-base64!!!"); err == nil {
-		t.Error("Decode accepted garbage")
-	}
-	if _, err := Decode("aGVsbG8"); err == nil { // "hello", not JSON
-		t.Error("Decode accepted non-JSON")
 	}
 }
 

@@ -35,7 +35,6 @@ go test -run='^$' -fuzz='^FuzzSum64$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCMAC$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCodecOpen$' -fuzztime=5s ./internal/dnsp
 go test -run='^$' -fuzz='^FuzzSealOpenRoundTrip$' -fuzztime=5s ./internal/dnsp
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/xauth
 go test -run='^$' -fuzz='^FuzzCFGBuild$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzLockOrderGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzCallGraph$' -fuzztime=5s ./internal/analysis

@@ -329,9 +329,6 @@ func (s *System) Protected() bool { return s.protected }
 // contextual analytics correlate against.
 func (s *System) SetContext(ctx analytics.Context) { s.ctx = ctx }
 
-// Context returns the current third-party context.
-func (s *System) Context() analytics.Context { return s.ctx }
-
 // InstallApp installs a SmartApp and records its declared rules for
 // application verification (§IV-C2).
 func (s *System) InstallApp(app *service.SmartApp) error {
