@@ -8,8 +8,8 @@
 //
 //	xlf-bench -all                      # everything, report order
 //	xlf-bench -all -parallel 8          # same report, worker-pool schedule
-//	xlf-bench -table 2                  # just Table II
-//	xlf-bench -figure 4                 # just Figure 4
+//	xlf-bench -exp T2                   # just Table II
+//	xlf-bench -exp F4                   # just Figure 4
 //	xlf-bench -exp E1,E4,T3             # a comma list of registry IDs
 //	xlf-bench -seed 7 -all              # different deterministic seed
 //	xlf-bench -all -clock step          # fixed fake clock: byte-identical
@@ -54,9 +54,7 @@ func run(args []string) int {
 	var (
 		all      = fs.Bool("all", false, "run every registry entry")
 		list     = fs.Bool("list", false, "list available tables/figures/experiments")
-		table    = fs.Int("table", 0, "reproduce one paper table (1-3)")
-		figure   = fs.Int("figure", 0, "reproduce one paper figure (1-4)")
-		expIDs   = fs.String("exp", "", "comma-separated registry IDs (e.g. E1,E4,T3)")
+		expIDs   = fs.String("exp", "", "comma-separated registry IDs: tables T1-T3, figures F1-F4, experiments E1-E10")
 		seed     = fs.Int64("seed", 1, "deterministic seed")
 		parallel = fs.Int("parallel", 1, "worker-pool size for experiments and inner sweeps")
 		jsonDir  = fs.String("json", "", "directory to write BENCH_<id>.json artifacts into")
@@ -80,20 +78,6 @@ func run(args []string) int {
 	switch {
 	case *all:
 		selection = exp.Registry()
-	case *table != 0:
-		e, ok := exp.ByTable(*table)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "xlf-bench: no registry entry reproduces table", *table)
-			return 2
-		}
-		selection = append(selection, e)
-	case *figure != 0:
-		e, ok := exp.ByFigure(*figure)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "xlf-bench: no registry entry reproduces figure", *figure)
-			return 2
-		}
-		selection = append(selection, e)
 	case *expIDs != "":
 		for _, id := range strings.Split(*expIDs, ",") {
 			e, ok := exp.Lookup(id)

@@ -21,15 +21,15 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{[]string{}, 2},                   // nothing selected
 		{[]string{"-list"}, 0},            // listing
-		{[]string{"-table", "9"}, 2},      // out of range
-		{[]string{"-figure", "0"}, 2},     // not selected -> usage
-		{[]string{"-figure", "9"}, 2},     // out of range
+		{[]string{"-exp", "T9"}, 2},       // no such table
+		{[]string{"-exp", "F9"}, 2},       // no such figure
+		{[]string{"-table", "3"}, 2},      // selection is by -exp only
 		{[]string{"-exp", "E99"}, 2},      // unknown experiment
 		{[]string{"-exp", "E4,bogus"}, 2}, // unknown member of a comma list
 		{[]string{"-exp", ""}, 2},         // empty selection
 		{[]string{"-bogusflag"}, 2},       // parse error
-		{[]string{"-figure", "2"}, 0},     // cheap figure renders
-		{[]string{"-table", "3"}, 0},      // cipher table measures
+		{[]string{"-exp", "F2"}, 0},       // cheap figure renders
+		{[]string{"-exp", "T3"}, 0},       // cipher table measures
 		{[]string{"-exp", "E6", "-seed", "3"}, 0},
 		{[]string{"-exp", "T3,F2,E4"}, 0},  // comma list across kinds
 		{[]string{"-exp", " e4 , f2 "}, 0}, // whitespace and case tolerated

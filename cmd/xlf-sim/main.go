@@ -90,7 +90,7 @@ func run(args []string) int {
 	fmt.Print(sys.Report())
 	if sys.Protected() && !*quiet {
 		fmt.Println()
-		fmt.Println(sys.Arch.RenderFigure4())
+		fmt.Println(xlf.Figure4())
 		fmt.Println("NAC policy:")
 		fmt.Print(sys.NAC.Describe())
 	}

@@ -45,7 +45,7 @@ var XLFLayerTable = map[string][]string{
 
 	// Network layer.
 	"internal/netsim":  {"internal/obs", "internal/sim"},
-	"internal/dnsp":    {"internal/lwc", "internal/netsim"},
+	"internal/dnsp":    {"internal/channel", "internal/lwc", "internal/netsim"},
 	"internal/ids":     {"internal/netsim"},
 	"internal/shaping": {"internal/netsim", "internal/obs", "internal/sim"},
 	"internal/dpi":     {"internal/obs"},

@@ -119,6 +119,30 @@ func ForProfile(p device.Profile, reg *lwc.Registry, key []byte) (*Session, erro
 	if err != nil {
 		return nil, err
 	}
+	return derive(info, key)
+}
+
+// ForDevice negotiates a cipher for the device's profile, creates the
+// session, and meters every sealed/opened byte against its battery.
+func ForDevice(d *device.Device, reg *lwc.Registry, key []byte) (*Session, error) {
+	info, err := Negotiate(d.Profile, reg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := derive(info, key)
+	if err != nil {
+		return nil, err
+	}
+	s.cost = &deviceMeter{
+		dev:  d,
+		cost: device.CostModel(d.Profile, info.CyclesPerByte, info.RAMBytes),
+	}
+	return s, nil
+}
+
+// derive expands the provisioning key to the cipher's default key size
+// and creates the session.
+func derive(info lwc.Info, key []byte) (*Session, error) {
 	if len(key) == 0 {
 		return nil, errors.New("channel: empty key")
 	}
@@ -135,24 +159,6 @@ func ForProfile(p device.Profile, reg *lwc.Registry, key []byte) (*Session, erro
 		ctr++
 	}
 	return New(info, mat[:want])
-}
-
-// ForDevice negotiates a cipher for the device's profile, creates the
-// session, and meters every sealed/opened byte against its battery.
-func ForDevice(d *device.Device, reg *lwc.Registry, key []byte) (*Session, error) {
-	s, err := ForProfile(d.Profile, reg, key)
-	if err != nil {
-		return nil, err
-	}
-	info, err := Negotiate(d.Profile, reg)
-	if err != nil {
-		return nil, err
-	}
-	s.cost = &deviceMeter{
-		dev:  d,
-		cost: device.CostModel(d.Profile, info.CyclesPerByte, info.RAMBytes),
-	}
-	return s, nil
 }
 
 func (s *Session) charge(n int) error {

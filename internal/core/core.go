@@ -115,9 +115,6 @@ type Config struct {
 	EnabledLayers []LayerName
 	// Cooldown suppresses duplicate alerts per device.
 	Cooldown time.Duration
-	// Deployment records where this Core instance runs ("gateway" or
-	// "cloud"); informational, surfaced in Figure 4.
-	Deployment string
 }
 
 // DefaultConfig returns the standard gateway deployment tuning.
@@ -128,7 +125,6 @@ func DefaultConfig() Config {
 		ContainThreshold: 0.85,
 		LayerBonus:       0.25,
 		Cooldown:         time.Minute,
-		Deployment:       "gateway",
 	}
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
+
+// Deployment is where the XLF Core runs: on the home gateway, next to
+// the devices it guards. Figure 4 and the "deploy" trace span name it.
+const Deployment = "gateway"
 
 // Component is one registered XLF function for the architecture figures.
 type Component struct {
@@ -15,38 +18,9 @@ type Component struct {
 	CoreLinked bool
 }
 
-// Architecture tracks the live component inventory of an XLF deployment so
-// Figures 1 and 4 render from running code rather than a static drawing.
-type Architecture struct {
-	components []Component
-	deployment string
-}
-
-// NewArchitecture creates an inventory for a deployment location.
-func NewArchitecture(deployment string) *Architecture {
-	return &Architecture{deployment: deployment}
-}
-
-// Register adds a component.
-func (a *Architecture) Register(c Component) {
-	a.components = append(a.components, c)
-}
-
-// Components returns registered components, sorted by layer then name.
-func (a *Architecture) Components() []Component {
-	out := append([]Component(nil), a.components...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Layer != out[j].Layer {
-			return out[i].Layer < out[j].Layer
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // RenderFigure1 prints the generic layered IoT architecture (paper
-// Figure 1) from the registered inventory.
-func (a *Architecture) RenderFigure1() string {
+// Figure 1) from the component inventory.
+func RenderFigure1() string {
 	var b strings.Builder
 	b.WriteString("Figure 1: generic layered architecture of IoT platforms\n\n")
 	order := []LayerName{Service, Network, Device}
@@ -59,7 +33,7 @@ func (a *Architecture) RenderFigure1() string {
 		fmt.Fprintf(&b, "+--------------------------------------------------------------+\n")
 		fmt.Fprintf(&b, "| %-60s |\n", titles[l])
 		var names []string
-		for _, c := range a.Components() {
+		for _, c := range StandardComponents() {
 			if c.Layer == l {
 				names = append(names, c.Name)
 			}
@@ -75,12 +49,12 @@ func (a *Architecture) RenderFigure1() string {
 // RenderFigure4 prints the XLF cross-layer design (paper Figure 4): the
 // three layers' security functions around the XLF Core, with the Core
 // links drawn.
-func (a *Architecture) RenderFigure4() string {
+func RenderFigure4() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4: XLF cross-layer security design (core deployed at: %s)\n\n", a.deployment)
+	fmt.Fprintf(&b, "Figure 4: XLF cross-layer security design (core deployed at: %s)\n\n", Deployment)
 	for _, l := range []LayerName{Device, Network, Service} {
 		fmt.Fprintf(&b, "[%s layer]\n", l)
-		for _, c := range a.Components() {
+		for _, c := range StandardComponents() {
 			if c.Layer != l {
 				continue
 			}
@@ -97,19 +71,19 @@ func (a *Architecture) RenderFigure4() string {
 }
 
 // StandardComponents returns the Figure 4 function inventory as the paper
-// draws it.
+// draws it, listed in the figures' row order: by layer, then by name.
 func StandardComponents() []Component {
 	return []Component{
 		{Layer: Device, Name: "Authentication (delegated SSO/MFA)", CoreLinked: true},
-		{Layer: Device, Name: "Lightweight encryption", CoreLinked: true},
 		{Layer: Device, Name: "Constrained access (NAC)", CoreLinked: true},
+		{Layer: Device, Name: "Lightweight encryption", CoreLinked: true},
 		{Layer: Device, Name: "Malware detection (firmware attestation)", CoreLinked: true},
-		{Layer: Network, Name: "Traffic shaping", CoreLinked: true},
-		{Layer: Network, Name: "Traffic monitoring (encrypted DPI)", CoreLinked: true},
-		{Layer: Network, Name: "Malicious activity identification", CoreLinked: true},
 		{Layer: Network, Name: "DNS privacy bridge", CoreLinked: true},
-		{Layer: Service, Name: "Secure APIs (scoped tokens)", CoreLinked: true},
+		{Layer: Network, Name: "Malicious activity identification", CoreLinked: true},
+		{Layer: Network, Name: "Traffic monitoring (encrypted DPI)", CoreLinked: true},
+		{Layer: Network, Name: "Traffic shaping", CoreLinked: true},
 		{Layer: Service, Name: "Application verification", CoreLinked: true},
+		{Layer: Service, Name: "Secure APIs (scoped tokens)", CoreLinked: true},
 		{Layer: Service, Name: "Security data analytics", CoreLinked: true},
 	}
 }

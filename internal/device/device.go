@@ -166,8 +166,6 @@ type Device struct {
 	// BatteryUJ is remaining battery energy in microjoules (battery
 	// devices only; drained by the crypto cost model).
 	BatteryUJ float64
-
-	history []string
 }
 
 // Option configures a Device at construction.
@@ -232,17 +230,11 @@ func New(id string, p Profile, opts ...Option) *Device {
 // State returns the device's current behaviour state.
 func (d *Device) State() State { return d.state }
 
-// History returns the accepted event sequence (a copy).
-func (d *Device) History() []string {
-	return append([]string(nil), d.history...)
-}
-
 // Apply feeds an event/command into the behaviour automaton. Events that
 // are illegal in the current state are rejected — exactly the deviations
 // XLF's behaviour profiling looks for.
 func (d *Device) Apply(event string) error {
 	if d.Behavior == nil {
-		d.history = append(d.history, event)
 		return nil
 	}
 	next, ok := d.Behavior.Next(d.state, event)
@@ -250,7 +242,6 @@ func (d *Device) Apply(event string) error {
 		return fmt.Errorf("device %s: event %q illegal in state %q", d.ID, event, d.state)
 	}
 	d.state = next
-	d.history = append(d.history, event)
 	return nil
 }
 

@@ -148,9 +148,6 @@ func TestBehaviorDFA(t *testing.T) {
 	if b.State() != "dimmed" {
 		t.Error("state changed on rejected event")
 	}
-	if got := len(b.History()); got != 2 {
-		t.Errorf("history length = %d, want 2", got)
-	}
 }
 
 func TestBehaviorRejectsNondeterminism(t *testing.T) {

@@ -4,127 +4,28 @@
 // the global DNS cannot be forklift-upgraded to lightweight ciphers. The
 // paper's proposal: the device speaks lightweight-encrypted DNS to the XLF
 // Core on the gateway, and the Core bridges to standard encrypted DNS
-// (DoT) upstream. This package provides the lightweight codec (CTR mode +
-// CMAC over a Table III cipher), the device stub, and the gateway bridge
-// node.
+// (DoT) upstream. The lightweight leg is the device's §IV-A2 channel
+// (channel.Session, one per direction); this package provides the device
+// stub and the gateway bridge node.
 package dnsp
 
 import (
-	"crypto/cipher"
-	"crypto/subtle"
-	"encoding/binary"
 	"errors"
-	"fmt"
 
-	"xlf/internal/lwc"
+	"xlf/internal/channel"
 	"xlf/internal/netsim"
 )
-
-// Codec seals and opens DNS messages with a lightweight cipher in CTR
-// mode plus a CMAC tag — confidentiality and integrity at a cost a
-// Class-1 device can afford.
-type Codec struct {
-	blk     cipher.Block
-	mac     func() ([]byte, error)
-	macBlk  cipher.Block
-	nonce   uint64
-	tagSize int
-}
-
-// NewCodec builds a codec over a 64- or 128-bit block cipher (separate
-// instances should be used per direction in production; the simulation
-// shares one per channel).
-func NewCodec(blk cipher.Block) (*Codec, error) {
-	if blk.BlockSize() != 8 && blk.BlockSize() != 16 {
-		return nil, fmt.Errorf("dnsp: codec requires 64/128-bit block, got %d", blk.BlockSize()*8)
-	}
-	return &Codec{blk: blk, macBlk: blk, tagSize: 8}, nil
-}
-
-// Errors returned by Open.
-var (
-	ErrTooShort = errors.New("dnsp: message too short")
-	ErrBadTag   = errors.New("dnsp: integrity tag mismatch")
-)
-
-// ctrXOR encrypts/decrypts data with CTR keystream derived from nonce.
-func (c *Codec) ctrXOR(nonce uint64, data []byte) []byte {
-	bs := c.blk.BlockSize()
-	out := make([]byte, len(data))
-	block := make([]byte, bs)
-	ks := make([]byte, bs)
-	for i := 0; i < len(data); i += bs {
-		binary.BigEndian.PutUint64(block[bs-8:], nonce+uint64(i/bs))
-		c.blk.Encrypt(ks, block)
-		for j := 0; j < bs && i+j < len(data); j++ {
-			out[i+j] = data[i+j] ^ ks[j]
-		}
-	}
-	return out
-}
-
-// tag computes the CMAC over nonce||ciphertext, truncated to tagSize.
-func (c *Codec) tag(nonce uint64, ct []byte) ([]byte, error) {
-	m, err := lwc.NewCMAC(c.macBlk)
-	if err != nil {
-		return nil, err
-	}
-	var nb [8]byte
-	binary.BigEndian.PutUint64(nb[:], nonce)
-	m.Write(nb[:])
-	m.Write(ct)
-	return m.Sum(nil)[:c.tagSize], nil
-}
-
-// Seal encrypts a DNS name into nonce || ciphertext || tag.
-func (c *Codec) Seal(name string) ([]byte, error) {
-	c.nonce++
-	n := c.nonce
-	ct := c.ctrXOR(n<<16, []byte(name)) // shift leaves room for block counter
-	t, err := c.tag(n, ct)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(ct)+len(t))
-	binary.BigEndian.PutUint64(out, n)
-	out = append(out, ct...)
-	return append(out, t...), nil
-}
-
-// Open decrypts a sealed message, verifying the tag.
-func (c *Codec) Open(msg []byte) (string, error) {
-	if len(msg) < 8+c.tagSize {
-		return "", ErrTooShort
-	}
-	n := binary.BigEndian.Uint64(msg[:8])
-	ct := msg[8 : len(msg)-c.tagSize]
-	gotTag := msg[len(msg)-c.tagSize:]
-	want, err := c.tag(n, ct)
-	if err != nil {
-		return "", err
-	}
-	if !constEq(gotTag, want) {
-		return "", ErrBadTag
-	}
-	return string(c.ctrXOR(n<<16, ct)), nil
-}
-
-// constEq compares tags in constant time via crypto/subtle; the
-// earlier hand-rolled XOR loop is gone so the constant-time property is
-// the standard library's, not ours to re-verify.
-func constEq(a, b []byte) bool {
-	return subtle.ConstantTimeCompare(a, b) == 1
-}
 
 // Bridge is the gateway-resident XLF Core component: it terminates
 // lightweight-encrypted DNS from devices and re-issues queries upstream
 // over DoT via the gateway resolver.
 type Bridge struct {
-	Address  Addr
-	codec    *Codec
+	Address Addr
+	// up opens device queries; down seals the replies.
+	up, down *channel.Session
 	resolver *netsim.Resolver
 
-	served, tampered uint64
+	served, rejected uint64
 }
 
 // Addr aliases netsim.Addr for the public constructor signature.
@@ -132,16 +33,18 @@ type Addr = netsim.Addr
 
 var _ netsim.Node = (*Bridge)(nil)
 
-// NewBridge creates the bridge node in front of a DoT resolver.
-func NewBridge(addr Addr, codec *Codec, resolver *netsim.Resolver) *Bridge {
-	return &Bridge{Address: addr, codec: codec, resolver: resolver}
+// NewBridge creates the bridge node in front of a DoT resolver. up is the
+// device→bridge session and down the bridge→device one.
+func NewBridge(addr Addr, up, down *channel.Session, resolver *netsim.Resolver) *Bridge {
+	return &Bridge{Address: addr, up: up, down: down, resolver: resolver}
 }
 
 // NetAddr implements netsim.Node.
 func (b *Bridge) Addr() netsim.Addr { return b.Address }
 
-// Stats returns (queriesServed, tamperedRejected).
-func (b *Bridge) Stats() (uint64, uint64) { return b.served, b.tampered }
+// Stats returns (queriesServed, rejected): a rejected query failed its
+// tag or replayed an earlier nonce.
+func (b *Bridge) Stats() (uint64, uint64) { return b.served, b.rejected }
 
 // Handle implements netsim.Node: decrypt, resolve upstream via DoT, reply
 // encrypted.
@@ -149,18 +52,18 @@ func (b *Bridge) Handle(net *netsim.Network, pkt *netsim.Packet) {
 	if pkt.Proto != "XLF-DNS" {
 		return
 	}
-	name, err := b.codec.Open(pkt.Payload)
+	name, err := b.up.Open(pkt.Payload)
 	if err != nil {
-		b.tampered++
+		b.rejected++
 		return
 	}
 	src, srcPort := pkt.Src, pkt.SrcPort
-	b.resolver.Lookup(net, name, func(addr netsim.Addr, lerr error) {
+	b.resolver.Lookup(net, string(name), func(addr netsim.Addr, lerr error) {
 		resp := "ERR"
 		if lerr == nil {
 			resp = string(addr)
 		}
-		sealed, serr := b.codec.Seal(resp)
+		sealed, serr := b.down.Seal([]byte(resp))
 		if serr != nil {
 			return
 		}
@@ -177,21 +80,23 @@ func (b *Bridge) Handle(net *netsim.Network, pkt *netsim.Packet) {
 type Stub struct {
 	Device netsim.Addr
 	Bridge netsim.Addr
-	codec  *Codec
+	// up seals queries; down opens the bridge's replies.
+	up, down *channel.Session
 
 	pending map[int]func(netsim.Addr, error)
 	nextID  int
 }
 
-// NewStub creates a device stub sharing the bridge's channel codec.
-func NewStub(device, bridge netsim.Addr, codec *Codec) *Stub {
-	return &Stub{Device: device, Bridge: bridge, codec: codec, pending: make(map[int]func(netsim.Addr, error)), nextID: 30000}
+// NewStub creates a device stub over the same two sessions as the bridge
+// (up: device→bridge, down: bridge→device).
+func NewStub(device, bridge netsim.Addr, up, down *channel.Session) *Stub {
+	return &Stub{Device: device, Bridge: bridge, up: up, down: down, pending: make(map[int]func(netsim.Addr, error)), nextID: 30000}
 }
 
 // Query seals and sends a lookup; the callback fires when HandleResponse
 // sees the reply.
 func (s *Stub) Query(net *netsim.Network, name string, cb func(netsim.Addr, error)) error {
-	sealed, err := s.codec.Seal(name)
+	sealed, err := s.up.Seal([]byte(name))
 	if err != nil {
 		return err
 	}
@@ -217,12 +122,12 @@ func (s *Stub) HandleResponse(pkt *netsim.Packet) {
 		return
 	}
 	delete(s.pending, pkt.DstPort)
-	resp, err := s.codec.Open(pkt.Payload)
+	resp, err := s.down.Open(pkt.Payload)
 	if err != nil {
 		cb("", err)
 		return
 	}
-	if resp == "ERR" {
+	if string(resp) == "ERR" {
 		cb("", errors.New("dnsp: upstream resolution failed"))
 		return
 	}

@@ -1,82 +1,32 @@
 package dnsp
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 	"time"
 
+	"xlf/internal/channel"
+	"xlf/internal/device"
 	"xlf/internal/lwc"
 	"xlf/internal/netsim"
 	"xlf/internal/sim"
 )
 
-func testCodec(t *testing.T) *Codec {
+// sessions derives the two directions of a bulb-class channel from one
+// pairing key: up (device→bridge) and down (bridge→device).
+func sessions(t *testing.T, key string) (up, down *channel.Session) {
 	t.Helper()
-	blk, err := lwc.NewPRESENT(bytes.Repeat([]byte{3}, 10))
+	bulb, err := device.ProfileByName("Philips Hue Lightbulb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCodec(blk)
-	if err != nil {
+	reg := lwc.NewRegistry()
+	if up, err = channel.ForProfile(bulb, reg, []byte(key+"/up")); err != nil {
 		t.Fatal(err)
 	}
-	return c
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	c := testCodec(t)
-	for _, name := range []string{"api.nest.example", "a", "", "very.long.subdomain.vendor.example.with.many.labels"} {
-		sealed, err := c.Seal(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Open(sealed)
-		if err != nil {
-			t.Fatalf("Open(%q): %v", name, err)
-		}
-		if got != name {
-			t.Errorf("roundtrip = %q, want %q", got, name)
-		}
-	}
-}
-
-func TestCodecConfidentiality(t *testing.T) {
-	c := testCodec(t)
-	sealed, _ := c.Seal("secret.vendor.example")
-	if bytes.Contains(sealed, []byte("secret")) || bytes.Contains(sealed, []byte("vendor")) {
-		t.Error("sealed message leaks plaintext")
-	}
-	// Same name sealed twice yields different ciphertexts (fresh nonce).
-	s2, _ := c.Seal("secret.vendor.example")
-	if bytes.Equal(sealed, s2) {
-		t.Error("nonce reuse: identical ciphertexts")
-	}
-}
-
-func TestCodecTamperDetection(t *testing.T) {
-	c := testCodec(t)
-	sealed, _ := c.Seal("fw.vendor.example")
-	for i := range sealed {
-		mut := append([]byte(nil), sealed...)
-		mut[i] ^= 0x01
-		if _, err := c.Open(mut); err == nil {
-			t.Fatalf("bit-flip at %d accepted", i)
-		}
-	}
-	if _, err := c.Open([]byte{1, 2, 3}); !errors.Is(err, ErrTooShort) {
-		t.Errorf("short message err = %v", err)
-	}
-}
-
-func TestCodecRejectsTinyBlocks(t *testing.T) {
-	hb, err := lwc.NewHummingbird2(make([]byte, 32))
-	if err != nil {
+	if down, err = channel.ForProfile(bulb, reg, []byte(key+"/down")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCodec(hb); err == nil {
-		t.Error("16-bit block accepted")
-	}
+	return up, down
 }
 
 // bridgeFixture wires device stub -> bridge -> DoT resolver -> DNS server.
@@ -100,16 +50,9 @@ func buildBridge(t *testing.T) *bridgeFixture {
 	})
 	res := netsim.NewResolver("lan:resolver", "wan:dns", "DoT")
 
-	blk, err := lwc.NewPRESENT(bytes.Repeat([]byte{3}, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := NewCodec(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.bridge = NewBridge("lan:dnsbridge", codec, res)
-	f.stub = NewStub("lan:thermo", "lan:dnsbridge", codec)
+	up, down := sessions(t, "dns-pairing")
+	f.bridge = NewBridge("lan:dnsbridge", up, down, res)
+	f.stub = NewStub("lan:thermo", "lan:dnsbridge", up, down)
 
 	dev := &netsim.FuncNode{Address: "lan:thermo", Fn: func(_ *netsim.Network, pkt *netsim.Packet) {
 		f.stub.HandleResponse(pkt)
@@ -145,9 +88,9 @@ func TestBridgeEndToEnd(t *testing.T) {
 	if got != "wan:nest" {
 		t.Errorf("resolved %q, want wan:nest", got)
 	}
-	served, tampered := f.bridge.Stats()
-	if served != 1 || tampered != 0 {
-		t.Errorf("bridge stats = %d/%d", served, tampered)
+	served, rejected := f.bridge.Stats()
+	if served != 1 || rejected != 0 {
+		t.Errorf("bridge stats = %d/%d", served, rejected)
 	}
 }
 
@@ -174,18 +117,51 @@ func TestBridgeNXDomain(t *testing.T) {
 
 func TestBridgeRejectsTamperedQueries(t *testing.T) {
 	f := buildBridge(t)
-	// An on-LAN attacker replays a mangled sealed query.
-	blk, _ := lwc.NewPRESENT(bytes.Repeat([]byte{3}, 10))
-	otherCodec, _ := NewCodec(blk)
-	sealed, _ := otherCodec.Seal("api.nest.example")
+	// An on-LAN attacker sends a mangled sealed query.
+	forger, _ := sessions(t, "dns-pairing")
+	sealed, err := forger.Seal([]byte("api.nest.example"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sealed[10] ^= 0xFF
 	f.net.Send(&netsim.Packet{
 		Src: "lan:attacker", Dst: "lan:dnsbridge", SrcPort: 4444, DstPort: 8853,
 		Proto: "XLF-DNS", Size: 60, Encrypted: true, Payload: sealed,
 	})
 	f.kernel.Run(5 * time.Second)
-	_, tampered := f.bridge.Stats()
-	if tampered != 1 {
-		t.Errorf("tampered = %d, want 1", tampered)
+	_, rejected := f.bridge.Stats()
+	if rejected != 1 {
+		t.Errorf("rejected = %d, want 1", rejected)
+	}
+}
+
+func TestBridgeRejectsReplayedQuery(t *testing.T) {
+	f := buildBridge(t)
+	// An on-LAN observer captures the device's sealed query...
+	var captured *netsim.Packet
+	f.net.AddTap(netsim.TapLAN, func(_ netsim.TapDirection, pkt *netsim.Packet) {
+		if pkt.App == "xlf-dns-query" && captured == nil {
+			cp := *pkt
+			cp.Payload = append([]byte(nil), pkt.Payload...)
+			captured = &cp
+		}
+	})
+	if err := f.stub.Query(f.net, "api.nest.example", func(netsim.Addr, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.kernel.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if captured == nil {
+		t.Fatal("no sealed query on the LAN")
+	}
+	// ...and sends it to the bridge a second time.
+	f.net.Send(captured)
+	if err := f.kernel.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	served, rejected := f.bridge.Stats()
+	if served != 1 || rejected != 1 {
+		t.Errorf("bridge stats = %d served / %d rejected, want 1/1", served, rejected)
 	}
 }

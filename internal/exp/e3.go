@@ -53,7 +53,7 @@ func runE3(env *Env) *Result {
 	cost := device.CostModel(bulb, aes.CyclesPerByte, aes.RAMBytes)
 	deviceVerify := time.Duration(cost.SecondsPerKB * 0.3 * float64(time.Second))
 
-	proxy := xauth.NewProxy(authority, xauth.DefaultProxyConfig())
+	proxy := xauth.NewProxy(authority)
 	baseline := xauth.NewBaseline(authority, xauth.BaselineConfig{
 		CloudRTT:     45 * time.Millisecond,
 		RedirectRTT:  10 * time.Millisecond,

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
+	"xlf/internal/channel"
 	"xlf/internal/device"
 	"xlf/internal/dnsp"
 	"xlf/internal/lwc"
@@ -124,19 +124,26 @@ func e7Mode(seed int64, mode string) (time.Duration, int, bool) {
 		if err := n.Attach(upstream, netsim.DefaultLAN()); err != nil {
 			panic(err)
 		}
-		blk, err := lwc.NewPRESENT(bytes.Repeat([]byte{9}, 10))
+		// The bulb's channel to the bridge, one session per direction,
+		// each derived from the pairing key.
+		bulb, err := device.ProfileByName("Philips Hue Lightbulb")
 		if err != nil {
 			panic(err)
 		}
-		codec, err := dnsp.NewCodec(blk)
+		reg := lwc.NewRegistry()
+		up, err := channel.ForProfile(bulb, reg, []byte("xlf-dns-pairing/up"))
 		if err != nil {
 			panic(err)
 		}
-		bridge := dnsp.NewBridge("lan:bridge", codec, upstream)
+		down, err := channel.ForProfile(bulb, reg, []byte("xlf-dns-pairing/down"))
+		if err != nil {
+			panic(err)
+		}
+		bridge := dnsp.NewBridge("lan:bridge", up, down, upstream)
 		if err := n.Attach(bridge, netsim.DefaultLAN()); err != nil {
 			panic(err)
 		}
-		stub := dnsp.NewStub("lan:bulb", "lan:bridge", codec)
+		stub := dnsp.NewStub("lan:bulb", "lan:bridge", up, down)
 		dev := &netsim.FuncNode{Address: "lan:bulb", Fn: func(_ *netsim.Network, pkt *netsim.Packet) {
 			stub.HandleResponse(pkt)
 		}}

@@ -12,23 +12,17 @@ type Experiment struct {
 	ID string
 	// Title matches the Result.Title the run renders.
 	Title string
-	// Tables lists the paper tables this entry reproduces (xlf-bench
-	// -table resolves through it).
-	Tables []int
-	// Figures lists the paper figures this entry reproduces (xlf-bench
-	// -figure resolves through it).
-	Figures []int
 	// Run executes the experiment under an explicit environment.
 	Run func(*Env) *Result
 }
 
-// Kind classifies the entry for listings: "table", "figure" or
-// "experiment".
+// Kind classifies the entry for listings by its ID prefix: "table" (T),
+// "figure" (F) or "experiment" (E).
 func (e Experiment) Kind() string {
 	switch {
-	case len(e.Tables) > 0:
+	case strings.HasPrefix(e.ID, "T"):
 		return "table"
-	case len(e.Figures) > 0:
+	case strings.HasPrefix(e.ID, "F"):
 		return "figure"
 	default:
 		return "experiment"
@@ -37,16 +31,16 @@ func (e Experiment) Kind() string {
 
 // registry is the single source of truth for the experiment suite, in
 // report order. Adding an experiment here is the whole integration: the
-// exp.Run, cmd/xlf-bench (-all, -exp, -table, -figure, -list) and the
-// determinism tests all iterate this slice.
+// exp.Run, cmd/xlf-bench (-all, -exp, -list) and the determinism tests
+// all iterate this slice.
 var registry = []Experiment{
-	{ID: "T1", Title: "Device-layer components (paper Table I) + crypto feasibility", Tables: []int{1}, Run: runTable1},
-	{ID: "T2", Title: "Device-layer attack surface (paper Table II), executed", Tables: []int{2}, Run: runTable2},
-	{ID: "T3", Title: "Lightweight cryptographic algorithms (paper Table III), measured", Tables: []int{3}, Run: runTable3},
-	{ID: "F1", Title: "Generic layered IoT architecture", Figures: []int{1}, Run: func(*Env) *Result { return Figure1() }},
-	{ID: "F2", Title: "IoT protocols on the TCP/IP stack", Figures: []int{2}, Run: func(*Env) *Result { return Figure2() }},
-	{ID: "F3", Title: "IoT attack surface areas", Figures: []int{3}, Run: func(*Env) *Result { return Figure3() }},
-	{ID: "F4", Title: "XLF cross-layer security design", Figures: []int{4}, Run: func(*Env) *Result { return Figure4() }},
+	{ID: "T1", Title: "Device-layer components (paper Table I) + crypto feasibility", Run: runTable1},
+	{ID: "T2", Title: "Device-layer attack surface (paper Table II), executed", Run: runTable2},
+	{ID: "T3", Title: "Lightweight cryptographic algorithms (paper Table III), measured", Run: runTable3},
+	{ID: "F1", Title: "Generic layered IoT architecture", Run: func(*Env) *Result { return Figure1() }},
+	{ID: "F2", Title: "IoT protocols on the TCP/IP stack", Run: func(*Env) *Result { return Figure2() }},
+	{ID: "F3", Title: "IoT attack surface areas", Run: func(*Env) *Result { return Figure3() }},
+	{ID: "F4", Title: "XLF cross-layer security design", Run: func(*Env) *Result { return Figure4() }},
 	{ID: "E1", Title: "Cross-layer vs single-layer detection (per-device F1)", Run: runE1},
 	{ID: "E2", Title: "Traffic shaping: adversary confidence vs bandwidth overhead", Run: runE2},
 	{ID: "E3", Title: "Delegated authentication: XLF proxy vs Barreto baseline", Run: runE3},
@@ -73,30 +67,6 @@ func Lookup(id string) (Experiment, bool) {
 	for _, e := range registry {
 		if e.ID == id {
 			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
-// ByTable resolves the entry reproducing paper table n.
-func ByTable(n int) (Experiment, bool) {
-	for _, e := range registry {
-		for _, t := range e.Tables {
-			if t == n {
-				return e, true
-			}
-		}
-	}
-	return Experiment{}, false
-}
-
-// ByFigure resolves the entry reproducing paper figure n.
-func ByFigure(n int) (Experiment, bool) {
-	for _, e := range registry {
-		for _, f := range e.Figures {
-			if f == n {
-				return e, true
-			}
 		}
 	}
 	return Experiment{}, false

@@ -3,8 +3,8 @@ package exp
 import "testing"
 
 // TestRegistryShape pins the registry as the single source of truth: one
-// entry per report section, report order, resolvable by ID, table and
-// figure number.
+// entry per report section, report order, resolvable by ID, and kind
+// read from the ID prefix.
 func TestRegistryShape(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"}
 	reg := Registry()
@@ -24,21 +24,15 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("Lookup(%q) failed", id)
 		}
 	}
-	for n := 1; n <= 3; n++ {
-		if e, ok := ByTable(n); !ok || e.Kind() != "table" {
-			t.Errorf("ByTable(%d) failed", n)
+	for _, id := range []string{"T1", "T2", "T3"} {
+		if k := mustLookup(t, id).Kind(); k != "table" {
+			t.Errorf("%s kind = %q", id, k)
 		}
 	}
-	for n := 1; n <= 4; n++ {
-		if e, ok := ByFigure(n); !ok || e.Kind() != "figure" {
-			t.Errorf("ByFigure(%d) failed", n)
+	for _, id := range []string{"F1", "F2", "F3", "F4"} {
+		if k := mustLookup(t, id).Kind(); k != "figure" {
+			t.Errorf("%s kind = %q", id, k)
 		}
-	}
-	if _, ok := ByTable(9); ok {
-		t.Error("ByTable(9) resolved")
-	}
-	if _, ok := ByFigure(9); ok {
-		t.Error("ByFigure(9) resolved")
 	}
 	if _, ok := Lookup("E99"); ok {
 		t.Error("Lookup(E99) resolved")

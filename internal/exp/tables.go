@@ -302,13 +302,9 @@ func measureThroughput(env *Env, info lwc.Info) float64 {
 	return float64(total) / el
 }
 
-// Figure1 renders the layered architecture from the live inventory.
+// Figure1 renders the layered architecture from the component inventory.
 func Figure1() *Result {
-	arch := core.NewArchitecture("gateway")
-	for _, c := range core.StandardComponents() {
-		arch.Register(c)
-	}
-	return &Result{ID: "F1", Title: "Generic layered IoT architecture", Output: arch.RenderFigure1()}
+	return &Result{ID: "F1", Title: "Generic layered IoT architecture", Output: core.RenderFigure1()}
 }
 
 // Figure2 renders the protocol/TCP-IP mapping from the registry. The
@@ -351,9 +347,5 @@ func Figure3() *Result {
 
 // Figure4 renders the XLF cross-layer design.
 func Figure4() *Result {
-	arch := core.NewArchitecture("gateway")
-	for _, c := range core.StandardComponents() {
-		arch.Register(c)
-	}
-	return &Result{ID: "F4", Title: "XLF cross-layer security design", Output: arch.RenderFigure4()}
+	return &Result{ID: "F4", Title: "XLF cross-layer security design", Output: core.RenderFigure4()}
 }

@@ -114,7 +114,6 @@ type Cloud struct {
 	// CommandLog is every command the platform issued (evaluation and
 	// §IV-C2 application verification read this).
 	commandLog []Command
-	eventLog   []Event
 
 	// EventMonitor, when set, sees every accepted event (XLF service-layer
 	// feed into the Core).
@@ -199,7 +198,7 @@ func (c *Cloud) hasGrant(app *SmartApp, deviceID, capability string) bool {
 }
 
 // PublishDeviceEvent is the authenticated path devices use. Events flow to
-// the log, the monitor, and subscribed apps.
+// the monitor and subscribed apps.
 func (c *Cloud) PublishDeviceEvent(deviceID, name string, value float64) error {
 	if _, ok := c.devices[deviceID]; !ok {
 		return ErrUnknownDevice
@@ -219,7 +218,6 @@ func (c *Cloud) PublishRaw(ev Event) error {
 }
 
 func (c *Cloud) dispatch(ev Event) error {
-	c.eventLog = append(c.eventLog, ev)
 	if c.EventMonitor != nil {
 		c.EventMonitor(ev)
 	}
@@ -277,6 +275,3 @@ func (c *Cloud) issue(app *SmartApp, deviceID, command string) error {
 
 // CommandLog returns issued commands (a copy).
 func (c *Cloud) CommandLog() []Command { return append([]Command(nil), c.commandLog...) }
-
-// EventLog returns accepted events (a copy).
-func (c *Cloud) EventLog() []Event { return append([]Event(nil), c.eventLog...) }

@@ -123,11 +123,13 @@ func TestEventSpoofing(t *testing.T) {
 		t.Errorf("hardened platform accepted spoof: %v", err)
 	}
 	vulnerable := newCloud(t, Flaws{UnsignedEvents: true})
+	var seen []Event
+	vulnerable.EventMonitor = func(ev Event) { seen = append(seen, ev) }
 	if err := vulnerable.PublishRaw(spoof); err != nil {
 		t.Errorf("vulnerable platform rejected spoof: %v", err)
 	}
-	if len(vulnerable.EventLog()) != 1 {
-		t.Error("spoofed event not logged")
+	if len(seen) != 1 || seen[0].Source != spoof.Source {
+		t.Errorf("monitor saw %+v, want the spoofed event", seen)
 	}
 }
 

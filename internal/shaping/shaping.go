@@ -55,14 +55,9 @@ type Config struct {
 	// cell — the oldest queued real packet, or a dummy when the queue is
 	// empty — so the WAN rate is flat and user activity produces no
 	// observable spike (Apthorpe et al.'s stochastic traffic padding,
-	// simplified to constant-rate link padding).
+	// simplified to constant-rate link padding). Dummy cells are
+	// PadBucket bytes.
 	Interval time.Duration
-	// DummySize is the size of injected dummies (defaults to PadBucket).
-	DummySize int
-	// IdleBudget bounds how many consecutive dummy cells are sent with an
-	// empty queue before the cover stream pauses (bounds overhead; 0 =
-	// unbounded cover traffic).
-	IdleBudget int
 }
 
 // Level returns a canonical config for a shaping intensity in [0,1]:
@@ -83,7 +78,6 @@ func Level(intensity float64) Config {
 			Mode:      ModeCombined,
 			Interval:  iv,
 			PadBucket: 1024,
-			DummySize: 1024,
 		}
 	}
 }
@@ -132,15 +126,11 @@ type Shaper struct {
 	lastPkt  *netsim.Packet // template for dummies
 	lastSend func(*netsim.Packet)
 	ticker   *sim.Ticker
-	idleRun  int
 }
 
 // New creates a shaper bound to the simulation kernel (all randomness is
 // drawn from the kernel for reproducibility).
 func New(kernel *sim.Kernel, cfg Config) *Shaper {
-	if cfg.DummySize == 0 {
-		cfg.DummySize = cfg.PadBucket
-	}
 	return &Shaper{kernel: kernel, cfg: cfg}
 }
 
@@ -211,7 +201,6 @@ func (s *Shaper) GatewayHook() func(pkt *netsim.Packet, send func(*netsim.Packet
 			}
 			s.lastPkt = pkt
 			s.lastSend = send
-			s.idleRun = 0
 			if s.ticker == nil {
 				s.ticker = s.kernel.Every(s.cfg.Interval, 0, "shaper-cell", s.emitCell)
 			}
@@ -238,15 +227,10 @@ func (s *Shaper) emitCell() {
 		s.queue = s.queue[1:]
 		s.stats.TotalDelay += s.kernel.Now() - q.at
 		s.lastSend(q.pkt)
-		s.idleRun = 0
 		return
 	}
-	if s.cfg.IdleBudget > 0 && s.idleRun >= s.cfg.IdleBudget {
-		return // cover stream paused; next real packet resumes it
-	}
-	s.idleRun++
 	dummy := s.lastPkt.Clone()
-	dummy.Size = s.cfg.DummySize
+	dummy.Size = s.cfg.PadBucket
 	dummy.Dummy = true
 	dummy.App = ""
 	dummy.Payload = nil

@@ -172,10 +172,7 @@ type shapedHome struct {
 func buildHomeWithShaper(t *testing.T, cfg Config) *shapedHome {
 	t.Helper()
 	k := sim.NewKernel(1234)
-	sh := &Shaper{kernel: k, cfg: cfg}
-	if sh.cfg.DummySize == 0 {
-		sh.cfg.DummySize = sh.cfg.PadBucket
-	}
+	sh := New(k, cfg)
 	// Rebuild the fixture on the SAME kernel as the shaper.
 	n := netsim.New(k)
 	gw := netsim.NewGateway("lan:gw", "wan:home")
@@ -313,23 +310,5 @@ func TestConstantRateEqualisation(t *testing.T) {
 	}
 	if sh.Stats().DummyPackets != dummy {
 		t.Error("dummy accounting mismatch")
-	}
-}
-
-func TestIdleBudgetPausesCover(t *testing.T) {
-	k := sim.NewKernel(5)
-	sh := New(k, Config{Mode: ModeCombined, Interval: 50 * time.Millisecond, PadBucket: 128, IdleBudget: 3})
-	hook := sh.GatewayHook()
-	var dummy int
-	hook(&netsim.Packet{Size: 64}, func(p *netsim.Packet) {
-		if p.Dummy {
-			dummy++
-		}
-	})
-	if err := k.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if dummy != 3 {
-		t.Errorf("dummies = %d, want exactly IdleBudget=3", dummy)
 	}
 }

@@ -4,7 +4,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xlf/internal/channel"
+	"xlf/internal/lwc"
 )
+
+// gatewayPeer derives the gateway side of a device's session from the
+// same pairing key and the device's profile, as the Core would.
+func gatewayPeer(t *testing.T, h *Home, id string) *channel.Session {
+	t.Helper()
+	peer, err := channel.ForProfile(h.Devices[id].Profile, lwc.NewRegistry(), []byte("xlf-pairing-"+id))
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return peer
+}
 
 func TestLightweightEncryptionSessions(t *testing.T) {
 	h, err := New(Config{Seed: 9, LightweightEncryption: true})
@@ -12,22 +26,17 @@ func TestLightweightEncryptionSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every catalog device's hardware affords some cipher, so every
-	// device gets a session with a gateway peer.
+	// device gets a session, and the gateway negotiates the same one.
 	if len(h.Sessions) != len(h.Devices) {
 		t.Errorf("sessions = %d, devices = %d", len(h.Sessions), len(h.Devices))
 	}
 	for id, s := range h.Sessions {
-		peer, ok := h.GatewaySessions[id]
-		if !ok {
-			t.Errorf("%s has no gateway peer", id)
-			continue
-		}
-		if s.Algorithm != peer.Algorithm {
+		if peer := gatewayPeer(t, h, id); s.Algorithm != peer.Algorithm {
 			t.Errorf("%s negotiated %s but gateway holds %s", id, s.Algorithm, peer.Algorithm)
 		}
 	}
 
-	// Run: keepalives flow sealed; the gateway peers can open them.
+	// Run: keepalives flow sealed.
 	if err := h.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +68,10 @@ func TestGatewayPeerOpensDeviceTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	devSess := h.Sessions["thermo-1"]
-	gwSess := h.GatewaySessions["thermo-1"]
-	if devSess == nil || gwSess == nil {
-		t.Fatal("missing thermo sessions")
+	if devSess == nil {
+		t.Fatal("missing thermo session")
 	}
+	gwSess := gatewayPeer(t, h, "thermo-1")
 	sealed, err := devSess.Seal([]byte("temperature=70.5"))
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,6 @@ type Config struct {
 	Flaws service.Flaws
 	// ResolverMode is "DNS" (cleartext) or "DoT".
 	ResolverMode string
-	// KeepaliveEvery sets device cloud chatter cadence (0 = 20s).
-	KeepaliveEvery time.Duration
-	// SignedOTASeed seeds the vendor OTA key (32 bytes used).
-	SignedOTASeed byte
 	// LightweightEncryption establishes an XLF channel session per device
 	// (the §IV-A2 function): keepalive and event payloads are sealed with
 	// the device's negotiated Table III cipher and battery-metered.
@@ -63,8 +59,6 @@ type Home struct {
 	// (device side) when Config.LightweightEncryption is set; devices
 	// whose hardware affords no cipher are absent.
 	Sessions map[string]*channel.Session
-	// GatewaySessions are the core-side peers of Sessions.
-	GatewaySessions map[string]*channel.Session
 
 	// Detections, when set, is handed to AttackEnv so attacks timestamp
 	// their injections for the detection-latency SLO pipeline.
@@ -73,13 +67,13 @@ type Home struct {
 	tracer *obs.Tracer
 }
 
+// keepaliveEvery is each device's vendor-cloud chatter cadence.
+const keepaliveEvery = 20 * time.Second
+
 // New builds the standard home with the full device catalog.
 func New(cfg Config) (*Home, error) {
 	if cfg.ResolverMode == "" {
 		cfg.ResolverMode = "DNS"
-	}
-	if cfg.KeepaliveEvery <= 0 {
-		cfg.KeepaliveEvery = 20 * time.Second
 	}
 
 	k := sim.NewKernel(cfg.Seed)
@@ -90,22 +84,21 @@ func New(cfg Config) (*Home, error) {
 		n.SetTracer(cfg.Tracer)
 	}
 	h := &Home{
-		Kernel:          k,
-		Net:             n,
-		Gateway:         netsim.NewGateway("lan:gw", "wan:home"),
-		Devices:         make(map[string]*device.Device),
-		LANCap:          netsim.NewCapture(),
-		WANCap:          netsim.NewCapture(),
-		CloudAddrOf:     make(map[string]netsim.Addr),
-		Sessions:        make(map[string]*channel.Session),
-		GatewaySessions: make(map[string]*channel.Session),
-		tracer:          cfg.Tracer,
+		Kernel:      k,
+		Net:         n,
+		Gateway:     netsim.NewGateway("lan:gw", "wan:home"),
+		Devices:     make(map[string]*device.Device),
+		LANCap:      netsim.NewCapture(),
+		WANCap:      netsim.NewCapture(),
+		CloudAddrOf: make(map[string]netsim.Addr),
+		Sessions:    make(map[string]*channel.Session),
+		tracer:      cfg.Tracer,
 	}
 	h.Cloud = service.NewCloud(cfg.Flaws, k.Now)
 
 	seed := make([]byte, 32)
 	for i := range seed {
-		seed[i] = cfg.SignedOTASeed + byte(i)
+		seed[i] = byte(i)
 	}
 	ota, err := service.NewOTAPipeline(h.Cloud, seed)
 	if err != nil {
@@ -122,10 +115,16 @@ func New(cfg Config) (*Home, error) {
 	n.AddTap(netsim.TapLAN, h.LANCap.Tap())
 	n.AddTap(netsim.TapWAN, h.WANCap.Tap())
 
-	// Devices + their vendor cloud endpoints + DNS records.
+	// Devices + their vendor cloud endpoints + DNS records. With
+	// lightweight encryption on, every device negotiates its cipher from
+	// the home's one Table III registry.
+	var reg *lwc.Registry
+	if cfg.LightweightEncryption {
+		reg = lwc.NewRegistry()
+	}
 	var records []netsim.DNSRecord
 	for _, d := range device.Catalog() {
-		if err := h.addDevice(d, cfg); err != nil {
+		if err := h.addDevice(d, reg); err != nil {
 			return nil, err
 		}
 		for _, dom := range d.CloudDomains {
@@ -167,8 +166,9 @@ func New(cfg Config) (*Home, error) {
 }
 
 // addDevice attaches a catalog device to the network and registers it with
-// the cloud.
-func (h *Home) addDevice(d *device.Device, cfg Config) error {
+// the cloud. A non-nil reg gives the device a lightweight-encryption
+// session negotiated from it.
+func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 	h.Devices[d.ID] = d
 	lanAddr := netsim.Addr("lan:" + d.ID)
 
@@ -236,17 +236,12 @@ func (h *Home) addDevice(d *device.Device, cfg Config) error {
 	}
 
 	// Lightweight-encryption session (§IV-A2): the device seals its
-	// payloads with the negotiated cipher; the gateway holds the peer.
-	if cfg.LightweightEncryption {
-		reg := lwc.NewRegistry()
-		key := []byte("xlf-pairing-" + d.ID)
-		if devSess, err := channel.ForDevice(d, reg, key); err == nil {
-			h.Sessions[d.ID] = devSess
-			// The gateway derives the identical session from the same
-			// pairing key and the device's profile (unmetered).
-			if gwSess, gerr := channel.ForProfile(d.Profile, reg, key); gerr == nil {
-				h.GatewaySessions[d.ID] = gwSess
-			}
+	// payloads with the negotiated cipher. The gateway could derive the
+	// peer from the same pairing key (channel.ForProfile); nothing on
+	// the home's path opens a sealed keepalive, so it holds none.
+	if reg != nil {
+		if sess, err := channel.ForDevice(d, reg, []byte("xlf-pairing-"+d.ID)); err == nil {
+			h.Sessions[d.ID] = sess
 		}
 	}
 
@@ -254,7 +249,7 @@ func (h *Home) addDevice(d *device.Device, cfg Config) error {
 	// produces, and what the E2 adversary fingerprints.
 	if len(d.CloudDomains) > 0 {
 		cloudAddr := netsim.Addr("wan:" + d.CloudDomains[0])
-		h.Kernel.Every(cfg.KeepaliveEvery, cfg.KeepaliveEvery/4, d.ID+"-keepalive", func() {
+		h.Kernel.Every(keepaliveEvery, keepaliveEvery/4, d.ID+"-keepalive", func() {
 			pkt := &netsim.Packet{
 				Src: lanAddr, SrcPort: 7443,
 				Dst: cloudAddr, DstPort: 443,

@@ -48,25 +48,16 @@ type Decision struct {
 	Latency time.Duration
 }
 
-// ProxyConfig carries the latency model of the delegation path.
-type ProxyConfig struct {
-	// CacheLatency is a local table lookup on the gateway.
-	CacheLatency time.Duration
-	// VerifyLatency is HMAC verification on the gateway-class CPU.
-	VerifyLatency time.Duration
-	// CloudRTT is a round trip to the cloud authority.
-	CloudRTT time.Duration
-}
-
-// DefaultProxyConfig matches the testbed's link model: sub-millisecond
-// local work, ~45 ms cloud round trips.
-func DefaultProxyConfig() ProxyConfig {
-	return ProxyConfig{
-		CacheLatency:  200 * time.Microsecond,
-		VerifyLatency: 800 * time.Microsecond,
-		CloudRTT:      45 * time.Millisecond,
-	}
-}
+// The delegation path's latency model matches the testbed's link model:
+// sub-millisecond local work, ~45 ms cloud round trips.
+const (
+	// cacheLatency is a local table lookup on the gateway.
+	cacheLatency = 200 * time.Microsecond
+	// verifyLatency is HMAC verification on the gateway-class CPU.
+	verifyLatency = 800 * time.Microsecond
+	// cloudRTT is a round trip to the cloud authority.
+	cloudRTT = 45 * time.Millisecond
+)
 
 // Proxy is the XLF delegation proxy (gateway-resident): it caches SSO
 // tokens from the cloud provider, performs SSO verification and timestamp
@@ -74,7 +65,6 @@ func DefaultProxyConfig() ProxyConfig {
 // IoT devices never validate tokens themselves.
 type Proxy struct {
 	authority *Authority
-	cfg       ProxyConfig
 	cache     map[string]Token // user -> cached token
 
 	// Tracer, when set, receives an xauth-layer span per access decision
@@ -85,8 +75,8 @@ type Proxy struct {
 }
 
 // NewProxy builds a delegation proxy in front of an authority.
-func NewProxy(a *Authority, cfg ProxyConfig) *Proxy {
-	return &Proxy{authority: a, cfg: cfg, cache: make(map[string]Token)}
+func NewProxy(a *Authority) *Proxy {
+	return &Proxy{authority: a, cache: make(map[string]Token)}
 }
 
 // Stats returns (cacheHits, cacheFills, denials).
@@ -144,48 +134,48 @@ func (p *Proxy) handle(req AccessRequest, now time.Duration) Decision {
 					return d
 				}
 				p.hits++
-				return Decision{Allowed: true, AuthenticatedBy: "proxy-cache", Latency: p.cfg.CacheLatency, Reason: "cached token valid"}
+				return Decision{Allowed: true, AuthenticatedBy: "proxy-cache", Latency: cacheLatency, Reason: "cached token valid"}
 			}
 			p.Evict(req.User)
 		}
 		if req.Token != nil {
 			if err := p.authority.Signer().Verify(*req.Token, now, req.DeviceID); err != nil {
 				p.denials++
-				return Decision{Allowed: false, Reason: err.Error(), Latency: p.cfg.VerifyLatency}
+				return Decision{Allowed: false, Reason: err.Error(), Latency: verifyLatency}
 			}
 			if d, ok := p.checkPriv(*req.Token, minPriv); !ok {
 				return d
 			}
 			p.cache[req.User] = *req.Token
 			p.fills++
-			return Decision{Allowed: true, AuthenticatedBy: "proxy-sso", Latency: p.cfg.VerifyLatency, Reason: "token verified locally"}
+			return Decision{Allowed: true, AuthenticatedBy: "proxy-sso", Latency: verifyLatency, Reason: "token verified locally"}
 		}
 		p.denials++
-		return Decision{Allowed: false, Reason: "no token and no cached session", Latency: p.cfg.CacheLatency}
+		return Decision{Allowed: false, Reason: "no token and no cached session", Latency: cacheLatency}
 	}
 
 	// WAN path: the cloud re-validates with full SSO+MFA semantics.
 	if req.Token == nil {
 		p.denials++
-		return Decision{Allowed: false, Reason: "WAN request without token", Latency: p.cfg.CloudRTT}
+		return Decision{Allowed: false, Reason: "WAN request without token", Latency: cloudRTT}
 	}
 	if err := p.authority.Authorize(*req.Token, minPriv, req.DeviceID, now); err != nil {
 		p.denials++
-		return Decision{Allowed: false, Reason: err.Error(), Latency: p.cfg.CloudRTT}
+		return Decision{Allowed: false, Reason: err.Error(), Latency: cloudRTT}
 	}
 	p.cache[req.User] = *req.Token
 	p.fills++
-	return Decision{Allowed: true, AuthenticatedBy: "cloud-sso+mfa", Latency: p.cfg.CloudRTT, Reason: "cloud validated"}
+	return Decision{Allowed: true, AuthenticatedBy: "cloud-sso+mfa", Latency: cloudRTT, Reason: "cloud validated"}
 }
 
 func (p *Proxy) checkPriv(t Token, minPriv Privilege) (Decision, bool) {
 	if t.Priv < minPriv {
 		p.denials++
-		return Decision{Allowed: false, Reason: ErrPrivTooLow.Error(), Latency: p.cfg.VerifyLatency}, false
+		return Decision{Allowed: false, Reason: ErrPrivTooLow.Error(), Latency: verifyLatency}, false
 	}
 	if minPriv >= Advanced && !t.MFA {
 		p.denials++
-		return Decision{Allowed: false, Reason: ErrNeedMFA.Error(), Latency: p.cfg.VerifyLatency}, false
+		return Decision{Allowed: false, Reason: ErrNeedMFA.Error(), Latency: verifyLatency}, false
 	}
 	return Decision{}, true
 }

@@ -155,7 +155,7 @@ func TestLifetimePolicyHook(t *testing.T) {
 
 func TestProxyLANFastPath(t *testing.T) {
 	a := testAuthority(t)
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	now := time.Hour
 	basicTok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
 
@@ -169,7 +169,7 @@ func TestProxyLANFastPath(t *testing.T) {
 	if !d2.Allowed || d2.AuthenticatedBy != "proxy-cache" {
 		t.Fatalf("cached LAN access: %s", d2)
 	}
-	if d2.Latency >= DefaultProxyConfig().CloudRTT {
+	if d2.Latency >= cloudRTT {
 		t.Errorf("cache latency %s not below cloud RTT", d2.Latency)
 	}
 	hits, fills, _ := p.Stats()
@@ -180,7 +180,7 @@ func TestProxyLANFastPath(t *testing.T) {
 
 func TestProxyDeniesWithoutToken(t *testing.T) {
 	a := testAuthority(t)
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	d := p.Handle(AccessRequest{User: "bob", Origin: FromLAN}, time.Hour)
 	if d.Allowed {
 		t.Error("LAN access with no token/cache allowed")
@@ -193,7 +193,7 @@ func TestProxyDeniesWithoutToken(t *testing.T) {
 
 func TestProxyWriteRequiresAdvancedMFA(t *testing.T) {
 	a := testAuthority(t)
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	now := time.Hour
 	basicTok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
 	d := p.Handle(AccessRequest{User: "bob", DeviceID: "cam-1", Origin: FromLAN, Write: true, Token: &basicTok}, now)
@@ -211,7 +211,7 @@ func TestProxyWriteRequiresAdvancedMFA(t *testing.T) {
 func TestProxyExpiredCacheEvicted(t *testing.T) {
 	a := testAuthority(t)
 	a.DefaultLifetime = time.Minute
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	now := time.Hour
 	tok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
 	p.Prime(tok)
@@ -225,14 +225,14 @@ func TestProxyExpiredCacheEvicted(t *testing.T) {
 
 func TestProxyWANAlwaysRevalidates(t *testing.T) {
 	a := testAuthority(t)
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	now := time.Hour
 	tok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
 	d := p.Handle(AccessRequest{User: "bob", Origin: FromWAN, Token: &tok}, now)
 	if !d.Allowed || d.AuthenticatedBy != "cloud-sso+mfa" {
 		t.Fatalf("WAN access: %s", d)
 	}
-	if d.Latency != DefaultProxyConfig().CloudRTT {
+	if d.Latency != cloudRTT {
 		t.Errorf("WAN latency = %s, want cloud RTT", d.Latency)
 	}
 }
@@ -258,7 +258,7 @@ func TestBaselineLatencyShape(t *testing.T) {
 	}
 
 	// The XLF proxy LAN fast path beats the baseline read path.
-	p := NewProxy(a, DefaultProxyConfig())
+	p := NewProxy(a)
 	p.Prime(advTok)
 	d := p.Handle(AccessRequest{User: "alice", Origin: FromLAN}, now)
 	if !d.Allowed || d.Latency >= read.Latency {

@@ -33,8 +33,6 @@ echo '>> fuzz smoke (5s per target)'
 go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime=5s ./internal/channel
 go test -run='^$' -fuzz='^FuzzSum64$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCMAC$' -fuzztime=5s ./internal/lwc
-go test -run='^$' -fuzz='^FuzzCodecOpen$' -fuzztime=5s ./internal/dnsp
-go test -run='^$' -fuzz='^FuzzSealOpenRoundTrip$' -fuzztime=5s ./internal/dnsp
 go test -run='^$' -fuzz='^FuzzCFGBuild$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzLockOrderGraph$' -fuzztime=5s ./internal/analysis
 go test -run='^$' -fuzz='^FuzzCallGraph$' -fuzztime=5s ./internal/analysis

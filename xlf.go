@@ -77,7 +77,6 @@ type System struct {
 	Home *testbed.Home
 	Core *core.Core
 	NAC  *core.NACPolicy
-	Arch *core.Architecture
 
 	IDS      *ids.Pipeline
 	Rules    *dpi.RuleSet
@@ -160,7 +159,7 @@ func New(opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xlf: authority: %w", err)
 	}
-	s.Proxy = xauth.NewProxy(s.Authority, xauth.DefaultProxyConfig())
+	s.Proxy = xauth.NewProxy(s.Authority)
 	s.Authority.Tracer = opts.Tracer
 	s.Proxy.Tracer = opts.Tracer
 
@@ -311,13 +310,8 @@ func New(opts Options) (*System, error) {
 	// ----- Device-layer attestation (§IV-A4). -----
 	home.Kernel.Every(attestEvery, attestEvery/8, "xlf-attest", func() { s.attest() })
 
-	// ----- Architecture inventory for the figures. -----
-	s.Arch = core.NewArchitecture(s.Core.Config().Deployment)
-	for _, c := range core.StandardComponents() {
-		s.Arch.Register(c)
-	}
 	if opts.Tracer != nil {
-		opts.Tracer.Emit(obs.LayerCore, "deploy", "", s.Core.Config().Deployment)
+		opts.Tracer.Emit(obs.LayerCore, "deploy", "", core.Deployment)
 	}
 	return s, nil
 }
@@ -637,6 +631,10 @@ func deviceOf(a netsim.Addr) string {
 	}
 	return ""
 }
+
+// Figure4 renders the XLF cross-layer design (paper Figure 4) that every
+// protected System deploys.
+func Figure4() string { return core.RenderFigure4() }
 
 // Report summarises the deployment state for operators.
 func (s *System) Report() string {
