@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,10 +24,10 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string) int {
+func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("xlf-sim", flag.ContinueOnError)
 	var (
 		seed        = fs.Int64("seed", 1, "deterministic seed")
@@ -67,7 +68,7 @@ func run(args []string) int {
 	}
 	if sys.Protected() {
 		sys.SetContext(analytics.Context{OutdoorTempF: 65, UserHome: true})
-		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Println("ALERT:", a) }
+		sys.Core.OnAlert = func(a xlf.CoreAlert) { fmt.Fprintln(out, "ALERT:", a) }
 	}
 
 	// Attack campaign.
@@ -87,12 +88,12 @@ func run(args []string) int {
 		return 1
 	}
 
-	fmt.Print(sys.Report())
+	fmt.Fprint(out, sys.Report())
 	if sys.Protected() && !*quiet {
-		fmt.Println()
-		fmt.Println(xlf.Figure4())
-		fmt.Println("NAC policy:")
-		fmt.Print(sys.NAC.Describe())
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, xlf.Figure4())
+		fmt.Fprintln(out, "NAC policy:")
+		fmt.Fprint(out, sys.NAC.Describe())
 	}
 	return 0
 }

@@ -121,8 +121,14 @@ func (s *Stub) HandleResponse(pkt *netsim.Packet) {
 	if !ok {
 		return
 	}
-	delete(s.pending, pkt.DstPort)
+	// A reply that fails its length, tag or replay check leaves the
+	// session unchanged and is dropped: the query stays pending. Only
+	// the device running out of energy ends it with an error.
 	resp, err := s.down.Open(pkt.Payload)
+	if err != nil && !errors.Is(err, channel.ErrOutOfEnergy) {
+		return
+	}
+	delete(s.pending, pkt.DstPort)
 	if err != nil {
 		cb("", err)
 		return

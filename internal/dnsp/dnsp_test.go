@@ -165,3 +165,27 @@ func TestBridgeRejectsReplayedQuery(t *testing.T) {
 		t.Errorf("bridge stats = %d served / %d rejected, want 1/1", served, rejected)
 	}
 }
+
+// TestStubIgnoresForgedReply: a LAN host that sends garbage to the stub's
+// predictable query port before the bridge answers does not end the
+// query; the real reply still arrives, exactly once.
+func TestStubIgnoresForgedReply(t *testing.T) {
+	f := buildBridge(t)
+	var calls []netsim.Addr
+	var errs []error
+	if err := f.stub.Query(f.net, "api.nest.example", func(a netsim.Addr, err error) {
+		calls, errs = append(calls, a), append(errs, err)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.net.Send(&netsim.Packet{
+		Src: "lan:attacker", Dst: "lan:thermo", SrcPort: 8853, DstPort: 30001,
+		Proto: "XLF-DNS", Size: 70, Encrypted: true, Payload: make([]byte, 30),
+	})
+	if err := f.kernel.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || errs[0] != nil || calls[0] != "wan:nest" {
+		t.Errorf("callbacks = %v (errors %v), want exactly one with wan:nest", calls, errs)
+	}
+}

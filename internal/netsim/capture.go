@@ -21,9 +21,21 @@ type PacketRecord struct {
 	Payload []byte
 }
 
-// Capture accumulates PacketRecords from a tap.
+// captureChunk caps a capture chunk's length in records (512 KB of
+// PacketRecords).
+const captureChunk = 4096
+
+// Capture accumulates PacketRecords from a tap. The records live in
+// append-only chunks: the first holds 16 records and each new one is as
+// long as the records held so far, up to captureChunk. A full chunk is
+// never copied, so a capture allocates about one copy of what it holds
+// plus at most one partly filled chunk, where one append-grown slice
+// would allocate several.
 type Capture struct {
-	records []PacketRecord
+	// chunks hold the records in delivery order; every chunk but the
+	// last is full.
+	chunks [][]PacketRecord
+	n      int
 	// IncludePayloads controls whether cleartext payloads are retained.
 	IncludePayloads bool
 }
@@ -50,20 +62,30 @@ func (c *Capture) Tap() Tap {
 				rec.Payload = append([]byte(nil), pkt.Payload...)
 			}
 		}
-		c.records = append(c.records, rec)
+		c.add(rec)
 	}
 }
 
-// Records returns the captured packets in delivery order (a copy of the
-// slice; records are shared).
+// add appends rec, starting a new chunk when the last one is full.
+func (c *Capture) add(rec PacketRecord) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		c.chunks = append(c.chunks, make([]PacketRecord, 0, min(max(c.n, 16), captureChunk)))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], rec)
+	c.n++
+}
+
+// Records returns the captured packets in delivery order (a fresh slice;
+// records are shared).
 func (c *Capture) Records() []PacketRecord {
-	out := make([]PacketRecord, len(c.records))
-	copy(out, c.records)
+	out := make([]PacketRecord, 0, c.n)
+	for _, ch := range c.chunks {
+		out = append(out, ch...)
+	}
 	return out
 }
 
 // Len returns the number of captured packets.
-func (c *Capture) Len() int { return len(c.records) }
-
-// Reset discards captured packets.
-func (c *Capture) Reset() { c.records = c.records[:0] }
+func (c *Capture) Len() int { return c.n }

@@ -26,6 +26,12 @@ go build ./...
 echo '>> go test -race ./...'
 go test -race ./...
 
+# bench/_perf is a module of its own, so ./... never builds it; it reads
+# the testbed's captures, the IDS and the Core, so a library change can
+# break it unseen.
+echo '>> bench/_perf: go vet + go test'
+(cd bench/_perf && go vet . && go test .)
+
 # Fuzz smoke: a few seconds per corpus keeps the harnesses honest (a
 # bit-rotted fuzz target fails here, not six months from now) and still
 # catches shallow regressions in the codec/seal paths.
