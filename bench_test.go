@@ -255,12 +255,15 @@ func BenchmarkLayer(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// One keepalive, rewound by its last owner after each delivery;
-		// the first send creates the NAT binding the measured ones reuse.
-		pkt := &netsim.Packet{Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48)}
+		// One keepalive per round, recycled by the network after each
+		// delivery; the first send creates the NAT binding the measured
+		// ones reuse.
+		tmpl := netsim.Packet{
+			Src: "lan:cam", SrcPort: 7443, Dst: "wan:cloud", DstPort: 443,
+			Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48),
+		}
 		keepalive := func() {
-			pkt.Src, pkt.SrcPort, pkt.Dst, pkt.DstPort = "lan:cam", 7443, "wan:cloud", 443
-			sinkErr = gw.SendOut(n, pkt)
+			sinkErr = gw.SendOut(n, n.NewPacket(tmpl))
 			if !k.Step() {
 				b.Fatal("no delivery event")
 			}

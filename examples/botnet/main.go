@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"xlf"
@@ -15,26 +17,35 @@ import (
 )
 
 func main() {
-	fmt.Println("=== Run 1: unprotected home ===")
-	runCampaign(false)
-	fmt.Println()
-	fmt.Println("=== Run 2: the same home under XLF ===")
-	runCampaign(true)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func runCampaign(protected bool) {
+// run plays the campaign on both homes, writing the timelines to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "=== Run 1: unprotected home ===")
+	if err := runCampaign(w, false); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "=== Run 2: the same home under XLF ===")
+	return runCampaign(w, true)
+}
+
+func runCampaign(w io.Writer, protected bool) error {
 	sys, err := xlf.New(xlf.Options{
 		Seed:              7,
 		Flaws:             service.Flaws{CoarseGrants: true, UnsignedEvents: true, OpenRedirectOTA: true},
 		DisableProtection: !protected,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	k := sys.Home.Kernel
 	if protected {
 		sys.Core.OnAlert = func(a xlf.CoreAlert) {
-			fmt.Printf("  [%8s] XLF %s\n", k.Now().Truncate(time.Millisecond), a)
+			fmt.Fprintf(w, "  [%8s] XLF %s\n", k.Now().Truncate(time.Millisecond), a)
 		}
 	}
 
@@ -42,15 +53,15 @@ func runCampaign(protected bool) {
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}
 	k.Schedule(10*time.Second, "recruit", func() {
 		res := m.Execute(env)
-		fmt.Printf("  [%8s] attacker: %s\n", k.Now().Truncate(time.Millisecond), res)
+		fmt.Fprintf(w, "  [%8s] attacker: %s\n", k.Now().Truncate(time.Millisecond), res)
 	})
 	k.Schedule(90*time.Second, "ddos", func() {
 		res := (&attack.DDoSFlood{Victim: "wan:victim", Rate: 100, Duration: 30 * time.Second}).Execute(env)
-		fmt.Printf("  [%8s] attacker: %s\n", k.Now().Truncate(time.Millisecond), res)
+		fmt.Fprintf(w, "  [%8s] attacker: %s\n", k.Now().Truncate(time.Millisecond), res)
 	})
 
 	if err := sys.Home.Run(3 * time.Minute); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	beacons, flood := 0, 0
@@ -62,8 +73,9 @@ func runCampaign(protected bool) {
 			flood++
 		}
 	}
-	fmt.Printf("  outcome: %d C&C beacons escaped, %d flood packets hit the victim\n", beacons, flood)
+	fmt.Fprintf(w, "  outcome: %d C&C beacons escaped, %d flood packets hit the victim\n", beacons, flood)
 	if protected {
-		fmt.Printf("  NAC denials: %d (C&C endpoint was never enrolled — denied by default)\n", sys.NAC.Denials())
+		fmt.Fprintf(w, "  NAC denials: %d (C&C endpoint was never enrolled — denied by default)\n", sys.NAC.Denials())
 	}
+	return nil
 }

@@ -5,6 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"xlf/internal/netsim"
@@ -13,27 +16,38 @@ import (
 )
 
 func main() {
-	fmt.Println("An ISP-side observer watches one home's encrypted WAN traffic.")
-	fmt.Println("Ground truth: a camera streams keepalives and bursts on motion")
-	fmt.Println("events at t=60s and t=150s. Can the observer see your movements?")
-	fmt.Println()
-	fmt.Printf("%-10s %-20s %-12s %-12s %-10s\n", "intensity", "mode", "identified", "events-seen", "overhead")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps the shaping intensities, writing the table to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "An ISP-side observer watches one home's encrypted WAN traffic.")
+	fmt.Fprintln(w, "Ground truth: a camera streams keepalives and bursts on motion")
+	fmt.Fprintln(w, "events at t=60s and t=150s. Can the observer see your movements?")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-10s %-20s %-12s %-12s %-10s\n", "intensity", "mode", "identified", "events-seen", "overhead")
 
 	for _, intensity := range []float64{0, 0.3, 0.6, 0.8, 1.0} {
-		identified, recall, overhead, mode := runOnce(intensity)
-		fmt.Printf("%-10.2f %-20s %-12v %-12s %-10s\n",
+		identified, recall, overhead, mode, err := runOnce(intensity)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-10.2f %-20s %-12v %-12s %-10s\n",
 			intensity, mode, identified,
 			fmt.Sprintf("%.0f%%", recall*100),
 			fmt.Sprintf("%.0f%%", overhead*100))
 	}
-	fmt.Println()
-	fmt.Println("Rate equalisation (high intensity) hides events completely: the")
-	fmt.Println("shaper emits fixed-size cells at a fixed cadence, queueing real")
-	fmt.Println("packets and filling idle slots with dummies. Privacy costs the")
-	fmt.Println("overhead column — exactly the trade-off the paper's §IV-B1 describes.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Rate equalisation (high intensity) hides events completely: the")
+	fmt.Fprintln(w, "shaper emits fixed-size cells at a fixed cadence, queueing real")
+	fmt.Fprintln(w, "packets and filling idle slots with dummies. Privacy costs the")
+	fmt.Fprintln(w, "overhead column — exactly the trade-off the paper's §IV-B1 describes.")
+	return nil
 }
 
-func runOnce(intensity float64) (bool, float64, float64, string) {
+func runOnce(intensity float64) (bool, float64, float64, string, error) {
 	k := sim.NewKernel(42)
 	n := netsim.New(k)
 	gw := netsim.NewGateway("lan:gw", "wan:home")
@@ -44,15 +58,16 @@ func runOnce(intensity float64) (bool, float64, float64, string) {
 	}
 	wanCap := netsim.NewCapture()
 
-	must := func(err error) {
-		if err != nil {
-			panic(err)
+	for _, node := range []netsim.Node{gw, &netsim.FuncNode{Address: "lan:cam"}} {
+		if err := n.Attach(node, netsim.DefaultLAN()); err != nil {
+			return false, 0, 0, "", err
 		}
 	}
-	must(n.Attach(gw, netsim.DefaultLAN()))
-	must(n.Attach(gw.WANNode(), netsim.DefaultWAN()))
-	must(n.Attach(&netsim.FuncNode{Address: "wan:cam-cloud"}, netsim.DefaultWAN()))
-	must(n.Attach(&netsim.FuncNode{Address: "lan:cam"}, netsim.DefaultLAN()))
+	for _, node := range []netsim.Node{gw.WANNode(), &netsim.FuncNode{Address: "wan:cam-cloud"}} {
+		if err := n.Attach(node, netsim.DefaultWAN()); err != nil {
+			return false, 0, 0, "", err
+		}
+	}
 	n.AddTap(netsim.TapWAN, wanCap.Tap())
 
 	// The camera's DNS query is the identification breadcrumb.
@@ -75,7 +90,7 @@ func runOnce(intensity float64) (bool, float64, float64, string) {
 		})
 	}
 	if err := k.Run(4 * time.Minute); err != nil {
-		panic(err)
+		return false, 0, 0, "", err
 	}
 
 	adv := shaping.NewAdversary(shaping.KnowledgeBase{
@@ -90,5 +105,5 @@ func runOnce(intensity float64) (bool, float64, float64, string) {
 		}
 	}
 	_, recall := shaping.ScoreEvents(adv.InferEvents(wanCap.Records()), truth, 5*time.Second)
-	return identified, recall, sh.Stats().OverheadFraction(), cfg.Mode.String()
+	return identified, recall, sh.Stats().OverheadFraction(), cfg.Mode.String(), nil
 }

@@ -340,11 +340,12 @@ func (a *UPnPSniff) Execute(env *Env) Result {
 	}
 	// The device broadcasts its provisioning beacon; the attacker need
 	// only listen (we reproduce the broadcast so taps record it).
-	env.Net.Broadcast(netsim.Addr("lan:"+a.Target), func(dst netsim.Addr) *netsim.Packet {
-		return &netsim.Packet{
-			Src: netsim.Addr("lan:" + a.Target), Dst: dst, SrcPort: 1900, DstPort: 1900,
+	src := netsim.Addr("lan:" + a.Target)
+	env.Net.Broadcast(src, func(dst netsim.Addr) *netsim.Packet {
+		return env.Net.NewPacket(netsim.Packet{
+			Src: src, Dst: dst, SrcPort: 1900, DstPort: 1900,
 			Proto: "UPnP", Size: 180, Payload: []byte("SSID=home PSK=" + pw), App: "provisioning",
-		}
+		})
 	})
 	env.MarkInjection("upnp-sniff", a.Target)
 	return Result{
@@ -392,16 +393,17 @@ func (a *MaliciousMail) Execute(env *Env) Result {
 	if burst <= 0 {
 		burst = 50
 	}
+	src := netsim.Addr("lan:" + a.Target)
 	for i := 0; i < burst; i++ {
 		i := i
 		env.Kernel.Schedule(time.Duration(i)*200*time.Millisecond, "spam", func() {
-			env.Gateway.SendOut(env.Net, &netsim.Packet{
-				Src: netsim.Addr("lan:" + a.Target), SrcPort: 2525,
+			env.Gateway.SendOut(env.Net, env.Net.NewPacket(netsim.Packet{
+				Src: src, SrcPort: 2525,
 				Dst: netsim.Addr(fmt.Sprintf("wan:mx-%d", i%25)), DstPort: 25,
 				Proto: "SMTP", Size: 900,
 				Payload: []byte("buy pills now http://spam.example/" + fmt.Sprint(i)),
 				App:     "attack:spam",
-			})
+			}))
 		})
 	}
 	env.MarkInjection("spam", a.Target)

@@ -79,18 +79,19 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 				a.recruited = append(a.recruited, id)
 				env.MarkInjection("mirai", id)
 				// Beacon phase: periodic C&C keep-alives from the bot.
+				bot := netsim.Addr("lan:" + id)
 				env.Kernel.Schedule(delay+3*time.Second, "mirai-beacon-start", func() {
 					env.Kernel.Every(a.BeaconEvery, 0, "mirai-beacon", func() {
 						if !d.Compromised {
 							return
 						}
-						env.Gateway.SendOut(env.Net, &netsim.Packet{
-							Src: netsim.Addr("lan:" + id), SrcPort: 48101,
+						env.Gateway.SendOut(env.Net, env.Net.NewPacket(netsim.Packet{
+							Src: bot, SrcPort: 48101,
 							Dst: a.CNC, DstPort: 6667,
 							Proto: "TCP", Size: 64,
 							Payload: []byte("PING cnc.botnet.example"),
 							App:     "attack:cc-beacon",
-						})
+						}))
 					})
 				})
 				break
@@ -152,17 +153,17 @@ func (a *DDoSFlood) Execute(env *Env) Result {
 	}
 	interval := time.Second / time.Duration(rate)
 	for _, id := range bots {
-		id := id
 		d := env.Devices[id]
+		bot := netsim.Addr("lan:" + id)
 		t := env.Kernel.Every(interval, interval/4, "ddos", func() {
 			if !d.Compromised {
 				return
 			}
-			env.Gateway.SendOut(env.Net, &netsim.Packet{
-				Src: netsim.Addr("lan:" + id), SrcPort: 50000,
+			env.Gateway.SendOut(env.Net, env.Net.NewPacket(netsim.Packet{
+				Src: bot, SrcPort: 50000,
 				Dst: a.Victim, DstPort: 80,
 				Proto: "UDP", Size: 512, App: "attack:flood",
-			})
+			}))
 		})
 		env.Kernel.Schedule(dur, "ddos-stop", t.Stop)
 		env.MarkInjection("flood", id)

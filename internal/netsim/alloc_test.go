@@ -39,41 +39,62 @@ func TestSendDeliverAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSendOutAllocBudget: a keepalive on an existing NAT binding costs
-// nothing from SendOut to delivery. SendOut rewrites the caller's packet
-// in place, so the only packet is the sender's; once the cloud has
-// received it the test, as its last owner, rewinds it for the next round.
-func TestSendOutAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-
+// keepaliveRig builds a gateway with a cloud behind it and returns one
+// keepalive round: NewPacket, SendOut, delivery to the cloud and release.
+// The first round creates the NAT binding and the one packet later rounds
+// recycle.
+func keepaliveRig(tb testing.TB) (*Network, func()) {
+	tb.Helper()
 	k := sim.NewKernel(1)
 	n := New(k)
 	gw := NewGateway("lan:gw", "wan:home")
 	for _, node := range []Node{gw, gw.WANNode(), &FuncNode{Address: "wan:cloud", Fn: func(*Network, *Packet) {}}} {
 		if err := n.Attach(node, Link{}); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	gw.OnForward = func(*Packet) {}
-	pkt := &Packet{Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48)}
-	keepalive := func() {
-		pkt.Src, pkt.SrcPort, pkt.Dst, pkt.DstPort = "lan:cam", 7443, "wan:cloud", 443
-		if err := gw.SendOut(n, pkt); err != nil {
-			t.Fatal(err)
+	tmpl := Packet{
+		Src: "lan:cam", SrcPort: 7443, Dst: "wan:cloud", DstPort: 443,
+		Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48),
+	}
+	round := func() {
+		if err := gw.SendOut(n, n.NewPacket(tmpl)); err != nil {
+			tb.Fatal(err)
 		}
 		if !k.Step() {
-			t.Fatal("no delivery event")
+			tb.Fatal("no delivery event")
 		}
 	}
-	keepalive() // creates the NAT binding
+	round()
+	return n, round
+}
 
-	if a := testing.AllocsPerRun(200, keepalive); a != 0 {
-		t.Errorf("SendOut+deliver allocates %.1f per keepalive, want 0", a)
+// TestSendOutAllocBudget: a keepalive on an existing NAT binding costs
+// nothing from NewPacket to release: the network recycles the packet it
+// delivered last round.
+func TestSendOutAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if pkt.Src != "wan:home" {
-		t.Errorf("delivered packet src = %q, want the gateway's wan:home", pkt.Src)
+	n, round := keepaliveRig(t)
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Errorf("NewPacket+SendOut+deliver allocates %.1f per keepalive, want 0", a)
+	}
+	if n.free == nil || n.free.next != nil {
+		t.Error("keepalive rounds did not recycle one packet")
+	}
+}
+
+// BenchmarkGatewayKeepalive measures one keepalive from NewPacket through
+// SendOut and delivery to its release, and must report 0 allocs/op;
+// TestSendOutAllocBudget enforces the 0.
+func BenchmarkGatewayKeepalive(b *testing.B) {
+	_, round := keepaliveRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

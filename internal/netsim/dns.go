@@ -48,13 +48,13 @@ func (s *DNSServer) Handle(net *Network, pkt *Packet) {
 	}
 	s.queries++
 	rec, ok := s.records[pkt.DNSName]
-	resp := &Packet{
+	resp := net.NewPacket(Packet{
 		Src: s.Address, Dst: pkt.Src,
 		SrcPort: 53, DstPort: pkt.SrcPort,
 		Proto: pkt.Proto, Size: 120, DNSName: pkt.DNSName,
 		Encrypted: pkt.Proto == "DoT",
 		App:       "dns-response",
-	}
+	})
 	if ok {
 		resp.Payload = []byte(rec.Addr)
 	} else {
@@ -126,14 +126,13 @@ func (r *Resolver) Lookup(net *Network, name string, cb func(Addr, error)) {
 		return // query already in flight
 	}
 	r.misses++
-	q := &Packet{
+	net.Send(net.NewPacket(Packet{
 		Src: r.Address, Dst: r.Upstream,
 		SrcPort: 5353, DstPort: 53,
 		Proto: protoWire(r.Proto), Size: 80, DNSName: name,
 		Encrypted: r.Proto != "DNS",
 		App:       "dns-query",
-	}
-	net.Send(q)
+	}))
 }
 
 // protoWire maps the resolver mode to the on-wire protocol label.

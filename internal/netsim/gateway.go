@@ -111,7 +111,7 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 			return
 		}
 	}
-	in := pkt.Clone()
+	in := net.NewPacket(*pkt)
 	in.Dst = b.lanAddr
 	in.DstPort = b.lanPort
 	net.Send(in)
@@ -131,17 +131,21 @@ func (e *BlockedError) Unwrap() error { return e.Err }
 // outbound policy and the traffic shaper. Devices and the home router
 // call this for WAN-bound traffic.
 //
-// SendOut takes ownership of pkt: the caller must not read or reuse it
-// afterwards. OutboundPolicy and OnForward see it with its LAN source;
+// SendOut takes ownership of pkt, as Send does, and releases it when it
+// refuses it. OutboundPolicy and OnForward see it with its LAN source;
 // SendOut then rewrites Src and SrcPort in place to the gateway's WAN
-// address and external port and sends (or shapes) that same packet.
+// address and external port and sends (or shapes) that same packet. The
+// shaper owns the packet until it sends it.
 func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if !pkt.Src.IsLAN() {
-		return fmt.Errorf("netsim: SendOut from non-LAN address %q", pkt.Src)
+		err := fmt.Errorf("netsim: SendOut from non-LAN address %q", pkt.Src)
+		net.release(pkt)
+		return err
 	}
 	if g.OutboundPolicy != nil {
 		if err := g.OutboundPolicy(pkt); err != nil {
 			g.blockedOut++
+			net.release(pkt)
 			return &BlockedError{Err: err}
 		}
 	}

@@ -4,6 +4,17 @@
 // DESIGN.md): XLF's network-layer functions consume packet metadata —
 // sizes, timing, endpoints, DNS names — which this simulator produces
 // deterministically on a sim.Kernel.
+//
+// Packets have one owner. Network.Send and Gateway.SendOut take
+// ownership of every packet handed to them. Taps, OutboundPolicy,
+// OnForward and Node.Handle may read a packet only during the call. A
+// packet from Network.NewPacket is pooled: the network releases it to
+// its free list once done with it — after deliver's taps and Handle, on
+// a loss or no-node drop, and when SendOut refuses it — and poisons it,
+// so a later Send or a second release panics. A packet not from
+// NewPacket is never recycled; its sender may reuse it once it has been
+// delivered. Payload buffers are not recycled: release drops the
+// reference, so anyone still holding the slice keeps valid bytes.
 package netsim
 
 import (
@@ -37,6 +48,13 @@ type Packet struct {
 	Size int
 	// Encrypted marks payload confidentiality (TLS/DTLS channels).
 	Encrypted bool
+	// Dummy marks cover traffic injected by the traffic shaper; receivers
+	// discard it. Ground truth only — observers must not read it.
+	Dummy bool
+	// pooled marks a packet from Network.NewPacket, which the network
+	// recycles once it is done with it. The three flags share one word,
+	// so the free-list link below keeps Packet at its former size.
+	pooled bool
 	// DNSName is set on DNS queries/responses.
 	DNSName string
 	// Payload is application data; for encrypted packets this is the
@@ -49,30 +67,23 @@ type Packet struct {
 	// SentAt/DeliveredAt are simulation timestamps.
 	SentAt      time.Duration
 	DeliveredAt time.Duration
-	// Dummy marks cover traffic injected by the traffic shaper; receivers
-	// discard it. Ground truth only — observers must not read it.
-	Dummy bool
+
+	// next links the network's free list of released pooled packets.
+	next *Packet
 }
 
-// Clone returns a deep copy (payload included), for a holder that keeps
-// the packet while another copy travels on: the gateway's inbound un-NAT
-// and the shaper's continuation cells.
+// released is the address a recycled packet is poisoned with: Send and
+// release panic on it, so a use after release or a double release fails
+// loudly instead of corrupting the free list.
+const released Addr = "netsim:released"
+
+// Clone returns a deep copy (payload included) that is not pooled, for
+// the traffic shaper's continuation cells and dummies.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)
+	q.pooled, q.next = false, nil
 	return &q
-}
-
-// FlowKey identifies a unidirectional flow.
-type FlowKey struct {
-	Src, Dst Addr
-	DstPort  int
-	Proto    string
-}
-
-// Flow returns the packet's flow key.
-func (p *Packet) Flow() FlowKey {
-	return FlowKey{Src: p.Src, Dst: p.Dst, DstPort: p.DstPort, Proto: p.Proto}
 }
 
 // Node is anything attachable to the network.
@@ -135,6 +146,12 @@ type Network struct {
 	// sim.Kernel.ScheduleArg, so Send does not allocate a capturing
 	// closure per packet.
 	deliverArg func(any)
+
+	// free lists released pooled packets, linked through Packet.next.
+	// fresh, set only by tests, makes NewPacket always allocate: the
+	// reference the pooled network is compared against.
+	free  *Packet
+	fresh bool
 
 	// stats
 	delivered uint64
@@ -233,16 +250,52 @@ func lanDevice(pkt *Packet) string {
 	return ""
 }
 
+// NewPacket returns a copy of tmpl that the network owns once it is sent
+// and recycles when it is done with it (see the package doc). It reuses a
+// released packet when one is free.
+func (n *Network) NewPacket(tmpl Packet) *Packet {
+	p := n.free
+	if p != nil {
+		n.free = p.next
+	} else {
+		p = new(Packet)
+	}
+	*p = tmpl
+	p.pooled, p.next = true, nil
+	return p
+}
+
+// release ends the network's use of a packet. A pooled packet is poisoned
+// and goes onto the free list; any other packet is left to its sender.
+//
+//xlf:hotpath
+func (n *Network) release(pkt *Packet) {
+	if pkt.Src == released {
+		panic("netsim: packet released twice")
+	}
+	if !pkt.pooled {
+		return
+	}
+	*pkt = Packet{Src: released, Dst: released}
+	if !n.fresh {
+		pkt.next = n.free
+		n.free = pkt
+	}
+}
+
 // Send queues a packet for delivery. Latency, serialisation delay, jitter
 // and loss come from the sender's and receiver's links. Packets to unknown
 // addresses are counted as drops. Send allocates nothing: the delivery
 // event comes from the kernel's pooled slab, the dispatch reuses
 // n.deliverArg instead of capturing pkt in a fresh closure, and the event
 // name is a constant (the destination is on the packet for anyone who
-// needs it).
+// needs it). Send takes ownership of pkt and panics if it was released.
 //
 //xlf:hotpath
 func (n *Network) Send(pkt *Packet) {
+	if pkt.Src == released {
+		panic("netsim: Send of a released packet")
+	}
 	n.nextID++
 	pkt.ID = n.nextID
 	pkt.SentAt = n.kernel.Now()
@@ -260,11 +313,13 @@ func (n *Network) Send(pkt *Packet) {
 	if sl.Loss > 0 && rng.Float64() < sl.Loss {
 		n.dropped++
 		n.traceDrop(pkt, "loss:sender")
+		n.release(pkt)
 		return
 	}
 	if rl.Loss > 0 && rng.Float64() < rl.Loss {
 		n.dropped++
 		n.traceDrop(pkt, "loss:receiver")
+		n.release(pkt)
 		return
 	}
 
@@ -301,7 +356,8 @@ func (n *Network) traceDrop(pkt *Packet, cause string) {
 	})
 }
 
-// deliver hands a packet to taps and its destination node.
+// deliver hands a packet to taps and its destination node, then releases
+// it.
 //
 //xlf:hotpath
 func (n *Network) deliver(pkt *Packet) {
@@ -327,6 +383,7 @@ func (n *Network) deliver(pkt *Packet) {
 	if !ok {
 		n.dropped++
 		n.traceDrop(pkt, "no-node")
+		n.release(pkt)
 		return
 	}
 	if n.tracer != nil {
@@ -337,6 +394,7 @@ func (n *Network) deliver(pkt *Packet) {
 		})
 	}
 	node.Handle(n, pkt)
+	n.release(pkt)
 }
 
 // Broadcast delivers a packet to every LAN node except the sender —

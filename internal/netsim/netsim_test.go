@@ -7,13 +7,15 @@ import (
 	"xlf/internal/sim"
 )
 
+// sink keeps copies: a handler may read a packet only during the call,
+// since the network recycles pooled packets after it.
 type sink struct {
 	addr Addr
-	got  []*Packet
+	got  []Packet
 }
 
 func (s *sink) Addr() Addr                   { return s.addr }
-func (s *sink) Handle(_ *Network, p *Packet) { s.got = append(s.got, p) }
+func (s *sink) Handle(_ *Network, p *Packet) { s.got = append(s.got, *p) }
 
 func newTestNet(t *testing.T) (*sim.Kernel, *Network) {
 	t.Helper()
@@ -250,7 +252,7 @@ func TestSendOutOwnership(t *testing.T) {
 	if !ok || tapSrc != "wan:home" || tapPort != ext {
 		t.Errorf("WAN tap saw %s:%d, want wan:home:%d", tapSrc, tapPort, ext)
 	}
-	if len(tapped) != 1 || tapped[0] != pkt || len(cloud.got) != 1 || cloud.got[0] != pkt {
+	if len(tapped) != 1 || tapped[0] != pkt || len(cloud.got) != 1 {
 		t.Error("SendOut did not send the caller's packet itself")
 	}
 }

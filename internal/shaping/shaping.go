@@ -123,7 +123,7 @@ type Shaper struct {
 
 	// Rate-equalisation state (ModeCombined).
 	queue    []queued
-	lastPkt  *netsim.Packet // template for dummies
+	lastPkt  netsim.Packet // template for dummies
 	lastSend func(*netsim.Packet)
 	ticker   *sim.Ticker
 }
@@ -199,7 +199,9 @@ func (s *Shaper) GatewayHook() func(pkt *netsim.Packet, send func(*netsim.Packet
 				c.Size = cell
 				s.queue = append(s.queue, queued{pkt: c, at: now})
 			}
-			s.lastPkt = pkt
+			// A value copy: pkt belongs to the network once it is sent.
+			s.lastPkt = *pkt
+			s.lastPkt.Payload = nil
 			s.lastSend = send
 			if s.ticker == nil {
 				s.ticker = s.kernel.Every(s.cfg.Interval, 0, "shaper-cell", s.emitCell)
@@ -233,7 +235,6 @@ func (s *Shaper) emitCell() {
 	dummy.Size = s.cfg.PadBucket
 	dummy.Dummy = true
 	dummy.App = ""
-	dummy.Payload = nil
 	s.stats.DummyPackets++
 	s.stats.DummyBytes += dummy.Size
 	s.traceShape("dummy", dummy, "cover")

@@ -312,3 +312,39 @@ func TestConstantRateEqualisation(t *testing.T) {
 		t.Error("dummy accounting mismatch")
 	}
 }
+
+// TestDummiesOutliveRecycledPackets: the dummy template is a copy of the
+// last shaped packet, not the packet itself, which the network recycles
+// once it is delivered. Every dummy must keep that packet's addressing.
+func TestDummiesOutliveRecycledPackets(t *testing.T) {
+	k := sim.NewKernel(5)
+	n := netsim.New(k)
+	gw := netsim.NewGateway("lan:gw", "wan:home")
+	sh := New(k, Config{Mode: ModeCombined, Interval: 100 * time.Millisecond, PadBucket: 256})
+	gw.Shaper = sh.GatewayHook()
+	var real, dummy int
+	cloud := &netsim.FuncNode{Address: "wan:cloud", Fn: func(_ *netsim.Network, p *netsim.Packet) {
+		if p.Src != "wan:home" || p.Dst != "wan:cloud" {
+			t.Errorf("cloud got %s -> %s", p.Src, p.Dst)
+		}
+		if p.Dummy {
+			dummy++
+		} else {
+			real++
+		}
+	}}
+	for _, node := range []netsim.Node{gw, gw.WANNode(), cloud} {
+		if err := n.Attach(node, netsim.Link{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.SendOut(n, n.NewPacket(netsim.Packet{Src: "lan:cam", Dst: "wan:cloud", DstPort: 443, Size: 100})); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if real != 1 || dummy == 0 {
+		t.Errorf("cloud got %d real and %d dummy cells, want 1 and some", real, dummy)
+	}
+}

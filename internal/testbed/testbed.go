@@ -206,11 +206,11 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 		Caps:         d.Caps,
 		CapOfCommand: caps,
 		Deliver: func(cmd service.Command) error {
-			h.Net.Send(&netsim.Packet{
+			h.Net.Send(h.Net.NewPacket(netsim.Packet{
 				Src: "lan:gw", Dst: lanAddr, SrcPort: 443, DstPort: 8443,
 				Proto: "TLS", Encrypted: true, Size: 160,
 				App: "cmd:" + cmd.Name,
-			})
+			}))
 			return nil
 		},
 	}
@@ -249,8 +249,9 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 	// produces, and what the E2 adversary fingerprints.
 	if len(d.CloudDomains) > 0 {
 		cloudAddr := netsim.Addr("wan:" + d.CloudDomains[0])
+		plain := d.KeepalivePayload() // constant: built once, sealed per tick
 		h.Kernel.Every(keepaliveEvery, keepaliveEvery/4, d.ID+"-keepalive", func() {
-			pkt := &netsim.Packet{
+			pkt := netsim.Packet{
 				Src: lanAddr, SrcPort: 7443,
 				Dst: cloudAddr, DstPort: 443,
 				Proto: "TLS", Encrypted: true, Size: 180 + len(d.ID)*3,
@@ -261,7 +262,7 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 				// Payload bytes originate in the device layer and must be
 				// sealed before crossing the network layer (the xlf-vet
 				// plaintextescape invariant).
-				sealed, err := sess.Seal(d.KeepalivePayload())
+				sealed, err := sess.Seal(plain)
 				if err != nil {
 					// Battery exhausted: the device goes dark.
 					if h.tracer != nil {
@@ -276,7 +277,7 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 			if h.tracer != nil {
 				h.tracer.EmitAt(h.Kernel.Now(), obs.LayerDevice, "keepalive", d.ID, cause)
 			}
-			h.Gateway.SendOut(h.Net, pkt)
+			h.Gateway.SendOut(h.Net, h.Net.NewPacket(pkt))
 		})
 	}
 	return nil
@@ -297,7 +298,7 @@ func (h *Home) UserEvent(deviceID, event string) error {
 	}
 	// Event traffic to the vendor cloud (burst larger than keepalive).
 	if len(d.CloudDomains) > 0 {
-		pkt := &netsim.Packet{
+		pkt := netsim.Packet{
 			Src: netsim.Addr("lan:" + deviceID), SrcPort: 7443,
 			Dst: netsim.Addr("wan:" + d.CloudDomains[0]), DstPort: 443,
 			Proto: "TLS", Encrypted: true, Size: 900,
@@ -311,7 +312,7 @@ func (h *Home) UserEvent(deviceID, event string) error {
 				pkt.Proto = "XLF-LWC"
 			}
 		}
-		h.Gateway.SendOut(h.Net, pkt)
+		h.Gateway.SendOut(h.Net, h.Net.NewPacket(pkt))
 	}
 	return h.Cloud.PublishDeviceEvent(deviceID, event, 0)
 }

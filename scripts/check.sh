@@ -110,12 +110,13 @@ echo '>> tracer overhead benchmark (non-blocking)'
 go test -run='^$' -bench='^BenchmarkCoreIngest(Traced)?$' -benchtime=1s . ||
 	echo 'tracer overhead bench: failed (non-blocking)'
 
-# Informational numbers for the log: kernel dispatch and netsim send
-# must print 0 allocs/op. The enforcement lives in the AllocsPerRun
-# tests above (the dynamic half of the //xlf:hotpath contract); this
-# step puts the ns/op trend where reviewers can see it.
+# Informational numbers for the log: kernel dispatch, netsim send and
+# the gateway keepalive (NewPacket to release) must print 0 allocs/op.
+# The enforcement lives in the AllocsPerRun tests above (the dynamic
+# half of the //xlf:hotpath contract); this step puts the ns/op trend
+# in the log.
 echo '>> kernel hot-path benchmarks'
 go test -run='^$' -bench='^BenchmarkKernelDispatch$' -benchmem -benchtime=1s ./internal/sim
-go test -run='^$' -bench='^BenchmarkNetsimSend$' -benchmem -benchtime=1s ./internal/netsim
+go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive)$' -benchmem -benchtime=1s ./internal/netsim
 
 echo 'all checks passed'

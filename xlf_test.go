@@ -171,8 +171,7 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	recorded := recordAlerts(sys)
-	pkt := &netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}
-	err = sys.Home.Gateway.SendOut(sys.Home.Net, pkt)
+	err = sys.Home.Gateway.SendOut(sys.Home.Net, sys.Home.Net.NewPacket(netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}))
 	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: NAC denies lan:cam-1 -> wan:cnc"; got != want {
 		t.Errorf("denied SendOut error = %q, want %q", got, want)
 	}
@@ -181,7 +180,7 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 	if !errors.As(err, &blocked) || !errors.As(err, &nac) || !errors.Is(err, nac) {
 		t.Fatalf("error chain %#v lacks *netsim.BlockedError wrapping *core.NACError", err)
 	}
-	if nac.Src != pkt.Src || nac.Dst != pkt.Dst || nac.Quarantined {
+	if nac.Src != "lan:cam-1" || nac.Dst != "wan:cnc" || nac.Quarantined {
 		t.Errorf("NAC refusal = %+v", *nac)
 	}
 	alerts := recorded.of("cam-1")
@@ -192,12 +191,13 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 		t.Errorf("denial signal Detail = %q, want %q", got, want)
 	}
 
+	// SendOut took ownership of the first packet; send a fresh one.
 	sys.NAC.Block("lan:cam-1")
-	err = sys.Home.Gateway.SendOut(sys.Home.Net, pkt)
+	err = sys.Home.Gateway.SendOut(sys.Home.Net, sys.Home.Net.NewPacket(netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}))
 	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: lan:cam-1 is quarantined"; got != want {
 		t.Errorf("quarantined SendOut error = %q, want %q", got, want)
 	}
-	if !errors.As(err, &nac) || !nac.Quarantined || nac.Src != pkt.Src {
+	if !errors.As(err, &nac) || !nac.Quarantined || nac.Src != "lan:cam-1" {
 		t.Errorf("quarantine refusal = %#v", err)
 	}
 }
