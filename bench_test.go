@@ -206,11 +206,12 @@ func BenchmarkLayer(b *testing.B) {
 			b.Fatal(err)
 		}
 		msg := make([]byte, 64)
+		var buf []byte
 		b.SetBytes(int64(len(msg)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, sinkErr = s.Seal(msg)
+			buf, sinkErr = s.Seal(buf[:0], msg)
 		}
 	})
 	b.Run("ids/process", func(b *testing.B) {

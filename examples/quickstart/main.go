@@ -4,7 +4,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"xlf"
@@ -13,6 +15,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the home, plays the attack and writes the alerts and the
+// report to w.
+func run(w io.Writer) error {
 	// A home whose cloud platform still has the classic flaws (coarse
 	// grants, unsigned events, unverified OTA) — the world XLF defends.
 	sys, err := xlf.New(xlf.Options{
@@ -20,12 +30,12 @@ func main() {
 		Flaws: service.Flaws{CoarseGrants: true, UnsignedEvents: true, OpenRedirectOTA: true},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Print an alert the moment the Core raises one.
 	sys.Core.OnAlert = func(a xlf.CoreAlert) {
-		fmt.Println("ALERT:", a)
+		fmt.Fprintln(w, "ALERT:", a)
 	}
 
 	// A Mirai-style operator recruits whatever answers telnet with
@@ -34,13 +44,14 @@ func main() {
 		CNC:         "wan:cnc",
 		BeaconEvery: 10 * time.Second,
 	}).Execute(sys.Home.AttackEnv())
-	fmt.Println("attacker:", res)
+	fmt.Fprintln(w, "attacker:", res)
 
 	// Let the simulated home run for three minutes.
 	if err := sys.Home.Run(3 * time.Minute); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println()
-	fmt.Print(sys.Report())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, sys.Report())
+	return nil
 }

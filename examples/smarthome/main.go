@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"xlf"
@@ -15,17 +17,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the day and writes the narration and the final report to w.
+func run(w io.Writer) error {
 	sys, err := xlf.New(xlf.Options{
 		Seed:  2026,
 		Flaws: service.Flaws{CoarseGrants: true, UnsignedEvents: true, OpenRedirectOTA: true},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	k := sys.Home.Kernel
 
 	narrate := func(msg string) {
-		fmt.Printf("[%8s] %s\n", k.Now().Truncate(time.Millisecond), msg)
+		fmt.Fprintf(w, "[%8s] %s\n", k.Now().Truncate(time.Millisecond), msg)
 	}
 	sys.Core.OnAlert = func(a xlf.CoreAlert) { narrate("XLF " + a.String()) }
 
@@ -42,7 +51,7 @@ func main() {
 			{DeviceID: "window-1", Capability: "lock"},
 		},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Morning routine (benign).
@@ -97,12 +106,13 @@ func main() {
 	})
 
 	if err := sys.Home.Run(15 * time.Minute); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println()
-	fmt.Print(sys.Report())
-	fmt.Println()
-	fmt.Println("NAC policy after containment:")
-	fmt.Print(sys.NAC.Describe())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, sys.Report())
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "NAC policy after containment:")
+	fmt.Fprint(w, sys.NAC.Describe())
+	return nil
 }

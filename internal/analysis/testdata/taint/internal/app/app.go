@@ -24,7 +24,7 @@ func LeakDirect(n *netsim.Network) {
 // SealedOK is the sanctioned path: the payload passes through Seal.
 func SealedOK(n *netsim.Network, s *channel.Session) {
 	p := device.NewPayload("bulb-1", "keepalive", "")
-	ct, err := s.Seal(p)
+	ct, err := s.Seal(nil, p)
 	if err != nil {
 		return
 	}

@@ -4,9 +4,9 @@ package channel
 // sanitizer for the plaintextescape rule.
 type Session struct{ nonce uint64 }
 
-// Seal encrypts (here: frames) a plaintext payload.
-func (s *Session) Seal(plaintext []byte) ([]byte, error) {
+// Seal encrypts (here: frames) a plaintext payload, appending it to dst.
+func (s *Session) Seal(dst, plaintext []byte) ([]byte, error) {
 	s.nonce++
-	out := append([]byte{byte(s.nonce)}, plaintext...)
-	return out, nil
+	out := append(dst, byte(s.nonce))
+	return append(out, plaintext...), nil
 }

@@ -79,7 +79,10 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 				a.recruited = append(a.recruited, id)
 				env.MarkInjection("mirai", id)
 				// Beacon phase: periodic C&C keep-alives from the bot.
+				// Every beacon shares one payload slice: the network
+				// never recycles a payload it did not hand out.
 				bot := netsim.Addr("lan:" + id)
+				beacon := []byte("PING cnc.botnet.example")
 				env.Kernel.Schedule(delay+3*time.Second, "mirai-beacon-start", func() {
 					env.Kernel.Every(a.BeaconEvery, 0, "mirai-beacon", func() {
 						if !d.Compromised {
@@ -89,7 +92,7 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 							Src: bot, SrcPort: 48101,
 							Dst: a.CNC, DstPort: 6667,
 							Proto: "TCP", Size: 64,
-							Payload: []byte("PING cnc.botnet.example"),
+							Payload: beacon,
 							App:     "attack:cc-beacon",
 						}))
 					})

@@ -12,9 +12,10 @@ import (
 // in regular builds.
 var raceEnabled bool
 
-// TestSealOpenAllocs holds Seal and Open to one allocation each, the
-// message they return: the CMAC is the session's, keyed once, and the
-// counter, keystream and tag blocks are session scratch.
+// TestSealOpenAllocs holds Seal into a reused buffer to no allocation,
+// and Seal(nil, ...) and Open to one each, the message they return: the
+// CMAC is the session's, keyed once, and the counter, keystream and tag
+// blocks are session scratch.
 func TestSealOpenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -37,11 +38,19 @@ func TestSealOpenAllocs(t *testing.T) {
 		pt := make([]byte, 64)
 		var sealed []byte
 		if n := testing.AllocsPerRun(100, func() {
-			if sealed, err = a.Seal(pt); err != nil {
+			if sealed, err = a.Seal(nil, pt); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 1 {
-			t.Errorf("%s: Seal allocates %.1f times, want 1", name, n)
+			t.Errorf("%s: Seal(nil) allocates %.1f times, want 1", name, n)
+		}
+		buf := make([]byte, 0, len(sealed))
+		if n := testing.AllocsPerRun(100, func() {
+			if buf, err = a.Seal(buf[:0], pt); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Seal into a reused buffer allocates %.1f times, want 0", name, n)
 		}
 		if n := testing.AllocsPerRun(100, func() {
 			b.recvHigh = 0

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"unsafe"
 
 	"xlf/internal/device"
 	"xlf/internal/lwc"
@@ -195,22 +196,52 @@ func (s *Session) tag(body []byte) []byte {
 	return s.mac.Sum(s.tagBuf[:0])[:s.tagSize]
 }
 
-// Seal encrypts and authenticates a message: nonce || ct || tag. The
-// device battery is charged for the processed bytes. The returned
-// message is Seal's only allocation.
-func (s *Session) Seal(plaintext []byte) ([]byte, error) {
+// Seal encrypts and authenticates plaintext, appends the message
+// nonce || ct || tag to dst and returns the result, in the
+// crypto/cipher.AEAD idiom: a caller that keeps a buffer with room for
+// the message passes it as dst and Seal allocates nothing, and a nil dst
+// gets a fresh message. The nonce is written before the plaintext is
+// read, so the appended bytes must not overlap plaintext (the AEAD
+// in-place form plaintext[:0] is refused too); Seal panics if they do.
+// The device battery is charged for the processed bytes. On error dst
+// is left untouched.
+func (s *Session) Seal(dst, plaintext []byte) ([]byte, error) {
 	if s.tooLong(len(plaintext)) {
 		return nil, ErrTooLong
 	}
 	if err := s.charge(len(plaintext) + s.tagSize); err != nil {
 		return nil, err
 	}
+	ret, out := sliceForAppend(dst, 8+len(plaintext)+s.tagSize)
+	if anyOverlap(out, plaintext) {
+		panic("channel: Seal output overlaps plaintext")
+	}
 	s.sendNonce++
 	n := s.sendNonce
-	out := make([]byte, 8+len(plaintext), 8+len(plaintext)+s.tagSize)
-	binary.BigEndian.PutUint64(out, n)
-	s.ctrXOR(out[8:], plaintext, n<<ctrBits)
-	return append(out, s.tag(out)...), nil
+	body := out[:8+len(plaintext)]
+	binary.BigEndian.PutUint64(body, n)
+	s.ctrXOR(body[8:], plaintext, n<<ctrBits)
+	copy(out[len(body):], s.tag(body))
+	return ret, nil
+}
+
+// sliceForAppend extends in by n bytes, reallocating only when its
+// capacity is short, and returns the whole slice and its n-byte tail.
+func sliceForAppend(in []byte, n int) (head, tail []byte) {
+	if total := len(in) + n; cap(in) >= total {
+		head = in[:total]
+	} else {
+		head = make([]byte, total)
+		copy(head, in)
+	}
+	return head, head[len(in):]
+}
+
+// anyOverlap reports whether x and y share any byte of memory.
+func anyOverlap(x, y []byte) bool {
+	return len(x) > 0 && len(y) > 0 &&
+		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // Open verifies and decrypts, enforcing strictly increasing nonces (replay

@@ -82,7 +82,7 @@ func pair(t *testing.T) (*Session, *Session) {
 func TestSealOpenRoundTrip(t *testing.T) {
 	a, b := pair(t)
 	for _, msg := range []string{"", "x", "temperature=71.5", "a much longer telemetry payload spanning several blocks of the cipher"} {
-		sealed, err := a.Seal([]byte(msg))
+		sealed, err := a.Seal(nil, []byte(msg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +98,8 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestConfidentialityAndFreshness(t *testing.T) {
 	a, _ := pair(t)
-	s1, _ := a.Seal([]byte("secret telemetry"))
-	s2, _ := a.Seal([]byte("secret telemetry"))
+	s1, _ := a.Seal(nil, []byte("secret telemetry"))
+	s2, _ := a.Seal(nil, []byte("secret telemetry"))
 	if bytes.Contains(s1, []byte("secret")) {
 		t.Error("plaintext leaked")
 	}
@@ -110,7 +110,7 @@ func TestConfidentialityAndFreshness(t *testing.T) {
 
 func TestTamperAndReplayRejected(t *testing.T) {
 	a, b := pair(t)
-	sealed, _ := a.Seal([]byte("unlock door"))
+	sealed, _ := a.Seal(nil, []byte("unlock door"))
 	// Bit flips anywhere are rejected.
 	for i := range sealed {
 		mut := append([]byte(nil), sealed...)
@@ -134,8 +134,8 @@ func TestTamperAndReplayRejected(t *testing.T) {
 
 func TestReorderRejected(t *testing.T) {
 	a, b := pair(t)
-	s1, _ := a.Seal([]byte("one"))
-	s2, _ := a.Seal([]byte("two"))
+	s1, _ := a.Seal(nil, []byte("one"))
+	s2, _ := a.Seal(nil, []byte("two"))
 	if _, err := b.Open(s2); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestForDeviceMetersBattery(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := bulb.BatteryUJ
-	if _, err := s.Seal(bytes.Repeat([]byte{1}, 4096)); err != nil {
+	if _, err := s.Seal(nil, bytes.Repeat([]byte{1}, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if bulb.BatteryUJ >= before {
@@ -165,7 +165,7 @@ func TestForDeviceMetersBattery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.Seal(bytes.Repeat([]byte{1}, 1<<20)); err != nil {
+	if _, err := cs.Seal(nil, bytes.Repeat([]byte{1}, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ForDevice(bulb, reg, nil); err == nil {
@@ -181,7 +181,7 @@ func TestBatteryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Seal(bytes.Repeat([]byte{1}, 1<<16)); !errors.Is(err, ErrOutOfEnergy) {
+	if _, err := s.Seal(nil, bytes.Repeat([]byte{1}, 1<<16)); !errors.Is(err, ErrOutOfEnergy) {
 		t.Errorf("err = %v, want ErrOutOfEnergy", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestDeviceGatewayInterop(t *testing.T) {
 	if devSide.Algorithm != info.Name || gwSide.Algorithm != info.Name {
 		t.Fatalf("algorithms diverge: %s vs %s", devSide.Algorithm, gwSide.Algorithm)
 	}
-	sealed, err := devSide.Seal([]byte("event:on"))
+	sealed, err := devSide.Seal(nil, []byte("event:on"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDeviceGatewayInterop(t *testing.T) {
 func TestSealOpenProperty(t *testing.T) {
 	a, b := pair(t)
 	f := func(msg []byte) bool {
-		sealed, err := a.Seal(msg)
+		sealed, err := a.Seal(nil, msg)
 		if err != nil {
 			return false
 		}
@@ -253,10 +253,10 @@ func TestSealRefusesKeystreamOverlap(t *testing.T) {
 	}
 	const bs, blocks = 16, 1 << 20
 	long := make([]byte, (blocks+1)*bs)
-	first, err := a.Seal(long)
+	first, err := a.Seal(nil, long)
 	if err == nil {
 		// All-zero plaintext: the ciphertext is the keystream itself.
-		next, err := a.Seal(make([]byte, bs))
+		next, err := a.Seal(nil, make([]byte, bs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,12 +273,40 @@ func TestSealRefusesKeystreamOverlap(t *testing.T) {
 	if _, err := b.Open(forged); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("Open(2^20+1 blocks) = %v, want ErrTooLong", err)
 	}
-	sealed, err := a.Seal(long[:blocks*bs])
+	sealed, err := a.Seal(nil, long[:blocks*bs])
 	if err != nil {
 		t.Fatalf("Seal(2^20 blocks): %v", err)
 	}
 	got, err := b.Open(sealed)
 	if err != nil || len(got) != blocks*bs {
 		t.Fatalf("Open(2^20 blocks) = %d bytes, %v", len(got), err)
+	}
+}
+
+// TestSealRefusesOverlap: the message is written ahead of the plaintext
+// it encrypts, so Seal panics when the bytes it appends would overlap
+// plaintext — the AEAD in-place idiom plaintext[:0] included — and seals
+// normally when they only share a backing array.
+func TestSealRefusesOverlap(t *testing.T) {
+	a, b := pair(t)
+	mem := make([]byte, 128)
+	pt := mem[64:80]
+	for _, dst := range [][]byte{pt[:0], mem[:60], mem[40:40]} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Seal into dst at %p len %d cap %d over plaintext did not panic", dst[:cap(dst)], len(dst), cap(dst))
+				}
+			}()
+			_, _ = a.Seal(dst, pt)
+		}()
+	}
+	copy(pt, "sixteen byte msg")
+	sealed, err := a.Seal(mem[:0:64], pt) // 8+16+8 bytes end before pt
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Open(sealed); err != nil || string(got) != "sixteen byte msg" {
+		t.Fatalf("Open = %q, %v", got, err)
 	}
 }

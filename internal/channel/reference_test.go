@@ -57,6 +57,9 @@ func refSeal(blk cipher.Block, n uint64, plaintext []byte) ([]byte, error) {
 // TestSealMatchesReference pins every sealed byte to the reference
 // framing, for every cipher the channel accepts, over a run of messages
 // on one session (the session's CMAC is Reset, not rebuilt, per tag).
+// A twin session seals each message into a dst with a random prefix and
+// random spare capacity: the prefix stays, and the appended bytes equal
+// the reference message.
 func TestSealMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, info := range lwc.NewRegistry().All() {
@@ -65,6 +68,10 @@ func TestSealMatchesReference(t *testing.T) {
 		s, err := New(info, key)
 		if err != nil {
 			continue // 16-bit blocks cannot carry the framing
+		}
+		into, err := New(info, key)
+		if err != nil {
+			t.Fatal(err)
 		}
 		peer, err := New(info, key)
 		if err != nil {
@@ -77,7 +84,7 @@ func TestSealMatchesReference(t *testing.T) {
 		for n := uint64(1); n <= 40; n++ {
 			pt := make([]byte, rng.Intn(70))
 			rng.Read(pt)
-			got, err := s.Seal(pt)
+			got, err := s.Seal(nil, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,6 +94,16 @@ func TestSealMatchesReference(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s message %d: Seal = %x, reference %x", info.Name, n, got, want)
+			}
+			prefix := make([]byte, rng.Intn(20))
+			rng.Read(prefix)
+			dst := append(make([]byte, 0, len(prefix)+rng.Intn(2*len(want))), prefix...)
+			appended, err := into.Seal(dst, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], want) {
+				t.Fatalf("%s message %d: Seal(%x) = %x, want the prefix then %x", info.Name, n, prefix, appended, want)
 			}
 			opened, err := peer.Open(want)
 			if err != nil || !bytes.Equal(opened, pt) {

@@ -63,7 +63,7 @@ func (b *Bridge) Handle(net *netsim.Network, pkt *netsim.Packet) {
 		if lerr == nil {
 			resp = string(addr)
 		}
-		sealed, serr := b.down.Seal([]byte(resp))
+		sealed, serr := b.down.Seal(nil, []byte(resp))
 		if serr != nil {
 			return
 		}
@@ -96,7 +96,7 @@ func NewStub(device, bridge netsim.Addr, up, down *channel.Session) *Stub {
 // Query seals and sends a lookup; the callback fires when HandleResponse
 // sees the reply.
 func (s *Stub) Query(net *netsim.Network, name string, cb func(netsim.Addr, error)) error {
-	sealed, err := s.up.Seal([]byte(name))
+	sealed, err := s.up.Seal(nil, []byte(name))
 	if err != nil {
 		return err
 	}

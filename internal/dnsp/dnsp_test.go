@@ -119,7 +119,7 @@ func TestBridgeRejectsTamperedQueries(t *testing.T) {
 	f := buildBridge(t)
 	// An on-LAN attacker sends a mangled sealed query.
 	forger, _ := sessions(t, "dns-pairing")
-	sealed, err := forger.Seal([]byte("api.nest.example"))
+	sealed, err := forger.Seal(nil, []byte("api.nest.example"))
 	if err != nil {
 		t.Fatal(err)
 	}

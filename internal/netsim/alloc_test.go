@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 
+	"xlf/internal/channel"
+	"xlf/internal/lwc"
 	"xlf/internal/sim"
 )
 
@@ -41,9 +44,11 @@ func TestSendDeliverAllocBudget(t *testing.T) {
 
 // keepaliveRig builds a gateway with a cloud behind it and returns one
 // keepalive round: NewPacket, SendOut, delivery to the cloud and release.
-// The first round creates the NAT binding and the one packet later rounds
-// recycle.
-func keepaliveRig(tb testing.TB) (*Network, func()) {
+// With seal set, the round seals the payload into the packet's
+// PayloadBuffer first, as the testbed's keepalive does; without it the
+// payload is a constant slice. The first round creates the NAT binding
+// and the one packet (and buffer) later rounds recycle.
+func keepaliveRig(tb testing.TB, seal func(dst []byte) ([]byte, error)) (*Network, func()) {
 	tb.Helper()
 	k := sim.NewKernel(1)
 	n := New(k)
@@ -56,10 +61,21 @@ func keepaliveRig(tb testing.TB) (*Network, func()) {
 	gw.OnForward = func(*Packet) {}
 	tmpl := Packet{
 		Src: "lan:cam", SrcPort: 7443, Dst: "wan:cloud", DstPort: 443,
-		Proto: "XLF-LWC", Encrypted: true, Size: 180, Payload: make([]byte, 48),
+		Proto: "XLF-LWC", Encrypted: true, Size: 180,
+	}
+	if seal == nil {
+		tmpl.Payload = make([]byte, 48)
 	}
 	round := func() {
-		if err := gw.SendOut(n, n.NewPacket(tmpl)); err != nil {
+		p := n.NewPacket(tmpl)
+		if seal != nil {
+			sealed, err := seal(n.PayloadBuffer(p))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			p.Payload = sealed
+		}
+		if err := gw.SendOut(n, p); err != nil {
 			tb.Fatal(err)
 		}
 		if !k.Step() {
@@ -77,7 +93,7 @@ func TestSendOutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	n, round := keepaliveRig(t)
+	n, round := keepaliveRig(t, nil)
 	if a := testing.AllocsPerRun(200, round); a != 0 {
 		t.Errorf("NewPacket+SendOut+deliver allocates %.1f per keepalive, want 0", a)
 	}
@@ -86,11 +102,55 @@ func TestSendOutAllocBudget(t *testing.T) {
 	}
 }
 
+// keepaliveSeal returns a device-side PRESENT session's Seal of a
+// constant 48-byte keepalive, in the shape keepaliveRig takes.
+func keepaliveSeal(tb testing.TB) func(dst []byte) ([]byte, error) {
+	tb.Helper()
+	info, ok := lwc.NewRegistry().Lookup("PRESENT")
+	if !ok {
+		tb.Fatal("registry lost PRESENT")
+	}
+	sess, err := channel.New(info, bytes.Repeat([]byte{7}, info.DefaultKeyBits()/8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plain := make([]byte, 48)
+	return func(dst []byte) ([]byte, error) { return sess.Seal(dst, plain) }
+}
+
+// TestSealedKeepaliveAllocBudget: a sealed keepalive costs nothing from
+// Seal to release either: Seal appends into the buffer the network took
+// back with last round's packet.
+func TestSealedKeepaliveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n, round := keepaliveRig(t, keepaliveSeal(t))
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Errorf("Seal+NewPacket+SendOut+deliver allocates %.1f per keepalive, want 0", a)
+	}
+	if len(n.bufs) != 1 || n.nbufs != 1 {
+		t.Errorf("keepalive rounds left %d free buffers of %d, want one recycled buffer", len(n.bufs), n.nbufs)
+	}
+}
+
 // BenchmarkGatewayKeepalive measures one keepalive from NewPacket through
 // SendOut and delivery to its release, and must report 0 allocs/op;
 // TestSendOutAllocBudget enforces the 0.
 func BenchmarkGatewayKeepalive(b *testing.B) {
-	_, round := keepaliveRig(b)
+	_, round := keepaliveRig(b, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// BenchmarkSealedKeepalive measures one sealed keepalive from Seal into
+// a PayloadBuffer through SendOut and delivery to its release, and must
+// report 0 allocs/op; TestSealedKeepaliveAllocBudget enforces the 0.
+func BenchmarkSealedKeepalive(b *testing.B) {
+	_, round := keepaliveRig(b, keepaliveSeal(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -114,6 +114,9 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 	in := net.NewPacket(*pkt)
 	in.Dst = b.lanAddr
 	in.DstPort = b.lanPort
+	// The payload buffer, if the network owns one, moves on with the
+	// packet instead of going back to the free list under it.
+	in.ownsPayload, pkt.ownsPayload = pkt.ownsPayload, false
 	net.Send(in)
 }
 

@@ -13,8 +13,20 @@
 // a loss or no-node drop, and when SendOut refuses it — and poisons it,
 // so a later Send or a second release panics. A packet not from
 // NewPacket is never recycled; its sender may reuse it once it has been
-// delivered. Payload buffers are not recycled: release drops the
-// reference, so anyone still holding the slice keeps valid bytes.
+// delivered.
+//
+// Payloads follow the same rule. Network.PayloadBuffer hands a pooled
+// packet an empty buffer from the network's free list of payload
+// buffers; its sender appends the payload into it (channel.Session.Seal
+// takes it as dst) and stores the result in Payload. From then on the
+// network owns Payload as it owns the packet: when it releases the
+// packet it poisons the buffer and keeps it for the next PayloadBuffer,
+// and Network.Discard gives back a packet its sender will not send. So
+// no tap, hook or handler may keep a Payload slice, or anything aliasing
+// it, past its call; one that needs the bytes later copies them. A
+// Payload the sender set itself (a literal, a constant plaintext, a DNS
+// answer, a cleartext event) is never recycled, so observers that alias
+// cleartext payloads stay safe.
 package netsim
 
 import (
@@ -52,13 +64,17 @@ type Packet struct {
 	// discard it. Ground truth only — observers must not read it.
 	Dummy bool
 	// pooled marks a packet from Network.NewPacket, which the network
-	// recycles once it is done with it. The three flags share one word,
-	// so the free-list link below keeps Packet at its former size.
+	// recycles once it is done with it.
 	pooled bool
+	// ownsPayload marks a Payload appended into a buffer from
+	// Network.PayloadBuffer, which the network takes back with the
+	// packet. The four flags share one word, so Packet stays 168 bytes.
+	ownsPayload bool
 	// DNSName is set on DNS queries/responses.
 	DNSName string
 	// Payload is application data; for encrypted packets this is the
-	// ciphertext or searchable-encryption tokens.
+	// ciphertext or searchable-encryption tokens. A Payload appended
+	// into a PayloadBuffer belongs to the network (see the package doc).
 	Payload []byte
 	// App labels the logical message kind ("event:on", "ota", "cc-beacon",
 	// ...); observers do NOT see this field — it is ground truth for
@@ -77,12 +93,17 @@ type Packet struct {
 // loudly instead of corrupting the free list.
 const released Addr = "netsim:released"
 
+// payloadPoison overwrites every byte of a payload buffer the network
+// takes back, so a reader that kept the slice sees garbage instead of a
+// later packet's bytes passing for its own.
+const payloadPoison byte = 0xdb
+
 // Clone returns a deep copy (payload included) that is not pooled, for
 // the traffic shaper's continuation cells and dummies.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)
-	q.pooled, q.next = false, nil
+	q.pooled, q.ownsPayload, q.next = false, false, nil
 	return &q
 }
 
@@ -148,10 +169,17 @@ type Network struct {
 	deliverArg func(any)
 
 	// free lists released pooled packets, linked through Packet.next.
-	// fresh, set only by tests, makes NewPacket always allocate: the
-	// reference the pooled network is compared against.
+	// fresh, set only by tests, makes NewPacket always allocate and
+	// PayloadBuffer always return nil: the reference the pooled network
+	// is compared against.
 	free  *Packet
 	fresh bool
+	// bufs holds released payload buffers, emptied and poisoned.
+	// PayloadBuffer keeps its capacity at least nbufs, the number of
+	// buffers it has started (one each time bufs was empty), so release
+	// returns a buffer without growing it.
+	bufs  [][]byte
+	nbufs int
 
 	// stats
 	delivered uint64
@@ -261,12 +289,39 @@ func (n *Network) NewPacket(tmpl Packet) *Packet {
 		p = new(Packet)
 	}
 	*p = tmpl
-	p.pooled, p.next = true, nil
+	p.pooled, p.ownsPayload, p.next = true, false, nil
 	return p
 }
 
+// PayloadBuffer gives pkt, a packet from NewPacket that its caller has
+// not sent yet, a payload buffer the network owns and returns it empty,
+// reusing a released buffer's capacity when one is free (nil when none
+// is). The caller appends the payload into it and stores the result in
+// pkt.Payload; the network takes that buffer back when it releases pkt
+// (see the package doc).
+func (n *Network) PayloadBuffer(pkt *Packet) []byte {
+	if !pkt.pooled || pkt.Src == released {
+		panic("netsim: PayloadBuffer for a packet not from NewPacket")
+	}
+	var buf []byte
+	if k := len(n.bufs) - 1; k >= 0 {
+		buf, n.bufs[k] = n.bufs[k], nil
+		n.bufs = n.bufs[:k]
+	} else if !n.fresh {
+		n.nbufs++
+		n.bufs = slices.Grow(n.bufs, n.nbufs)
+	}
+	pkt.Payload, pkt.ownsPayload = buf, true
+	return buf
+}
+
+// Discard releases a packet from NewPacket that its caller decides not
+// to send, with the payload buffer PayloadBuffer gave it.
+func (n *Network) Discard(pkt *Packet) { n.release(pkt) }
+
 // release ends the network's use of a packet. A pooled packet is poisoned
-// and goes onto the free list; any other packet is left to its sender.
+// and goes onto the free list, and so does a payload buffer it owns; any
+// other packet is left to its sender.
 //
 //xlf:hotpath
 func (n *Network) release(pkt *Packet) {
@@ -275,6 +330,13 @@ func (n *Network) release(pkt *Packet) {
 	}
 	if !pkt.pooled {
 		return
+	}
+	if buf := pkt.Payload; pkt.ownsPayload && !n.fresh && len(n.bufs) < cap(n.bufs) {
+		for i := range buf {
+			buf[i] = payloadPoison
+		}
+		n.bufs = n.bufs[:len(n.bufs)+1]
+		n.bufs[len(n.bufs)-1] = buf[:0]
 	}
 	*pkt = Packet{Src: released, Dst: released}
 	if !n.fresh {

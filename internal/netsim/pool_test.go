@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"xlf/internal/sim"
 )
@@ -20,14 +21,17 @@ type poolOp struct {
 
 // poolProgram draws n ops that mix every path a packet can end on: a
 // lossy LAN link, an unknown destination, NAT out to a cloud that answers
-// back in, a SendOut the policy denies, a literal (unpooled) packet, and
-// unsolicited inbound traffic the gateway drops.
+// back in, a SendOut the policy denies, a literal (unpooled) packet,
+// unsolicited inbound traffic the gateway drops, a sealed keepalive whose
+// payload is a network-owned buffer (the cloud answers it with a sealed
+// reply that the gateway un-NATs back in), and a sealed packet its sender
+// discards unsent.
 func poolProgram(rng *rand.Rand, n int) []poolOp {
 	ops := make([]poolOp, n)
 	for i := range ops {
 		op := poolOp{
 			at:   time.Duration(rng.Intn(2000)) * time.Millisecond,
-			kind: rng.Intn(6),
+			kind: rng.Intn(8),
 			port: 7000 + rng.Intn(4),
 		}
 		if rng.Intn(2) == 0 {
@@ -39,8 +43,19 @@ func poolProgram(rng *rand.Rand, n int) []poolOp {
 	return ops
 }
 
+// appendSealed stands in for channel.Session.Seal: it appends a
+// nonce-dependent frame of pt to dst, so every sealed payload differs.
+func appendSealed(dst []byte, nonce uint64, pt []byte) []byte {
+	dst = append(dst, byte(nonce>>8), byte(nonce))
+	for _, b := range pt {
+		dst = append(dst, b^byte(nonce))
+	}
+	return append(dst, byte(len(pt)))
+}
+
 // poolSeen is one observation of a packet during a tap, handler or
-// gateway hook call, copied while the observer may still read it.
+// gateway hook call, copied (payload bytes included) while the observer
+// may still read it.
 type poolSeen struct {
 	where string
 	pkt   Packet
@@ -48,11 +63,13 @@ type poolSeen struct {
 
 // poolRun is what one network made of a program.
 type poolRun struct {
-	seen       []poolSeen
-	stats      [3]uint64
-	blocked    [2]uint64
-	distinct   int // distinct pooled packets observed
-	freeLength int
+	seen         []poolSeen
+	stats        [3]uint64
+	blocked      [2]uint64
+	distinct     int // distinct pooled packets observed
+	freeLength   int
+	distinctBufs int // distinct network-owned payload buffers observed
+	freeBufs     int
 }
 
 // runPoolProgram plays ops on a fresh network. With fresh set, NewPacket
@@ -64,11 +81,22 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 	n.fresh = fresh
 	var run poolRun
 	ptrs := make(map[*Packet]bool)
+	bufs := make(map[*byte]bool)
 	see := func(where string, p *Packet) {
-		run.seen = append(run.seen, poolSeen{where, *p})
+		q := *p
+		q.Payload = append([]byte(nil), p.Payload...)
+		run.seen = append(run.seen, poolSeen{where, q})
 		if p.pooled {
 			ptrs[p] = true
 		}
+		if p.ownsPayload && cap(p.Payload) > 0 {
+			bufs[unsafe.SliceData(p.Payload)] = true
+		}
+	}
+	var nonce uint64
+	seal := func(p *Packet, pt []byte) {
+		nonce++
+		p.Payload = appendSealed(n.PayloadBuffer(p), nonce, pt)
 	}
 
 	gw := NewGateway("lan:gw", "wan:home")
@@ -87,10 +115,16 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 	}
 	cloud := &FuncNode{Address: "wan:cloud", Fn: func(net *Network, p *Packet) {
 		see("cloud", p)
-		net.Send(net.NewPacket(Packet{
+		r := net.NewPacket(Packet{
 			Src: "wan:cloud", SrcPort: 443, Dst: p.Src, DstPort: p.SrcPort,
 			Proto: "TLS", Size: 90, Payload: p.Payload, App: "reply",
-		}))
+		})
+		if p.ownsPayload {
+			// p's buffer goes back to the network after this call, so
+			// the reply seals what it read into a buffer of its own.
+			seal(r, p.Payload)
+		}
+		net.Send(r)
 	}}
 	for _, a := range []struct {
 		node Node
@@ -137,6 +171,16 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 			case 5: // unsolicited inbound to an unmapped port
 				tmpl.Src, tmpl.Dst, tmpl.DstPort = "wan:evil", "wan:home", 9000+op.port
 				n.Send(n.NewPacket(tmpl))
+			case 6: // sealed keepalive out through the NAT
+				tmpl.Src, tmpl.Dst, tmpl.DstPort, tmpl.Encrypted = "lan:b", "wan:cloud", 443, true
+				p := n.NewPacket(tmpl)
+				seal(p, op.payload)
+				_ = gw.SendOut(n, p)
+			case 7: // sealed, then discarded unsent (a device out of battery)
+				tmpl.Src, tmpl.Dst, tmpl.Encrypted = "lan:a", "wan:cloud", true
+				p := n.NewPacket(tmpl)
+				seal(p, op.payload)
+				n.Discard(p)
 			}
 		})
 	}
@@ -149,13 +193,17 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 	for p := n.free; p != nil; p = p.next {
 		run.freeLength++
 	}
+	run.distinctBufs, run.freeBufs = len(bufs), len(n.bufs)
 	return run
 }
 
 // TestPooledMatchesFreshPackets: recycling changes nothing a tap, handler
 // or gateway hook can observe. Seeded programs run on a pooled network
-// and on one whose NewPacket always allocates; every observation, the
-// delivery stats and the gateway's block counts must agree.
+// and on one whose NewPacket and PayloadBuffer always allocate; every
+// observation (payload bytes included, compared after the run, so an
+// observer that kept a recycled payload past its call shows up as
+// poisoned or overwritten bytes), the delivery stats and the gateway's
+// block counts must agree.
 func TestPooledMatchesFreshPackets(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 40; i++ {
@@ -175,11 +223,14 @@ func TestPooledMatchesFreshPackets(t *testing.T) {
 			if pooled.stats != fresh.stats || pooled.blocked != fresh.blocked {
 				t.Errorf("stats %v blocked %v, fresh %v %v", pooled.stats, pooled.blocked, fresh.stats, fresh.blocked)
 			}
-			if fresh.freeLength != 0 {
-				t.Errorf("fresh network kept %d free packets", fresh.freeLength)
+			if fresh.freeLength != 0 || fresh.freeBufs != 0 {
+				t.Errorf("fresh network kept %d free packets and %d free buffers", fresh.freeLength, fresh.freeBufs)
 			}
 			if len(ops) >= 100 && pooled.distinct >= fresh.distinct {
 				t.Errorf("pooled network used %d distinct packets, fresh %d: nothing was recycled", pooled.distinct, fresh.distinct)
+			}
+			if len(ops) >= 100 && pooled.distinctBufs >= fresh.distinctBufs {
+				t.Errorf("pooled network used %d distinct payload buffers, fresh %d: nothing was recycled", pooled.distinctBufs, fresh.distinctBufs)
 			}
 		})
 	}
@@ -232,19 +283,25 @@ func TestReleasedPacketPanics(t *testing.T) {
 	k.Step()
 }
 
-// TestFreeListBounded: the free list never holds more packets than were
-// in flight at once, and a literal packet never enters it. Lossless links
-// to attached nodes deliver every packet once, so the handler's set of
-// outstanding pooled packets is exactly the network's in-flight set.
+// TestFreeListBounded: the free lists never hold more packets, or more
+// payload buffers, than were in flight at once, and a literal packet
+// never enters them. Lossless links to attached nodes deliver every
+// packet once, so the handler's sets of outstanding pooled packets and
+// buffers are exactly the network's in-flight sets. A sealed packet
+// discarded unsent returns its buffer at once.
 func TestFreeListBounded(t *testing.T) {
 	k := sim.NewKernel(7)
 	n := New(k)
 	inFlight := make(map[*Packet]bool)
+	sealed := make(map[*Packet]bool)
 	var literals []*Packet
 	if err := n.Attach(&FuncNode{Address: "lan:src"}, DefaultLAN()); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Attach(&FuncNode{Address: "lan:dst", Fn: func(_ *Network, p *Packet) { delete(inFlight, p) }}, DefaultLAN()); err != nil {
+	if err := n.Attach(&FuncNode{Address: "lan:dst", Fn: func(_ *Network, p *Packet) {
+		delete(inFlight, p)
+		delete(sealed, p)
+	}}, DefaultLAN()); err != nil {
 		t.Fatal(err)
 	}
 	freeLen := func() int {
@@ -261,22 +318,36 @@ func TestFreeListBounded(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	peak := 0
+	peak, peakBufs := 0, 0
 	for burst := 0; burst < 300; burst++ {
 		for i := rng.Intn(9); i > 0; i-- {
 			p := n.NewPacket(Packet{Src: "lan:src", Dst: "lan:dst", Size: 10 + rng.Intn(500)})
 			inFlight[p] = true
+			peak = max(peak, len(inFlight))
+			if rng.Intn(2) == 0 {
+				p.Payload = append(n.PayloadBuffer(p), make([]byte, rng.Intn(40))...)
+				sealed[p] = true
+				peakBufs = max(peakBufs, len(sealed))
+				if rng.Intn(8) == 0 {
+					n.Discard(p)
+					delete(inFlight, p)
+					delete(sealed, p)
+					continue
+				}
+			}
 			n.Send(p)
 		}
 		if rng.Intn(4) == 0 {
-			lit := &Packet{Src: "lan:src", Dst: "lan:dst", Size: 40}
+			lit := &Packet{Src: "lan:src", Dst: "lan:dst", Size: 40, Payload: make([]byte, 8)}
 			literals = append(literals, lit)
 			n.Send(lit)
 		}
-		peak = max(peak, len(inFlight))
 		for s := rng.Intn(12); s > 0 && k.Step(); s-- {
 			if got := freeLen(); got > peak {
 				t.Fatalf("free list holds %d packets, peak in flight %d", got, peak)
+			}
+			if got := len(n.bufs); got > peakBufs {
+				t.Fatalf("buffer list holds %d buffers, peak in flight %d", got, peakBufs)
 			}
 		}
 	}
@@ -287,5 +358,23 @@ func TestFreeListBounded(t *testing.T) {
 	}
 	if got := freeLen(); got != peak {
 		t.Errorf("free list holds %d packets after the run, want the peak in flight %d", got, peak)
+	}
+	if got := len(n.bufs); got != peakBufs || n.nbufs != peakBufs {
+		t.Errorf("buffer list holds %d of %d buffers after the run, want the peak in flight %d", got, n.nbufs, peakBufs)
+	}
+	for _, b := range n.bufs {
+		for _, c := range b[:cap(b)] {
+			if c != payloadPoison && c != 0 {
+				t.Fatalf("free buffer holds %x, want poison", b[:cap(b)])
+			}
+		}
+	}
+}
+
+// TestPacketSize: the city embeds 200,000 packets, so the ownership
+// flags must keep sharing one word.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 168 {
+		t.Errorf("Packet is %d bytes, want 168", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"xlf/internal/channel"
 	"xlf/internal/lwc"
+	"xlf/internal/obs"
 )
 
 // gatewayPeer derives the gateway side of a device's session from the
@@ -72,7 +73,7 @@ func TestGatewayPeerOpensDeviceTraffic(t *testing.T) {
 		t.Fatal("missing thermo session")
 	}
 	gwSess := gatewayPeer(t, h, "thermo-1")
-	sealed, err := devSess.Seal([]byte("temperature=70.5"))
+	sealed, err := devSess.Seal(nil, []byte("temperature=70.5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,5 +90,52 @@ func TestEncryptionDisabledByDefault(t *testing.T) {
 	h := newHome(t)
 	if len(h.Sessions) != 0 {
 		t.Error("sessions created without LightweightEncryption")
+	}
+}
+
+// TestExhaustedDeviceGoesDark: a device whose battery cannot pay for a
+// seal sends no keepalive (its packet and payload buffer go back to the
+// network unsent), while the other devices keep sealing theirs.
+func TestExhaustedDeviceGoesDark(t *testing.T) {
+	tr := obs.NewTracer(1<<16, nil)
+	h, err := New(Config{Seed: 9, LightweightEncryption: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Devices["bulb-1"].BatteryUJ = 0
+	if err := h.Run(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Post-NAT, a keepalive's source is the gateway: count per device
+	// from the keepalive spans, and check that the WAN saw exactly the
+	// sealed ones.
+	sealed := map[string]int{}
+	dark := 0
+	for _, s := range tr.Spans() {
+		switch {
+		case s.Op != "keepalive":
+		case s.Cause == "sealed":
+			sealed[s.Device]++
+		case s.Cause == "battery-exhausted" && s.Device == "bulb-1":
+			dark++
+		}
+	}
+	if sealed["bulb-1"] != 0 || dark == 0 {
+		t.Errorf("exhausted bulb sealed %d keepalives and went dark %d times", sealed["bulb-1"], dark)
+	}
+	if sealed["thermo-1"] == 0 {
+		t.Error("thermostat sealed no keepalive")
+	}
+	total, onWAN := 0, 0
+	for _, n := range sealed {
+		total += n
+	}
+	for _, r := range h.WANCap.Records() {
+		if r.Proto == "XLF-LWC" {
+			onWAN++
+		}
+	}
+	if onWAN != total {
+		t.Errorf("WAN saw %d sealed keepalives, devices sealed %d", onWAN, total)
 	}
 }

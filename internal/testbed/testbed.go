@@ -251,20 +251,23 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 		cloudAddr := netsim.Addr("wan:" + d.CloudDomains[0])
 		plain := d.KeepalivePayload() // constant: built once, sealed per tick
 		h.Kernel.Every(keepaliveEvery, keepaliveEvery/4, d.ID+"-keepalive", func() {
-			pkt := netsim.Packet{
+			pkt := h.Net.NewPacket(netsim.Packet{
 				Src: lanAddr, SrcPort: 7443,
 				Dst: cloudAddr, DstPort: 443,
 				Proto: "TLS", Encrypted: true, Size: 180 + len(d.ID)*3,
 				App: "keepalive",
-			}
+			})
 			cause := "cleartext"
 			if sess, ok := h.Sessions[d.ID]; ok {
 				// Payload bytes originate in the device layer and must be
 				// sealed before crossing the network layer (the xlf-vet
-				// plaintextescape invariant).
-				sealed, err := sess.Seal(plain)
+				// plaintextescape invariant). They are sealed into a
+				// buffer the network owns and recycles with the packet.
+				sealed, err := sess.Seal(h.Net.PayloadBuffer(pkt), plain)
 				if err != nil {
-					// Battery exhausted: the device goes dark.
+					// Battery exhausted: the device goes dark, and the
+					// packet goes back unsent.
+					h.Net.Discard(pkt)
 					if h.tracer != nil {
 						h.tracer.EmitAt(h.Kernel.Now(), obs.LayerDevice, "keepalive", d.ID, "battery-exhausted")
 					}
@@ -277,7 +280,7 @@ func (h *Home) addDevice(d *device.Device, reg *lwc.Registry) error {
 			if h.tracer != nil {
 				h.tracer.EmitAt(h.Kernel.Now(), obs.LayerDevice, "keepalive", d.ID, cause)
 			}
-			h.Gateway.SendOut(h.Net, h.Net.NewPacket(pkt))
+			h.Gateway.SendOut(h.Net, pkt)
 		})
 	}
 	return nil
@@ -307,7 +310,7 @@ func (h *Home) UserEvent(deviceID, event string) error {
 		if sess, ok := h.Sessions[deviceID]; ok {
 			// Same plaintextescape contract as the keepalive path: event
 			// payloads cross the network layer only sealed.
-			if sealed, err := sess.Seal(d.EventPayload(event)); err == nil {
+			if sealed, err := sess.Seal(nil, d.EventPayload(event)); err == nil {
 				pkt.Payload = sealed
 				pkt.Proto = "XLF-LWC"
 			}

@@ -37,6 +37,7 @@ echo '>> bench/_perf: go vet + go test'
 # catches shallow regressions in the codec/seal paths.
 echo '>> fuzz smoke (5s per target)'
 go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime=5s ./internal/channel
+go test -run='^$' -fuzz='^FuzzSealAppend$' -fuzztime=5s ./internal/channel
 go test -run='^$' -fuzz='^FuzzSum64$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCMAC$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzCFGBuild$' -fuzztime=5s ./internal/analysis
@@ -111,12 +112,13 @@ go test -run='^$' -bench='^BenchmarkCoreIngest(Traced)?$' -benchtime=1s . ||
 	echo 'tracer overhead bench: failed (non-blocking)'
 
 # Informational numbers for the log: kernel dispatch, netsim send and
-# the gateway keepalive (NewPacket to release) must print 0 allocs/op.
+# the gateway keepalive (NewPacket to release), plain and sealed into a
+# network-owned payload buffer, must print 0 allocs/op.
 # The enforcement lives in the AllocsPerRun tests above (the dynamic
 # half of the //xlf:hotpath contract); this step puts the ns/op trend
 # in the log.
 echo '>> kernel hot-path benchmarks'
 go test -run='^$' -bench='^BenchmarkKernelDispatch$' -benchmem -benchtime=1s ./internal/sim
-go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive)$' -benchmem -benchtime=1s ./internal/netsim
+go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive|BenchmarkSealedKeepalive)$' -benchmem -benchtime=1s ./internal/netsim
 
 echo 'all checks passed'

@@ -116,6 +116,13 @@ type System struct {
 	// application verification.
 	declaredRules map[string][]service.Rule
 
+	// deviceIDs holds the home's device IDs in sorted order, the order
+	// attest and volumeTick sweep them in: signal ingestion order must
+	// not depend on map iteration, or traces (and any order-sensitive
+	// correlation) would differ between identically-seeded runs. The
+	// device set is fixed once testbed.New returns, so New sorts it once.
+	deviceIDs []string
+
 	protected bool
 }
 
@@ -146,6 +153,11 @@ func New(opts Options) (*System, error) {
 		ctx:           analytics.Context{OutdoorTempF: 70, UserHome: true},
 		protected:     !opts.DisableProtection,
 	}
+
+	for id := range home.Devices {
+		s.deviceIDs = append(s.deviceIDs, id)
+	}
+	sort.Strings(s.deviceIDs)
 
 	users := opts.Users
 	if users == nil {
@@ -434,12 +446,7 @@ func (s *System) onEvent(ev service.Event) {
 // device-layer corroboration signal on strong exceedance.
 func (s *System) volumeTick() {
 	now := s.Home.Kernel.Now()
-	ids := make([]string, 0, len(s.Home.Devices))
-	for id := range s.Home.Devices {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range s.deviceIDs {
 		count := float64(s.uplinkCount[id])
 		s.uplinkCount[id] = 0
 		base := s.uplinkBase[id]
@@ -574,15 +581,7 @@ func (s *System) onCommand(cmd service.Command) {
 // malware detection (§IV-A4).
 func (s *System) attest() {
 	now := s.Home.Kernel.Now()
-	// Sorted sweep order: signal ingestion order must not depend on map
-	// iteration, or traces (and any order-sensitive correlation) would
-	// differ between identically-seeded runs.
-	ids := make([]string, 0, len(s.Home.Devices))
-	for id := range s.Home.Devices {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range s.deviceIDs {
 		d := s.Home.Devices[id]
 		if s.NAC.Blocked(netsim.Addr("lan:" + id)) {
 			continue // already contained
