@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-concurrency vet-determinism fmt check report bench
+.PHONY: build test race vet fmt check report bench
 
 build:
 	$(GO) build ./...
@@ -13,25 +13,14 @@ race:
 
 # vet runs both the standard toolchain vet (which owns lock copies and
 # unreachable code) and the repository's own cross-layer analyzers
-# (layer DAG, determinism, error discipline, pairing, crypto misuse,
-# dead stores, taint, concurrency). DESIGN.md §6 lists what each guards;
-# sanctioned exceptions are inline //xlf:allow-* markers.
+# (layer DAG, determinism, map order, error discipline, crypto misuse,
+# sealed payloads and secret leaks, //xlf:hotpath allocations). Lock
+# balance, lock order, goroutine leaks and shared globals are caught by
+# the tests and -race (DESIGN.md §6). Sanctioned exceptions are inline
+# //xlf:allow-* markers.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/xlf-vet ./...
-
-# vet-concurrency runs just the concurrency-safety layer — the
-# lock-order graph, goroutine-leak and //xlf:hotpath allocation rules —
-# for quick iteration on locking or hot-path code.
-vet-concurrency:
-	$(GO) run ./cmd/xlf-vet -only lockorder,goroleak,hotpathalloc ./...
-
-# vet-determinism runs the reproduction-contract layer — determinism
-# (direct and call-graph reachability of the wall clock and global
-# rand), globalmut, maporder and hotpathalloc — for quick iteration on
-# simulator or experiment code.
-vet-determinism:
-	$(GO) run ./cmd/xlf-vet -only determinism,globalmut,maporder,hotpathalloc ./...
 
 fmt:
 	gofmt -w .

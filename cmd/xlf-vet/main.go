@@ -1,42 +1,33 @@
 // Command xlf-vet runs the repository's cross-layer static analysis:
 // the XLF layer import DAG, the simulator determinism contract, error
-// discipline in security-critical packages, the path-sensitive CFG
-// rules — cryptomisuse (hardcoded/short/math-rand keys, constant or
-// reused nonces, non-constant-time MAC compares), pairing (locks, trace
-// regions and timers released on every path) and deadstore — the two
-// taint dataflow rules, plaintextescape (device payloads must be sealed
-// before reaching a network send) and secretleak (token/key material
-// must not flow into logs, errors, or metrics labels) — and the
-// concurrency-safety layer: lockorder (an interprocedural
-// lock-acquisition graph whose cycles are potential deadlocks), goroleak
-// (goroutines with no shutdown path, unbuffered sends no path receives,
-// WaitGroup.Add racing Wait) and hotpathalloc (functions annotated
-// //xlf:hotpath must not contain or call into allocating constructs).
-// On top of the module-wide call graph sit the interprocedural
-// determinism rules: determinism (wall-clock and global-rand calls and
-// references in deterministic packages, and their reachability through
-// any depth of cross-package helpers), globalmut (writes to mutable
-// package-level state reachable from the packages exp.Run runs
-// concurrently) and maporder (map iteration order escaping into
-// returns, sinks, or unsorted appends). Lock copies and unreachable code
-// are go vet's copylocks and unreachable passes, which the CI gate runs
-// alongside. See internal/analysis for the rules and DESIGN.md §6 for
-// the invariant each one guards.
+// discipline in security-critical packages, cryptomisuse (a CFG rule:
+// hardcoded/short/math-rand keys, constant or reused nonces,
+// non-constant-time MAC compares), the two taint dataflow rules,
+// plaintextescape (device payloads must be sealed before reaching a
+// network send) and secretleak (token/key material must not flow into
+// logs, errors, or metrics labels), and hotpathalloc (functions
+// annotated //xlf:hotpath must not contain or call into allocating
+// constructs). On top of the module-wide call graph sit the
+// interprocedural determinism rules: determinism (wall-clock and
+// global-rand calls and references in deterministic packages, and their
+// reachability through any depth of cross-package helpers) and maporder
+// (map iteration order escaping into returns, sinks, or unsorted
+// appends). Lock copies and unreachable code are go vet's copylocks and
+// unreachable passes, which the CI gate runs alongside. See
+// internal/analysis for the rules and DESIGN.md §6 for the invariant
+// each one guards.
 //
 // Usage:
 //
 //	xlf-vet ./...                      # whole module (the CI gate)
 //	xlf-vet ./internal/exp ./cmd/...   # specific packages
 //	xlf-vet -sarif ./...               # SARIF 2.1.0 (code-scanning upload)
-//	xlf-vet -only lockorder,goroleak ./...  # run only the named rules
-//	xlf-vet -parallel 8 ./...          # per-package worker pool
 //
 // Findings are reported as "file:line: [rule] message" with paths
-// relative to the module root; output is deterministic at any -parallel
-// setting. Sanctioned exceptions are waived inline with //xlf:allow-*
-// markers where they happen; there is no global waiver file. Exit
-// status: 0 when clean, 1 when findings were reported, 2 on usage or
-// load errors.
+// relative to the module root, in a deterministic order. Sanctioned
+// exceptions are waived inline with //xlf:allow-* markers where they
+// happen; there is no global waiver file. Exit status: 0 when clean, 1
+// when findings were reported, 2 on usage or load errors.
 package main
 
 import (
@@ -45,7 +36,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"xlf/internal/analysis"
@@ -60,9 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		sarifOut = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-		only     = fs.String("only", "", "comma-separated rules to run, dropping all others (layercheck,determinism,errdrop,pairing,cryptomisuse,deadstore,lockorder,goroleak,hotpathalloc,globalmut,maporder,plaintextescape,secretleak)")
 		root     = fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
-		parallel = fs.Int("parallel", runtime.NumCPU(), "package-level analysis workers")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,10 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		return fail(err)
-	}
+	analyzers := analysis.XLFAnalyzers()
 
 	pkgs, err := filterPackages(allPkgs, moduleRoot, fs.Args())
 	if err != nil {
@@ -96,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The model covers the whole module even when the command line
 	// narrows the packages reported on, so cross-package call-graph and
 	// taint summaries stay visible.
-	findings := analysis.NewModule(allPkgs).Run(pkgs, analyzers, *parallel)
+	findings := analysis.NewModule(allPkgs).Run(pkgs, analyzers)
 	relativize(findings, moduleRoot)
 
 	if *sarifOut {
@@ -116,9 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relativize rewrites finding paths relative to the module root, so
-// output is stable across checkouts. Every path shares
-// the root prefix, so the sorted order Module.Run returned still holds
-// and the output is byte-identical at any worker count.
+// output is stable across checkouts. Every path shares the root prefix,
+// so the sorted order Module.Run returned still holds.
 func relativize(findings []analysis.Finding, root string) {
 	for i := range findings {
 		if rel, err := filepath.Rel(root, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -144,33 +128,6 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// selectAnalyzers returns the configured rule set or — when only is
-// non-empty — just the named rules, in their canonical XLFAnalyzers
-// order.
-func selectAnalyzers(only string) ([]analysis.Analyzer, error) {
-	all := analysis.XLFAnalyzers()
-	if only == "" {
-		return all, nil
-	}
-	wanted := make(map[string]bool)
-	for _, name := range strings.Split(only, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			wanted[name] = true
-		}
-	}
-	var out []analysis.Analyzer
-	for _, a := range all {
-		if wanted[a.Name()] {
-			delete(wanted, a.Name())
-			out = append(out, a)
-		}
-	}
-	for name := range wanted {
-		return nil, fmt.Errorf("unknown rule %q in -only", name)
-	}
-	return out, nil
 }
 
 // filterPackages keeps the packages matching the command-line patterns:

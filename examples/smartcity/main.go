@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -57,35 +58,46 @@ func main() {
 	}
 	built := time.Since(start)
 
-	st, err := city.Run()
+	st, err := run(os.Stdout, city, *seed, *telemetry)
 	if err != nil {
 		log.Fatal(err)
 	}
 	wall := time.Since(start)
-
-	fmt.Println(st)
 	fmt.Printf("wall clock: %s build, %s total (%.0f kernel events/sec)\n",
 		built.Round(time.Millisecond), wall.Round(time.Millisecond),
 		float64(st.Events)/wall.Seconds())
+}
+
+// run runs a built city to its horizon and writes what the simulation
+// derived to w: the run's counts and, when the city carries telemetry,
+// its windows and detection latencies, whose xlf-metrics/v1 artifact it
+// also writes to telemetryPath. Wall-clock figures are main's.
+func run(w io.Writer, city *testbed.City, seed int64, telemetryPath string) (testbed.CityStats, error) {
+	st, err := city.Run()
+	if err != nil {
+		return st, err
+	}
+	fmt.Fprintln(w, st)
 
 	tel := city.Telemetry()
 	if tel == nil {
-		return
+		return st, nil
 	}
-	reportTelemetry(tel)
-	if err := writeTelemetry(*telemetry, tel, *seed); err != nil {
-		log.Fatal(err)
+	reportTelemetry(w, tel)
+	if err := writeTelemetry(telemetryPath, tel, seed); err != nil {
+		return st, err
 	}
-	fmt.Printf("telemetry: wrote %s (render with: xlf-trace metrics %s)\n", *telemetry, *telemetry)
+	fmt.Fprintf(w, "telemetry: wrote %s (render with: xlf-trace metrics %s)\n", telemetryPath, telemetryPath)
+	return st, nil
 }
 
 // reportTelemetry prints the windowed throughput envelope and the
 // detection-latency outcome of the attack timeline.
-func reportTelemetry(tel *obs.Telemetry) {
+func reportTelemetry(w io.Writer, tel *obs.Telemetry) {
 	var minRate, maxRate float64
 	windows := tel.Rollup.Windows()
-	for i, w := range windows {
-		for _, c := range w.Counters {
+	for i, win := range windows {
+		for _, c := range win.Counters {
 			if c.Name != "city.delivered" {
 				continue
 			}
@@ -97,18 +109,18 @@ func reportTelemetry(tel *obs.Telemetry) {
 			}
 		}
 	}
-	fmt.Printf("telemetry: %d windows of %s; delivered %.0f..%.0f events/sec per window\n",
+	fmt.Fprintf(w, "telemetry: %d windows of %s; delivered %.0f..%.0f events/sec per window\n",
 		len(windows), tel.Rollup.Interval(), minRate, maxRate)
 
 	for _, s := range tel.Detections.Stats() {
-		fmt.Printf("telemetry: %-6s detection latency p50=%s p99=%s (%d detected)\n",
+		fmt.Fprintf(w, "telemetry: %-6s detection latency p50=%s p99=%s (%d detected)\n",
 			s.Class, s.P50, s.P99, s.Count)
 	}
 	if pending := tel.Detections.Pending(); pending > 0 {
-		fmt.Printf("telemetry: WARNING %d injected attacks were never detected\n", pending)
+		fmt.Fprintf(w, "telemetry: WARNING %d injected attacks were never detected\n", pending)
 	}
 	breaches := tel.Registry.Counter(obs.DetectSLOBreach).Value()
-	fmt.Printf("telemetry: %d SLO breaches (objective %s), %d flight-recorder dumps\n",
+	fmt.Fprintf(w, "telemetry: %d SLO breaches (objective %s), %d flight-recorder dumps\n",
 		breaches, tel.Detections.SLO(), len(tel.Recorder.Dumps()))
 }
 

@@ -2,9 +2,10 @@
 // analysis. XLF's thesis is that security properties must be enforced
 // across layers, not inside any single one; this package compiles the
 // corresponding architectural rules — the layer import DAG, the
-// determinism contract of the simulator, lock balance and error-handling
-// discipline in security-critical packages — into checkers that run over
-// the parsed source (go/parser, go/ast and go/types only, no external
+// determinism contract of the simulator, error discipline and
+// lightweight-crypto hygiene in security-critical packages, sealed
+// device payloads and unlogged tokens — into checkers that run over the
+// parsed source (go/parser, go/ast and go/types only, no external
 // dependencies). Rules go vet already runs (copylocks, unreachable) are
 // not duplicated here.
 //
@@ -45,9 +46,9 @@ type File struct {
 	AST  *ast.File
 }
 
-// Package is one parsed directory of Go source. Test files are included
-// (lock balance applies to them too); analyzers that only reason about
-// production code skip File.Test entries.
+// Package is one parsed directory of Go source. Test files are included,
+// so the type-check and the call graph see them; every analyzer skips
+// File.Test entries when it reports.
 type Package struct {
 	// ImportPath is the package's import path ("xlf/internal/sim").
 	ImportPath string
@@ -60,19 +61,19 @@ type Package struct {
 // call graph — and reports the rule's findings in one package; Module.Run
 // drops those a //xlf:allow-<Marker> directive waives.
 type Analyzer interface {
-	// Name is the rule name used in diagnostics and -only flags.
+	// Name is the rule name used in diagnostics and SARIF.
 	Name() string
 	// Doc is the one-line rule description (SARIF rule metadata).
 	Doc() string
 	// Marker is the directive that waives the rule's findings
-	// ("xlf:allow-pairing"), or "" when the rule has none.
+	// ("xlf:allow-droperr"), or "" when the rule has none.
 	Marker() string
 	Check(m *Module, pkg *Package) []Finding
 }
 
 // ModuleAnalyzer is an Analyzer that derives module-wide facts (call
 // graph summaries) before any Check. Module.Run calls Prepare once per
-// run, before the per-package fan-out; Check then only reads them.
+// run, before checking any package; Check then only reads them.
 type ModuleAnalyzer interface {
 	Analyzer
 	Prepare(m *Module)
@@ -92,8 +93,8 @@ func (p *Package) finding(rule string, pos token.Pos, format string, args ...any
 }
 
 // SortFindings orders findings by file, line, column, rule and message —
-// a total order, so concurrent runs always print identically even when
-// several rule families fire on the same line.
+// a total order, so output never depends on the order rules ran in, even
+// when several rules fire on the same line.
 func SortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -198,27 +199,6 @@ func LoadDir(dir, importPath string) (*Package, error) {
 		return nil, nil
 	}
 	return pkg, nil
-}
-
-// importName returns the identifier under which file imports path, and
-// whether it imports it at all. An unnamed import resolves to the final
-// path element (correct for the stdlib packages the analyzers care
-// about).
-func importName(f *ast.File, path string) (string, bool) {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return "", false
-			}
-			return imp.Name.Name, true
-		}
-		return p[strings.LastIndex(p, "/")+1:], true
-	}
-	return "", false
 }
 
 // importMap maps every local import name of f to its import path

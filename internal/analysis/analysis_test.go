@@ -63,7 +63,7 @@ func checkFixture(t *testing.T, rule string, ans ...Analyzer) *Module {
 	t.Helper()
 	pkgs := fixturePackages(t, rule)
 	m := NewModule(pkgs)
-	findings := m.Run(pkgs, ans, 1)
+	findings := m.Run(pkgs, ans)
 
 	type key struct {
 		file string
@@ -173,7 +173,7 @@ func TestLayerTableMirrorsModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range NewModule(pkgs).Run(pkgs, []Analyzer{NewLayerCheck(XLFModule, XLFLayerTable)}, 1) {
+	for _, f := range NewModule(pkgs).Run(pkgs, []Analyzer{NewLayerCheck(XLFModule, XLFLayerTable)}) {
 		t.Error(f)
 	}
 }
@@ -186,7 +186,7 @@ func TestRepoCleanUnderAllRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers(), 1) {
+	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers()) {
 		t.Error(f)
 	}
 }
@@ -194,16 +194,11 @@ func TestRepoCleanUnderAllRules(t *testing.T) {
 // waiverRules maps each //xlf:allow-* marker to the rules it waives.
 var waiverRules = map[string][]string{
 	AllowDropErrMarker:   {"errdrop"},
-	AllowGlobalMutMarker: {"globalmut"},
-	AllowGoroLeakMarker:  {"goroleak"},
 	AllowHotPathMarker:   {"hotpathalloc"},
-	AllowLockOrderMarker: {"lockorder"},
 	AllowMapOrderMarker:  {"maporder"},
 	AllowTaintMarker:     {"plaintextescape", "secretleak"},
 	AllowWallclockMarker: {"determinism"},
 	CryptoAllowMarker:    {"cryptomisuse"},
-	DeadStoreAllowMarker: {"deadstore"},
-	PairingAllowMarker:   {"pairing"},
 }
 
 // TestEveryWaiverSuppressesAFinding keeps the inline waivers from
@@ -276,7 +271,7 @@ func TestEveryWaiverSuppressesAFinding(t *testing.T) {
 	if len(waivers) == 0 {
 		t.Fatal("no //xlf:allow-* waivers found in the module")
 	}
-	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers(), 1) {
+	for _, f := range NewModule(pkgs).Run(pkgs, XLFAnalyzers()) {
 		for _, w := range waivers {
 			inScope := f.File == w.file && w.from <= f.Line && f.Line <= w.to
 			if (inScope || w.via != nil && w.via.MatchString(f.Message)) && slices.Contains(waiverRules[w.marker], f.Rule) {

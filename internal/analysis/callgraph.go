@@ -1,25 +1,24 @@
 package analysis
 
-// The module-wide call-graph engine. Three rule families reason about
+// The module-wide call-graph engine. Four rule families reason about
 // what a function reaches *transitively* — the taint engine (which
-// values flow where), lockorder (which locks a call may acquire) and
-// the determinism layer (does any callee read the wall
-// clock, mutate shared package state, or allocate on a hot path). Each
-// of them needs the same three ingredients: an index of every declared
-// function keyed the way taint.go keys its summaries, resolved call
-// edges out of every body, and a bottom-up fixed-point over those
-// edges. This file extracts that machinery so all of them share one
-// graph, built once per run as part of the module model (module.go).
+// values flow where), determinism (does any callee read the wall clock
+// or the global rand), maporder (does a callee emit to an ordered sink)
+// and hotpathalloc (does a callee allocate). Each of them needs the same
+// three ingredients: an index of every declared function keyed the way
+// taint.go keys its summaries, resolved call edges out of every body,
+// and a bottom-up fixed-point over those edges. This file holds that
+// machinery so all of them share one graph, built once per run as part
+// of the module model (module.go).
 //
 // Edges are classified by how the callee is reached — a plain call, a
-// deferred call, a go statement, a call made inside a nested function
-// literal, or a bare method/function value reference — because the
-// rules disagree about which of those transfer the caller's context:
-// lockorder must not treat a closure's acquisitions as the creator's
-// (the closure runs later, with nothing held), while determinism must
-// (capturing a wall-clock read is already a determinism hazard). Each
-// client passes a follow predicate and gets exactly the reachability
-// it means.
+// deferred call, a call that runs later elsewhere (inside a nested
+// function literal, or a go statement's), or a bare method/function
+// value reference — because the rules disagree about which of those
+// transfer the caller's context: hotpathalloc follows only what runs in
+// the hot frame, while determinism follows everything (capturing a
+// wall-clock read is already a determinism hazard). Each client passes a
+// follow predicate and gets exactly the reachability it means.
 //
 // Receivers the type oracle cannot resolve fall back to a unique-name
 // lookup over the module's declared methods (calleeKey, which the taint
@@ -30,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,10 +44,10 @@ const (
 	// EdgeDefer is a deferred call: it still runs in the caller's frame,
 	// only later.
 	EdgeDefer
-	// EdgeGo is a go statement: the callee runs on its own goroutine.
-	EdgeGo
-	// EdgeClosure is a call lexically inside a function literal nested in
-	// the caller: it runs when (and if) the literal does.
+	// EdgeClosure is a call that does not run in the caller's frame: one
+	// lexically inside a function literal nested in the caller (it runs
+	// when, and if, the literal does) or a go statement's callee (it runs
+	// on its own goroutine).
 	EdgeClosure
 	// EdgeRef is a method value or function value reference — the callee
 	// is not called here, but the reference may be invoked later.
@@ -73,7 +73,6 @@ type GraphFunc struct {
 	Pkg  *Package
 	File *File
 	Decl *ast.FuncDecl
-	Recv string
 	// Edges is sorted by (Callee, Kind, Pos) and deduplicated, so every
 	// traversal of the graph is deterministic.
 	Edges []CallEdge
@@ -111,7 +110,7 @@ func newCallGraph(pkgs []*Package, types *typeOracle) *CallGraph {
 				if _, dup := g.funcs[key]; dup {
 					continue
 				}
-				g.funcs[key] = &GraphFunc{Key: key, Pkg: pkg, File: file, Decl: fd, Recv: recv}
+				g.funcs[key] = &GraphFunc{Key: key, Pkg: pkg, File: file, Decl: fd}
 				g.keys = append(g.keys, key)
 				if recv != "" {
 					g.methodsByName[fd.Name.Name] = append(g.methodsByName[fd.Name.Name], key)
@@ -137,9 +136,9 @@ func (g *CallGraph) Func(key string) *GraphFunc { return g.funcs[key] }
 func (g *CallGraph) Keys() []string { return g.keys }
 
 // edgesOf resolves one function's outgoing edges. Kind classification
-// works off lexical position: a call inside any nested FuncLit is
-// EdgeClosure; otherwise the exact CallExpr of a defer/go statement is
-// EdgeDefer/EdgeGo; everything else is EdgeCall.
+// works off lexical position: a call inside any nested FuncLit, or the
+// exact CallExpr of a go statement, is EdgeClosure; that of a defer
+// statement is EdgeDefer; everything else is EdgeCall.
 func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
 	pt := g.types.typesOf(fn.Pkg)
 	imports := importMap(fn.File.AST)
@@ -195,7 +194,7 @@ func (g *CallGraph) edgesOf(fn *GraphFunc) []CallEdge {
 			case deferred[n]:
 				kind = EdgeDefer
 			case spawned[n]:
-				kind = EdgeGo
+				kind = EdgeClosure
 			}
 			if key, fallback, ok := g.calleeKey(c); ok {
 				add(key, n.Pos(), kind, fallback)
@@ -316,7 +315,7 @@ func (g *CallGraph) Fixpoint(direct map[string][]string, follow func(CallEdge) b
 			if maxFacts > 0 && len(facts) > maxFacts {
 				facts = facts[:maxFacts]
 			}
-			if !sameStrings(out[key], facts) {
+			if !slices.Equal(out[key], facts) {
 				out[key] = facts
 				changed = true
 			}
@@ -377,8 +376,7 @@ func splitKey(key string) (pkg, recv, name string) {
 }
 
 // FuncDisplay renders a summary key for diagnostics: "pkg.Name" or
-// "pkg.(Recv).Name" with the import path trimmed to its last segment,
-// matching the lock-identity rendering in lockorder.
+// "pkg.(Recv).Name" with the import path trimmed to its last segment.
 func FuncDisplay(key string) string {
 	pkg, recv, name := splitKey(key)
 	if i := strings.LastIndex(pkg, "/"); i >= 0 {

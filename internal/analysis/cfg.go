@@ -1,17 +1,17 @@
 package analysis
 
 // Control-flow graphs over go/ast function bodies. The path-sensitive
-// rule families (cryptomisuse, pairing, deadstore) all run on this
-// engine: a function body is lowered into basic blocks connected by the
-// explicit control-flow edges (if/for/range/switch/select, labeled
-// break/continue, goto, return, explicit panic), and the dataflow
-// fixpoints in dataflow.go iterate over the block graph.
+// rule, cryptomisuse, runs on this engine: a function body is lowered
+// into basic blocks connected by the explicit control-flow edges
+// (if/for/range/switch/select, labeled break/continue, goto, return,
+// explicit panic), the reaching-definitions fixpoint in dataflow.go
+// iterates over the block graph, and cfgReaches searches its paths.
 //
 // The builder is deliberately syntactic — it needs no type information,
 // so it works on the same tolerant source set every other analyzer uses.
 // Function literals are not inlined: a FuncLit is an opaque expression
-// in the enclosing graph, and callers that care (deadstore, pairing)
-// build a separate CFG per literal via Functions.
+// in the enclosing graph, and cryptomisuse builds a separate CFG per
+// literal via Functions.
 
 import (
 	"bytes"
@@ -60,8 +60,7 @@ type Block struct {
 
 	// Panics marks a block terminated by an explicit panic (or a
 	// recognised no-return call like os.Exit): its edge to Exit is a
-	// panic edge, which the pairing rules treat differently from a
-	// return (only deferred releases run).
+	// panic edge, not a return.
 	Panics bool
 }
 
@@ -72,30 +71,6 @@ type CFG struct {
 	Name   string
 	Blocks []*Block
 	Exit   *Block
-
-	// Defers lists every deferred call in the body, in source order.
-	// Deferred calls run on all exits (including panics), so the pairing
-	// engine consults this list before walking paths.
-	Defers []*ast.CallExpr
-}
-
-// Reachable returns the set of blocks reachable from the entry.
-func (g *CFG) Reachable() map[*Block]bool {
-	seen := make(map[*Block]bool, len(g.Blocks))
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	if len(g.Blocks) > 0 {
-		walk(g.Blocks[0])
-	}
-	return seen
 }
 
 // Function is one analyzable function body: a declaration or a literal.
@@ -409,7 +384,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.DeferStmt:
 		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s.Call)
 
 	case *ast.ExprStmt:
 		b.add(s)
@@ -613,4 +587,70 @@ func nodeText(fset *token.FileSet, n ast.Node) string {
 		s = s[:117] + "..."
 	}
 	return s
+}
+
+// exprText renders an expression as compact source text, for
+// diagnostics ("hmac.New").
+func exprText(e ast.Expr) string {
+	var buf bytes.Buffer
+	cfg := printer.Config{Mode: printer.RawFormat}
+	_ = cfg.Fprint(&buf, token.NewFileSet(), e)
+	return strings.Join(strings.Fields(buf.String()), " ")
+}
+
+// containsCall reports whether n (a CFG node: a range head counts only
+// its operands) contains a call pred accepts.
+func containsCall(n ast.Node, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	inspectNode(n, func(x ast.Node) bool {
+		if call, isCall := x.(*ast.CallExpr); isCall && !found {
+			found = pred(call)
+		}
+		return !found
+	})
+	return found
+}
+
+// cfgReaches reports whether a CFG path that starts just after
+// Nodes[idx] of b reaches a node goal accepts before any node stop
+// accepts. The start block is not marked visited, so a path that loops
+// back to b scans it again from its first node.
+func cfgReaches(b *Block, idx int, goal func(*Block, int) bool, stop func(ast.Node) bool) bool {
+	scan := func(blk *Block, from int) (found, stopped bool) {
+		for i := from; i < len(blk.Nodes); i++ {
+			if goal(blk, i) {
+				return true, false
+			}
+			if stop(blk.Nodes[i]) {
+				return false, true
+			}
+		}
+		return false, false
+	}
+	if found, stopped := scan(b, idx+1); found || stopped {
+		return found
+	}
+	seen := map[*Block]bool{}
+	var walk func(blk *Block) bool
+	walk = func(blk *Block) bool {
+		if seen[blk] {
+			return false
+		}
+		seen[blk] = true
+		if found, stopped := scan(blk, 0); found || stopped {
+			return found
+		}
+		for _, s := range blk.Succs {
+			if walk(s) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range b.Succs {
+		if walk(s) {
+			return true
+		}
+	}
+	return false
 }

@@ -133,7 +133,6 @@ func FuzzCFGBuild(f *testing.F) {
 				}
 			}
 			_ = g.Dump(fset)
-			_ = g.Reachable()
 		}
 	})
 }

@@ -422,15 +422,14 @@ func nonceName(call *ast.CallExpr, specs []CryptoNonceCall) string {
 func (w *cryptoWalker) reachesWithoutKill(from, to site, obj any) bool {
 	atTo := func(b *Block, i int) bool { return b == to.block && i == to.idx }
 	kills := func(n ast.Node) bool {
-		_, writes := nodeRefs(n)
-		for _, wr := range writes {
+		for _, wr := range nodeWrites(n) {
 			if wr.Complete && identObj(w.pt, wr.Ident) == obj {
 				return true
 			}
 		}
 		return false
 	}
-	return cfgPath(w.g, from.block, from.idx, atTo, kills) != nil
+	return cfgReaches(from.block, from.idx, atTo, kills)
 }
 
 // ---------------------------------------------------------------------

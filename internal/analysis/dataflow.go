@@ -1,10 +1,10 @@
 package analysis
 
-// The forward dataflow layer on top of the CFG: identifier reference
-// classification, a textbook reaching-definitions fixpoint, and the
-// per-definition liveness query the deadstore and cryptomisuse rules
-// share. Identifier identity comes from the module's tolerant type-check
-// (so shadowing resolves correctly) and falls back to names.
+// The forward dataflow layer on top of the CFG: identifier write
+// classification and a textbook reaching-definitions fixpoint, which
+// cryptomisuse reads to trace key and nonce values. Identifier identity
+// comes from the module's tolerant type-check (so shadowing resolves
+// correctly) and falls back to names.
 
 import (
 	"go/ast"
@@ -27,18 +27,13 @@ func identObj(pt *pkgTypes, id *ast.Ident) any {
 // WriteRef is one assignment to an identifier inside a node.
 type WriteRef struct {
 	Ident *ast.Ident
-	// RHS is the assigned expression; nil for zero-value declarations
-	// and range variables.
+	// RHS is the assigned expression; nil for zero-value declarations,
+	// range variables and ++/--.
 	RHS ast.Expr
 	// Complete marks a write that fully replaces the previous value
-	// (plain = or :=). Compound assignments and ++/-- read the old value
-	// first, so they are both a read and an incomplete write.
+	// (plain = or :=, a declaration, a range variable). Compound
+	// assignments and ++/-- read the old value first.
 	Complete bool
-	// Declared marks := and var declarations.
-	Declared bool
-	// Ranged marks range-loop key/value variables (reassigned every
-	// iteration; never a dead-store candidate).
-	Ranged bool
 }
 
 // inspectNode visits the parts of a CFG node that execute *at* that
@@ -60,155 +55,57 @@ func inspectNode(n ast.Node, fn func(ast.Node) bool) {
 	ast.Inspect(n, fn)
 }
 
-// nodeRefs classifies the identifier references of one CFG node into
-// reads and writes. The walk is shallow: it does not descend into a
-// RangeStmt body (lowered into its own blocks) but does descend into
-// function literals, whose captured references count as reads at the
-// point the literal is evaluated.
-func nodeRefs(n ast.Node) (reads []*ast.Ident, writes []WriteRef) {
-	var readExpr func(e ast.Expr)
-	readExpr = func(e ast.Expr) {
-		if e == nil {
-			return
+// nodeWrites lists the identifier writes of one CFG node: assignment,
+// ++/--, var-declaration and range-variable targets. A selector, index
+// or dereference destination writes through its root variable without
+// replacing it, so it is not a write.
+func nodeWrites(n ast.Node) []WriteRef {
+	var writes []WriteRef
+	add := func(e, rhs ast.Expr, complete bool) {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			writes = append(writes, WriteRef{Ident: id, RHS: rhs, Complete: complete})
 		}
-		ast.Inspect(e, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.Ident:
-				if x.Name != "_" {
-					reads = append(reads, x)
-				}
-			case *ast.SelectorExpr:
-				// Only the operand is a variable reference; Sel names a
-				// field or method.
-				readExpr(x.X)
-				return false
-			case *ast.KeyValueExpr:
-				// A struct-literal key is a field name, not a variable;
-				// map/array keys are real reads. Reading both is the
-				// conservative choice only for maps — skip struct keys
-				// when they are plain identifiers (field-name shape).
-				if _, ok := x.Key.(*ast.Ident); !ok {
-					readExpr(x.Key)
-				}
-				readExpr(x.Value)
-				return false
-			}
-			return true
-		})
 	}
-	// writeTarget classifies one assignment destination: a plain
-	// identifier is a write; a selector/index/deref destination reads
-	// (and keeps live) its root variable.
-	writeTarget := func(e ast.Expr, rhs ast.Expr, complete, declared bool) {
-		if id, ok := e.(*ast.Ident); ok {
-			if id.Name != "_" {
-				writes = append(writes, WriteRef{Ident: id, RHS: rhs, Complete: complete, Declared: declared})
-			}
-			return
+	// rhsOf picks the value assigned to target i of count: its own, or
+	// the single multi-value call every target shares.
+	rhsOf := func(i, count int, values []ast.Expr) ast.Expr {
+		if len(values) == count {
+			return values[i]
 		}
-		readExpr(e)
+		if len(values) == 1 {
+			return values[0]
+		}
+		return nil
 	}
-
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		for _, r := range n.Rhs {
-			readExpr(r)
-		}
 		complete := n.Tok == token.ASSIGN || n.Tok == token.DEFINE
-		declared := n.Tok == token.DEFINE
 		for i, l := range n.Lhs {
-			var rhs ast.Expr
-			if len(n.Rhs) == len(n.Lhs) {
-				rhs = n.Rhs[i]
-			} else if len(n.Rhs) == 1 {
-				rhs = n.Rhs[0] // multi-value call
-			}
-			if !complete {
-				readExpr(l) // compound assignment reads the old value
-			}
-			writeTarget(l, rhs, complete, declared)
+			add(l, rhsOf(i, len(n.Lhs), n.Rhs), complete)
 		}
 	case *ast.IncDecStmt:
-		readExpr(n.X)
-		writeTarget(n.X, nil, false, false)
+		add(n.X, nil, false)
 	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, v := range vs.Values {
-				readExpr(v)
-			}
-			for i, name := range vs.Names {
-				var rhs ast.Expr
-				if i < len(vs.Values) {
-					rhs = vs.Values[i]
-				} else if len(vs.Values) == 1 {
-					rhs = vs.Values[0]
-				}
-				if name.Name != "_" {
-					writes = append(writes, WriteRef{Ident: name, RHS: rhs, Complete: true, Declared: true})
+		if gd, ok := n.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for i, name := range vs.Names {
+						add(name, rhsOf(i, len(vs.Names), vs.Values), true)
+					}
 				}
 			}
 		}
 	case *ast.RangeStmt:
-		readExpr(n.X)
-		mark := func(e ast.Expr) {
-			if e == nil {
-				return
-			}
-			if id, ok := e.(*ast.Ident); ok {
-				if id.Name != "_" {
-					writes = append(writes, WriteRef{Ident: id, Complete: true, Declared: n.Tok == token.DEFINE, Ranged: true})
-				}
-				return
-			}
-			readExpr(e)
-		}
-		mark(n.Key)
-		mark(n.Value)
-	case *ast.ExprStmt:
-		readExpr(n.X)
-	case *ast.ReturnStmt:
-		for _, r := range n.Results {
-			readExpr(r)
-		}
-	case *ast.SendStmt:
-		readExpr(n.Chan)
-		readExpr(n.Value)
-	case *ast.GoStmt:
-		readExpr(n.Call)
-	case *ast.DeferStmt:
-		readExpr(n.Call)
-	case *ast.BranchStmt:
-		// labels are not variables
-	case ast.Expr:
-		readExpr(n)
-	case ast.Stmt:
-		// Remaining statement kinds (LabeledStmt never reaches here;
-		// nested blocks are lowered away). Walk conservatively as reads.
-		ast.Inspect(n, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && id.Name != "_" {
-				reads = append(reads, id)
-			}
-			return true
-		})
+		add(n.Key, nil, true)
+		add(n.Value, nil, true)
 	}
-	return reads, writes
+	return writes
 }
 
-// DefSite is one reaching definition: a write of Obj at a specific node.
+// DefSite is one reaching definition: a write of Obj.
 type DefSite struct {
 	Obj   any
 	Write WriteRef
-	Block *Block
-	// NodeIdx is the position of the defining node within Block.Nodes.
-	NodeIdx int
 }
 
 // bitset is a dense bit vector sized to the definition count.
@@ -237,7 +134,6 @@ func (b bitset) clone() bitset {
 // ReachingDefs is the classic forward may-analysis: which definitions of
 // each variable can reach each program point.
 type ReachingDefs struct {
-	g    *CFG
 	pt   *pkgTypes
 	Defs []DefSite
 	// byObj indexes Defs by object.
@@ -251,7 +147,6 @@ type ReachingDefs struct {
 // the gen/kill fixpoint to convergence.
 func NewReachingDefs(g *CFG, pt *pkgTypes) *ReachingDefs {
 	r := &ReachingDefs{
-		g:      g,
 		pt:     pt,
 		byObj:  make(map[any][]int),
 		defsAt: make(map[*Block]map[int][]int),
@@ -259,11 +154,10 @@ func NewReachingDefs(g *CFG, pt *pkgTypes) *ReachingDefs {
 	}
 	for _, b := range g.Blocks {
 		for i, n := range b.Nodes {
-			_, writes := nodeRefs(n)
-			for _, w := range writes {
+			for _, w := range nodeWrites(n) {
 				idx := len(r.Defs)
 				obj := identObj(pt, w.Ident)
-				r.Defs = append(r.Defs, DefSite{Obj: obj, Write: w, Block: b, NodeIdx: i})
+				r.Defs = append(r.Defs, DefSite{Obj: obj, Write: w})
 				r.byObj[obj] = append(r.byObj[obj], idx)
 				if r.defsAt[b] == nil {
 					r.defsAt[b] = make(map[int][]int)
@@ -331,76 +225,3 @@ func (r *ReachingDefs) At(b *Block, nodeIdx int, obj any) []*DefSite {
 
 // Obj resolves an identifier with this analysis's resolver.
 func (r *ReachingDefs) Obj(id *ast.Ident) any { return identObj(r.pt, id) }
-
-// liveStatus classifies one block for one object during the deadness
-// query: the first thing the block does with the object.
-type liveStatus int
-
-const (
-	transparent liveStatus = iota // neither reads nor fully overwrites
-	readsFirst
-	killsFirst
-)
-
-// blockStatus computes what b does with obj, scanning Nodes from `from`.
-func blockStatus(pt *pkgTypes, b *Block, from int, obj any) liveStatus {
-	for i := from; i < len(b.Nodes); i++ {
-		reads, writes := nodeRefs(b.Nodes[i])
-		for _, id := range reads {
-			if identObj(pt, id) == obj {
-				return readsFirst
-			}
-		}
-		// Incomplete writes read the old value via nodeRefs above; a
-		// complete write here means the old value is gone.
-		for _, w := range writes {
-			if w.Complete && identObj(pt, w.Ident) == obj {
-				return killsFirst
-			}
-		}
-	}
-	return transparent
-}
-
-// DefIsDead reports whether the value written by def is never read: on
-// every CFG path from the definition, the variable is overwritten or
-// the function exits before any read. exitReads lists objects that are
-// implicitly read at function exit (named results).
-func DefIsDead(pt *pkgTypes, g *CFG, def *DefSite, exitReads map[any]bool) bool {
-	// The rest of the defining block, after the defining node.
-	switch blockStatus(pt, def.Block, def.NodeIdx+1, def.Obj) {
-	case readsFirst:
-		return false
-	case killsFirst:
-		return true
-	}
-	seen := map[*Block]bool{}
-	var anyRead func(b *Block) bool
-	anyRead = func(b *Block) bool {
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		if b == g.Exit && exitReads[def.Obj] {
-			return true
-		}
-		switch blockStatus(pt, b, 0, def.Obj) {
-		case readsFirst:
-			return true
-		case killsFirst:
-			return false
-		}
-		for _, s := range b.Succs {
-			if anyRead(s) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range def.Block.Succs {
-		if anyRead(s) {
-			return false
-		}
-	}
-	return true
-}

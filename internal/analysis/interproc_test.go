@@ -2,8 +2,8 @@ package analysis
 
 // Tests for the interprocedural determinism layer: the
 // call-graph engine's edge classification, fixpoint and witness chains,
-// the globalmut/maporder fixtures, the transitive half of
-// hotpathalloc, and a fuzz smoke over graph construction.
+// the maporder and hotpathalloc fixtures (both halves), and a fuzz
+// smoke over graph construction.
 
 import (
 	"go/parser"
@@ -26,16 +26,16 @@ func TestDetFlowFixture(t *testing.T) {
 	}
 }
 
-func TestGlobalMutFixture(t *testing.T) {
-	checkFixture(t, "globalmut", NewGlobalMut([]string{fixtureModule + "/internal/sim"}))
-}
-
 func TestMapOrderFixture(t *testing.T) {
 	sinks := []TaintRef{
 		{Pkg: "fmt", Name: "Println"},
 		{Pkg: "fmt", Name: "Printf"},
 	}
 	checkFixture(t, "maporder", NewMapOrder([]string{fixtureModule + "/internal/sim"}, sinks))
+}
+
+func TestHotPathAllocFixture(t *testing.T) {
+	checkFixture(t, "hotpathalloc", NewHotPathAlloc())
 }
 
 // TestHotPathTransFixture exercises the transitive half of hotpathalloc:
@@ -77,8 +77,9 @@ func graphPackages(t *testing.T, srcs map[string]string) []*Package {
 	return pkgs
 }
 
-// TestCallGraphEdgeKinds pins the edge classification: plain, deferred,
-// spawned and closure calls plus method/function value references.
+// TestCallGraphEdgeKinds pins the edge classification: plain and
+// deferred calls, calls that run elsewhere (spawned or inside a closure)
+// and method/function value references.
 func TestCallGraphEdgeKinds(t *testing.T) {
 	g := NewModule(graphPackages(t, map[string]string{
 		"example.com/m/a": `package a
@@ -115,14 +116,13 @@ func Helper() {}
 		if e.Fallback {
 			t.Errorf("unexpected fallback edge to %s", e.Callee)
 		}
-		kind := [...]string{"call", "defer", "go", "closure", "ref"}[e.Kind]
+		kind := [...]string{"call", "defer", "closure", "ref"}[e.Kind]
 		got[FuncDisplay(e.Callee)+"/"+kind]++
 	}
 	want := map[string]int{
 		"b.Helper/call":    1,
 		"b.Helper/defer":   1,
-		"b.Helper/go":      1,
-		"b.Helper/closure": 1,
+		"b.Helper/closure": 2,
 		"b.Helper/ref":     1,
 		"a.(T).M/ref":      1,
 	}

@@ -4,13 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
-	"sync"
 )
 
 // Module is the module model every rule reads, built once per run: the
 // loaded packages, their single tolerant type-check, the call graph with
 // its function index, and a per-file index of //xlf:allow-* waivers.
-// It is read-only once built, so Check calls share it across workers.
+// It is read-only once built.
 type Module struct {
 	Pkgs  []*Package
 	Graph *CallGraph
@@ -98,43 +97,24 @@ func (m *Module) waived(marker string, pos token.Position) bool {
 }
 
 // Run applies the analyzers to pkgs, which must belong to the module:
-// module-wide facts are prepared first, then the per-package Check calls
-// fan out over a worker pool, and findings a directive waives are
-// dropped. The output is sorted with SortFindings and therefore
-// byte-identical at any worker count.
-func (m *Module) Run(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
+// module-wide facts are prepared first, then each package is checked,
+// and findings a directive waives are dropped. The output is sorted with
+// SortFindings.
+func (m *Module) Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	for _, a := range analyzers {
 		if p, ok := a.(ModuleAnalyzer); ok {
 			p.Prepare(m)
 		}
 	}
-	workers = max(1, min(workers, len(pkgs)))
-	results := make([][]Finding, len(pkgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				for _, a := range analyzers {
-					for _, f := range a.Check(m, pkgs[i]) {
-						if !m.waived(a.Marker(), f.Pos) {
-							results[i] = append(results[i], f)
-						}
-					}
+	var out []Finding
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			for _, f := range a.Check(m, pkg) {
+				if !m.waived(a.Marker(), f.Pos) {
+					out = append(out, f)
 				}
 			}
-		}()
-	}
-	for i := range pkgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	var out []Finding
-	for _, r := range results {
-		out = append(out, r...)
+		}
 	}
 	SortFindings(out)
 	return out

@@ -31,7 +31,7 @@ func (r TaintRef) String() string {
 // TaintRule configures one dataflow invariant: values returned by a
 // Source must pass through a Sanitizer before reaching a Sink.
 type TaintRule struct {
-	// RuleName is the diagnostic and -only identifier.
+	// RuleName is the diagnostic and SARIF identifier.
 	RuleName string
 	// RuleDoc is the one-line description used for SARIF rule metadata.
 	RuleDoc string
@@ -158,8 +158,7 @@ func newSummary(n int) *taintSummary {
 
 // Prepare implements ModuleAnalyzer: compute every production
 // function's summary to a fixed point over the call graph (the graph
-// indexes test files too, for the concurrency rules; taint summarizes
-// production code only).
+// indexes test files too; taint summarizes production code only).
 func (t *Taint) Prepare(m *Module) {
 	t.m = m
 	t.params = make(map[string][]any)

@@ -110,19 +110,6 @@ var XLFDeterministicPackages = []string{
 	"xlf/internal/testbed",
 }
 
-// XLFSchedulerRootPackages are the call-tree roots that must stay free
-// of package-level mutation: exp.Run runs experiments on worker
-// goroutines (exp/sched.go), and every experiment drives the Core, the
-// network simulator and the kernel, so any global these packages reach
-// is shared between concurrent experiments — a data race under -parallel
-// and a replay divergence between -parallel levels.
-var XLFSchedulerRootPackages = []string{
-	"xlf/internal/core",
-	"xlf/internal/exp",
-	"xlf/internal/netsim",
-	"xlf/internal/sim",
-}
-
 // XLFMapOrderSinks are the calls whose argument order is observable
 // output for the maporder rule: trace emits, report-table rows and
 // Core signal ingestion — the surfaces the replay hash and the paper's
@@ -208,30 +195,6 @@ var XLFSecretLeak = TaintRule{
 	},
 }
 
-// XLFReceiverPairs are the receiver-paired acquire/release obligations
-// the pairing rule enforces on every path: mutex critical sections must
-// close before the function exits (including explicit panic exits).
-// Copying a lock is go vet's copylocks finding; balancing it is this
-// table's.
-var XLFReceiverPairs = []ReceiverPairSpec{
-	{Acquire: "Lock", Release: "Unlock"},
-	{Acquire: "RLock", Release: "RUnlock"},
-}
-
-// XLFValuePairs are the value-bound obligations: an obs trace Region
-// must be ended (or handed off) on every path, and timers/tickers must
-// be stopped so simulated runs don't leak goroutine-backed resources.
-var XLFValuePairs = []ValuePairSpec{
-	{
-		Methods:    []string{"Start", "StartAt"},
-		ResultType: "Region",
-		Release:    []string{"End", "EndAt"},
-		Noun:       "trace region",
-	},
-	{PkgPath: "time", Func: "NewTimer", Release: []string{"Stop"}, Noun: "timer"},
-	{PkgPath: "time", Func: "NewTicker", Release: []string{"Stop"}, Noun: "ticker"},
-}
-
 // XLFCryptoConfig is the crypto-consumer table the cryptomisuse rule
 // enforces. Lightweight ciphers (PRESENT, TEA, ...) take 64/80-bit keys
 // by design, so their minimum is 8 bytes; the channel/xauth entry points
@@ -277,15 +240,9 @@ func XLFAnalyzers() []Analyzer {
 		NewLayerCheck(XLFModule, XLFLayerTable),
 		NewDeterminism(XLFDeterministicPackages),
 		NewErrDrop(XLFSecurityPackages),
-		NewPairingAnalyzer(XLFReceiverPairs, XLFValuePairs),
 		NewCryptoMisuse(XLFCryptoConfig),
-		NewDeadStore(),
-		// Concurrency-safety layer (DESIGN.md §10).
-		NewLockOrder(),
-		NewGoroLeak(),
-		NewHotPathAlloc(),
+		NewHotPathAlloc(), // DESIGN.md §10
 		// Interprocedural determinism layer (DESIGN.md §11).
-		NewGlobalMut(XLFSchedulerRootPackages),
 		NewMapOrder(XLFDeterministicPackages, XLFMapOrderSinks),
 	}
 	return append(out, NewTaintSuite(XLFPlaintextEscape, XLFSecretLeak)...)

@@ -31,13 +31,18 @@ func runE7(env *Env) *Result {
 		panic(err)
 	}
 	aes, _ := reg.Lookup("AES")
-	present, _ := reg.Lookup("PRESENT")
+	// The bridge's sessions run the cipher the bulb's channel negotiates
+	// (channel.ForProfile in e7Mode), so its cost is priced with that one.
+	bridgeCipher, err := channel.Negotiate(bulb, reg)
+	if err != nil {
+		panic(err)
+	}
 	// Device-side per-query crypto cost: DoT needs conventional-grade
 	// crypto for the TLS record layer (~2 KB of processing per resolved
 	// query incl. handshake amortisation); the bridge needs one
 	// lightweight seal/open over ~120 bytes.
 	dotCost := device.CostModel(bulb, aes.CyclesPerByte, aes.RAMBytes).SecondsPerKB * 2
-	bridgeCost := device.CostModel(bulb, present.CyclesPerByte, present.RAMBytes).SecondsPerKB * 120 / 1024
+	bridgeCost := device.CostModel(bulb, bridgeCipher.CyclesPerByte, bridgeCipher.RAMBytes).SecondsPerKB * 120 / 1024
 
 	modes := []string{"DNS", "DoT", "XLF-bridge"}
 	type e7Out struct {

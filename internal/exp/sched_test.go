@@ -141,4 +141,19 @@ func TestSweep(t *testing.T) {
 	if got := Sweep(NewStepEnv(1), 0, point); len(got) != 0 {
 		t.Errorf("empty sweep returned %v", got)
 	}
+
+	// Stress: many short sweeps on a wide pool, so some workers start only
+	// after the first one has drained every job. A worker that registers
+	// with the WaitGroup inside its own goroutine then races Sweep's Wait,
+	// which -race reports; repeating the sweep makes that near-certain.
+	env := NewStepEnv(5)
+	env.Workers = 8
+	for round := 0; round < 300; round++ {
+		got := Sweep(env, 8, func(i int, _ *Env) int { return i })
+		for i, g := range got {
+			if g != i {
+				t.Fatalf("round %d: point %d = %d", round, i, g)
+			}
+		}
+	}
 }

@@ -75,6 +75,10 @@ type Dump struct {
 // path that materialises a dump, called once per rollup window so
 // triggers are debounced to at most one dump per window. A nil
 // *FlightRecorder disables everything, mirroring the nil Tracer.
+//
+// Its mutex is a leaf lock: no method calls out while holding it, so the
+// Tracer and the DetectionTracker may call in with their own locks held
+// and no lock-order cycle can pass through it.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	buf  []Span

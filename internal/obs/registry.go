@@ -142,6 +142,10 @@ type HistBucket struct {
 // the offline eval tables in internal/metrics. A nil *Registry hands out
 // nil instruments, which discard updates — the disabled state mirrors the
 // nil Tracer. All methods are safe for concurrent use.
+//
+// Its mutex is a leaf lock: while holding it a method only reads the
+// instruments' atomics, so the DetectionTracker may call in with its own
+// lock held and no lock-order cycle can pass through it.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

@@ -159,8 +159,9 @@ func (t *Tracer) EmitSpan(s Span) {
 
 // Region is an in-flight interval span opened by Start/StartAt and
 // emitted by End/EndAt. Every Region that is started must be ended on
-// every code path (the xlf-vet pairing rule enforces this); ending twice
-// is a no-op, so `defer r.End(...)` composes with an early explicit end.
+// every code path (xauth's TestProxyHandleTracesOneAccessSpan pins the
+// one production site, Proxy.Handle); ending twice is a no-op, so
+// `defer r.End(...)` composes with an early explicit end.
 // A Region from a nil Tracer is nil, and all Region methods are
 // nil-safe, preserving the zero-cost disabled path.
 type Region struct {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xlf/internal/obs"
 )
 
 func testAuthority(t *testing.T) *Authority {
@@ -133,6 +135,47 @@ func TestAuthorizeRules(t *testing.T) {
 	}
 }
 
+// TestAuthorizeRefusesBadTokens: a token that fails verification is
+// refused whatever privilege the operation needs — forged, expired, or
+// bound to another device — and each refusal is counted.
+func TestAuthorizeRefusesBadTokens(t *testing.T) {
+	a := testAuthority(t)
+	now := time.Hour
+	tok, err := a.Authenticate("bob", "bob-pw", "", "bulb-1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := tok
+	forged.Priv, forged.MFA = Advanced, true // escalation without a fresh signature
+	other, _ := NewSigner([]byte("another-signing-key"))
+	foreign := other.Issue("bob", "bulb-1", Basic, false, now, time.Hour)
+
+	for _, tc := range []struct {
+		name    string
+		tok     Token
+		minPriv Privilege
+		device  string
+		at      time.Duration
+		want    error
+	}{
+		{"forged privilege", forged, Advanced, "bulb-1", now, ErrBadSignature},
+		{"foreign signer", foreign, Basic, "bulb-1", now, ErrBadSignature},
+		{"expired", tok, Basic, "bulb-1", now + a.DefaultLifetime + time.Second, ErrExpired},
+		{"wrong device", tok, Basic, "cam-1", now, ErrWrongDevice},
+	} {
+		_, refusedBefore := a.Stats()
+		if err := a.Authorize(tc.tok, tc.minPriv, tc.device, tc.at); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, refused := a.Stats(); refused != refusedBefore+1 {
+			t.Errorf("%s: refusals %d -> %d, want one more", tc.name, refusedBefore, refused)
+		}
+	}
+	if err := a.Authorize(tok, Basic, "bulb-1", now); err != nil {
+		t.Errorf("genuine token refused: %v", err)
+	}
+}
+
 func TestLifetimePolicyHook(t *testing.T) {
 	a := testAuthority(t)
 	a.LifetimePolicy = func(u User, dev string) time.Duration {
@@ -175,6 +218,44 @@ func TestProxyLANFastPath(t *testing.T) {
 	hits, fills, _ := p.Stats()
 	if hits != 1 || fills != 1 {
 		t.Errorf("stats hits=%d fills=%d, want 1/1", hits, fills)
+	}
+}
+
+// TestProxyHandleTracesOneAccessSpan: every Handle emits exactly one
+// access span (access-deny when refused) that starts at the request time,
+// lasts the decision's latency and carries its cause.
+func TestProxyHandleTracesOneAccessSpan(t *testing.T) {
+	a := testAuthority(t)
+	p := NewProxy(a)
+	p.Tracer = obs.NewTracer(64, nil)
+	now := time.Hour
+	tok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
+	for _, req := range []AccessRequest{
+		{User: "bob", DeviceID: "bulb-1", Origin: FromLAN, Token: &tok},
+		{User: "bob", DeviceID: "bulb-1", Origin: FromLAN},
+		{User: "bob", DeviceID: "bulb-1", Origin: FromWAN, Token: &tok},
+		{User: "bob", DeviceID: "cam-1", Origin: FromLAN, Write: true},
+		{User: "mallory", DeviceID: "cam-1", Origin: FromWAN},
+	} {
+		before := p.Tracer.Len()
+		d := p.Handle(req, now)
+		op, cause := "access", d.AuthenticatedBy
+		if !d.Allowed {
+			op, cause = "access-deny", d.Reason
+		}
+		var got []obs.Span
+		for _, s := range p.Tracer.Spans()[before:] {
+			if s.Op == "access" || s.Op == "access-deny" {
+				got = append(got, s)
+			}
+		}
+		if len(got) != 1 {
+			t.Fatalf("%+v: %d access spans, want 1", req, len(got))
+		}
+		if s := got[0]; s.Op != op || s.Time != now || s.Dur != d.Latency || s.Cause != cause ||
+			s.Device != req.DeviceID || s.Detail != req.User || s.Layer != obs.LayerXAuth {
+			t.Errorf("%+v: span %+v, want op %s at %s lasting %s with cause %q", req, s, op, now, d.Latency, cause)
+		}
 	}
 }
 
