@@ -89,9 +89,7 @@ func runOnce(intensity float64) (bool, float64, float64, string, error) {
 			}
 		})
 	}
-	if err := k.Run(4 * time.Minute); err != nil {
-		return false, 0, 0, "", err
-	}
+	k.Run(4 * time.Minute)
 
 	adv := shaping.NewAdversary(shaping.KnowledgeBase{
 		DomainType: map[string]string{"cam.vendor.example": "camera"},

@@ -120,7 +120,6 @@ var XLFMapOrderSinks = []TaintRef{
 	{Pkg: "xlf/internal/obs", Recv: "Tracer", Name: "EmitAt"},
 	{Pkg: "xlf/internal/obs", Recv: "Tracer", Name: "EmitSpan"},
 	{Pkg: "xlf/internal/metrics", Recv: "Table", Name: "AddRow"},
-	{Pkg: "xlf/internal/metrics", Recv: "Table", Name: "AddRowf"},
 	{Pkg: "fmt", Name: "Fprintf"},
 	{Pkg: "fmt", Name: "Fprintln"},
 	{Pkg: "fmt", Name: "Printf"},
@@ -190,7 +189,6 @@ var XLFSecretLeak = TaintRule{
 		{Pkg: "log", Name: "Fatalf"},
 		{Pkg: "log", Name: "Fatal"},
 		{Pkg: "xlf/internal/metrics", Recv: "Table", Name: "AddRow"},
-		{Pkg: "xlf/internal/metrics", Recv: "Table", Name: "AddRowf"},
 		{Pkg: "xlf/internal/analytics", Recv: "Correlator", Name: "Evaluate"},
 	},
 }

@@ -237,7 +237,19 @@ func TestRogueAppOverPrivilege(t *testing.T) {
 
 func TestPolicyAbuse(t *testing.T) {
 	h := vulnerableHome(t)
-	if err := h.InstallClimateAutomation(); err != nil {
+	// The §IV-C3 automation: open the window above 80F.
+	above := 80.0
+	if err := h.Cloud.InstallApp(&service.SmartApp{
+		ID: "climate-window",
+		Rules: []service.Rule{{
+			TriggerDevice: "thermo-1", TriggerEvent: "temperature", TriggerAbove: &above,
+			ActionDevice: "window-1", ActionCommand: "open",
+		}},
+		Grants: []service.Grant{
+			{DeviceID: "thermo-1", Capability: "temperature"},
+			{DeviceID: "window-1", Capability: "lock"},
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	res := (&attack.PolicyAbuse{ThermoID: "thermo-1", FakeTempF: 95}).Execute(h.AttackEnv())

@@ -10,7 +10,6 @@ package behavior
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"xlf/internal/device"
 )
@@ -237,39 +236,4 @@ func Learn(traces [][]string) *LearnedModel {
 // Seen reports whether the transition prev->cur occurred in training.
 func (m *LearnedModel) Seen(prev, cur string) bool {
 	return m.counts[prev][cur] > 0
-}
-
-// Surprise scores a trace: the fraction of its transitions unseen in
-// training (0 = fully normal, 1 = fully novel).
-func (m *LearnedModel) Surprise(trace []string) float64 {
-	if len(trace) < 2 {
-		return 0
-	}
-	unseen := 0
-	for i := 1; i < len(trace); i++ {
-		if !m.Seen(trace[i-1], trace[i]) {
-			unseen++
-		}
-	}
-	return float64(unseen) / float64(len(trace)-1)
-}
-
-// Alphabet returns the sorted event vocabulary of the model.
-func (m *LearnedModel) Alphabet() []string {
-	set := make(map[string]struct{})
-	for a, mm := range m.counts {
-		set[a] = struct{}{}
-		for b := range mm {
-			set[b] = struct{}{}
-		}
-	}
-	for s := range m.starts {
-		set[s] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -218,22 +218,6 @@ func TestLearnedModel(t *testing.T) {
 	if m.Seen("heat", "cool") {
 		t.Error("phantom transition")
 	}
-	if s := m.Surprise([]string{"idle", "heat", "idle"}); s != 0 {
-		t.Errorf("benign surprise = %v, want 0", s)
-	}
-	if s := m.Surprise([]string{"heat", "cool", "heat", "cool", "heat"}); s != 1 {
-		t.Errorf("novel surprise = %v, want 1", s)
-	}
-	if s := m.Surprise([]string{"idle", "heat", "cool"}); s != 0.5 {
-		t.Errorf("mixed surprise = %v, want 0.5", s)
-	}
-	if s := m.Surprise([]string{"single"}); s != 0 {
-		t.Errorf("degenerate surprise = %v, want 0", s)
-	}
-	alpha := m.Alphabet()
-	if len(alpha) != 3 {
-		t.Errorf("alphabet = %v, want 3 symbols", alpha)
-	}
 }
 
 // TestFingerprintNoiseRobustness simulates the E5 sweep in miniature:

@@ -194,9 +194,6 @@ func New(cfg Config, contain Containment) *Core {
 	return c
 }
 
-// Config returns the active configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // CoreStats is a snapshot of the Core's lifetime counters, read from the
 // obs metrics registry backing them.
 type CoreStats struct {

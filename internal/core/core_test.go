@@ -344,10 +344,6 @@ func TestNACPolicy(t *testing.T) {
 	if !p.Blocked("lan:bulb-1") {
 		t.Error("Blocked() = false")
 	}
-	p.Unblock("lan:bulb-1")
-	if err := hook(ok); err != nil {
-		t.Errorf("unblocked device still denied: %v", err)
-	}
 	if p.Denials() != 2 {
 		t.Errorf("denials = %d, want 2", p.Denials())
 	}

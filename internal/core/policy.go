@@ -63,18 +63,11 @@ func (p *NACPolicy) AllowInfra(dst netsim.Addr) {
 	p.alwaysAllow[dst] = true
 }
 
-// Block cuts a device off (containment). Unblock restores it.
+// Block cuts a device off (containment).
 func (p *NACPolicy) Block(device netsim.Addr) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.blocked[device] = true
-}
-
-// Unblock restores a device's policy entries.
-func (p *NACPolicy) Unblock(device netsim.Addr) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.blocked, device)
 }
 
 // Blocked reports whether the device is under containment.

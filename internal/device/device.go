@@ -118,23 +118,6 @@ func (b *Behavior) Events() []string {
 	return out
 }
 
-// States returns the sorted state set.
-func (b *Behavior) States() []State {
-	set := map[State]struct{}{b.Initial: {}}
-	for from, m := range b.edges {
-		set[from] = struct{}{}
-		for _, to := range m {
-			set[to] = struct{}{}
-		}
-	}
-	out := make([]State, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Device is a runtime IoT device instance in the testbed.
 type Device struct {
 	ID      string

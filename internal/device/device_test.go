@@ -166,10 +166,6 @@ func TestBehaviorAlphabetAndStates(t *testing.T) {
 	if len(events) != 3 { // heat, cool, target_reached
 		t.Errorf("events = %v, want 3 distinct", events)
 	}
-	states := b.States()
-	if len(states) != 3 { // idle, heating, cooling
-		t.Errorf("states = %v, want 3", states)
-	}
 }
 
 func TestFirmwareVerification(t *testing.T) {

@@ -134,6 +134,3 @@ func (m *Matcher) Contains(data []byte) bool {
 	}
 	return false
 }
-
-// PatternCount returns the number of compiled patterns.
-func (m *Matcher) PatternCount() int { return len(m.patterns) }

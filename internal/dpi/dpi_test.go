@@ -51,8 +51,11 @@ func TestMatcherContains(t *testing.T) {
 
 func TestMatcherEmptyPatternsIgnored(t *testing.T) {
 	m := NewMatcher([][]byte{{}, []byte("x")})
-	if m.PatternCount() != 1 {
-		t.Errorf("PatternCount = %d, want 1", m.PatternCount())
+	if m.Contains([]byte("abc")) {
+		t.Error("empty pattern matched input without the real pattern")
+	}
+	if !m.Contains([]byte("axc")) {
+		t.Error("real pattern lost next to an empty one")
 	}
 }
 

@@ -19,7 +19,7 @@ const ArtifactSchema = "xlf-bench/v2"
 // ClockWall and ClockStep name the two clock families an artifact can be
 // produced under. Only step-clock artifacts are byte-identical across
 // runs; under the wall clock, the numbers and output of the experiments
-// that time a section on env.Clock (T3, E4) vary from run to run.
+// that time a section on the env clock (T3, E4) vary from run to run.
 const (
 	ClockWall = "wall"
 	ClockStep = "step"

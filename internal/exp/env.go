@@ -40,17 +40,16 @@ func StepClock(step time.Duration) Clock {
 // Env carries everything an experiment depends on besides its inputs: the
 // seed for its random streams, the clock for throughput timing, and the
 // worker budget for inner parameter sweeps. Every experiment is a pure
-// function of its Env.
+// function of its Env. Build one with NewEnv or NewStepEnv.
 type Env struct {
-	Seed  int64
-	Clock Clock
+	Seed int64
 
-	// ClockFactory, when set, supplies an independent Clock for every
+	// ClockFactory supplies the env's clock and a fresh one for every
 	// Fork. Clocks are stateful closures, so concurrent experiments must
 	// not share one: Run forks the root Env per experiment (and Sweep per
-	// sweep point) and relies on this factory for isolation. When nil,
-	// Fork reuses Clock and only sequential execution is safe.
+	// sweep point), and each fork times on its own clock.
 	ClockFactory func() Clock
+	clock        Clock
 
 	// Workers bounds the fan-out of Run and of inner parameter sweeps
 	// (see Sweep). Zero or one means sequential.
@@ -210,7 +209,7 @@ func (e *Env) Collect(clock, source string) Observations {
 // NewEnv returns the standard environment: seeded randomness and
 // wall-clock throughput timing.
 func NewEnv(seed int64) *Env {
-	return &Env{Seed: seed, Clock: WallClock(), ClockFactory: WallClock}
+	return &Env{Seed: seed, ClockFactory: WallClock, clock: WallClock()}
 }
 
 // NewStepEnv returns a fully deterministic environment: seeded randomness
@@ -220,18 +219,15 @@ func NewEnv(seed int64) *Env {
 // tests use it.
 func NewStepEnv(seed int64) *Env {
 	factory := func() Clock { return StepClock(time.Millisecond) }
-	return &Env{Seed: seed, Clock: factory(), ClockFactory: factory}
+	return &Env{Seed: seed, ClockFactory: factory, clock: factory()}
 }
 
 // Fork returns an independent child environment: same seed and worker
-// budget, with a fresh clock from ClockFactory when one is present. Run
-// forks once per experiment and Sweep once per sweep point, so no two
-// goroutines ever share a clock closure.
+// budget, with a fresh clock from ClockFactory. Run forks once per
+// experiment and Sweep once per sweep point, so no two goroutines ever
+// share a clock closure.
 func (e *Env) Fork() *Env {
-	out := &Env{Seed: e.Seed, Clock: e.Clock, ClockFactory: e.ClockFactory, Workers: e.Workers}
-	if e.ClockFactory != nil {
-		out.Clock = e.ClockFactory()
-	}
+	out := &Env{Seed: e.Seed, ClockFactory: e.ClockFactory, clock: e.ClockFactory(), Workers: e.Workers}
 	if e.tree != nil {
 		out.tree = e.tree.fork()
 	}
@@ -245,7 +241,7 @@ func (e *Env) Rand() *rand.Rand { return rand.New(rand.NewSource(e.Seed)) }
 
 // timeSection runs f and returns its elapsed duration on the env clock.
 func (e *Env) timeSection(f func()) time.Duration {
-	t0 := e.Clock()
+	t0 := e.clock()
 	f()
-	return e.Clock() - t0
+	return e.clock() - t0
 }

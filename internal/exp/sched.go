@@ -12,14 +12,9 @@ func Run(env *Env, exps []Experiment) []*Result {
 }
 
 // workers clamps the pool size for n jobs: never more workers than jobs,
-// and strictly sequential when the env cannot mint independent clocks
-// (forks would share one stateful clock closure, a data race).
+// and at least one.
 func (e *Env) workers(n int) int {
-	w := e.Workers
-	if w < 1 || e.ClockFactory == nil {
-		w = 1
-	}
-	return min(w, n)
+	return min(max(e.Workers, 1), n)
 }
 
 // Sweep fans n jobs — Run's experiments, or an experiment's inner

@@ -95,20 +95,16 @@ func TestSchedulerOverlapsWork(t *testing.T) {
 	}
 }
 
-// TestSchedulerSequentialFallbacks pins Run's clamps: Workers < 1 and envs
-// without a clock factory must both degrade to a safe sequential run.
+// TestSchedulerSequentialFallbacks pins Run's clamp: Workers < 1 must
+// degrade to a sequential run.
 func TestSchedulerSequentialFallbacks(t *testing.T) {
 	exps := syntheticRegistry(4)
-	for name, env := range map[string]*Env{
-		"workers0": NewStepEnv(2),
-		// Must still clamp to 1: forks would share the clock.
-		"no-factory-env": {Seed: 2, Clock: StepClock(time.Millisecond), Workers: 8},
-	} {
-		results := Run(env, exps)
-		for i, r := range results {
-			if r == nil || r.ID != fmt.Sprintf("S%d", i) {
-				t.Fatalf("%s: bad result at %d: %+v", name, i, r)
-			}
+	env := NewStepEnv(2)
+	env.Workers = 0
+	results := Run(env, exps)
+	for i, r := range results {
+		if r == nil || r.ID != fmt.Sprintf("S%d", i) {
+			t.Fatalf("bad result at %d: %+v", i, r)
 		}
 	}
 }
@@ -117,7 +113,7 @@ func TestSchedulerSequentialFallbacks(t *testing.T) {
 // identical results at every worker count.
 func TestSweep(t *testing.T) {
 	point := func(i int, env *Env) string {
-		return fmt.Sprintf("%d:%d:%s", i, env.Rand().Intn(1000), env.Clock())
+		return fmt.Sprintf("%d:%d:%s", i, env.Rand().Intn(1000), env.clock())
 	}
 	seq := func() []string {
 		env := NewStepEnv(5)

@@ -237,8 +237,8 @@ func outcome(res attack.Result) string {
 // software throughput for each algorithm (the NIST IR 8114 software
 // metric), which the device cost model consumes.
 //
-// It is the T3 registry entry; the throughput column is timed on
-// env.Clock.
+// It is the T3 registry entry; the throughput column is timed on the
+// env clock.
 func runTable3(env *Env) *Result {
 	r := &Result{ID: "T3", Title: "Lightweight cryptographic algorithms (paper Table III), measured"}
 	reg := lwc.NewRegistry()
@@ -277,7 +277,7 @@ func keySizes(ks []int) string {
 
 // measureThroughput times ~0.5 MB of ECB encryption on the env clock.
 // Wall-clock use is confined to measurement (never simulation logic) and
-// enters only through Env.Clock.
+// enters only through the env clock.
 func measureThroughput(env *Env, info lwc.Info) float64 {
 	key := make([]byte, info.DefaultKeyBits()/8)
 	for i := range key {

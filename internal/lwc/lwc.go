@@ -77,17 +77,6 @@ type Info struct {
 	Verified bool
 }
 
-// SupportsKeyBits reports whether the algorithm accepts a key of the given
-// bit length.
-func (in Info) SupportsKeyBits(bits int) bool {
-	for _, k := range in.KeySizes {
-		if k == bits {
-			return true
-		}
-	}
-	return false
-}
-
 // DefaultKeyBits returns the algorithm's smallest supported key size, which
 // is what a constrained device would provision.
 func (in Info) DefaultKeyBits() int {

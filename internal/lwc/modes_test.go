@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/cipher"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -90,10 +91,10 @@ func TestRegistryInfoConsistency(t *testing.T) {
 		if got := blk.BlockSize() * 8; got != info.BlockSize {
 			t.Errorf("%s block = %d bits, registry %d", info.Name, got, info.BlockSize)
 		}
-		if !info.SupportsKeyBits(info.DefaultKeyBits()) {
+		if !slices.Contains(info.KeySizes, info.DefaultKeyBits()) {
 			t.Errorf("%s default key size unsupported", info.Name)
 		}
-		if info.SupportsKeyBits(7) {
+		if slices.Contains(info.KeySizes, 7) {
 			t.Errorf("%s claims 7-bit keys", info.Name)
 		}
 		if info.RoundsFor == nil {

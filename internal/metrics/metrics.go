@@ -159,20 +159,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf formats each cell with %v.
-func (t *Table) AddRowf(cells ...any) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			s[i] = fmt.Sprintf("%.3g", v)
-		default:
-			s[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.AddRow(s...)
-}
-
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 

@@ -127,7 +127,7 @@ func TestQuantileInterpolation(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table X: demo", "Name", "Value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", 2.5)
+	tb.AddRow("beta", "2.5")
 	tb.AddRow("gamma") // missing cell
 	out := tb.String()
 	if !strings.Contains(out, "Table X: demo") {

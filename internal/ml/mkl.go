@@ -32,15 +32,6 @@ func NewMKL(kernels ...Kernel) (*MKL, error) {
 // Weights returns the learned kernel weights (after Fit).
 func (m *MKL) Weights() []float64 { return append([]float64(nil), m.weights...) }
 
-// KernelNames returns base kernel names in weight order.
-func (m *MKL) KernelNames() []string {
-	out := make([]string, len(m.kernels))
-	for i, k := range m.kernels {
-		out[i] = k.Name()
-	}
-	return out
-}
-
 // Combined evaluates the weighted kernel sum for a pair.
 func (m *MKL) Combined(a, b Sample) float64 {
 	var s float64

@@ -112,8 +112,8 @@ func TestMKLLearnsSeparableProblem(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("weights sum to %v, want 1", sum)
 	}
-	if len(m.KernelNames()) != 3 {
-		t.Error("kernel names missing")
+	if len(w) != 3 {
+		t.Errorf("%d weights, want one per kernel (3)", len(w))
 	}
 }
 

@@ -21,7 +21,6 @@ type DNSRecord struct {
 type DNSServer struct {
 	Address Addr
 	records map[string]DNSRecord
-	queries uint64
 }
 
 var _ Node = (*DNSServer)(nil)
@@ -38,15 +37,11 @@ func NewDNSServer(addr Addr, records []DNSRecord) *DNSServer {
 // Addr implements Node.
 func (s *DNSServer) Addr() Addr { return s.Address }
 
-// Queries returns the number of queries served.
-func (s *DNSServer) Queries() uint64 { return s.queries }
-
 // Handle implements Node: answer DNS queries.
 func (s *DNSServer) Handle(net *Network, pkt *Packet) {
 	if pkt.Proto != "DNS" && pkt.Proto != "DoT" {
 		return
 	}
-	s.queries++
 	rec, ok := s.records[pkt.DNSName]
 	resp := net.NewPacket(Packet{
 		Src: s.Address, Dst: pkt.Src,
@@ -183,22 +178,4 @@ func (r *Resolver) finish(name string, addr Addr, err error) {
 	for _, cb := range cbs {
 		cb(addr, err)
 	}
-}
-
-// CacheSnapshot returns name -> (addr, poisoned) for inspection.
-func (r *Resolver) CacheSnapshot() map[string]struct {
-	Addr     Addr
-	Poisoned bool
-} {
-	out := make(map[string]struct {
-		Addr     Addr
-		Poisoned bool
-	}, len(r.cache))
-	for k, v := range r.cache {
-		out[k] = struct {
-			Addr     Addr
-			Poisoned bool
-		}{v.addr, v.poisoned}
-	}
-	return out
 }

@@ -21,8 +21,6 @@ type Gateway struct {
 	// Firewall rules: NAC policy hook (§IV-A3 constrained access). If
 	// non-nil, outbound packets it rejects are dropped and counted.
 	OutboundPolicy func(pkt *Packet) error
-	// InboundPolicy guards WAN->LAN traffic (port protection, §II-B).
-	InboundPolicy func(pkt *Packet) error
 
 	// Shaper, when set, intercepts outbound post-NAT packets (traffic
 	// shaping lives on the gateway). It receives the packet and a send
@@ -73,25 +71,12 @@ func NewGateway(lan, wan Addr) *Gateway {
 // attached separately via WANNode.
 func (g *Gateway) Addr() Addr { return g.lanAddr }
 
-// WANAddr returns the external address.
-func (g *Gateway) WANAddr() Addr { return g.wanAddr }
-
 // Blocked returns (outboundBlocked, inboundBlocked).
 func (g *Gateway) Blocked() (uint64, uint64) { return g.blockedOut, g.blockedIn }
 
-// Handle implements Node: LAN-side ingress. LAN packets destined to WAN
-// addresses are NATted and re-sent from the WAN face.
-func (g *Gateway) Handle(net *Network, pkt *Packet) {
-	if pkt.Dst != g.lanAddr {
-		return
-	}
-	// The convention: devices address WAN destinations through the
-	// gateway by leaving the true destination in pkt.App-agnostic field?
-	// No — devices send directly to wan: addresses; the network routes
-	// through deliver(). The gateway's Handle is only used for traffic
-	// addressed to the gateway itself (DNS forwarding, admin UI).
-	_ = net
-}
+// Handle implements Node: the LAN face drops traffic addressed to the
+// gateway itself. WAN-bound traffic goes through SendOut.
+func (g *Gateway) Handle(*Network, *Packet) {}
 
 // WANNode returns the Node for the gateway's WAN face, which receives
 // inbound traffic and un-NATs it.
@@ -104,12 +89,6 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 	if !ok {
 		g.blockedIn++
 		return
-	}
-	if g.InboundPolicy != nil {
-		if err := g.InboundPolicy(pkt); err != nil {
-			g.blockedIn++
-			return
-		}
 	}
 	in := net.NewPacket(*pkt)
 	in.Dst = b.lanAddr
@@ -173,11 +152,4 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	}
 	net.Send(pkt)
 	return nil
-}
-
-// ExternalPortFor exposes the NAT mapping for tests and the adversary
-// model (an external observer distinguishes clients by external port).
-func (g *Gateway) ExternalPortFor(lanSrc Addr, lanPort int, dst Addr, dstPort int) (int, bool) {
-	p, ok := g.natOut[natKey{lanSrc: lanSrc, lanPort: lanPort, dst: dst, dstPort: dstPort}]
-	return p, ok
 }

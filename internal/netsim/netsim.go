@@ -216,35 +216,6 @@ func (n *Network) Attach(node Node, link Link) error {
 	return nil
 }
 
-// Detach removes a node (e.g., a device knocked offline by an attack).
-func (n *Network) Detach(a Addr) {
-	delete(n.nodes, a)
-	delete(n.links, a)
-}
-
-// SetLink replaces an attached node's access link — used for failure
-// injection (degrading a link's loss/latency mid-scenario) and for RF
-// environment changes.
-func (n *Network) SetLink(a Addr, link Link) error {
-	if _, ok := n.nodes[a]; !ok {
-		return fmt.Errorf("netsim: SetLink: no node at %q", a)
-	}
-	n.links[a] = link
-	return nil
-}
-
-// LinkOf returns a node's current access link.
-func (n *Network) LinkOf(a Addr) (Link, bool) {
-	l, ok := n.links[a]
-	return l, ok
-}
-
-// NodeAt returns the node bound to an address.
-func (n *Network) NodeAt(a Addr) (Node, bool) {
-	node, ok := n.nodes[a]
-	return node, ok
-}
-
 // AddTap registers a packet observer at a tap point.
 func (n *Network) AddTap(dir TapDirection, t Tap) {
 	if dir == TapWAN {

@@ -34,12 +34,9 @@ func TestHotPathAllocFree(t *testing.T) {
 	t.Run("counter inc", func(t *testing.T) {
 		r := NewRegistry()
 		c := r.Counter("alloc.test")
-		g := r.Gauge("alloc.gauge")
 		if n := testing.AllocsPerRun(200, func() {
 			c.Inc()
 			c.Add(3)
-			g.Set(7)
-			g.Add(-2)
 		}); n != 0 {
 			t.Errorf("metric updates allocate %.1f per run, want 0", n)
 		}
@@ -105,9 +102,6 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 32; i++ {
 		r.Counter(fmt.Sprintf("counter.%d", i)).Add(uint64(i))
-	}
-	for i := 0; i < 8; i++ {
-		r.Gauge(fmt.Sprintf("gauge.%d", i)).Set(int64(i))
 	}
 	for i := 0; i < 8; i++ {
 		h := r.Histogram(fmt.Sprintf("hist.%d", i))

@@ -12,7 +12,6 @@ func sampleTelemetry() ([]WindowRecord, []Dump) {
 		{
 			Src: "E10/1000", Index: 0, Start: 0, End: time.Second,
 			Counters: []RateSample{{Name: "city.sent", Total: 100, Delta: 100, PerSec: 100}},
-			Gauges:   []GaugeSample{{Name: "q.depth", Value: 3}},
 			Hists: []WindowHist{{
 				Name: "detect.latency_ns.flood", Delta: 2, Count: 2, Sum: 100,
 				P50: 48, P95: 60, P99: 60, CumP50: 48, CumP95: 60, CumP99: 60,
@@ -39,7 +38,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		`{"schema":"xlf-metrics/v1","seed":7,"clock":"step","source":"test","interval_ns":1000000000,"windows":2,"dumps":1,"evicted":4}`,
-		`{"src":"E10/1000","w":0,"start_ns":0,"end_ns":1000000000,"counters":[{"name":"city.sent","total":100,"delta":100,"per_sec":100}],"gauges":[{"name":"q.depth","value":3}],"hists":[{"name":"detect.latency_ns.flood","delta":2,"count":2,"sum":100,"p50":48,"p95":60,"p99":60,"cum_p50":48,"cum_p95":60,"cum_p99":60}]}`,
+		`{"src":"E10/1000","w":0,"start_ns":0,"end_ns":1000000000,"counters":[{"name":"city.sent","total":100,"delta":100,"per_sec":100}],"hists":[{"name":"detect.latency_ns.flood","delta":2,"count":2,"sum":100,"p50":48,"p95":60,"p99":60,"cum_p50":48,"cum_p95":60,"cum_p99":60}]}`,
 		`{"src":"E10/1000","w":1,"start_ns":1000000000,"end_ns":2000000000}`,
 		`{"src":"E10/1000","t_ns":1500000000,"reasons":["alert","slo-breach"],"suppressed":3,"spans":[{"seq":1,"t_ns":1000000000,"layer":"core","op":"alert"}]}`,
 		``,

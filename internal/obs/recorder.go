@@ -89,7 +89,6 @@ type FlightRecorder struct {
 
 	dumps        []Dump
 	maxDumps     int
-	triggered    uint64 // total trigger fires over the recorder's life
 	droppedDumps uint64 // dumps discarded because maxDumps was reached
 }
 
@@ -142,7 +141,6 @@ func (f *FlightRecorder) Trigger(at time.Duration, tr Trigger) {
 	}
 	f.mu.Lock()
 	f.pending[tr]++
-	f.triggered++
 	f.mu.Unlock()
 }
 
@@ -211,17 +209,6 @@ func (f *FlightRecorder) Dumps() []Dump {
 	return out
 }
 
-// Triggered returns the total trigger fires over the recorder's life.
-// Nil-safe.
-func (f *FlightRecorder) Triggered() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.triggered
-}
-
 // DroppedDumps returns how many dumps the maxDumps bound discarded.
 // Nil-safe.
 func (f *FlightRecorder) DroppedDumps() uint64 {
@@ -231,14 +218,4 @@ func (f *FlightRecorder) DroppedDumps() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.droppedDumps
-}
-
-// Len returns the number of spans currently in the ring. Nil-safe.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
 }

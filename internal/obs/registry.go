@@ -38,39 +38,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable signed metric (queue depth, active sessions).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value. Nil-safe.
-//
-//xlf:hotpath
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta. Nil-safe.
-//
-//xlf:hotpath
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current gauge reading. Nil-safe.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is one bucket per power of two (bucket i holds values v
 // with bits.Len64(v) == i, i.e. 0, 1, 2–3, 4–7, ...), plus bucket 0 for
 // zero. 65 buckets cover the full uint64 range.
@@ -149,7 +116,6 @@ type HistBucket struct {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -157,7 +123,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -176,21 +141,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Nil-safe.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -212,7 +162,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Snapshot is a point-in-time, name-sorted copy of a registry's metrics.
 type Snapshot struct {
 	Counters   []CounterSample `json:"counters,omitempty"`
-	Gauges     []GaugeSample   `json:"gauges,omitempty"`
 	Histograms []HistSample    `json:"histograms,omitempty"`
 }
 
@@ -220,12 +169,6 @@ type Snapshot struct {
 type CounterSample struct {
 	Name  string `json:"name"`
 	Value uint64 `json:"value"`
-}
-
-// GaugeSample is one gauge reading in a Snapshot.
-type GaugeSample struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
 }
 
 // HistSample is one histogram reading in a Snapshot.
@@ -246,14 +189,10 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make([]CounterSample, 0, len(r.counters)),
-		Gauges:     make([]GaugeSample, 0, len(r.gauges)),
 		Histograms: make([]HistSample, 0, len(r.histograms)),
 	}
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterSample{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSample{Name: name, Value: g.Value()})
 	}
 	for name, h := range r.histograms {
 		s.Histograms = append(s.Histograms, HistSample{
@@ -261,7 +200,6 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
@@ -271,9 +209,6 @@ func (s Snapshot) String() string {
 	var b strings.Builder
 	for _, c := range s.Counters {
 		fmt.Fprintf(&b, "counter %s %d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(&b, "gauge %s %d\n", g.Name, g.Value)
 	}
 	for _, h := range s.Histograms {
 		fmt.Fprintf(&b, "hist %s count=%d sum=%d\n", h.Name, h.Count, h.Sum)

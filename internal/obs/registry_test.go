@@ -17,12 +17,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if c.Value() != 3 {
 		t.Errorf("counter = %d, want 3", c.Value())
 	}
-	g := r.Gauge("net.inflight")
-	g.Set(5)
-	g.Add(-2)
-	if g.Value() != 3 {
-		t.Errorf("gauge = %d, want 3", g.Value())
-	}
 	h := r.Histogram("ingest.ns")
 	for _, v := range []uint64{0, 1, 3, 3, 900} {
 		h.Observe(v)
@@ -45,16 +39,14 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
-	c, g, h := r.Counter("x"), r.Gauge("y"), r.Histogram("z")
+	c, h := r.Counter("x"), r.Histogram("z")
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(7)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Buckets() != nil {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Buckets() != nil {
 		t.Error("nil instruments retained state")
 	}
-	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if s := r.Snapshot(); len(s.Counters)+len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot = %+v", s)
 	}
 }
@@ -65,17 +57,16 @@ func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		r.Counter(name).Inc()
-		r.Gauge(name).Set(1)
 		r.Histogram(name).Observe(1)
 	}
 	s := r.Snapshot()
 	for i, want := range []string{"alpha", "mid", "zeta"} {
-		if s.Counters[i].Name != want || s.Gauges[i].Name != want || s.Histograms[i].Name != want {
+		if s.Counters[i].Name != want || s.Histograms[i].Name != want {
 			t.Fatalf("snapshot not sorted: %+v", s)
 		}
 	}
 	str := s.String()
-	for _, line := range []string{"counter alpha 1", "gauge mid 1", "hist zeta count=1 sum=1"} {
+	for _, line := range []string{"counter alpha 1", "counter mid 1", "hist zeta count=1 sum=1"} {
 		if !strings.Contains(str, line) {
 			t.Errorf("String() missing %q:\n%s", line, str)
 		}
@@ -95,7 +86,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("shared").Inc()
-				r.Gauge("depth").Add(1)
 				r.Histogram("lat").Observe(uint64(i))
 				if w == 0 && i%50 == 0 {
 					_ = r.Snapshot()

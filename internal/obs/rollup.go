@@ -50,10 +50,9 @@ type WindowRecord struct {
 	// Start and End are the window's sim-clock bounds.
 	Start time.Duration `json:"start_ns"`
 	End   time.Duration `json:"end_ns"`
-	// Counters, Gauges and Hists are name-sorted (Snapshot order).
-	Counters []RateSample  `json:"counters,omitempty"`
-	Gauges   []GaugeSample `json:"gauges,omitempty"`
-	Hists    []WindowHist  `json:"hists,omitempty"`
+	// Counters and Hists are name-sorted (Snapshot order).
+	Counters []RateSample `json:"counters,omitempty"`
+	Hists    []WindowHist `json:"hists,omitempty"`
 }
 
 // histState is the previous cumulative reading of one histogram, kept so
@@ -82,7 +81,6 @@ type Rollup struct {
 	start time.Duration
 
 	prevC map[string]uint64
-	prevG map[string]int64
 	prevH map[string]*histState
 }
 
@@ -101,7 +99,6 @@ func NewRollup(reg *Registry, interval time.Duration, windows int) *Rollup {
 		interval: interval,
 		ring:     make([]WindowRecord, windows),
 		prevC:    make(map[string]uint64),
-		prevG:    make(map[string]int64),
 		prevH:    make(map[string]*histState),
 	}
 }
@@ -144,12 +141,6 @@ func (r *Rollup) Tick(now time.Duration) {
 		w.Counters = append(w.Counters, RateSample{
 			Name: c.Name, Total: c.Value, Delta: delta, PerSec: rate,
 		})
-	}
-
-	w.Gauges = w.Gauges[:0]
-	for _, g := range snap.Gauges {
-		r.prevG[g.Name] = g.Value
-		w.Gauges = append(w.Gauges, g)
 	}
 
 	w.Hists = w.Hists[:0]
@@ -226,19 +217,10 @@ func (r *Rollup) Windows() []WindowRecord {
 	for i := 0; i < r.n; i++ {
 		w := r.ring[(start+i)%len(r.ring)]
 		w.Counters = append([]RateSample(nil), w.Counters...)
-		w.Gauges = append([]GaugeSample(nil), w.Gauges...)
 		w.Hists = append([]WindowHist(nil), w.Hists...)
 		out = append(out, w)
 	}
 	return out
-}
-
-// Total returns how many windows have ever completed. Nil-safe.
-func (r *Rollup) Total() int {
-	if r == nil {
-		return 0
-	}
-	return r.total
 }
 
 // Evicted returns how many completed windows the ring displaced.

@@ -102,9 +102,6 @@ func TestRollupRingEviction(t *testing.T) {
 			t.Errorf("window %d has index %d, want %d (oldest evicted first)", i, w.Index, want)
 		}
 	}
-	if ru.Total() != 5 {
-		t.Errorf("Total = %d, want 5", ru.Total())
-	}
 	if ru.Evicted() != 2 {
 		t.Errorf("Evicted = %d, want 2", ru.Evicted())
 	}
@@ -114,7 +111,7 @@ func TestRollupRingEviction(t *testing.T) {
 func TestRollupNilSafety(t *testing.T) {
 	var ru *Rollup
 	ru.Tick(time.Second)
-	if ru.Windows() != nil || ru.Total() != 0 || ru.Evicted() != 0 || ru.Interval() != 0 {
+	if ru.Windows() != nil || ru.Evicted() != 0 || ru.Interval() != 0 {
 		t.Error("nil rollup leaked state")
 	}
 }

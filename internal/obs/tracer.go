@@ -29,7 +29,6 @@ const (
 	LayerDevice  = "device"
 	LayerNetsim  = "netsim"
 	LayerDPI     = "dpi"
-	LayerShaping = "shaping"
 	LayerXAuth   = "xauth"
 	LayerService = "service"
 	LayerCore    = "core"
@@ -157,98 +156,6 @@ func (t *Tracer) EmitSpan(s Span) {
 	t.mu.Unlock()
 }
 
-// Region is an in-flight interval span opened by Start/StartAt and
-// emitted by End/EndAt. Every Region that is started must be ended on
-// every code path (xauth's TestProxyHandleTracesOneAccessSpan pins the
-// one production site, Proxy.Handle); ending twice is a no-op, so
-// `defer r.End(...)` composes with an early explicit end.
-// A Region from a nil Tracer is nil, and all Region methods are
-// nil-safe, preserving the zero-cost disabled path.
-type Region struct {
-	t    *Tracer
-	span Span
-}
-
-// Start opens an interval span timestamped by the bound clock. The
-// returned Region must be ended on all paths; it is nil (and safe to
-// use) when the tracer is disabled.
-func (t *Tracer) Start(layer, op, device string) *Region {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	var at time.Duration
-	if t.clock != nil {
-		at = t.clock()
-	}
-	t.mu.Unlock()
-	return &Region{t: t, span: Span{Time: at, Layer: layer, Op: op, Device: device}}
-}
-
-// StartAt opens an interval span at an explicit simulation timestamp —
-// the form code on the sim hot path uses, since it already holds the
-// current time.
-func (t *Tracer) StartAt(at time.Duration, layer, op, device string) *Region {
-	if t == nil {
-		return nil
-	}
-	return &Region{t: t, span: Span{Time: at, Layer: layer, Op: op, Device: device}}
-}
-
-// SetOp rewrites the region's operation before it is emitted (e.g. an
-// "access" region that turns out to be a denial). Nil-safe.
-func (r *Region) SetOp(op string) {
-	if r != nil {
-		r.span.Op = op
-	}
-}
-
-// SetDetail attaches free-form context to the region. Nil-safe.
-func (r *Region) SetDetail(detail string) {
-	if r != nil {
-		r.span.Detail = detail
-	}
-}
-
-// End closes the region at the bound clock's current time and emits it
-// with the given cause. Subsequent End/EndAt calls no-op. Nil-safe.
-func (r *Region) End(cause string) {
-	if r == nil || r.t == nil {
-		return
-	}
-	t := r.t
-	t.mu.Lock()
-	var at time.Duration
-	if t.clock != nil {
-		at = t.clock()
-	}
-	r.endLocked(at, cause)
-	t.mu.Unlock()
-}
-
-// EndAt closes the region at an explicit simulation timestamp.
-// Subsequent End/EndAt calls no-op. Nil-safe.
-func (r *Region) EndAt(at time.Duration, cause string) {
-	if r == nil || r.t == nil {
-		return
-	}
-	t := r.t
-	t.mu.Lock()
-	r.endLocked(at, cause)
-	t.mu.Unlock()
-}
-
-// endLocked emits the region's span; the caller holds r.t.mu. Marking
-// r.t nil afterwards makes End idempotent.
-func (r *Region) endLocked(at time.Duration, cause string) {
-	if at > r.span.Time {
-		r.span.Dur = at - r.span.Time
-	}
-	r.span.Cause = cause
-	r.t.emitLocked(r.span)
-	r.t = nil
-}
-
 // emitLocked appends one span; the caller holds t.mu.
 //
 //xlf:hotpath
@@ -288,16 +195,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Len returns the number of spans currently held. Nil-safe.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
 // Evicted returns how many spans the ring displaced. Nil-safe.
 func (t *Tracer) Evicted() uint64 {
 	if t == nil {
@@ -306,12 +203,4 @@ func (t *Tracer) Evicted() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.evicted
-}
-
-// Cap returns the ring capacity. Nil-safe.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
 }

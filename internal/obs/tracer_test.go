@@ -12,7 +12,7 @@ func TestTracerRecordsInOrder(t *testing.T) {
 	tr.EmitAt(20, LayerNetsim, "deliver", "cam-1", "")
 	tr.EmitSpan(Span{Time: 30, Dur: 5, Layer: LayerCore, Op: "ingest", Device: "cam-1", Cause: "dpi:mirai-loader", Detail: "dpi"})
 	spans := tr.Spans()
-	if len(spans) != 3 || tr.Len() != 3 {
+	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
 	for i, s := range spans {
@@ -36,13 +36,13 @@ func TestTracerEvictionOrder(t *testing.T) {
 	for i := 0; i < emitted; i++ {
 		tr.EmitAt(time.Duration(i), LayerSim, "event", "", "")
 	}
-	if tr.Len() != capacity {
-		t.Fatalf("len = %d, want %d", tr.Len(), capacity)
+	spans := tr.Spans()
+	if len(spans) != capacity {
+		t.Fatalf("len = %d, want %d", len(spans), capacity)
 	}
 	if got, want := tr.Evicted(), uint64(emitted-capacity); got != want {
 		t.Fatalf("evicted = %d, want %d", got, want)
 	}
-	spans := tr.Spans()
 	for i, s := range spans {
 		wantSeq := uint64(emitted - capacity + i + 1)
 		if s.Seq != wantSeq || s.Time != time.Duration(wantSeq-1) {
@@ -73,14 +73,18 @@ func TestNilTracer(t *testing.T) {
 	tr.EmitAt(1, LayerCore, "ingest", "", "")
 	tr.EmitSpan(Span{})
 	tr.SetClock(func() time.Duration { return 0 })
-	if tr.Spans() != nil || tr.Len() != 0 || tr.Evicted() != 0 || tr.Cap() != 0 {
+	if tr.Spans() != nil || tr.Evicted() != 0 {
 		t.Error("nil tracer leaked state")
 	}
 }
 
 func TestTracerDefaultCapacity(t *testing.T) {
-	if got := NewTracer(0, nil).Cap(); got != DefaultCapacity {
-		t.Errorf("default cap = %d, want %d", got, DefaultCapacity)
+	tr := NewTracer(0, nil)
+	for i := 0; i <= DefaultCapacity; i++ {
+		tr.EmitAt(time.Duration(i), LayerSim, "event", "", "")
+	}
+	if got := len(tr.Spans()); got != DefaultCapacity || tr.Evicted() != 1 {
+		t.Errorf("default ring holds %d spans, evicted %d; want %d, 1", got, tr.Evicted(), DefaultCapacity)
 	}
 }
 
@@ -105,12 +109,11 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			tr.Spans()
-			tr.Len()
 		}
 	}()
 	wg.Wait()
 	<-done
-	if got, want := uint64(tr.Len())+tr.Evicted(), uint64(workers*perWorker); got != want {
+	if got, want := uint64(len(tr.Spans()))+tr.Evicted(), uint64(workers*perWorker); got != want {
 		t.Errorf("held+evicted = %d, want %d", got, want)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"xlf/internal/netsim"
-	"xlf/internal/obs"
 	"xlf/internal/sim"
 )
 
@@ -119,7 +118,6 @@ type Shaper struct {
 	kernel *sim.Kernel
 	cfg    Config
 	stats  Stats
-	tracer *obs.Tracer
 
 	// Rate-equalisation state (ModeCombined).
 	queue    []queued
@@ -137,28 +135,11 @@ func New(kernel *sim.Kernel, cfg Config) *Shaper {
 // Stats returns accumulated overhead accounting.
 func (s *Shaper) Stats() Stats { return s.stats }
 
-// SetTracer attaches an observability tracer; shaped packets and dummy
-// cells then emit shaping-layer spans. Nil disables emission.
-func (s *Shaper) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// traceShape emits one shaping-layer span for a per-packet decision.
-func (s *Shaper) traceShape(op string, pkt *netsim.Packet, cause string) {
-	if s.tracer == nil {
-		return
-	}
-	dev := ""
-	if pkt.Src.IsLAN() {
-		dev = string(pkt.Src[4:])
-	}
-	s.tracer.EmitAt(s.kernel.Now(), obs.LayerShaping, op, dev, cause)
-}
-
 // GatewayHook returns the function to install as Gateway.Shaper.
 func (s *Shaper) GatewayHook() func(pkt *netsim.Packet, send func(*netsim.Packet)) {
 	return func(pkt *netsim.Packet, send func(*netsim.Packet)) {
 		s.stats.RealPackets++
 		s.stats.RealBytes += pkt.Size
-		s.traceShape("shape", pkt, s.cfg.Mode.String())
 
 		switch s.cfg.Mode {
 		case ModeOff:
@@ -237,6 +218,5 @@ func (s *Shaper) emitCell() {
 	dummy.App = ""
 	s.stats.DummyPackets++
 	s.stats.DummyBytes += dummy.Size
-	s.traceShape("dummy", dummy, "cover")
 	s.lastSend(dummy)
 }

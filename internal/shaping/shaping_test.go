@@ -124,9 +124,7 @@ func camKB() KnowledgeBase {
 
 func TestAdversaryWinsWithoutShaping(t *testing.T) {
 	f := buildHome(t, nil)
-	if err := f.kernel.Run(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	f.kernel.Run(5 * time.Minute)
 	adv := NewAdversary(camKB())
 	ids := adv.IdentifyDevices(f.wanCap.Records())
 	if len(ids) != 1 || ids[0].DeviceType != "camera" {
@@ -145,9 +143,7 @@ func TestAdversaryWinsWithoutShaping(t *testing.T) {
 func TestShapingDegradesAdversary(t *testing.T) {
 	// Unshaped baseline.
 	f0 := buildHome(t, nil)
-	if err := f0.kernel.Run(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	f0.kernel.Run(5 * time.Minute)
 	adv := NewAdversary(camKB())
 	ev0 := adv.InferEvents(f0.wanCap.Records())
 	_, recall0 := ScoreEvents(ev0, f0.truth, 3*time.Second)
@@ -200,9 +196,7 @@ func buildHomeWithShaper(t *testing.T, cfg Config) *shapedHome {
 
 func (s *shapedHome) run(t *testing.T) (float64, float64) {
 	t.Helper()
-	if err := s.kernel.Run(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	s.kernel.Run(5 * time.Minute)
 	adv := NewAdversary(camKB())
 	ev := adv.InferEvents(s.wanCap.Records())
 	return ScoreEvents(ev, s.truth, 3*time.Second)
@@ -216,7 +210,7 @@ func TestPaddingBlursSizes(t *testing.T) {
 	for _, size := range []int{10, 100, 500, 513} {
 		hook(&netsim.Packet{Size: size}, func(p *netsim.Packet) { sent = append(sent, p) })
 	}
-	k.RunAll(1000)
+	k.Run(time.Minute)
 	if len(sent) != 4 {
 		t.Fatalf("sent %d, want 4", len(sent))
 	}
@@ -242,7 +236,7 @@ func TestDelayModeDelaysDeterministically(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			hook(&netsim.Packet{Size: 100}, func(p *netsim.Packet) { times = append(times, k.Now()) })
 		}
-		k.RunAll(1000)
+		k.Run(time.Minute)
 		return times
 	}
 	a, b := run(), run()
@@ -293,9 +287,7 @@ func TestConstantRateEqualisation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		hook(&netsim.Packet{Size: 100, App: "event:on", Payload: []byte("x")}, send)
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if real != 5 {
 		t.Errorf("real = %d, want 5", real)
 	}
@@ -341,9 +333,7 @@ func TestDummiesOutliveRecycledPackets(t *testing.T) {
 	if err := gw.SendOut(n, n.NewPacket(netsim.Packet{Src: "lan:cam", Dst: "wan:cloud", DstPort: 443, Size: 100})); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if real != 1 || dummy == 0 {
 		t.Errorf("cloud got %d real and %d dummy cells, want 1 and some", real, dummy)
 	}

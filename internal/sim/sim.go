@@ -10,14 +10,12 @@
 // slab indexed by a hierarchical timer wheel, so the schedule→dispatch→
 // recycle cycle is allocation-free in steady state and a single kernel
 // sustains millions of concurrent timers. Schedule calls hand back a
-// value-type Handle whose Cancel/Canceled are generation-checked against
-// the pool slot; holding a pointer into the pool would be unsound once
-// the slot is recycled.
+// value-type Handle whose Cancel is generation-checked against the pool
+// slot; holding a pointer into the pool would be unsound once the slot
+// is recycled.
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -28,9 +26,9 @@ import (
 // pool. It is a small value type: copy it freely, keep it in structs,
 // compare it against the zero Handle (which refers to nothing and is
 // safe to Cancel). Once the event has executed or been recycled the
-// handle goes stale — Cancel becomes a no-op and Canceled reports false
-// — enforced by a per-slot generation counter, so a stale handle can
-// never touch a recycled slot's new occupant.
+// handle goes stale and Cancel becomes a no-op, enforced by a per-slot
+// generation counter, so a stale handle can never touch a recycled
+// slot's new occupant.
 type Handle struct {
 	k    *Kernel
 	slot int32
@@ -50,33 +48,6 @@ func (h Handle) Cancel() {
 	e.canceled = true
 }
 
-// Canceled reports whether Cancel has been called on the event the
-// handle refers to. It reports false once the event has executed or
-// been recycled (the handle is stale), and for the zero Handle.
-func (h Handle) Canceled() bool {
-	if h.k == nil || int(h.slot) >= len(h.k.slots) {
-		return false
-	}
-	e := &h.k.slots[h.slot]
-	return e.gen == h.gen && e.canceled
-}
-
-// At returns the event's scheduled time. ok is false when the handle is
-// stale (the event already executed or was recycled) or zero.
-func (h Handle) At() (at time.Duration, ok bool) {
-	if h.k == nil || int(h.slot) >= len(h.k.slots) {
-		return 0, false
-	}
-	e := &h.k.slots[h.slot]
-	if e.gen != h.gen {
-		return 0, false
-	}
-	return e.at, true
-}
-
-// ErrStopped is returned by Run when StopNow interrupted the event loop.
-var ErrStopped = errors.New("sim: kernel stopped")
-
 // Kernel is a single-threaded discrete-event scheduler with its own seeded
 // randomness source. It is not safe for concurrent use; the simulation
 // model is strictly sequential, which is what makes runs reproducible.
@@ -84,7 +55,6 @@ type Kernel struct {
 	now     time.Duration
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool
 	ran     uint64
 	pending int
 	tracer  *obs.Tracer
@@ -171,9 +141,6 @@ func (k *Kernel) ScheduleArg(delay time.Duration, name string, fn func(any), arg
 	return Handle{k: k, slot: s, gen: e.gen}
 }
 
-// StopNow aborts the current Run after the in-flight event returns.
-func (k *Kernel) StopNow() { k.stopped = true }
-
 // Step executes the single earliest pending event, skipping canceled ones.
 // It reports whether an event was executed. Same-timestamp events are
 // drained from a presorted batch, so a burst of N simultaneous events
@@ -215,22 +182,17 @@ func (k *Kernel) Step() bool {
 // Run executes events in order until the queue is empty or simulated time
 // would pass until. The clock is left at until if the horizon was reached
 // with events still pending, or at the last executed event otherwise.
-// Run returns ErrStopped if StopNow was called during an event.
-func (k *Kernel) Run(until time.Duration) error {
-	k.stopped = false
+func (k *Kernel) Run(until time.Duration) {
 	if until < k.now {
-		return nil
+		return
 	}
 	limit := uint64(until)
 	for {
-		if k.stopped {
-			return ErrStopped
-		}
 		if !k.prepare(limit) {
 			if k.now < until {
 				k.now = until
 			}
-			return nil
+			return
 		}
 		s := k.batch[k.batchIdx]
 		if k.slots[s].canceled {
@@ -240,25 +202,6 @@ func (k *Kernel) Run(until time.Duration) error {
 			continue
 		}
 		k.Step()
-	}
-}
-
-// RunAll executes every pending event regardless of horizon. maxEvents
-// bounds runaway self-rescheduling loops; it returns an error when the
-// bound is hit. Like Run, it clears the effect of a previous StopNow
-// before entering the loop.
-func (k *Kernel) RunAll(maxEvents int) error {
-	k.stopped = false
-	for i := 0; ; i++ {
-		if i >= maxEvents {
-			return fmt.Errorf("sim: RunAll exceeded %d events at t=%s", maxEvents, k.now)
-		}
-		if k.stopped {
-			return ErrStopped
-		}
-		if !k.Step() {
-			return nil
-		}
 	}
 }
 
@@ -278,7 +221,6 @@ func (k *Kernel) Every(interval, jitter time.Duration, name string, fn func()) *
 		if t.stopped {
 			return
 		}
-		t.fires++
 		t.fn()
 		if !t.stopped {
 			t.arm()
@@ -298,7 +240,6 @@ type Ticker struct {
 	fire     func()
 	pending  Handle
 	stopped  bool
-	fires    int
 }
 
 func (t *Ticker) arm() {
@@ -314,6 +255,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.pending.Cancel()
 }
-
-// Fires returns how many times the ticker's callback has run.
-func (t *Ticker) Fires() int { return t.fires }

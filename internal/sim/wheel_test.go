@@ -88,9 +88,7 @@ func (w wheelAdapter) Schedule(delay time.Duration, fn func()) func() {
 	return h.Cancel
 }
 func (w wheelAdapter) Run(until time.Duration) {
-	if err := w.k.Run(until); err != nil {
-		panic(err)
-	}
+	w.k.Run(until)
 }
 
 // runProgram interprets data as a schedule/cancel program against s and

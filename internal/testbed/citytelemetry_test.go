@@ -76,7 +76,7 @@ func TestCityTelemetryDetectsAttacks(t *testing.T) {
 	}
 
 	// ~60 windows of rollup, and at least one alert-triggered dump.
-	if tot := tel.Rollup.Total(); tot < 55 || tot > 61 {
+	if tot := len(tel.Rollup.Windows()) + int(tel.Rollup.Evicted()); tot < 55 || tot > 61 {
 		t.Errorf("rollup windows = %d, want ~60", tot)
 	}
 	dumps := tel.Recorder.Dumps()

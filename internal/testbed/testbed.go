@@ -335,24 +335,9 @@ func (h *Home) AttackEnv() *attack.Env {
 	}
 }
 
-// Run advances the simulation to the given horizon.
+// Run advances the simulation to the given horizon. The kernel cannot
+// fail, so the error is always nil.
 func (h *Home) Run(until time.Duration) error {
-	return h.Kernel.Run(until)
-}
-
-// InstallClimateAutomation installs the paper's §IV-C3 automation: open
-// the window when temperature exceeds 80F.
-func (h *Home) InstallClimateAutomation() error {
-	above := 80.0
-	return h.Cloud.InstallApp(&service.SmartApp{
-		ID: "climate-window",
-		Rules: []service.Rule{{
-			TriggerDevice: "thermo-1", TriggerEvent: "temperature", TriggerAbove: &above,
-			ActionDevice: "window-1", ActionCommand: "open",
-		}},
-		Grants: []service.Grant{
-			{DeviceID: "thermo-1", Capability: "temperature"},
-			{DeviceID: "window-1", Capability: "lock"},
-		},
-	})
+	h.Kernel.Run(until)
+	return nil
 }

@@ -22,6 +22,11 @@ func TestHomeAssembly(t *testing.T) {
 	if len(h.Devices) != 11 {
 		t.Errorf("devices = %d, want 11 (catalog)", len(h.Devices))
 	}
+	// Attach refuses an address that is already taken, so a refused
+	// probe proves the node is attached.
+	attached := func(a netsim.Addr) bool {
+		return h.Net.Attach(&netsim.FuncNode{Address: a}, netsim.DefaultLAN()) != nil
+	}
 	// Every device's vendor domain resolves via the home DNS.
 	for id, d := range h.Devices {
 		for _, dom := range d.CloudDomains {
@@ -30,17 +35,17 @@ func TestHomeAssembly(t *testing.T) {
 				t.Errorf("%s domain %q has no cloud endpoint", id, dom)
 				continue
 			}
-			if _, attached := h.Net.NodeAt(addr); !attached {
+			if !attached(addr) {
 				t.Errorf("cloud endpoint %s not attached", addr)
 			}
 		}
-		if _, attached := h.Net.NodeAt(netsim.Addr("lan:" + id)); !attached {
+		if !attached(netsim.Addr("lan:" + id)) {
 			t.Errorf("device %s not attached to the LAN", id)
 		}
 	}
 	// Attacker footholds and infrastructure are attached.
 	for _, a := range []netsim.Addr{"wan:attacker", "lan:attacker", "wan:cnc", "wan:victim", "wan:dns", "lan:resolver"} {
-		if _, ok := h.Net.NodeAt(a); !ok {
+		if !attached(a) {
 			t.Errorf("missing node %s", a)
 		}
 	}
@@ -121,7 +126,19 @@ func TestCloudCommandReachesDevice(t *testing.T) {
 
 func TestClimateAutomationEndToEnd(t *testing.T) {
 	h := newHome(t)
-	if err := h.InstallClimateAutomation(); err != nil {
+	// The §IV-C3 automation: open the window above 80F.
+	above := 80.0
+	if err := h.Cloud.InstallApp(&service.SmartApp{
+		ID: "climate-window",
+		Rules: []service.Rule{{
+			TriggerDevice: "thermo-1", TriggerEvent: "temperature", TriggerAbove: &above,
+			ActionDevice: "window-1", ActionCommand: "open",
+		}},
+		Grants: []service.Grant{
+			{DeviceID: "thermo-1", Capability: "temperature"},
+			{DeviceID: "window-1", Capability: "lock"},
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Cloud.PublishDeviceEvent("thermo-1", "temperature", 92); err != nil {

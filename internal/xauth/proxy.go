@@ -82,11 +82,6 @@ func NewProxy(a *Authority) *Proxy {
 // Stats returns (cacheHits, cacheFills, denials).
 func (p *Proxy) Stats() (uint64, uint64, uint64) { return p.hits, p.fills, p.denials }
 
-// Prime loads a token into the proxy cache; called when the cloud pushes a
-// fresh token after a WAN authentication, or by the XLF Core on
-// correlation-driven refresh.
-func (p *Proxy) Prime(t Token) { p.cache[t.Subject] = t }
-
 // Evict drops a user's cached token (Core-initiated revocation). The
 // span is timestamped by the tracer's bound simulation clock, since
 // revocations arrive from the Core without a request time.
@@ -109,15 +104,18 @@ func (p *Proxy) Evict(user string) {
 //   - Write operations require Advanced privilege with MFA regardless of
 //     origin.
 func (p *Proxy) Handle(req AccessRequest, now time.Duration) Decision {
-	reg := p.Tracer.StartAt(now, obs.LayerXAuth, "access", req.DeviceID)
-	reg.SetDetail(req.User)
 	d := p.handle(req, now)
-	cause := d.AuthenticatedBy
-	if !d.Allowed {
-		reg.SetOp("access-deny")
-		cause = d.Reason
+	if p.Tracer != nil {
+		s := obs.Span{Time: now, Layer: obs.LayerXAuth, Op: "access",
+			Device: req.DeviceID, Cause: d.AuthenticatedBy, Detail: req.User}
+		if !d.Allowed {
+			s.Op, s.Cause = "access-deny", d.Reason
+		}
+		if d.Latency > 0 {
+			s.Dur = d.Latency
+		}
+		p.Tracer.EmitSpan(s)
 	}
-	reg.EndAt(now+d.Latency, cause)
 	return d
 }
 

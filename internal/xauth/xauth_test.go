@@ -237,7 +237,7 @@ func TestProxyHandleTracesOneAccessSpan(t *testing.T) {
 		{User: "bob", DeviceID: "cam-1", Origin: FromLAN, Write: true},
 		{User: "mallory", DeviceID: "cam-1", Origin: FromWAN},
 	} {
-		before := p.Tracer.Len()
+		before := len(p.Tracer.Spans())
 		d := p.Handle(req, now)
 		op, cause := "access", d.AuthenticatedBy
 		if !d.Allowed {
@@ -295,7 +295,9 @@ func TestProxyExpiredCacheEvicted(t *testing.T) {
 	p := NewProxy(a)
 	now := time.Hour
 	tok, _ := a.Authenticate("bob", "bob-pw", "", "", now)
-	p.Prime(tok)
+	if d := p.Handle(AccessRequest{User: "bob", Origin: FromLAN, Token: &tok}, now); d.AuthenticatedBy != "proxy-sso" {
+		t.Fatalf("cache fill: %s", d)
+	}
 	// Way past expiry: cache cannot vouch, and with no fresh token the
 	// request is denied.
 	d := p.Handle(AccessRequest{User: "bob", Origin: FromLAN}, now+time.Hour)
@@ -340,9 +342,9 @@ func TestBaselineLatencyShape(t *testing.T) {
 
 	// The XLF proxy LAN fast path beats the baseline read path.
 	p := NewProxy(a)
-	p.Prime(advTok)
+	p.Handle(AccessRequest{User: "alice", Origin: FromLAN, Token: &advTok}, now)
 	d := p.Handle(AccessRequest{User: "alice", Origin: FromLAN}, now)
-	if !d.Allowed || d.Latency >= read.Latency {
+	if d.AuthenticatedBy != "proxy-cache" || d.Latency >= read.Latency {
 		t.Errorf("proxy LAN (%s) not faster than baseline cloud (%s)", d.Latency, read.Latency)
 	}
 }

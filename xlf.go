@@ -2,9 +2,10 @@
 // framework (Wang, Mohaisen, Chen — ICDCS 2019). It assembles the
 // simulated smart home (internal/testbed) with every XLF security
 // function — device-layer attestation and delegated authentication,
-// network-layer NAC, IDS, encrypted DPI and traffic shaping,
-// service-layer application verification and contextual analytics — and
-// couples them through the XLF Core's correlation engine.
+// network-layer NAC, IDS and encrypted DPI, service-layer application
+// verification and contextual analytics — and couples them through the
+// XLF Core's correlation engine. Traffic shaping (internal/shaping) is
+// installed on the gateway directly, as E2 does.
 //
 // Quickstart:
 //
@@ -31,7 +32,6 @@ import (
 	"xlf/internal/netsim"
 	"xlf/internal/obs"
 	"xlf/internal/service"
-	"xlf/internal/shaping"
 	"xlf/internal/testbed"
 	"xlf/internal/xauth"
 )
@@ -53,8 +53,6 @@ type Options struct {
 	Flaws service.Flaws
 	// CoreConfig tunes the correlation engine; zero value = defaults.
 	CoreConfig core.Config
-	// ShapingLevel in [0,1] enables gateway traffic shaping (0 = off).
-	ShapingLevel float64
 	// Users provisions the cloud authority; nil installs a default owner
 	// and guest.
 	Users []xauth.User
@@ -107,7 +105,6 @@ type System struct {
 
 	Authority *xauth.Authority
 	Proxy     *xauth.Proxy
-	Shaper    *shaping.Shaper
 
 	correlator *analytics.Correlator
 	ctx        analytics.Context
@@ -249,13 +246,6 @@ func New(opts Options) (*System, error) {
 	// more traffic than its learned norm is a device-layer anomaly
 	// (spam bursts, exfiltration, flood participation).
 	home.Kernel.Every(time.Minute, 0, "xlf-volume", func() { s.volumeTick() })
-
-	// ----- Traffic shaping (§IV-B1). -----
-	if opts.ShapingLevel > 0 {
-		s.Shaper = shaping.New(home.Kernel, shaping.Level(opts.ShapingLevel))
-		s.Shaper.SetTracer(opts.Tracer)
-		home.Gateway.Shaper = s.Shaper.GatewayHook()
-	}
 
 	// ----- Network monitoring: IDS + DPI on the taps (§IV-B2/3). -----
 	s.IDS = ids.DefaultPipeline()

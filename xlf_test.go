@@ -12,6 +12,7 @@ import (
 	"xlf/internal/core"
 	"xlf/internal/netsim"
 	"xlf/internal/service"
+	"xlf/internal/shaping"
 )
 
 func protectedSystem(t *testing.T, seed int64) *System {
@@ -451,24 +452,24 @@ func TestExfiltrationThroughEnrolledChannelCaughtByVolume(t *testing.T) {
 }
 
 func TestDetectionSurvivesPacketLoss(t *testing.T) {
-	// Failure injection: degrade every LAN link to 10% loss after
-	// assembly. Scan/brute-force/loader traffic is repetitive, so the
-	// campaign must still be detected despite dropped evidence packets.
+	// Failure injection: the campaign runs from a LAN foothold whose
+	// link loses 10% of packets. Scan/brute-force/loader traffic is
+	// repetitive, so the campaign must still be detected despite dropped
+	// evidence packets.
 	sys := protectedSystem(t, 53)
 	alerts := recordAlerts(sys)
-	for id := range sys.Home.Devices {
-		link, ok := sys.Home.Net.LinkOf(netsim.Addr("lan:" + id))
-		if !ok {
-			t.Fatalf("no link for %s", id)
-		}
-		link.Loss = 0.10
-		if err := sys.Home.Net.SetLink(netsim.Addr("lan:"+id), link); err != nil {
-			t.Fatal(err)
-		}
-	}
+	lossy := netsim.DefaultLAN()
+	lossy.Loss = 0.10
 	env := sys.Home.AttackEnv()
+	env.AttackerLAN = "lan:lossy-attacker"
+	if err := sys.Home.Net.Attach(&netsim.FuncNode{Address: env.AttackerLAN}, lossy); err != nil {
+		t.Fatal(err)
+	}
 	(&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(env)
 	sys.Home.Run(2 * time.Minute)
+	if _, dropped, _ := sys.Home.Net.Stats(); dropped == 0 {
+		t.Fatal("the lossy link dropped nothing")
+	}
 	if len(alerts.of("cam-1")) == 0 {
 		t.Error("campaign undetected under 10% packet loss")
 	}
@@ -477,39 +478,25 @@ func TestDetectionSurvivesPacketLoss(t *testing.T) {
 func TestShapingDoesNotConfuseOwnDetectors(t *testing.T) {
 	// Rate-equalised cover traffic is machine-periodic by design; it must
 	// not generate alerts against the home's own devices (shaped WAN
-	// flows carry the gateway's address, which is never attributed).
-	sys, err := New(Options{
-		Seed:         67,
-		ShapingLevel: 1.0,
-		Flaws:        service.Flaws{CoarseGrants: true, UnsignedEvents: true, OpenRedirectOTA: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// flows carry the gateway's address, which is never attributed). The
+	// shaper goes on the gateway directly, as E2 installs it.
+	sys := protectedSystem(t, 67)
+	sh := shaping.New(sys.Home.Kernel, shaping.Level(1.0))
+	sys.Home.Gateway.Shaper = sh.GatewayHook()
 	alerts := recordAlerts(sys)
 	sys.Home.Run(3 * time.Minute)
 	if len(*alerts) != 0 {
 		t.Errorf("shaped benign home raised %d alerts: %v", len(*alerts), *alerts)
 	}
 	// Dummy cells are actually flowing.
-	dummies := false
-	if sys.Shaper.Stats().DummyPackets > 0 {
-		dummies = true
-	}
-	if !dummies {
+	if sh.Stats().DummyPackets == 0 {
 		t.Error("shaper emitted no cover traffic")
 	}
 
 	// And detection of a real campaign still works under shaping: the
 	// evidence (LAN scans, DPI loader, NAC denials) is pre-shaper.
-	sys2, err := New(Options{
-		Seed:         71,
-		ShapingLevel: 1.0,
-		Flaws:        service.Flaws{CoarseGrants: true, UnsignedEvents: true, OpenRedirectOTA: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys2 := protectedSystem(t, 71)
+	sys2.Home.Gateway.Shaper = shaping.New(sys2.Home.Kernel, shaping.Level(1.0)).GatewayHook()
 	alerts2 := recordAlerts(sys2)
 	(&attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}).Execute(sys2.Home.AttackEnv())
 	sys2.Home.Run(2 * time.Minute)
