@@ -131,3 +131,22 @@ func TestRunEvictionWarning(t *testing.T) {
 		t.Errorf("missing eviction warning:\n%s", out.String())
 	}
 }
+
+func TestRunMetricsDroppedDumpsWarning(t *testing.T) {
+	var buf bytes.Buffer
+	meta := obs.MetricsMeta{Seed: 1, Clock: "step", Interval: time.Second, DroppedDumps: 3}
+	if err := obs.WriteMetrics(&buf, meta, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dropped.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if got := run([]string{"metrics", path}, &out); got != 0 {
+		t.Fatalf("run = %d, want 0", got)
+	}
+	if !strings.Contains(out.String(), "WARNING: 3 flight-recorder dumps were dropped") {
+		t.Errorf("missing dropped-dumps warning:\n%s", out.String())
+	}
+}

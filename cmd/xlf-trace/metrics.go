@@ -62,6 +62,9 @@ func renderMetrics(out io.Writer, meta obs.MetricsMeta, recs []obs.WindowRecord,
 	if meta.Evicted > 0 {
 		fmt.Fprintf(out, "WARNING: %d windows were evicted from rollup rings; the record is incomplete\n", meta.Evicted)
 	}
+	if meta.DroppedDumps > 0 {
+		fmt.Fprintf(out, "WARNING: %d flight-recorder dumps were dropped by the dump budget; the record is incomplete\n", meta.DroppedDumps)
+	}
 	if len(recs) == 0 && len(dumps) == 0 {
 		fmt.Fprintln(out, "no windows")
 		return

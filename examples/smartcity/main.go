@@ -131,11 +131,12 @@ func writeTelemetry(path string, tel *obs.Telemetry, seed int64) error {
 		return err
 	}
 	meta := obs.MetricsMeta{
-		Seed:     seed,
-		Clock:    "step",
-		Source:   "examples/smartcity",
-		Interval: tel.Rollup.Interval(),
-		Evicted:  tel.Rollup.Evicted(),
+		Seed:         seed,
+		Clock:        "step",
+		Source:       "examples/smartcity",
+		Interval:     tel.Rollup.Interval(),
+		Evicted:      tel.Rollup.Evicted(),
+		DroppedDumps: tel.Recorder.DroppedDumps(),
 	}
 	if werr := obs.WriteMetrics(f, meta, tel.Rollup.Windows(), tel.Recorder.Dumps()); werr != nil {
 		f.Close()

@@ -246,6 +246,26 @@ func TestObservationTree(t *testing.T) {
 	}
 }
 
+// TestCollectCountsDroppedDumps overfills two flight recorders' dump
+// budgets and reads the dropped dumps back from the metrics header,
+// summed over the sources.
+func TestCollectCountsDroppedDumps(t *testing.T) {
+	env := NewStepEnv(1)
+	env.EnableTelemetry(0)
+	for i, over := range []int{3, 2} {
+		tel := obs.NewTelemetry(nil, time.Second, 0)
+		for w := 1; w <= obs.DefaultRecorderDumps+over; w++ {
+			tel.Recorder.Trigger(time.Duration(w)*time.Second, obs.TriggerAlert)
+			tel.Tick(time.Duration(w) * time.Second)
+		}
+		env.Fork().AttachTelemetry(fmt.Sprint(i), tel)
+	}
+	o := env.Collect(ClockStep, "test")
+	if o.MetricsMeta.DroppedDumps != 5 || len(o.Dumps) != 2*obs.DefaultRecorderDumps {
+		t.Errorf("dropped dumps = %d with %d dumps kept, want 5 and %d", o.MetricsMeta.DroppedDumps, len(o.Dumps), 2*obs.DefaultRecorderDumps)
+	}
+}
+
 // TestStepClock pins the fake clock's contract: fixed advance per reading.
 func TestStepClock(t *testing.T) {
 	c := StepClock(time.Second)

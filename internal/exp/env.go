@@ -166,9 +166,10 @@ func (e *Env) AttachTelemetry(label string, tel *obs.Telemetry) {
 // Observations is what an env's subtree recorded, gathered by one walk:
 // each node's spans, windows and dumps (stamped with their source labels)
 // and then its children's, depth-first in fork order. The headers carry
-// provenance, the rollup interval and the eviction counts (nonzero means
-// the ring buffers dropped records); obs.WriteTrace and obs.WriteMetrics
-// fill in the record counts.
+// provenance, the rollup interval, the eviction counts and the dropped
+// dumps (nonzero means the ring buffers or the dump budget dropped
+// records); obs.WriteTrace and obs.WriteMetrics fill in the record
+// counts.
 type Observations struct {
 	TraceMeta   obs.TraceMeta
 	Spans       []obs.Span
@@ -201,6 +202,7 @@ func (e *Env) Collect(clock, source string) Observations {
 				o.Dumps = append(o.Dumps, d)
 			}
 			o.MetricsMeta.Evicted += s.tel.Rollup.Evicted()
+			o.MetricsMeta.DroppedDumps += s.tel.Recorder.DroppedDumps()
 		}
 	})
 	return o

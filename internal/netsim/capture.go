@@ -1,6 +1,9 @@
 package netsim
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // PacketRecord is what an observer at a tap point legitimately sees: the
 // metadata of one packet. Note there is no App/Dummy field — a passive
@@ -21,21 +24,47 @@ type PacketRecord struct {
 	Payload []byte
 }
 
-// captureChunk caps a capture chunk's length in records (512 KB of
-// PacketRecords).
-const captureChunk = 4096
+// Capture chunk sizes in bytes: the first chunk holds captureFirstChunk,
+// each new one is as long as the bytes held so far, up to captureChunk.
+const (
+	captureFirstChunk = 256
+	captureChunk      = 64 << 10
+)
 
-// Capture accumulates PacketRecords from a tap. The records live in
-// append-only chunks: the first holds 16 records and each new one is as
-// long as the records held so far, up to captureChunk. A full chunk is
-// never copied, so a capture allocates about one copy of what it holds
-// plus at most one partly filled chunk, where one append-grown slice
-// would allocate several.
+// The flags byte that opens each encoded record.
+const (
+	recEncrypted = 1 << iota
+	recDNSName
+	recPayload
+)
+
+// recHeaderMax bounds a record's encoding without its payload bytes: the
+// flags byte and at most nine varints.
+const recHeaderMax = 1 + 9*binary.MaxVarintLen64
+
+// Capture accumulates PacketRecords from a tap as a compact byte
+// encoding. Each record is, in order: a flags byte (encrypted, has a DNS
+// name, has a payload); the zigzag varint of Time minus the previous
+// record's Time; uvarint indexes into the capture's string table for
+// Src, Dst and Proto, then DNSName when flagged; the zigzag varints of
+// SrcPort, DstPort and Size; and, when flagged, the payload's uvarint
+// length and bytes. Every int64 round-trips, so nothing is truncated.
+//
+// The records live in append-only byte chunks that are never copied:
+// the first holds captureFirstChunk bytes and each new one is as long as
+// the bytes held so far, up to captureChunk; a record longer than that
+// gets a chunk of its own.
 type Capture struct {
-	// chunks hold the records in delivery order; every chunk but the
-	// last is full.
-	chunks [][]PacketRecord
+	// chunks hold the encoded records in delivery order; a record never
+	// spans two chunks.
+	chunks [][]byte
+	held   int // encoded bytes in chunks
 	n      int
+	last   time.Duration // Time of the previous record
+	// strs is the string table; index maps each string to its position
+	// and is built at the first record.
+	strs  []string
+	index map[string]uint64
 	// IncludePayloads controls whether cleartext payloads are retained.
 	IncludePayloads bool
 }
@@ -45,46 +74,120 @@ func NewCapture() *Capture { return &Capture{} }
 
 // Tap returns the tap function to register with Network.AddTap.
 func (c *Capture) Tap() Tap {
-	return func(dir TapDirection, pkt *Packet) {
-		rec := PacketRecord{
-			Time:      pkt.DeliveredAt,
-			Src:       pkt.Src,
-			Dst:       pkt.Dst,
-			SrcPort:   pkt.SrcPort,
-			DstPort:   pkt.DstPort,
-			Proto:     pkt.Proto,
-			Size:      pkt.Size,
-			Encrypted: pkt.Encrypted,
-		}
-		if !pkt.Encrypted {
-			rec.DNSName = pkt.DNSName
-			if c.IncludePayloads {
-				rec.Payload = append([]byte(nil), pkt.Payload...)
-			}
-		}
-		c.add(rec)
-	}
+	return func(dir TapDirection, pkt *Packet) { c.add(pkt) }
 }
 
-// add appends rec, starting a new chunk when the last one is full.
-func (c *Capture) add(rec PacketRecord) {
+// add encodes pkt's record and appends it to the last chunk, starting a
+// new chunk when it does not fit.
+func (c *Capture) add(pkt *Packet) {
+	if c.index == nil {
+		c.index = make(map[string]uint64)
+	}
+	var flags byte
+	var payload []byte
+	if pkt.Encrypted {
+		flags |= recEncrypted
+	} else {
+		if pkt.DNSName != "" {
+			flags |= recDNSName
+		}
+		if c.IncludePayloads && len(pkt.Payload) > 0 {
+			flags |= recPayload
+			payload = pkt.Payload
+		}
+	}
+	var buf [recHeaderMax]byte
+	h := append(buf[:0], flags)
+	h = binary.AppendVarint(h, int64(pkt.DeliveredAt-c.last))
+	h = binary.AppendUvarint(h, c.intern(string(pkt.Src)))
+	h = binary.AppendUvarint(h, c.intern(string(pkt.Dst)))
+	h = binary.AppendUvarint(h, c.intern(pkt.Proto))
+	if flags&recDNSName != 0 {
+		h = binary.AppendUvarint(h, c.intern(pkt.DNSName))
+	}
+	h = binary.AppendVarint(h, int64(pkt.SrcPort))
+	h = binary.AppendVarint(h, int64(pkt.DstPort))
+	h = binary.AppendVarint(h, int64(pkt.Size))
+	if flags&recPayload != 0 {
+		h = binary.AppendUvarint(h, uint64(len(payload)))
+	}
+
+	need := len(h) + len(payload)
 	last := len(c.chunks) - 1
-	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
-		c.chunks = append(c.chunks, make([]PacketRecord, 0, min(max(c.n, 16), captureChunk)))
+	if last < 0 || cap(c.chunks[last])-len(c.chunks[last]) < need {
+		c.chunks = append(c.chunks, make([]byte, 0, max(need, min(max(c.held, captureFirstChunk), captureChunk))))
 		last++
 	}
-	c.chunks[last] = append(c.chunks[last], rec)
+	ch := append(c.chunks[last], h...)
+	c.chunks[last] = append(ch, payload...)
+	c.held += need
+	c.last = pkt.DeliveredAt
 	c.n++
 }
 
-// Records returns the captured packets in delivery order (a fresh slice;
-// records are shared).
+// intern returns s's index in the string table, adding it if new.
+func (c *Capture) intern(s string) uint64 {
+	i, ok := c.index[s]
+	if !ok {
+		i = uint64(len(c.strs))
+		c.strs = append(c.strs, s)
+		c.index[s] = i
+	}
+	return i
+}
+
+// Records decodes the captured packets in delivery order into a fresh
+// slice. Each payload is a fresh copy; an empty one is nil.
 func (c *Capture) Records() []PacketRecord {
 	out := make([]PacketRecord, 0, c.n)
-	for _, ch := range c.chunks {
-		out = append(out, ch...)
+	var t time.Duration
+	for _, b := range c.chunks {
+		for len(b) > 0 {
+			var rec PacketRecord
+			flags := b[0]
+			b = b[1:]
+			t += time.Duration(readVarint(&b))
+			rec.Time = t
+			rec.Src = Addr(c.strs[readUvarint(&b)])
+			rec.Dst = Addr(c.strs[readUvarint(&b)])
+			rec.Proto = c.strs[readUvarint(&b)]
+			rec.Encrypted = flags&recEncrypted != 0
+			if flags&recDNSName != 0 {
+				rec.DNSName = c.strs[readUvarint(&b)]
+			}
+			rec.SrcPort = int(readVarint(&b))
+			rec.DstPort = int(readVarint(&b))
+			rec.Size = int(readVarint(&b))
+			if flags&recPayload != 0 {
+				n := readUvarint(&b)
+				rec.Payload = append([]byte(nil), b[:n]...)
+				b = b[n:]
+			}
+			out = append(out, rec)
+		}
 	}
 	return out
+}
+
+// readVarint and readUvarint decode one varint from the front of *b and
+// advance it. The capture wrote every byte, so a malformed varint is a
+// bug in add and panics.
+func readVarint(b *[]byte) int64 {
+	v, k := binary.Varint(*b)
+	if k <= 0 {
+		panic("netsim: corrupt capture record")
+	}
+	*b = (*b)[k:]
+	return v
+}
+
+func readUvarint(b *[]byte) uint64 {
+	v, k := binary.Uvarint(*b)
+	if k <= 0 {
+		panic("netsim: corrupt capture record")
+	}
+	*b = (*b)[k:]
+	return v
 }
 
 // Len returns the number of captured packets.

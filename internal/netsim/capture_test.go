@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -27,61 +30,237 @@ func refRecord(pkt *Packet, includePayloads bool) PacketRecord {
 	return rec
 }
 
-// randomPacket rewrites pkt in place, reusing its payload buffer, so a
-// capture that kept the caller's bytes instead of a copy would diverge.
-func randomPacket(rng *rand.Rand, pkt *Packet, i int) {
-	protos := []string{"DNS", "TLS", "HTTP", "MQTT", "XLF-LWC"}
-	pkt.Src = Addr(fmt.Sprintf("lan:dev-%d", rng.Intn(8)))
-	pkt.Dst = Addr(fmt.Sprintf("wan:svc-%d", rng.Intn(4)))
-	pkt.SrcPort, pkt.DstPort = 1024+rng.Intn(60000), rng.Intn(1024)
-	pkt.Proto = protos[rng.Intn(len(protos))]
-	pkt.Size = 40 + rng.Intn(1400)
-	pkt.Encrypted = rng.Intn(2) == 0
-	pkt.DNSName = ""
-	if pkt.Proto == "DNS" {
-		pkt.DNSName = fmt.Sprintf("host-%d.example", rng.Intn(16))
-	}
-	pkt.Payload = pkt.Payload[:rng.Intn(cap(pkt.Payload)+1)]
-	rng.Read(pkt.Payload)
-	pkt.DeliveredAt = time.Duration(i) * time.Millisecond
+// edgeInts are port, size and time values a uint16 or int32 field would
+// truncate, plus the int64 extremes.
+var edgeInts = []int{-1, 0, 65535, 65536, 1 << 20, math.MaxInt32 + 1, -math.MaxInt32 - 2, 1 << 40, math.MaxInt64, math.MinInt64}
+
+// packetGen rewrites one packet in place, reusing its payload buffers, so
+// a capture that kept the caller's bytes instead of a copy would diverge.
+type packetGen struct {
+	rng        *rand.Rand
+	pkt        Packet
+	small, big []byte
+	now        time.Duration
 }
 
-// TestCaptureMatchesReferenceSlice feeds the same seeded random packets to
-// a chunked Capture and to a plain append slice, and compares Len and
-// Records one below, on and one above each chunk boundary.
-func TestCaptureMatchesReferenceSlice(t *testing.T) {
-	var checkpoints []int
-	for _, b := range []int{16, 32, 64, captureChunk, 2 * captureChunk, 3 * captureChunk} {
-		checkpoints = append(checkpoints, b-1, b, b+1)
+func newPacketGen(seed int64) *packetGen {
+	return &packetGen{
+		rng:   rand.New(rand.NewSource(seed)),
+		small: make([]byte, 64),
+		big:   make([]byte, captureChunk+100),
 	}
+}
+
+// edge returns normal most of the time and an edge value otherwise.
+func (g *packetGen) edge(normal int) int {
+	if g.rng.Intn(50) == 0 {
+		return edgeInts[g.rng.Intn(len(edgeInts))]
+	}
+	return normal
+}
+
+// next rewrites the packet: mostly home-like traffic, with negative and
+// out-of-order times, ports and sizes outside uint16/int32, nil, empty
+// and larger-than-one-chunk payloads, and DNS names on encrypted packets.
+func (g *packetGen) next() *Packet {
+	protos := []string{"DNS", "TLS", "HTTP", "MQTT", "XLF-LWC"}
+	rng, pkt := g.rng, &g.pkt
+	pkt.Src = Addr(fmt.Sprintf("lan:dev-%d", rng.Intn(8)))
+	pkt.Dst = Addr(fmt.Sprintf("wan:svc-%d", rng.Intn(4)))
+	pkt.SrcPort, pkt.DstPort = g.edge(1024+rng.Intn(60000)), g.edge(rng.Intn(1024))
+	pkt.Proto = protos[rng.Intn(len(protos))]
+	pkt.Size = g.edge(40 + rng.Intn(1400))
+	pkt.Encrypted = rng.Intn(2) == 0
+	pkt.DNSName = ""
+	if pkt.Proto == "DNS" || rng.Intn(20) == 0 {
+		pkt.DNSName = fmt.Sprintf("host-%d.example", rng.Intn(16))
+	}
+	switch r := rng.Intn(400); {
+	case r == 0:
+		pkt.Payload = nil
+	case r == 1:
+		pkt.Payload = g.small[:0]
+	case r == 2:
+		pkt.Payload = g.big[:captureChunk+rng.Intn(100)]
+	default:
+		pkt.Payload = g.small[:rng.Intn(len(g.small)+1)]
+	}
+	rng.Read(pkt.Payload)
+	g.now += time.Millisecond
+	pkt.DeliveredAt = g.now
+	switch rng.Intn(100) {
+	case 0:
+		pkt.DeliveredAt = -time.Duration(rng.Int63())
+	case 1:
+		pkt.DeliveredAt = g.now - time.Duration(rng.Intn(1000))*time.Millisecond
+	case 2:
+		pkt.DeliveredAt = time.Duration(edgeInts[rng.Intn(len(edgeInts))])
+	}
+	return pkt
+}
+
+// checkCapture compares c with the reference records, and checks that a
+// decoded payload does not alias the capture's bytes.
+func checkCapture(t *testing.T, c *Capture, ref []PacketRecord) {
+	t.Helper()
+	if c.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", c.Len(), len(ref))
+	}
+	got := c.Records()
+	if len(ref) > 0 && !reflect.DeepEqual(got, ref) {
+		for i := range got {
+			if i < len(ref) && !reflect.DeepEqual(got[i], ref[i]) {
+				t.Fatalf("record %d = %+v, want %+v", i, got[i], ref[i])
+			}
+		}
+		t.Fatalf("Records differ from the reference slice")
+	}
+	for i := range got {
+		if len(got[i].Payload) > 0 {
+			got[i].Payload[0]++
+			if again := c.Records()[i].Payload; !bytes.Equal(again, ref[i].Payload) {
+				t.Fatalf("record %d's payload aliases the capture", i)
+			}
+			return
+		}
+	}
+}
+
+// TestCaptureMatchesReferenceSlice feeds the same seeded packets to a
+// Capture and to a plain slice of reference records, starting with
+// payloads off or on and flipping IncludePayloads now and then, and
+// compares Len and Records one record below, on and one above each point
+// where a new chunk opens. A first pass finds those points; the second
+// replays the same seed. At the end every chunk must still be where it
+// was opened (never copied) and sized by the chunk rule.
+func TestCaptureMatchesReferenceSlice(t *testing.T) {
+	const n = 20_000
 	for _, payloads := range []bool{false, true} {
 		t.Run(fmt.Sprintf("payloads=%v", payloads), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			c := NewCapture()
-			c.IncludePayloads = payloads
-			tap := c.Tap()
-			var ref []PacketRecord
-			pkt := &Packet{Payload: make([]byte, 0, 64)}
-			sent := 0
-			for _, n := range checkpoints {
-				for ; sent < n; sent++ {
-					randomPacket(rng, pkt, sent)
+			run := func(check func(sent int, c *Capture, ref []PacketRecord)) *Capture {
+				g := newPacketGen(7)
+				c := NewCapture()
+				c.IncludePayloads = payloads
+				tap := c.Tap()
+				var ref []PacketRecord
+				for sent := 1; sent <= n; sent++ {
+					if g.rng.Intn(1000) == 0 {
+						c.IncludePayloads = !c.IncludePayloads
+					}
+					pkt := g.next()
 					tap(TapLAN, pkt)
-					ref = append(ref, refRecord(pkt, payloads))
+					ref = append(ref, refRecord(pkt, c.IncludePayloads))
+					check(sent, c, ref)
 				}
-				if c.Len() != len(ref) {
-					t.Fatalf("after %d packets Len = %d, want %d", n, c.Len(), len(ref))
+				return c
+			}
+			checkpoints := map[int]bool{n: true}
+			chunks := 0
+			run(func(sent int, c *Capture, _ []PacketRecord) {
+				if len(c.chunks) != chunks {
+					chunks = len(c.chunks)
+					checkpoints[sent-1], checkpoints[sent], checkpoints[sent+1] = true, true, true
 				}
-				if got := c.Records(); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("after %d packets Records differ from the reference slice", n)
+			})
+			var opened []*byte
+			c := run(func(sent int, c *Capture, ref []PacketRecord) {
+				if len(c.chunks) != len(opened) {
+					opened = append(opened, unsafe.SliceData(c.chunks[len(c.chunks)-1]))
 				}
+				if checkpoints[sent] {
+					checkCapture(t, c, ref)
+				}
+			})
+			var held, full, own int
+			for i, ch := range c.chunks {
+				if unsafe.SliceData(ch) != opened[i] {
+					t.Errorf("chunk %d was copied", i)
+				}
+				switch want := min(max(held, captureFirstChunk), captureChunk); {
+				case cap(ch) == captureChunk:
+					full++
+				case cap(ch) > want && len(ch) == cap(ch):
+					own++ // one record longer than the doubling size
+				case cap(ch) != want:
+					t.Errorf("chunk %d holds %d of %d bytes after %d bytes, want capacity %d", i, len(ch), cap(ch), held, want)
+				}
+				held += len(ch)
+			}
+			if full < 2 || own < 2 {
+				t.Errorf("%d chunks at the cap and %d of one record: the packets no longer reach every chunk case", full, own)
 			}
 		})
 	}
 }
 
-// TestCaptureAllocationBound: a capture allocates about one copy of the
-// records it holds. One append-grown slice would allocate several.
+// FuzzCaptureRecords drives a Capture and the reference with packets
+// decoded from the fuzzer's bytes, 37 bytes each: an op byte (bit 0
+// encrypted, bit 1 flips IncludePayloads first, bits 2-3 pick a nil,
+// empty, short or larger-than-one-chunk payload), four string-table
+// picks (Src, Dst, Proto, DNSName), then DeliveredAt, SrcPort, DstPort
+// and Size as big-endian int64s. A short payload's length is the next
+// byte and its bytes follow. Records must equal the reference.
+func FuzzCaptureRecords(f *testing.F) {
+	enc := func(op byte, strs [4]byte, vals ...int64) []byte {
+		b := append([]byte{op}, strs[:]...)
+		for _, v := range vals {
+			b = binary.BigEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(enc(0x01, [4]byte{1, 2, 4, 5}, 5, 443, 1024, 180))
+	f.Add(append(enc(0x0a, [4]byte{1, 2, 3, 5}, -7, 70000, -1, math.MaxInt32+1), 3, 'a', 'b', 'c'))
+	f.Add(append(append(enc(0x0e, [4]byte{0, 6, 3, 0}, math.MaxInt64, math.MinInt64, 1<<40, -5),
+		enc(0x05, [4]byte{2, 1, 4, 5}, math.MinInt64, 65536, 65535, 1<<33)...),
+		enc(0x02, [4]byte{1, 1, 3, 6}, 3, 0, 0, 0)...))
+	f.Add(append(enc(0x06, [4]byte{1, 2, 3, 5}, 10, 53, 53, 90), 0))
+	names := []string{"", "lan:cam", "wan:cloud", "DNS", "TLS", "host.example", string(bytes.Repeat([]byte("x"), 300))}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		take := func(k int) []byte {
+			b := make([]byte, k)
+			data = data[copy(b, data):]
+			return b
+		}
+		int64At := func() int64 { return int64(binary.BigEndian.Uint64(take(8))) }
+		c := NewCapture()
+		tap := c.Tap()
+		var ref []PacketRecord
+		for len(data) > 0 {
+			op, s := take(1)[0], take(4)
+			pkt := &Packet{
+				Src: Addr(names[int(s[0])%len(names)]), Dst: Addr(names[int(s[1])%len(names)]),
+				Proto: names[int(s[2])%len(names)], DNSName: names[int(s[3])%len(names)],
+				Encrypted: op&1 != 0,
+			}
+			pkt.DeliveredAt = time.Duration(int64At())
+			pkt.SrcPort, pkt.DstPort, pkt.Size = int(int64At()), int(int64At()), int(int64At())
+			switch op >> 2 & 3 {
+			case 1:
+				pkt.Payload = []byte{}
+			case 2:
+				pkt.Payload = take(int(take(1)[0]))
+			case 3:
+				pkt.Payload = bytes.Repeat([]byte{op}, captureChunk+int(s[0]))
+			}
+			if op&2 != 0 {
+				c.IncludePayloads = !c.IncludePayloads
+			}
+			tap(TapWAN, pkt)
+			ref = append(ref, refRecord(pkt, c.IncludePayloads))
+			if len(pkt.Payload) > 0 {
+				pkt.Payload[0]++ // the sender reuses its buffer
+			}
+		}
+		checkCapture(t, c, ref)
+	})
+}
+
+// TestCaptureAllocationBound: a capture of a fixed TLS packet costs at
+// most 24 bytes a record, where a PacketRecord alone is 128.
 func TestCaptureAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -93,16 +272,43 @@ func TestCaptureAllocationBound(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
+		pkt.DeliveredAt = time.Duration(i) * time.Second
 		tap(TapWAN, pkt)
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(c)
 	got := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.25 * n * float64(unsafe.Sizeof(PacketRecord{})))
-	if got > limit {
+	if limit := uint64(24 * n); got > limit {
 		t.Errorf("capturing %d packets allocated %d bytes, want at most %d", n, got, limit)
 	}
 	if c.Len() != n {
 		t.Errorf("Len = %d, want %d", c.Len(), n)
+	}
+}
+
+// BenchmarkCaptureTap measures the steady-state cost of one record at a
+// tap that sees about 20 addresses; B/op is the encoded bytes a record
+// costs, chunk growth included.
+func BenchmarkCaptureTap(b *testing.B) {
+	protos := []string{"TLS", "DNS", "MQTT", "XLF-LWC"}
+	pkts := make([]Packet, 64)
+	for i := range pkts {
+		pkts[i] = Packet{
+			Src: Addr(fmt.Sprintf("lan:dev-%d", i%16)), Dst: Addr(fmt.Sprintf("wan:svc-%d", i%4)),
+			SrcPort: 30000 + i, DstPort: 443, Proto: protos[i%len(protos)],
+			Size: 60 + 17*i, Encrypted: i%4 != 1,
+		}
+		if pkts[i].Proto == "DNS" {
+			pkts[i].DNSName = fmt.Sprintf("host-%d.example", i%8)
+		}
+	}
+	c := NewCapture()
+	tap := c.Tap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pkt := &pkts[i%len(pkts)]
+		pkt.DeliveredAt = time.Duration(i) * 3 * time.Millisecond
+		tap(TapWAN, pkt)
 	}
 }

@@ -30,6 +30,9 @@ type MetricsMeta struct {
 	Dumps int `json:"dumps"`
 	// Evicted counts windows the rollup rings displaced before export.
 	Evicted uint64 `json:"evicted,omitempty"`
+	// DroppedDumps counts flight-recorder dumps the dump budget
+	// discarded (FlightRecorder.DroppedDumps, summed over the sources).
+	DroppedDumps uint64 `json:"dropped_dumps,omitempty"`
 }
 
 // Validate checks the header invariants a well-formed telemetry file

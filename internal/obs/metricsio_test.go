@@ -32,12 +32,12 @@ func sampleTelemetry() ([]WindowRecord, []Dump) {
 func TestMetricsGolden(t *testing.T) {
 	windows, dumps := sampleTelemetry()
 	var buf bytes.Buffer
-	meta := MetricsMeta{Seed: 7, Clock: "step", Source: "test", Interval: time.Second, Evicted: 4}
+	meta := MetricsMeta{Seed: 7, Clock: "step", Source: "test", Interval: time.Second, Evicted: 4, DroppedDumps: 5}
 	if err := WriteMetrics(&buf, meta, windows, dumps); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		`{"schema":"xlf-metrics/v1","seed":7,"clock":"step","source":"test","interval_ns":1000000000,"windows":2,"dumps":1,"evicted":4}`,
+		`{"schema":"xlf-metrics/v1","seed":7,"clock":"step","source":"test","interval_ns":1000000000,"windows":2,"dumps":1,"evicted":4,"dropped_dumps":5}`,
 		`{"src":"E10/1000","w":0,"start_ns":0,"end_ns":1000000000,"counters":[{"name":"city.sent","total":100,"delta":100,"per_sec":100}],"hists":[{"name":"detect.latency_ns.flood","delta":2,"count":2,"sum":100,"p50":48,"p95":60,"p99":60,"cum_p50":48,"cum_p95":60,"cum_p99":60}]}`,
 		`{"src":"E10/1000","w":1,"start_ns":1000000000,"end_ns":2000000000}`,
 		`{"src":"E10/1000","t_ns":1500000000,"reasons":["alert","slo-breach"],"suppressed":3,"spans":[{"seq":1,"t_ns":1000000000,"layer":"core","op":"alert"}]}`,

@@ -53,6 +53,7 @@ go test -run='^$' -fuzz='^FuzzKernelSchedule$' -fuzztime=5s ./internal/sim
 go test -run='^$' -fuzz='^FuzzCoreIngest$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzIDSProcess$' -fuzztime=5s ./internal/ids
 go test -run='^$' -fuzz='^FuzzMatcherFindAll$' -fuzztime=5s ./internal/dpi
+go test -run='^$' -fuzz='^FuzzCaptureRecords$' -fuzztime=5s ./internal/netsim
 go test -run='^$' -fuzz='^FuzzReadJSONL$' -fuzztime=5s ./internal/obs
 
 # Blocking: any finding fails. Exceptions are inline //xlf:allow-*
@@ -111,12 +112,13 @@ go test -run='^$' -bench='^BenchmarkCoreIngest(Traced)?$' -benchtime=1s . ||
 
 # Informational numbers for the log: kernel dispatch, netsim send and
 # the gateway keepalive (NewPacket to release), plain and sealed into a
-# network-owned payload buffer, must print 0 allocs/op.
+# network-owned payload buffer, must print 0 allocs/op; the capture
+# tap prints the bytes one encoded record costs (B/op).
 # The enforcement lives in the AllocsPerRun tests above (the dynamic
 # half of the //xlf:hotpath contract); this step puts the ns/op trend
 # in the log.
 echo '>> kernel hot-path benchmarks'
 go test -run='^$' -bench='^BenchmarkKernelDispatch$' -benchmem -benchtime=1s ./internal/sim
-go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive|BenchmarkSealedKeepalive)$' -benchmem -benchtime=1s ./internal/netsim
+go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive|BenchmarkSealedKeepalive|BenchmarkCaptureTap)$' -benchmem -benchtime=1s ./internal/netsim
 
 echo 'all checks passed'
