@@ -276,6 +276,25 @@ func BenchmarkLayer(b *testing.B) {
 			keepalive()
 		}
 	})
+	b.Run("core/nac-deny", func(b *testing.B) {
+		// An enrolled device keeps sending to a destination it was never
+		// enrolled for: the NAC refuses each packet and OnDeny feeds the
+		// denial signal to the Core, warmed past its per-device signal cap.
+		sys, err := xlf.New(xlf.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		net, gw := sys.Home.Net, sys.Home.Gateway
+		tmpl := netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}
+		for i := 0; i < 5000; i++ {
+			sinkErr = gw.SendOut(net, net.NewPacket(tmpl))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkErr = gw.SendOut(net, net.NewPacket(tmpl))
+		}
+	})
 	b.Run("xauth/verify", func(b *testing.B) {
 		s, err := xauth.NewSigner([]byte("bench-signing-key"))
 		if err != nil {

@@ -22,6 +22,12 @@ type NACPolicy struct {
 	alwaysAllow map[netsim.Addr]bool
 	// blocked devices lose all WAN access (containment).
 	blocked map[netsim.Addr]bool
+	// refusals holds each enrolled or blocked source's last refusal,
+	// built at its first denial and returned again while it still
+	// applies, so a device the gateway keeps refusing costs no heap. A
+	// source in neither allowed nor blocked (a spoofed LAN address) gets
+	// a fresh refusal every time, so the map stays bounded by enrolment.
+	refusals map[netsim.Addr]*refusal
 
 	// OnDeny, when set, observes every denial — the Core turns repeated
 	// denials into constrained-access signals.
@@ -85,8 +91,12 @@ func (p *NACPolicy) Denials() uint64 {
 }
 
 // NACError is the gateway hook's refusal of one outbound packet. Its
-// message is formatted only when read.
+// message is formatted only when read. Refusals are shared: the policy
+// may hand the same *NACError to many refused packets, so a caller must
+// not modify one.
 type NACError struct {
+	// Dst is empty when Quarantined: containment refuses every
+	// destination alike.
 	Src, Dst netsim.Addr
 	// Quarantined reports that Src is under containment; otherwise Dst
 	// is not enrolled for Src.
@@ -100,15 +110,42 @@ func (e *NACError) Error() string {
 	return "core: NAC denies " + string(e.Src) + " -> " + string(e.Dst)
 }
 
+// refusal is one cached refusal: the *netsim.BlockedError the hook
+// returns, wrapping its *NACError, in one allocation.
+type refusal struct {
+	nac     NACError
+	blocked netsim.BlockedError
+}
+
+// refuse returns the refusal of src's packet to dst, reusing src's last
+// one when it matches. Called with the policy mutex held.
+func (p *NACPolicy) refuse(src, dst netsim.Addr, quarantined bool) error {
+	if r := p.refusals[src]; r != nil && r.nac.Dst == dst && r.nac.Quarantined == quarantined {
+		return &r.blocked
+	}
+	r := &refusal{nac: NACError{Src: src, Dst: dst, Quarantined: quarantined}}
+	r.blocked.Err = &r.nac
+	if _, enrolled := p.allowed[src]; enrolled || p.blocked[src] {
+		if p.refusals == nil {
+			p.refusals = make(map[netsim.Addr]*refusal)
+		}
+		p.refusals[src] = r
+	}
+	return &r.blocked
+}
+
 // GatewayHook returns the function to install as Gateway.OutboundPolicy.
+// It refuses a packet with a *netsim.BlockedError wrapping a *NACError,
+// which SendOut passes through as is.
 func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 	return func(pkt *netsim.Packet) error {
 		p.mu.Lock()
 		if p.blocked[pkt.Src] {
 			p.denials++
+			err := p.refuse(pkt.Src, "", true)
 			p.mu.Unlock()
 			p.traceDeny(pkt, "quarantined")
-			return &NACError{Src: pkt.Src, Dst: pkt.Dst, Quarantined: true}
+			return err
 		}
 		if p.alwaysAllow[pkt.Dst] {
 			p.mu.Unlock()
@@ -120,12 +157,13 @@ func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 		}
 		p.denials++
 		cb := p.OnDeny
+		err := p.refuse(pkt.Src, pkt.Dst, false)
 		p.mu.Unlock()
 		p.traceDeny(pkt, "unenrolled")
 		if cb != nil {
 			cb(pkt)
 		}
-		return &NACError{Src: pkt.Src, Dst: pkt.Dst}
+		return err
 	}
 }
 

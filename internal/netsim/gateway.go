@@ -20,6 +20,8 @@ type Gateway struct {
 
 	// Firewall rules: NAC policy hook (§IV-A3 constrained access). If
 	// non-nil, outbound packets it rejects are dropped and counted.
+	// SendOut returns a *BlockedError it returns unchanged, so a policy
+	// can hand out prebuilt refusals, and wraps any other error in one.
 	OutboundPolicy func(pkt *Packet) error
 
 	// Shaper, when set, intercepts outbound post-NAT packets (traffic
@@ -117,7 +119,9 @@ func (e *BlockedError) Unwrap() error { return e.Err }
 // refuses it. OutboundPolicy and OnForward see it with its LAN source;
 // SendOut then rewrites Src and SrcPort in place to the gateway's WAN
 // address and external port and sends (or shapes) that same packet. The
-// shaper owns the packet until it sends it.
+// shaper owns the packet until it sends it. A refusal is always a
+// *BlockedError: the policy's own when it returned one, else a fresh one
+// wrapping the policy's error.
 func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if !pkt.Src.IsLAN() {
 		err := fmt.Errorf("netsim: SendOut from non-LAN address %q", pkt.Src)
@@ -128,6 +132,9 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 		if err := g.OutboundPolicy(pkt); err != nil {
 			g.blockedOut++
 			net.release(pkt)
+			if _, ok := err.(*BlockedError); ok {
+				return err
+			}
 			return &BlockedError{Err: err}
 		}
 	}

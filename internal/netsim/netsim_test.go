@@ -271,16 +271,22 @@ func TestGatewayPolicies(t *testing.T) {
 		return nil
 	}
 	err := gw.SendOut(n, &Packet{Src: "lan:dev", Dst: "wan:evil", DstPort: 80, Size: 10})
-	if err == nil {
-		t.Fatal("policy did not block")
+	if b, ok := err.(*BlockedError); !ok || b.Err != errBlocked {
+		t.Fatalf("refusal = %#v, want a BlockedError wrapping the policy's error", err)
+	}
+	// A policy's own *BlockedError passes through unchanged.
+	own := &BlockedError{Err: errBlocked}
+	gw.OutboundPolicy = func(*Packet) error { return own }
+	if got := gw.SendOut(n, &Packet{Src: "lan:dev", Dst: "wan:evil", DstPort: 80, Size: 10}); got != own {
+		t.Errorf("refusal = %p, want the policy's own %p", got, own)
 	}
 	k.Run(time.Second)
 	if len(cloud.got) != 0 {
 		t.Error("blocked packet delivered")
 	}
 	bo, _ := gw.Blocked()
-	if bo != 1 {
-		t.Errorf("blockedOut = %d, want 1", bo)
+	if bo != 2 {
+		t.Errorf("blockedOut = %d, want 2", bo)
 	}
 
 	// Unsolicited inbound to an unmapped port is dropped.

@@ -112,7 +112,8 @@ go test -run='^$' -bench='^BenchmarkCoreIngest(Traced)?$' -benchtime=1s . ||
 
 # Informational numbers for the log: kernel dispatch, netsim send and
 # the gateway keepalive (NewPacket to release), plain and sealed into a
-# network-owned payload buffer, must print 0 allocs/op; the capture
+# network-owned payload buffer, and a NAC refusal (SendOut through the
+# deny signal into a warm Core) must print 0 allocs/op; the capture
 # tap prints the bytes one encoded record costs (B/op).
 # The enforcement lives in the AllocsPerRun tests above (the dynamic
 # half of the //xlf:hotpath contract); this step puts the ns/op trend
@@ -120,5 +121,6 @@ go test -run='^$' -bench='^BenchmarkCoreIngest(Traced)?$' -benchtime=1s . ||
 echo '>> kernel hot-path benchmarks'
 go test -run='^$' -bench='^BenchmarkKernelDispatch$' -benchmem -benchtime=1s ./internal/sim
 go test -run='^$' -bench='^(BenchmarkNetsimSend|BenchmarkGatewayKeepalive|BenchmarkSealedKeepalive|BenchmarkCaptureTap)$' -benchmem -benchtime=1s ./internal/netsim
+go test -run='^$' -bench='^BenchmarkLayer$/^core$/^nac-deny$' -benchmem -benchtime=1s .
 
 echo 'all checks passed'

@@ -120,6 +120,11 @@ type System struct {
 	// device set is fixed once testbed.New returns, so New sorts it once.
 	deviceIDs []string
 
+	// details memoises each catalogued device's last nac-denial and
+	// resident-malware Detail, so a device refused packet after packet,
+	// or attested compromised every 30 s, formats its text once.
+	details map[string]*signalDetails
+
 	protected bool
 }
 
@@ -229,7 +234,7 @@ func New(opts Options) (*System, error) {
 				DeviceID: dev,
 				Kind:     "nac-denial",
 				Score:    0.5,
-				Detail:   "denied " + string(pkt.Src) + " -> " + string(pkt.Dst) + ":" + strconv.Itoa(pkt.DstPort),
+				Detail:   s.denyDetail(dev, pkt),
 			})
 		}
 	}
@@ -599,10 +604,62 @@ func (s *System) attest() {
 				DeviceID: id,
 				Kind:     "resident-malware",
 				Score:    0.55,
-				Detail:   "malware " + d.Malware + " resident",
+				Detail:   s.residentDetail(id, d.Malware),
 			})
 		}
 	}
+}
+
+// signalDetails is one device's memoised signal Detail strings.
+type signalDetails struct {
+	denyDst  netsim.Addr
+	denyPort int
+	deny     string // "denied <src> -> <denyDst>:<denyPort>"
+	malware  string
+	resident string // "malware <malware> resident"
+}
+
+// detailsOf returns the catalogued device id's memo, making it at first
+// use.
+func (s *System) detailsOf(id string) *signalDetails {
+	m := s.details[id]
+	if m == nil {
+		if s.details == nil {
+			s.details = make(map[string]*signalDetails)
+		}
+		m = &signalDetails{}
+		s.details[id] = m
+	}
+	return m
+}
+
+// denyDetail returns the Detail of dev's nac-denial signal for pkt. A
+// catalogued device reuses its last one while pkt's destination and port
+// repeat; any other source (a spoofed LAN address) gets a fresh string,
+// so the memo stays bounded by the home's devices.
+func (s *System) denyDetail(dev string, pkt *netsim.Packet) string {
+	if _, ok := s.Home.Devices[dev]; !ok {
+		return denyText(pkt)
+	}
+	m := s.detailsOf(dev)
+	if m.deny == "" || m.denyDst != pkt.Dst || m.denyPort != pkt.DstPort {
+		m.denyDst, m.denyPort, m.deny = pkt.Dst, pkt.DstPort, denyText(pkt)
+	}
+	return m.deny
+}
+
+// residentDetail returns the Detail of device id's resident-malware
+// signal, reusing the last one while the malware's name is unchanged.
+func (s *System) residentDetail(id, malware string) string {
+	m := s.detailsOf(id)
+	if m.resident == "" || m.malware != malware {
+		m.malware, m.resident = malware, "malware "+malware+" resident"
+	}
+	return m.resident
+}
+
+func denyText(pkt *netsim.Packet) string {
+	return "denied " + string(pkt.Src) + " -> " + string(pkt.Dst) + ":" + strconv.Itoa(pkt.DstPort)
 }
 
 // deviceOf extracts the device ID from a LAN address ("lan:cam-1" ->

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"xlf/internal/analytics"
 	"xlf/internal/attack"
@@ -191,15 +192,65 @@ func TestNACDenialErrorAndSignal(t *testing.T) {
 	if got, want := alerts[0].Evidence[0].Detail, "denied lan:cam-1 -> wan:cnc:23"; got != want {
 		t.Errorf("denial signal Detail = %q, want %q", got, want)
 	}
+	// SendOut took ownership of the first packet; send fresh ones. A
+	// repeated refusal is the identical, shared error.
+	send := func(dst netsim.Addr) error {
+		return sys.Home.Gateway.SendOut(sys.Home.Net, sys.Home.Net.NewPacket(netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: dst, DstPort: 23, Size: 60}))
+	}
+	if again := send("wan:cnc"); again != err {
+		t.Errorf("repeated refusal %p is not the first one %p", again, err)
+	}
 
-	// SendOut took ownership of the first packet; send a fresh one.
 	sys.NAC.Block("lan:cam-1")
-	err = sys.Home.Gateway.SendOut(sys.Home.Net, sys.Home.Net.NewPacket(netsim.Packet{Src: "lan:cam-1", SrcPort: 7001, Dst: "wan:cnc", DstPort: 23, Size: 60}))
+	err = send("wan:cnc")
 	if got, want := fmt.Sprint(err), "netsim: outbound blocked: core: lan:cam-1 is quarantined"; got != want {
 		t.Errorf("quarantined SendOut error = %q, want %q", got, want)
 	}
-	if !errors.As(err, &nac) || !nac.Quarantined || nac.Src != "lan:cam-1" {
-		t.Errorf("quarantine refusal = %#v", err)
+	// Containment refuses every destination alike: one refusal, no Dst.
+	if !errors.As(err, &nac) || !nac.Quarantined || nac.Src != "lan:cam-1" || nac.Dst != "" {
+		t.Errorf("quarantine refusal = %#v", *nac)
+	}
+	if again := send("wan:victim"); again != err {
+		t.Errorf("quarantined refusal to a new destination %p is not the first one %p", again, err)
+	}
+}
+
+// TestSignalDetailsFollowTheirInputs pins the memoised Detail strings:
+// a repeat returns the very same string, and a new destination, port or
+// malware name rebuilds it. Only catalogued devices are memoised.
+func TestSignalDetailsFollowTheirInputs(t *testing.T) {
+	sys := protectedSystem(t, 1)
+	var last string
+	for i, c := range []struct {
+		dst   netsim.Addr
+		port  int
+		want  string
+		reuse bool
+	}{
+		{"wan:cnc", 23, "denied lan:cam-1 -> wan:cnc:23", false},
+		{"wan:cnc", 23, "denied lan:cam-1 -> wan:cnc:23", true},
+		{"wan:cnc", 2323, "denied lan:cam-1 -> wan:cnc:2323", false},
+		{"wan:victim", 2323, "denied lan:cam-1 -> wan:victim:2323", false},
+		{"wan:victim", 2323, "denied lan:cam-1 -> wan:victim:2323", true},
+	} {
+		got := sys.denyDetail("cam-1", &netsim.Packet{Src: "lan:cam-1", Dst: c.dst, DstPort: c.port})
+		if got != c.want || (unsafe.StringData(got) == unsafe.StringData(last)) != c.reuse {
+			t.Errorf("denial %d: Detail %q (reused %v), want %q (reused %v)", i, got, unsafe.StringData(got) == unsafe.StringData(last), c.want, c.reuse)
+		}
+		last = got
+	}
+	if got := sys.denyDetail("ghost", &netsim.Packet{Src: "lan:ghost", Dst: "wan:cnc", DstPort: 23}); got != "denied lan:ghost -> wan:cnc:23" {
+		t.Errorf("spoofed source's Detail = %q", got)
+	}
+	if _, ok := sys.details["ghost"]; ok {
+		t.Error("memo holds a source outside the home's devices")
+	}
+
+	a := sys.residentDetail("cam-1", "mirai")
+	b := sys.residentDetail("cam-1", "mirai")
+	c := sys.residentDetail("cam-1", "hajime")
+	if a != "malware mirai resident" || unsafe.StringData(a) != unsafe.StringData(b) || c != "malware hajime resident" {
+		t.Errorf("resident Details = %q, %q, %q", a, b, c)
 	}
 }
 
