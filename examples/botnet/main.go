@@ -49,6 +49,15 @@ func runCampaign(w io.Writer, protected bool) error {
 		}
 	}
 
+	beacons, flood := 0, 0
+	sys.Home.Net.AddTap(netsim.TapWAN, func(_ netsim.TapDirection, pkt *netsim.Packet) {
+		switch pkt.Dst {
+		case "wan:cnc":
+			beacons++
+		case "wan:victim":
+			flood++
+		}
+	})
 	env := sys.Home.AttackEnv()
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}
 	k.Schedule(10*time.Second, "recruit", func() {
@@ -64,15 +73,6 @@ func runCampaign(w io.Writer, protected bool) error {
 		return err
 	}
 
-	beacons, flood := 0, 0
-	for _, r := range sys.Home.WANCap.Records() {
-		switch r.Dst {
-		case netsim.Addr("wan:cnc"):
-			beacons++
-		case netsim.Addr("wan:victim"):
-			flood++
-		}
-	}
 	fmt.Fprintf(w, "  outcome: %d C&C beacons escaped, %d flood packets hit the victim\n", beacons, flood)
 	if protected {
 		fmt.Fprintf(w, "  NAC denials: %d (C&C endpoint was never enrolled — denied by default)\n", sys.NAC.Denials())

@@ -77,6 +77,14 @@ func e8Home(env *Env, protected bool) e8Row {
 			}
 		}
 	}
+	sys.Home.Net.AddTap(netsim.TapWAN, func(_ netsim.TapDirection, pkt *netsim.Packet) {
+		switch pkt.Dst {
+		case "wan:cnc":
+			row.beacons++
+		case "wan:victim":
+			row.floodPkts++
+		}
+	})
 	aenv := sys.Home.AttackEnv()
 	m := &attack.MiraiRecruit{CNC: "wan:cnc", BeaconEvery: 10 * time.Second}
 	sys.Home.Kernel.Schedule(10*time.Second, "recruit", func() { m.Execute(aenv) })
@@ -88,13 +96,5 @@ func e8Home(env *Env, protected bool) e8Row {
 	}
 
 	row.recruited = len(m.Recruited())
-	for _, rec := range sys.Home.WANCap.Records() {
-		switch rec.Dst {
-		case netsim.Addr("wan:cnc"):
-			row.beacons++
-		case netsim.Addr("wan:victim"):
-			row.floodPkts++
-		}
-	}
 	return row
 }

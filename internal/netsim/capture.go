@@ -31,24 +31,44 @@ const (
 	captureChunk      = 64 << 10
 )
 
-// The flags byte that opens each encoded record.
+// flowKey is what the records of one flow share: every header field but
+// the ports and size. DNSName is empty on encrypted packets, whose
+// records never show it.
+type flowKey struct {
+	src, dst       Addr
+	proto, dnsName string
+	encrypted      bool
+}
+
+// flowLast is the ports and size of a flow's latest record.
+type flowLast struct{ srcPort, dstPort, size int }
+
+// The low bits of a record's leading uvarint; the flow index sits above
+// them.
 const (
-	recEncrypted = 1 << iota
-	recDNSName
-	recPayload
+	recPayload   = 1 << 0 // the payload's length and bytes follow
+	recSame      = 1 << 1 // ports and size repeat the flow's last record
+	recFlowShift = 2
 )
 
-// recHeaderMax bounds a record's encoding without its payload bytes: the
-// flags byte and at most nine varints.
-const recHeaderMax = 1 + 9*binary.MaxVarintLen64
+// recHeaderMax bounds a record's encoding without its payload bytes: at
+// most six varints.
+const recHeaderMax = 6 * binary.MaxVarintLen64
 
 // Capture accumulates PacketRecords from a tap as a compact byte
-// encoding. Each record is, in order: a flags byte (encrypted, has a DNS
-// name, has a payload); the zigzag varint of Time minus the previous
-// record's Time; uvarint indexes into the capture's string table for
-// Src, Dst and Proto, then DNSName when flagged; the zigzag varints of
-// SrcPort, DstPort and Size; and, when flagged, the payload's uvarint
-// length and bytes. Every int64 round-trips, so nothing is truncated.
+// encoding against a flow table. A flow is the (Src, Dst, Proto,
+// Encrypted, cleartext DNSName) of a record, numbered in order of first
+// appearance. Each record is, in order: the uvarint of its flow index
+// shifted left two bits, with a bit for "same SrcPort, DstPort and Size
+// as this flow's last record" and a bit for "has a payload"; the zigzag
+// varint of Time minus the previous record's Time; the zigzag varints of
+// SrcPort, DstPort and Size unless the same bit is set; and, when
+// flagged, the payload's uvarint length and bytes. Every int64
+// round-trips, so nothing is truncated. Ports are not part of a flow, so
+// NAT port churn, a port scan or a flood from random source ports stays
+// one flow and costs three varints a record instead of a table entry.
+// A home's repeated WAN keepalive is about 7 bytes: one for the flow and
+// bits, five or six for a nanosecond time delta.
 //
 // The records live in append-only byte chunks that are never copied:
 // the first holds captureFirstChunk bytes and each new one is as long as
@@ -61,10 +81,10 @@ type Capture struct {
 	held   int // encoded bytes in chunks
 	n      int
 	last   time.Duration // Time of the previous record
-	// strs is the string table; index maps each string to its position
-	// and is built at the first record.
-	strs  []string
-	index map[string]uint64
+	// flowIndex numbers each flow and is made at the first record; flows
+	// holds each flow's last ports and size, by index.
+	flowIndex map[flowKey]int
+	flows     []flowLast
 	// IncludePayloads controls whether cleartext payloads are retained.
 	IncludePayloads bool
 }
@@ -80,35 +100,42 @@ func (c *Capture) Tap() Tap {
 // add encodes pkt's record and appends it to the last chunk, starting a
 // new chunk when it does not fit.
 func (c *Capture) add(pkt *Packet) {
-	if c.index == nil {
-		c.index = make(map[string]uint64)
+	if c.flowIndex == nil {
+		c.flowIndex = make(map[flowKey]int)
 	}
-	var flags byte
+	key := flowKey{src: pkt.Src, dst: pkt.Dst, proto: pkt.Proto, encrypted: pkt.Encrypted}
 	var payload []byte
-	if pkt.Encrypted {
-		flags |= recEncrypted
-	} else {
-		if pkt.DNSName != "" {
-			flags |= recDNSName
-		}
-		if c.IncludePayloads && len(pkt.Payload) > 0 {
-			flags |= recPayload
+	if !pkt.Encrypted {
+		key.dnsName = pkt.DNSName
+		if c.IncludePayloads {
 			payload = pkt.Payload
 		}
 	}
-	var buf [recHeaderMax]byte
-	h := append(buf[:0], flags)
-	h = binary.AppendVarint(h, int64(pkt.DeliveredAt-c.last))
-	h = binary.AppendUvarint(h, c.intern(string(pkt.Src)))
-	h = binary.AppendUvarint(h, c.intern(string(pkt.Dst)))
-	h = binary.AppendUvarint(h, c.intern(pkt.Proto))
-	if flags&recDNSName != 0 {
-		h = binary.AppendUvarint(h, c.intern(pkt.DNSName))
+	cur := flowLast{pkt.SrcPort, pkt.DstPort, pkt.Size}
+	var bits uint64
+	i, ok := c.flowIndex[key]
+	switch {
+	case !ok:
+		i = len(c.flows)
+		c.flowIndex[key] = i
+		c.flows = append(c.flows, cur)
+	case c.flows[i] == cur:
+		bits |= recSame
+	default:
+		c.flows[i] = cur
 	}
-	h = binary.AppendVarint(h, int64(pkt.SrcPort))
-	h = binary.AppendVarint(h, int64(pkt.DstPort))
-	h = binary.AppendVarint(h, int64(pkt.Size))
-	if flags&recPayload != 0 {
+	if len(payload) > 0 {
+		bits |= recPayload
+	}
+	var buf [recHeaderMax]byte
+	h := binary.AppendUvarint(buf[:0], uint64(i)<<recFlowShift|bits)
+	h = binary.AppendVarint(h, int64(pkt.DeliveredAt-c.last))
+	if bits&recSame == 0 {
+		h = binary.AppendVarint(h, int64(cur.srcPort))
+		h = binary.AppendVarint(h, int64(cur.dstPort))
+		h = binary.AppendVarint(h, int64(cur.size))
+	}
+	if bits&recPayload != 0 {
 		h = binary.AppendUvarint(h, uint64(len(payload)))
 	}
 
@@ -125,40 +152,31 @@ func (c *Capture) add(pkt *Packet) {
 	c.n++
 }
 
-// intern returns s's index in the string table, adding it if new.
-func (c *Capture) intern(s string) uint64 {
-	i, ok := c.index[s]
-	if !ok {
-		i = uint64(len(c.strs))
-		c.strs = append(c.strs, s)
-		c.index[s] = i
-	}
-	return i
-}
-
 // Records decodes the captured packets in delivery order into a fresh
 // slice. Each payload is a fresh copy; an empty one is nil.
 func (c *Capture) Records() []PacketRecord {
 	out := make([]PacketRecord, 0, c.n)
+	keys := make([]flowKey, len(c.flows))
+	for k, i := range c.flowIndex {
+		keys[i] = k
+	}
+	lasts := make([]flowLast, len(c.flows))
 	var t time.Duration
 	for _, b := range c.chunks {
 		for len(b) > 0 {
-			var rec PacketRecord
-			flags := b[0]
-			b = b[1:]
+			head := readUvarint(&b)
+			i := head >> recFlowShift
 			t += time.Duration(readVarint(&b))
-			rec.Time = t
-			rec.Src = Addr(c.strs[readUvarint(&b)])
-			rec.Dst = Addr(c.strs[readUvarint(&b)])
-			rec.Proto = c.strs[readUvarint(&b)]
-			rec.Encrypted = flags&recEncrypted != 0
-			if flags&recDNSName != 0 {
-				rec.DNSName = c.strs[readUvarint(&b)]
+			if head&recSame == 0 {
+				lasts[i] = flowLast{int(readVarint(&b)), int(readVarint(&b)), int(readVarint(&b))}
 			}
-			rec.SrcPort = int(readVarint(&b))
-			rec.DstPort = int(readVarint(&b))
-			rec.Size = int(readVarint(&b))
-			if flags&recPayload != 0 {
+			k, l := keys[i], lasts[i]
+			rec := PacketRecord{
+				Time: t, Src: k.src, Dst: k.dst, Proto: k.proto,
+				SrcPort: l.srcPort, DstPort: l.dstPort, Size: l.size,
+				Encrypted: k.encrypted, DNSName: k.dnsName,
+			}
+			if head&recPayload != 0 {
 				n := readUvarint(&b)
 				rec.Payload = append([]byte(nil), b[:n]...)
 				b = b[n:]

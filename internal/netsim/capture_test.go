@@ -59,21 +59,37 @@ func (g *packetGen) edge(normal int) int {
 	return normal
 }
 
-// next rewrites the packet: mostly home-like traffic, with negative and
-// out-of-order times, ports and sizes outside uint16/int32, nil, empty
-// and larger-than-one-chunk payloads, and DNS names on encrypted packets.
+// homeFlows are keepalive templates as a home's WAN tap sees them: the
+// first two are two devices NATted to one source address that reach one
+// destination from their own ports, so their packets alternate inside one
+// flow; the rest repeat their own ports and size.
+var homeFlows = []Packet{
+	{Src: "wan:home", Dst: "wan:nest", SrcPort: 40001, DstPort: 443, Proto: "TLS", Size: 180, Encrypted: true},
+	{Src: "wan:home", Dst: "wan:nest", SrcPort: 40002, DstPort: 443, Proto: "TLS", Size: 212, Encrypted: true},
+	{Src: "wan:home", Dst: "wan:hue", SrcPort: 40003, DstPort: 8883, Proto: "MQTT", Size: 96, Encrypted: true},
+	{Src: "wan:home", Dst: "wan:cloud", SrcPort: 40004, DstPort: 80, Proto: "HTTP", Size: 140},
+	{Src: "wan:home", Dst: "wan:dns", SrcPort: 5353, DstPort: 53, Proto: "DNS", Size: 80, DNSName: "api.nest.example"},
+	{Src: "lan:cam", Dst: "lan:hub", SrcPort: 6000, DstPort: 6000, Proto: "XLF-LWC", Size: 64, Encrypted: true},
+}
+
+// next rewrites the packet. Three in four are home-shaped: a homeFlows
+// keepalive a few milliseconds and some nanoseconds after the last, one
+// in ten with a changed size that the flow's next packet changes back.
+// The rest draw fresh headers, with negative and out-of-order times,
+// ports and sizes outside uint16/int32, and DNS names on encrypted
+// packets. Any packet may get a nil, empty or larger-than-one-chunk
+// payload.
 func (g *packetGen) next() *Packet {
-	protos := []string{"DNS", "TLS", "HTTP", "MQTT", "XLF-LWC"}
 	rng, pkt := g.rng, &g.pkt
-	pkt.Src = Addr(fmt.Sprintf("lan:dev-%d", rng.Intn(8)))
-	pkt.Dst = Addr(fmt.Sprintf("wan:svc-%d", rng.Intn(4)))
-	pkt.SrcPort, pkt.DstPort = g.edge(1024+rng.Intn(60000)), g.edge(rng.Intn(1024))
-	pkt.Proto = protos[rng.Intn(len(protos))]
-	pkt.Size = g.edge(40 + rng.Intn(1400))
-	pkt.Encrypted = rng.Intn(2) == 0
-	pkt.DNSName = ""
-	if pkt.Proto == "DNS" || rng.Intn(20) == 0 {
-		pkt.DNSName = fmt.Sprintf("host-%d.example", rng.Intn(16))
+	if rng.Intn(4) != 0 {
+		*pkt = homeFlows[rng.Intn(len(homeFlows))]
+		if rng.Intn(10) == 0 {
+			pkt.Size += 1 + rng.Intn(100)
+		}
+		g.now += time.Duration(1+rng.Intn(3))*time.Millisecond + time.Duration(rng.Intn(1_000_000))
+		pkt.DeliveredAt = g.now
+	} else {
+		g.fresh()
 	}
 	switch r := rng.Intn(400); {
 	case r == 0:
@@ -86,6 +102,23 @@ func (g *packetGen) next() *Packet {
 		pkt.Payload = g.small[:rng.Intn(len(g.small)+1)]
 	}
 	rng.Read(pkt.Payload)
+	return pkt
+}
+
+// fresh rewrites the packet's header and time with new random values.
+func (g *packetGen) fresh() {
+	protos := []string{"DNS", "TLS", "HTTP", "MQTT", "XLF-LWC"}
+	rng, pkt := g.rng, &g.pkt
+	pkt.Src = Addr(fmt.Sprintf("lan:dev-%d", rng.Intn(8)))
+	pkt.Dst = Addr(fmt.Sprintf("wan:svc-%d", rng.Intn(4)))
+	pkt.SrcPort, pkt.DstPort = g.edge(1024+rng.Intn(60000)), g.edge(rng.Intn(1024))
+	pkt.Proto = protos[rng.Intn(len(protos))]
+	pkt.Size = g.edge(40 + rng.Intn(1400))
+	pkt.Encrypted = rng.Intn(2) == 0
+	pkt.DNSName = ""
+	if pkt.Proto == "DNS" || rng.Intn(20) == 0 {
+		pkt.DNSName = fmt.Sprintf("host-%d.example", rng.Intn(16))
+	}
 	g.now += time.Millisecond
 	pkt.DeliveredAt = g.now
 	switch rng.Intn(100) {
@@ -96,7 +129,29 @@ func (g *packetGen) next() *Packet {
 	case 2:
 		pkt.DeliveredAt = time.Duration(edgeInts[rng.Intn(len(edgeInts))])
 	}
-	return pkt
+}
+
+// branches walks c's encoded records and counts those that repeat their
+// flow's ports and size and those that spell them out.
+func branches(c *Capture) (same, full int) {
+	for _, b := range c.chunks {
+		for len(b) > 0 {
+			head := readUvarint(&b)
+			readVarint(&b)
+			if head&recSame != 0 {
+				same++
+			} else {
+				full++
+				readVarint(&b)
+				readVarint(&b)
+				readVarint(&b)
+			}
+			if head&recPayload != 0 {
+				b = b[readUvarint(&b):]
+			}
+		}
+	}
+	return same, full
 }
 
 // checkCapture compares c with the reference records, and checks that a
@@ -132,7 +187,9 @@ func checkCapture(t *testing.T, c *Capture, ref []PacketRecord) {
 // compares Len and Records one record below, on and one above each point
 // where a new chunk opens. A first pass finds those points; the second
 // replays the same seed. At the end every chunk must still be where it
-// was opened (never copied) and sized by the chunk rule.
+// was opened (never copied) and sized by the chunk rule, and at least a
+// quarter of the records must take each of the repeat and spelled-out
+// header branches.
 func TestCaptureMatchesReferenceSlice(t *testing.T) {
 	const n = 20_000
 	for _, payloads := range []bool{false, true} {
@@ -189,6 +246,9 @@ func TestCaptureMatchesReferenceSlice(t *testing.T) {
 			if full < 2 || own < 2 {
 				t.Errorf("%d chunks at the cap and %d of one record: the packets no longer reach every chunk case", full, own)
 			}
+			if same, spelled := branches(c); same < n/4 || spelled < n/4 {
+				t.Errorf("%d records repeat their flow's ports and size and %d spell them out, want at least %d each", same, spelled, n/4)
+			}
 		})
 	}
 }
@@ -215,6 +275,16 @@ func FuzzCaptureRecords(f *testing.F) {
 		enc(0x05, [4]byte{2, 1, 4, 5}, math.MinInt64, 65536, 65535, 1<<33)...),
 		enc(0x02, [4]byte{1, 1, 3, 6}, 3, 0, 0, 0)...))
 	f.Add(append(enc(0x06, [4]byte{1, 2, 3, 5}, 10, 53, 53, 90), 0))
+	// A, A′, A on one flow: the header changes and changes back.
+	f.Add(append(append(enc(0x01, [4]byte{1, 2, 4, 0}, 30e9+17, 40001, 443, 180),
+		enc(0x01, [4]byte{1, 2, 4, 0}, 60e9+4, 40001, 443, 212)...),
+		enc(0x01, [4]byte{1, 2, 4, 0}, 90e9+911, 40001, 443, 180)...))
+	// Two sources alternating to one Dst, then one source alternating ports.
+	f.Add(append(append(append(append(enc(0x01, [4]byte{1, 2, 4, 0}, 5, 40001, 443, 180),
+		enc(0x01, [4]byte{5, 2, 4, 0}, 6, 40002, 443, 180)...),
+		enc(0x01, [4]byte{1, 2, 4, 0}, 7, 40001, 443, 180)...),
+		enc(0x01, [4]byte{5, 2, 4, 0}, 8, 40002, 443, 180)...),
+		enc(0x01, [4]byte{5, 2, 4, 0}, 9, 40001, 443, 180)...))
 	names := []string{"", "lan:cam", "wan:cloud", "DNS", "TLS", "host.example", string(bytes.Repeat([]byte("x"), 300))}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
@@ -259,56 +329,87 @@ func FuzzCaptureRecords(f *testing.F) {
 	})
 }
 
-// TestCaptureAllocationBound: a capture of a fixed TLS packet costs at
-// most 24 bytes a record, where a PacketRecord alone is 128.
+// TestCaptureAllocationBound bounds the bytes a capture allocates a
+// record, chunk growth and flow table included, at nanosecond-jittered
+// times about a second apart, where a PacketRecord alone is 128: a
+// repeated TLS keepalive on one flow (the flow byte and a 5-byte time
+// delta), one flow whose source port and size change every record (the
+// flags-byte and string-index encoding this one replaced allocated 16.4
+// bytes a record on the same packets), and a new destination every
+// record, which pays for a flow-table entry each (177.5 before).
 func TestCaptureAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const n = 100_000
-	pkt := &Packet{Src: "lan:cam", Dst: "wan:cloud", Proto: "TLS", Size: 180, Encrypted: true}
-	c := NewCapture()
-	tap := c.Tap()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		pkt.DeliveredAt = time.Duration(i) * time.Second
-		tap(TapWAN, pkt)
+	dsts := make([]Addr, n)
+	for i := range dsts {
+		dsts[i] = Addr(fmt.Sprintf("wan:svc-%d", i))
 	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(24 * n); got > limit {
-		t.Errorf("capturing %d packets allocated %d bytes, want at most %d", n, got, limit)
-	}
-	if c.Len() != n {
-		t.Errorf("Len = %d, want %d", c.Len(), n)
+	for _, tc := range []struct {
+		name      string
+		perRecord float64
+		vary      func(pkt *Packet, i int, rng *rand.Rand)
+	}{
+		{"one flow", 8, func(*Packet, int, *rand.Rand) {}},
+		{"port churn", 15.1, func(pkt *Packet, _ int, rng *rand.Rand) {
+			pkt.SrcPort, pkt.Size = 1024+rng.Intn(64512), 40+rng.Intn(1400)
+		}},
+		{"new destination", 600, func(pkt *Packet, i int, _ *rand.Rand) { pkt.Dst = dsts[i] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pkt := &Packet{Src: "wan:home", Dst: "wan:cloud", SrcPort: 40001, DstPort: 443, Proto: "TLS", Size: 180, Encrypted: true}
+			rng := rand.New(rand.NewSource(1))
+			c := NewCapture()
+			tap := c.Tap()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				tc.vary(pkt, i, rng)
+				pkt.DeliveredAt = time.Duration(i)*time.Second + time.Duration(rng.Intn(1_000_000))
+				tap(TapWAN, pkt)
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(c)
+			got := float64(after.TotalAlloc-before.TotalAlloc) / n
+			t.Logf("%.2f bytes a record", got)
+			if got > tc.perRecord {
+				t.Errorf("capturing %d packets allocated %.2f bytes a record, want at most %v", n, got, tc.perRecord)
+			}
+			if c.Len() != n {
+				t.Errorf("Len = %d, want %d", c.Len(), n)
+			}
+		})
 	}
 }
 
 // BenchmarkCaptureTap measures the steady-state cost of one record at a
-// tap that sees about 20 addresses; B/op is the encoded bytes a record
-// costs, chunk growth included.
+// home-shaped WAN tap: twelve keepalive flows, two of which are devices
+// behind one NAT address reaching one destination from their own ports,
+// so they alternate inside one flow, at times 1.7 s and some nanoseconds
+// apart (a home's WAN tap averages about one record every two seconds).
+// B/op is the encoded bytes a record costs, chunk growth included.
 func BenchmarkCaptureTap(b *testing.B) {
 	protos := []string{"TLS", "DNS", "MQTT", "XLF-LWC"}
-	pkts := make([]Packet, 64)
+	pkts := make([]Packet, 12)
 	for i := range pkts {
 		pkts[i] = Packet{
-			Src: Addr(fmt.Sprintf("lan:dev-%d", i%16)), Dst: Addr(fmt.Sprintf("wan:svc-%d", i%4)),
-			SrcPort: 30000 + i, DstPort: 443, Proto: protos[i%len(protos)],
+			Src: "wan:home", Dst: Addr(fmt.Sprintf("wan:svc-%d", i)),
+			SrcPort: 40000 + i, DstPort: 443, Proto: protos[i%len(protos)],
 			Size: 60 + 17*i, Encrypted: i%4 != 1,
 		}
 		if pkts[i].Proto == "DNS" {
-			pkts[i].DNSName = fmt.Sprintf("host-%d.example", i%8)
+			pkts[i].DNSName = fmt.Sprintf("host-%d.example", i)
 		}
 	}
+	pkts[2].Dst, pkts[2].Proto = pkts[0].Dst, pkts[0].Proto
 	c := NewCapture()
 	tap := c.Tap()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := &pkts[i%len(pkts)]
-		pkt.DeliveredAt = time.Duration(i) * 3 * time.Millisecond
+		pkt.DeliveredAt = time.Duration(i)*1700*time.Millisecond + time.Duration(i*7919%1_000_000)
 		tap(TapWAN, pkt)
 	}
 }

@@ -62,9 +62,6 @@ func (s *DNSServer) Handle(net *Network, pkt *Packet) {
 type cacheEntry struct {
 	addr    Addr
 	expires time.Duration
-	// poisoned marks entries injected by an off-path attacker; ground
-	// truth for the E7 experiment.
-	poisoned bool
 }
 
 // Resolver is the gateway-resident stub resolver with a cache. Lookups are
@@ -79,10 +76,6 @@ type Resolver struct {
 
 	cache   map[string]cacheEntry
 	pending map[string][]func(Addr, error)
-	net     *Network
-
-	hits, misses uint64
-	poisonedHits uint64
 }
 
 var _ Node = (*Resolver)(nil)
@@ -101,26 +94,17 @@ func NewResolver(addr, upstream Addr, protocol string) *Resolver {
 // Addr implements Node.
 func (r *Resolver) Addr() Addr { return r.Address }
 
-// Stats returns (cacheHits, upstreamQueries, poisonedAnswersServed).
-func (r *Resolver) Stats() (uint64, uint64, uint64) { return r.hits, r.misses, r.poisonedHits }
-
 // Lookup resolves a name, consulting the cache first. The callback fires
 // (possibly synchronously on a cache hit) with the address or an error.
 func (r *Resolver) Lookup(net *Network, name string, cb func(Addr, error)) {
 	if e, ok := r.cache[name]; ok && net.Kernel().Now() < e.expires {
-		r.hits++
-		if e.poisoned {
-			r.poisonedHits++
-		}
 		cb(e.addr, nil)
 		return
 	}
-	r.net = net
 	r.pending[name] = append(r.pending[name], cb)
 	if len(r.pending[name]) > 1 {
 		return // query already in flight
 	}
-	r.misses++
 	net.Send(net.NewPacket(Packet{
 		Src: r.Address, Dst: r.Upstream,
 		SrcPort: 5353, DstPort: 53,
@@ -150,25 +134,18 @@ func (r *Resolver) Handle(net *Network, pkt *Packet) {
 	if _, waiting := r.pending[pkt.DNSName]; !waiting {
 		return
 	}
-	isUpstream := pkt.Src == r.Upstream
-	if !isUpstream {
-		// Off-path spoofed response. Cleartext UDP DNS accepts it (the
-		// classic cache-poisoning weakness); encrypted transports reject
-		// forgeries that lack the channel.
-		if r.Proto != "DNS" {
-			return
-		}
+	// An off-path spoofed response: cleartext UDP DNS accepts it (the
+	// classic cache-poisoning weakness); encrypted transports reject
+	// forgeries that lack the channel.
+	if pkt.Src != r.Upstream && r.Proto != "DNS" {
+		return
 	}
 	addr := Addr(pkt.Payload)
 	if string(pkt.Payload) == "NXDOMAIN" {
 		r.finish(pkt.DNSName, "", fmt.Errorf("netsim: NXDOMAIN for %q", pkt.DNSName))
 		return
 	}
-	r.cache[pkt.DNSName] = cacheEntry{
-		addr:     addr,
-		expires:  net.Kernel().Now() + 5*time.Minute,
-		poisoned: !isUpstream,
-	}
+	r.cache[pkt.DNSName] = cacheEntry{addr: addr, expires: net.Kernel().Now() + 5*time.Minute}
 	r.finish(pkt.DNSName, addr, nil)
 }
 
