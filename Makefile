@@ -14,7 +14,8 @@ race:
 # vet runs both the standard toolchain vet (which owns lock copies and
 # unreachable code) and the repository's own cross-layer analyzers
 # (layer DAG, determinism, map order, error discipline, crypto misuse,
-# sealed payloads and secret leaks, //xlf:hotpath allocations). Lock
+# sealed payloads and secret leaks, //xlf:hotpath allocations, exported
+# API only tests use). Lock
 # balance, lock order, goroutine leaks and shared globals are caught by
 # the tests and -race (DESIGN.md §6). Sanctioned exceptions are inline
 # //xlf:allow-* markers.

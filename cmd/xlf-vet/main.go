@@ -12,7 +12,9 @@
 // global-rand calls and references in deterministic packages, and their
 // reachability through any depth of cross-package helpers) and maporder
 // (map iteration order escaping into returns, sinks, or unsorted
-// appends). Lock copies and unreachable code are go vet's copylocks and
+// appends). testonly requires every exported function or method of a
+// non-main package to have a use outside test files. Lock copies and
+// unreachable code are go vet's copylocks and
 // unreachable passes, which the CI gate runs alongside. See
 // internal/analysis for the rules and DESIGN.md §6 for the invariant
 // each one guards.

@@ -211,6 +211,7 @@ func TestSeededViolationsFail(t *testing.T) {
 		{"internal/testbed/testbed.go", "plaintextescape"},
 		{"internal/service/service.go", "secretleak"},
 		{"internal/dpi/dpi.go", "cryptomisuse"},
+		{"internal/exp/exp.go", "testonly"},
 	} {
 		re := regexp.MustCompile(regexp.QuoteMeta(want.file) + `:\d+: \[` + want.rule + `\]`)
 		if !re.MatchString(out) {
@@ -338,8 +339,8 @@ func TestSARIFGolden(t *testing.T) {
 		t.Fatalf("want one run from driver xlf-vet, got %+v", log.Runs)
 	}
 	rules := log.Runs[0].Tool.Driver.Rules
-	if len(rules) != 8 {
-		t.Errorf("rules array has %d entries, want all 8 configured rules", len(rules))
+	if len(rules) != 9 {
+		t.Errorf("rules array has %d entries, want all 9 configured rules", len(rules))
 	}
 	for _, r := range log.Runs[0].Results {
 		if r.Level != "error" {

@@ -4,10 +4,10 @@
 // corresponding architectural rules — the layer import DAG, the
 // determinism contract of the simulator, error discipline and
 // lightweight-crypto hygiene in security-critical packages, sealed
-// device payloads and unlogged tokens — into checkers that run over the
-// parsed source (go/parser, go/ast and go/types only, no external
-// dependencies). Rules go vet already runs (copylocks, unreachable) are
-// not duplicated here.
+// device payloads, unlogged tokens and no test-only exported API — into
+// checkers that run over the parsed source (go/parser, go/ast and
+// go/types only, no external dependencies). Rules go vet already runs
+// (copylocks, unreachable) are not duplicated here.
 //
 // cmd/xlf-vet loads the module, builds its model once (NewModule: one
 // tolerant type-check, one call graph, one waiver index), runs every

@@ -130,6 +130,14 @@ func TestErrDropFixture(t *testing.T) {
 	checkFixture(t, "errdrop", NewErrDrop([]string{fixtureModule + "/internal/xauth"}))
 }
 
+// TestTestOnlyFixture covers a method only a test calls, one that shares
+// its name with a used method of another type, one reached only through
+// a module interface, String, a method on an unexported type, a main
+// package and a waived keep.
+func TestTestOnlyFixture(t *testing.T) {
+	checkFixture(t, "testonly", NewTestOnly())
+}
+
 // fixtureTaintRule rebases a real taint rule's intra-module refs onto the
 // fixture module, so the fixture exercises the production tables.
 func fixtureTaintRule(r TaintRule) TaintRule {
@@ -197,6 +205,7 @@ var waiverRules = map[string][]string{
 	AllowHotPathMarker:   {"hotpathalloc"},
 	AllowMapOrderMarker:  {"maporder"},
 	AllowTaintMarker:     {"plaintextescape", "secretleak"},
+	AllowTestOnlyMarker:  {"testonly"},
 	AllowWallclockMarker: {"determinism"},
 	CryptoAllowMarker:    {"cryptomisuse"},
 }

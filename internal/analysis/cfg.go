@@ -547,48 +547,6 @@ func isNoReturnCall(expr ast.Expr) bool {
 	return false
 }
 
-// Dump renders the graph in a stable textual form for golden tests and
-// debugging: one line per block with kind, terminator flag and successor
-// list, then one indented line per node.
-func (g *CFG) Dump(fset *token.FileSet) string {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "func %s\n", g.Name)
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&buf, "b%d (%s)", blk.Index, blk.Kind)
-		if blk.Panics {
-			buf.WriteString(" panics")
-		}
-		buf.WriteString(" ->")
-		if len(blk.Succs) == 0 {
-			buf.WriteString(" .")
-		}
-		for _, s := range blk.Succs {
-			fmt.Fprintf(&buf, " b%d", s.Index)
-		}
-		buf.WriteByte('\n')
-		for _, n := range blk.Nodes {
-			fmt.Fprintf(&buf, "\t%s\n", nodeText(fset, n))
-		}
-	}
-	return buf.String()
-}
-
-// nodeText renders one AST node as a single line of source.
-func nodeText(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	cfg := printer.Config{Mode: printer.RawFormat}
-	if err := cfg.Fprint(&buf, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	s := buf.String()
-	s = strings.ReplaceAll(s, "\n", " ")
-	s = strings.ReplaceAll(s, "\t", "")
-	if len(s) > 120 {
-		s = s[:117] + "..."
-	}
-	return s
-}
-
 // exprText renders an expression as compact source text, for
 // diagnostics ("hmac.New").
 func exprText(e ast.Expr) string {

@@ -1,10 +1,15 @@
 package analysis
 
 import (
+	"bytes"
+	"fmt"
+	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +26,7 @@ func TestCFGGolden(t *testing.T) {
 	for _, fn := range Functions(f) {
 		g := BuildCFG(fn.Name, fn.Body)
 		checkCFGInvariants(t, g)
-		out = append(out, g.Dump(fset)...)
+		out = append(out, dumpCFG(g, fset)...)
 		out = append(out, '\n')
 	}
 
@@ -132,7 +137,49 @@ func FuzzCFGBuild(f *testing.F) {
 					}
 				}
 			}
-			_ = g.Dump(fset)
+			_ = dumpCFG(g, fset)
 		}
 	})
+}
+
+// dumpCFG renders g in a stable textual form for the golden test: one
+// line per block with kind, terminator flag and successor list, then one
+// indented line per node.
+func dumpCFG(g *CFG, fset *token.FileSet) string {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "func %s\n", g.Name)
+	for _, blk := range g.Blocks {
+		fmt.Fprintf(&buf, "b%d (%s)", blk.Index, blk.Kind)
+		if blk.Panics {
+			buf.WriteString(" panics")
+		}
+		buf.WriteString(" ->")
+		if len(blk.Succs) == 0 {
+			buf.WriteString(" .")
+		}
+		for _, s := range blk.Succs {
+			fmt.Fprintf(&buf, " b%d", s.Index)
+		}
+		buf.WriteByte('\n')
+		for _, n := range blk.Nodes {
+			fmt.Fprintf(&buf, "\t%s\n", nodeText(fset, n))
+		}
+	}
+	return buf.String()
+}
+
+// nodeText renders one AST node as a single line of source.
+func nodeText(fset *token.FileSet, n ast.Node) string {
+	var buf bytes.Buffer
+	cfg := printer.Config{Mode: printer.RawFormat}
+	if err := cfg.Fprint(&buf, fset, n); err != nil {
+		return fmt.Sprintf("<%T>", n)
+	}
+	s := buf.String()
+	s = strings.ReplaceAll(s, "\n", " ")
+	s = strings.ReplaceAll(s, "\t", "")
+	if len(s) > 120 {
+		s = s[:117] + "..."
+	}
+	return s
 }

@@ -72,7 +72,9 @@ func newTypeOracle(pkgs []*Package) *typeOracle {
 
 	// Topological order over intra-module imports (cycles cannot happen in
 	// compilable Go; if the sources are broken we still terminate because
-	// visited packages are marked before recursing).
+	// visited packages are marked before recursing). The check ignores
+	// external test packages, so their imports (xlf_test importing
+	// internal/exp, which imports xlf) must not order an importer first.
 	var order []*Package
 	visited := make(map[*Package]bool)
 	var visit func(p *Package)
@@ -82,6 +84,9 @@ func newTypeOracle(pkgs []*Package) *typeOracle {
 		}
 		visited[p] = true
 		for _, f := range p.Files {
+			if strings.HasSuffix(f.AST.Name.Name, "_test") {
+				continue
+			}
 			for _, spec := range f.AST.Imports {
 				path := strings.Trim(spec.Path.Value, `"`)
 				if dep, ok := byPath[path]; ok && dep != p {

@@ -215,7 +215,6 @@ var XLFCryptoConfig = CryptoConfig{
 		{Pkg: "xlf/internal/lwc", Name: "NewTEA", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "xlf/internal/lwc", Name: "NewXTEA", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "xlf/internal/lwc", Name: "NewTWINE", KeyArg: 0, MinKeyLen: 8},
-		{Pkg: "xlf/internal/lwc", Recv: "Registry", Name: "New", KeyArg: 1, MinKeyLen: 8},
 		{Pkg: "xlf/internal/channel", Name: "New", KeyArg: 1, MinKeyLen: 16},
 		{Pkg: "xlf/internal/xauth", Name: "NewAuthority", KeyArg: 0, MinKeyLen: 16},
 		{Pkg: "xlf/internal/xauth", Name: "NewSigner", KeyArg: 0, MinKeyLen: 16},
@@ -243,5 +242,6 @@ func XLFAnalyzers() []Analyzer {
 		// Interprocedural determinism layer (DESIGN.md §11).
 		NewMapOrder(XLFDeterministicPackages, XLFMapOrderSinks),
 	}
-	return append(out, NewTaintSuite(XLFPlaintextEscape, XLFSecretLeak)...)
+	out = append(out, NewTaintSuite(XLFPlaintextEscape, XLFSecretLeak)...)
+	return append(out, NewTestOnly())
 }

@@ -138,8 +138,6 @@ type Monitor struct {
 	deviceID string
 	dfa      *device.Behavior
 	state    device.State
-
-	observed, deviations int
 }
 
 // NewMonitor starts tracking a device from its automaton's initial state.
@@ -150,39 +148,27 @@ func NewMonitor(deviceID string, dfa *device.Behavior) (*Monitor, error) {
 	return &Monitor{deviceID: deviceID, dfa: dfa, state: dfa.Initial}, nil
 }
 
-// State returns the monitor's tracked state.
-func (m *Monitor) State() device.State { return m.state }
-
 // Observe feeds one recovered event. Legal transitions advance the tracked
-// state; illegal ones are counted as deviations without advancing (the
+// state; illegal ones are returned as deviations without advancing (the
 // device itself would have rejected them).
 func (m *Monitor) Observe(event string) *Deviation {
-	m.observed++
 	next, ok := m.dfa.Next(m.state, event)
 	if !ok {
-		d := Deviation{
+		return &Deviation{
 			DeviceID: m.deviceID, Event: event, Kind: "illegal-transition",
 			State: m.state, Score: 1.0,
 		}
-		m.deviations++
-		return &d
 	}
 	m.state = next
 	return nil
 }
 
-// ObserveUnknown counts a sequence that matched no fingerprint as a
+// ObserveUnknown returns a sequence that matched no fingerprint as a
 // deviation.
 func (m *Monitor) ObserveUnknown(distance int) *Deviation {
-	m.observed++
 	score := 1 - 1/float64(distance+1)
-	d := Deviation{DeviceID: m.deviceID, Kind: "unknown-event", State: m.state, Score: score}
-	m.deviations++
-	return &d
+	return &Deviation{DeviceID: m.deviceID, Kind: "unknown-event", State: m.state, Score: score}
 }
-
-// Stats returns (observations, deviations).
-func (m *Monitor) Stats() (int, int) { return m.observed, m.deviations }
 
 // LearnedModel is the fallback for devices without automation-derived
 // automata (the paper's Amazon Echo point): a first-order transition model

@@ -210,9 +210,6 @@ func New(id string, p Profile, opts ...Option) *Device {
 	return d
 }
 
-// State returns the device's current behaviour state.
-func (d *Device) State() State { return d.state }
-
 // Apply feeds an event/command into the behaviour automaton. Events that
 // are illegal in the current state are rejected — exactly the deviations
 // XLF's behaviour profiling looks for.

@@ -129,8 +129,8 @@ func TestBatteryAccounting(t *testing.T) {
 
 func TestBehaviorDFA(t *testing.T) {
 	b := NewSmartBulb("b")
-	if b.State() != "off" {
-		t.Fatalf("initial state = %q, want off", b.State())
+	if b.state != "off" {
+		t.Fatalf("initial state = %q, want off", b.state)
 	}
 	if err := b.Apply("on"); err != nil {
 		t.Fatal(err)
@@ -138,14 +138,14 @@ func TestBehaviorDFA(t *testing.T) {
 	if err := b.Apply("dim"); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != "dimmed" {
-		t.Errorf("state = %q, want dimmed", b.State())
+	if b.state != "dimmed" {
+		t.Errorf("state = %q, want dimmed", b.state)
 	}
 	// Illegal event rejected without state change.
 	if err := b.Apply("brew"); err == nil {
 		t.Error("bulb accepted 'brew'")
 	}
-	if b.State() != "dimmed" {
+	if b.state != "dimmed" {
 		t.Error("state changed on rejected event")
 	}
 }

@@ -24,8 +24,6 @@ type Bridge struct {
 	// up opens device queries; down seals the replies.
 	up, down *channel.Session
 	resolver *netsim.Resolver
-
-	served, rejected uint64
 }
 
 // Addr aliases netsim.Addr for the public constructor signature.
@@ -42,19 +40,15 @@ func NewBridge(addr Addr, up, down *channel.Session, resolver *netsim.Resolver) 
 // NetAddr implements netsim.Node.
 func (b *Bridge) Addr() netsim.Addr { return b.Address }
 
-// Stats returns (queriesServed, rejected): a rejected query failed its
-// tag or replayed an earlier nonce.
-func (b *Bridge) Stats() (uint64, uint64) { return b.served, b.rejected }
-
 // Handle implements netsim.Node: decrypt, resolve upstream via DoT, reply
-// encrypted.
+// encrypted. A query that fails its tag or replays an earlier nonce gets
+// no reply.
 func (b *Bridge) Handle(net *netsim.Network, pkt *netsim.Packet) {
 	if pkt.Proto != "XLF-DNS" {
 		return
 	}
 	name, err := b.up.Open(pkt.Payload)
 	if err != nil {
-		b.rejected++
 		return
 	}
 	src, srcPort := pkt.Src, pkt.SrcPort
@@ -67,7 +61,6 @@ func (b *Bridge) Handle(net *netsim.Network, pkt *netsim.Packet) {
 		if serr != nil {
 			return
 		}
-		b.served++
 		net.Send(&netsim.Packet{
 			Src: b.Address, Dst: src, SrcPort: 8853, DstPort: srcPort,
 			Proto: "XLF-DNS", Size: 40 + len(sealed), Encrypted: true,

@@ -113,24 +113,3 @@ func (m *Matcher) FindAll(data []byte) []Match {
 	}
 	return out
 }
-
-// Contains reports whether any pattern occurs in data (early exit).
-func (m *Matcher) Contains(data []byte) bool {
-	cur := int32(0)
-	for _, b := range data {
-		for {
-			if nxt, ok := m.nodes[cur].next[b]; ok {
-				cur = nxt
-				break
-			}
-			if cur == 0 {
-				break
-			}
-			cur = m.nodes[cur].fail
-		}
-		if len(m.nodes[cur].out) > 0 {
-			return true
-		}
-	}
-	return false
-}

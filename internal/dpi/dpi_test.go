@@ -38,24 +38,24 @@ func TestMatcherOverlapsAndRepeats(t *testing.T) {
 
 func TestMatcherContains(t *testing.T) {
 	m := NewMatcher([][]byte{[]byte("busybox")})
-	if !m.Contains([]byte("run /bin/busybox now")) {
-		t.Error("Contains missed pattern")
+	if got := m.FindAll([]byte("run /bin/busybox now")); len(got) != 1 || got[0].End != 16 {
+		t.Errorf("FindAll = %v, want busybox ending at 16", got)
 	}
-	if m.Contains([]byte("nothing here")) {
-		t.Error("Contains false positive")
+	if got := m.FindAll([]byte("nothing here")); len(got) != 0 {
+		t.Errorf("false positive: %v", got)
 	}
-	if m.Contains(nil) {
-		t.Error("Contains on empty input")
+	if got := m.FindAll(nil); len(got) != 0 {
+		t.Errorf("match on empty input: %v", got)
 	}
 }
 
 func TestMatcherEmptyPatternsIgnored(t *testing.T) {
 	m := NewMatcher([][]byte{{}, []byte("x")})
-	if m.Contains([]byte("abc")) {
-		t.Error("empty pattern matched input without the real pattern")
+	if got := m.FindAll([]byte("abc")); len(got) != 0 {
+		t.Errorf("empty pattern matched input without the real pattern: %v", got)
 	}
-	if !m.Contains([]byte("axc")) {
-		t.Error("real pattern lost next to an empty one")
+	if got := m.FindAll([]byte("axc")); len(got) != 1 || got[0].End != 2 {
+		t.Errorf("real pattern lost next to an empty one: %v", got)
 	}
 }
 
@@ -97,7 +97,7 @@ func FuzzMatcherFindAll(f *testing.F) {
 }
 
 // checkMatcher compiles pats and requires FindAll to equal naiveMatches,
-// as a sorted list of (pattern, end) pairs, and Contains to agree.
+// as a sorted list of (pattern, end) pairs.
 func checkMatcher(t *testing.T, pats [][]byte, data []byte) {
 	t.Helper()
 	m := NewMatcher(pats)
@@ -107,9 +107,6 @@ func checkMatcher(t *testing.T, pats [][]byte, data []byte) {
 	slices.SortFunc(want, byEnd)
 	if !slices.Equal(got, want) {
 		t.Fatalf("FindAll = %v, naive %v (pats=%q data=%q)", got, want, pats, data)
-	}
-	if c := m.Contains(data); c != (len(want) > 0) {
-		t.Fatalf("Contains = %v with %d naive matches (pats=%q data=%q)", c, len(want), pats, data)
 	}
 }
 

@@ -88,9 +88,6 @@ func NewRuleSet(rules []Rule) (*RuleSet, error) {
 	return rs, nil
 }
 
-// Rules returns the rule list (a copy of the slice header).
-func (rs *RuleSet) Rules() []Rule { return append([]Rule(nil), rs.rules...) }
-
 // Detection is a rule that matched a payload.
 type Detection struct {
 	Rule Rule

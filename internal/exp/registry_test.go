@@ -54,22 +54,6 @@ func mustLookup(t *testing.T, id string) Experiment {
 	return e
 }
 
-// TestRegistryRunsDeterministic replaces the deprecated-wrapper pin (the
-// twin functions are gone after their one-release window): a registry
-// entry must render the same bytes for two identical envs.
-func TestRegistryRunsDeterministic(t *testing.T) {
-	for _, id := range []string{"T3", "E4", "E5"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			first := mustLookup(t, id).Run(NewStepEnv(4)).String()
-			again := mustLookup(t, id).Run(NewStepEnv(4)).String()
-			if first != again {
-				t.Errorf("%s: two runs with the same env disagree", id)
-			}
-		})
-	}
-}
-
 // TestResultIDsMatchRegistry asserts every entry renders a Result carrying
 // its own ID and title, which the artifact layer keys on. It reads the
 // sequential full-registry run the scheduler matrix compares against.

@@ -525,4 +525,4 @@ func (p *Pipeline) Process(rec netsim.PacketRecord) []Alert {
 }
 
 // Alerts returns every alert seen so far (a copy).
-func (p *Pipeline) Alerts() []Alert { return append([]Alert(nil), p.alerts...) }
+func (p *Pipeline) Alerts() []Alert { return append([]Alert(nil), p.alerts...) } //xlf:allow-testonly bench/_perf counts them

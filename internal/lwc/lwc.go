@@ -142,14 +142,6 @@ func (r *Registry) Lookup(name string) (Info, bool) {
 	return in, ok
 }
 
-// Names returns the registered algorithm names in registration (table row)
-// order. The returned slice is a copy.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // All returns every registered Info in table row order.
 func (r *Registry) All() []Info {
 	out := make([]Info, 0, len(r.order))
@@ -166,15 +158,6 @@ func (r *Registry) ByCost() []Info {
 	out := r.All()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].CyclesPerByte < out[j].CyclesPerByte })
 	return out
-}
-
-// New instantiates a registered algorithm with the given key.
-func (r *Registry) New(name string, key []byte) (cipher.Block, error) {
-	in, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("lwc: unknown algorithm %q", name)
-	}
-	return in.New(key)
 }
 
 // tableIII lists the algorithms exactly as the paper's Table III does

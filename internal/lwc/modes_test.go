@@ -140,18 +140,16 @@ func TestRegistryAddAndLookup(t *testing.T) {
 	if err := reg.Add(Info{Name: "X", KeySizes: []int{64}, BlockSize: 64, New: nil}); err == nil {
 		t.Error("nil constructor accepted")
 	}
-	names := reg.Names()
-	if len(names) != 16 || names[0] != "AES" {
-		t.Errorf("names = %v", names)
+	all := reg.All()
+	if len(all) != 16 || all[0].Name != "AES" {
+		t.Errorf("%d algorithms, first %q; want 16 from AES", len(all), all[0].Name)
 	}
 	if _, ok := reg.Lookup("Nonexistent"); ok {
 		t.Error("phantom lookup")
 	}
-	if _, err := reg.New("Nonexistent", nil); err == nil {
-		t.Error("New on unknown name accepted")
-	}
-	if _, err := reg.New("TEA", make([]byte, 16)); err != nil {
-		t.Errorf("registry New TEA: %v", err)
+	tea, _ := reg.Lookup("TEA")
+	if _, err := tea.New(make([]byte, 16)); err != nil {
+		t.Errorf("registry TEA constructor: %v", err)
 	}
 	costs := reg.ByCost()
 	for i := 1; i < len(costs); i++ {

@@ -16,14 +16,6 @@ type Confusion struct {
 	TP, FP, FN, TN int
 }
 
-// Add merges another matrix.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.FN += o.FN
-	c.TN += o.TN
-}
-
 // Record scores one (predicted, actual) pair.
 func (c *Confusion) Record(predicted, actual bool) {
 	switch {
@@ -61,15 +53,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Accuracy is (TP+TN)/total; 0 for the empty matrix.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.FN + c.TN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
 }
 
 // String renders the headline numbers.

@@ -29,8 +29,8 @@ func TestConfusionScores(t *testing.T) {
 	if f := c.F1(); f < 0.799 || f > 0.801 {
 		t.Errorf("f1 = %v, want 0.8", f)
 	}
-	if a := c.Accuracy(); a != 0.96 {
-		t.Errorf("accuracy = %v, want 0.96", a)
+	if want := (Confusion{TP: 8, FP: 2, FN: 2, TN: 88}); c != want {
+		t.Errorf("matrix = %+v, want %+v", c, want)
 	}
 	s := c.String()
 	if !strings.Contains(s, "F1=0.800") {
@@ -46,15 +46,12 @@ func TestConfusionEdgeCases(t *testing.T) {
 	if c.F1() != 1 {
 		t.Errorf("vacuous F1 = %v", c.F1())
 	}
-	if c.Accuracy() != 0 {
-		t.Error("empty accuracy should be 0")
-	}
-	var a, b Confusion
-	a.Record(true, true)
-	b.Record(false, true)
-	a.Add(b)
-	if a.TP != 1 || a.FN != 1 {
-		t.Errorf("Add = %+v", a)
+	// Every prediction wrong: precision and recall are 0, and so is F1.
+	var wrong Confusion
+	wrong.Record(true, false)
+	wrong.Record(false, true)
+	if wrong.Precision() != 0 || wrong.Recall() != 0 || wrong.F1() != 0 {
+		t.Errorf("all-wrong matrix scores %v", wrong)
 	}
 }
 

@@ -41,9 +41,6 @@ func (g *Graph) AddEdge(a, b string, w float64) {
 	g.adj[b][a] = w
 }
 
-// Nodes returns node IDs in insertion order (a copy).
-func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
-
 // Degree returns a node's weighted degree.
 func (g *Graph) Degree(id string) float64 {
 	var d float64

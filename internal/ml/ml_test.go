@@ -157,7 +157,7 @@ func TestGraphBasics(t *testing.T) {
 	g.AddEdge("b", "c", 1)
 	g.AddEdge("a", "a", 5) // self-loop ignored
 	g.AddEdge("a", "c", 0) // non-positive ignored
-	if got := len(g.Nodes()); got != 3 {
+	if got := len(g.nodes); got != 3 {
 		t.Errorf("nodes = %d, want 3", got)
 	}
 	if d := g.Degree("b"); d != 3 {
@@ -220,7 +220,7 @@ func TestModularityOfTrivialPartition(t *testing.T) {
 	g := twoCliques()
 	// Everything in one community: modularity ~0.
 	labels := make(map[string]string)
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		labels[n] = "all"
 	}
 	if q := g.Modularity(labels); math.Abs(q) > 1e-9 {

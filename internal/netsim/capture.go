@@ -207,6 +207,3 @@ func readUvarint(b *[]byte) uint64 {
 	*b = (*b)[k:]
 	return v
 }
-
-// Len returns the number of captured packets.
-func (c *Capture) Len() int { return c.n }

@@ -39,9 +39,6 @@ type Gateway struct {
 	// built once for the network SendOut last saw rather than per packet.
 	shapeNet  *Network
 	shapeSend func(*Packet)
-
-	blockedOut uint64
-	blockedIn  uint64
 }
 
 type natKey struct {
@@ -73,9 +70,6 @@ func NewGateway(lan, wan Addr) *Gateway {
 // attached separately via WANNode.
 func (g *Gateway) Addr() Addr { return g.lanAddr }
 
-// Blocked returns (outboundBlocked, inboundBlocked).
-func (g *Gateway) Blocked() (uint64, uint64) { return g.blockedOut, g.blockedIn }
-
 // Handle implements Node: the LAN face drops traffic addressed to the
 // gateway itself. WAN-bound traffic goes through SendOut.
 func (g *Gateway) Handle(*Network, *Packet) {}
@@ -89,7 +83,6 @@ func (g *Gateway) WANNode() Node {
 func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 	b, ok := g.natIn[pkt.DstPort]
 	if !ok {
-		g.blockedIn++
 		return
 	}
 	in := net.NewPacket(*pkt)
@@ -130,7 +123,6 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	}
 	if g.OutboundPolicy != nil {
 		if err := g.OutboundPolicy(pkt); err != nil {
-			g.blockedOut++
 			net.release(pkt)
 			if _, ok := err.(*BlockedError); ok {
 				return err

@@ -65,7 +65,8 @@ type poolSeen struct {
 type poolRun struct {
 	seen         []poolSeen
 	stats        [3]uint64
-	blocked      [2]uint64
+	refused      int // SendOut refusals
+	droppedIn    int // WAN tap packets to an unmapped gateway port
 	distinct     int // distinct pooled packets observed
 	freeLength   int
 	distinctBufs int // distinct network-owned payload buffers observed
@@ -142,7 +143,18 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 		}
 	}
 	n.AddTap(TapLAN, func(_ TapDirection, p *Packet) { see("tap-lan", p) })
-	n.AddTap(TapWAN, func(_ TapDirection, p *Packet) { see("tap-wan", p) })
+	n.AddTap(TapWAN, func(_ TapDirection, p *Packet) {
+		see("tap-wan", p)
+		// The tap runs before the gateway's WAN face handles p.
+		if _, mapped := gw.natIn[p.DstPort]; p.Dst == "wan:home" && !mapped {
+			run.droppedIn++
+		}
+	})
+	sendOut := func(p *Packet) {
+		if gw.SendOut(n, p) != nil {
+			run.refused++
+		}
+	}
 
 	for _, op := range ops {
 		op := op
@@ -160,10 +172,10 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 				if op.port%2 == 0 {
 					tmpl.Src = "lan:a"
 				}
-				_ = gw.SendOut(n, n.NewPacket(tmpl))
+				sendOut(n.NewPacket(tmpl))
 			case 3: // refused by the outbound policy
 				tmpl.Src, tmpl.Dst, tmpl.DstPort = "lan:a", "wan:evil", 80
-				_ = gw.SendOut(n, n.NewPacket(tmpl))
+				sendOut(n.NewPacket(tmpl))
 			case 4: // a literal packet is never recycled
 				tmpl.Src, tmpl.Dst = "lan:b", "lan:a"
 				p := tmpl
@@ -175,7 +187,7 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 				tmpl.Src, tmpl.Dst, tmpl.DstPort, tmpl.Encrypted = "lan:b", "wan:cloud", 443, true
 				p := n.NewPacket(tmpl)
 				seal(p, op.payload)
-				_ = gw.SendOut(n, p)
+				sendOut(p)
 			case 7: // sealed, then discarded unsent (a device out of battery)
 				tmpl.Src, tmpl.Dst, tmpl.Encrypted = "lan:a", "wan:cloud", true
 				p := n.NewPacket(tmpl)
@@ -186,7 +198,6 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 	}
 	k.Run(time.Hour)
 	run.stats[0], run.stats[1], run.stats[2] = n.Stats()
-	run.blocked[0], run.blocked[1] = gw.Blocked()
 	run.distinct = len(ptrs)
 	for p := n.free; p != nil; p = p.next {
 		run.freeLength++
@@ -200,8 +211,8 @@ func runPoolProgram(t *testing.T, seed int64, ops []poolOp, fresh bool) poolRun 
 // and on one whose NewPacket and PayloadBuffer always allocate; every
 // observation (payload bytes included, compared after the run, so an
 // observer that kept a recycled payload past its call shows up as
-// poisoned or overwritten bytes), the delivery stats and the gateway's
-// block counts must agree.
+// poisoned or overwritten bytes), the delivery stats, the refusals
+// SendOut returned and the inbound drops the taps saw must agree.
 func TestPooledMatchesFreshPackets(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 40; i++ {
@@ -218,8 +229,9 @@ func TestPooledMatchesFreshPackets(t *testing.T) {
 					t.Fatalf("observation %d differs:\npooled %+v\nfresh  %+v", j, pooled.seen[j], fresh.seen[j])
 				}
 			}
-			if pooled.stats != fresh.stats || pooled.blocked != fresh.blocked {
-				t.Errorf("stats %v blocked %v, fresh %v %v", pooled.stats, pooled.blocked, fresh.stats, fresh.blocked)
+			if pooled.stats != fresh.stats || pooled.refused != fresh.refused || pooled.droppedIn != fresh.droppedIn {
+				t.Errorf("stats %v refused %d dropped in %d, fresh %v %d %d",
+					pooled.stats, pooled.refused, pooled.droppedIn, fresh.stats, fresh.refused, fresh.droppedIn)
 			}
 			if fresh.freeLength != 0 || fresh.freeBufs != 0 {
 				t.Errorf("fresh network kept %d free packets and %d free buffers", fresh.freeLength, fresh.freeBufs)

@@ -15,26 +15,11 @@ import "math/bits"
 // That bound is what makes p50/p95/p99 from the Registry's histograms
 // honest enough to gate SLOs on.
 
-// Quantile estimates the q-quantile of the observed distribution from
-// the power-of-two buckets. q <= 0 (or NaN) returns the minimum bucket
-// estimate, q >= 1 the maximum; an empty histogram returns 0. Nil-safe.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil {
-		return 0
-	}
-	var counts [histBuckets]uint64
-	total := uint64(0)
-	for i := 0; i < histBuckets; i++ {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return quantileFromCounts(&counts, total, q)
-}
-
-// QuantileBuckets estimates the q-quantile from a sparse HistBucket
-// snapshot (as produced by Histogram.Buckets or a Snapshot), using the
-// same semantics as Histogram.Quantile. This is the offline half: the
-// xlf-trace metrics renderer works from serialized snapshots.
+// QuantileBuckets estimates the q-quantile of the observed distribution
+// from a sparse HistBucket snapshot (as produced by Histogram.Buckets or
+// a Snapshot). q <= 0 (or NaN) returns the minimum bucket estimate,
+// q >= 1 the maximum; no buckets return 0. The xlf-trace metrics
+// renderer works from serialized snapshots.
 func QuantileBuckets(buckets []HistBucket, q float64) uint64 {
 	var counts [histBuckets]uint64
 	total := uint64(0)

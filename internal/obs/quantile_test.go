@@ -13,19 +13,19 @@ import (
 // !(q > 0) contract) clamps to the minimum, q >= 1 to the maximum.
 func TestQuantileEmptyAndEdges(t *testing.T) {
 	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
+	if got := QuantileBuckets(nilH.Buckets(), 0.5); got != 0 {
 		t.Fatalf("nil histogram quantile = %d, want 0", got)
 	}
 	h := &Histogram{}
-	if got := h.Quantile(0.5); got != 0 {
+	if got := QuantileBuckets(h.Buckets(), 0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %d, want 0", got)
 	}
 	h.Observe(0)
 	h.Observe(100)
-	if got := h.Quantile(-1); got != 0 {
+	if got := QuantileBuckets(h.Buckets(), -1); got != 0 {
 		t.Fatalf("q<=0 = %d, want min bucket estimate 0", got)
 	}
-	max := h.Quantile(1)
+	max := QuantileBuckets(h.Buckets(), 1)
 	if max < 64 || max > 127 {
 		t.Fatalf("q>=1 = %d, want inside the bucket holding 100 ([64,127])", max)
 	}
@@ -41,10 +41,11 @@ func TestQuantileExactBuckets(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1)
 	}
-	if got := h.Quantile(0.25); got != 0 {
+	buckets := h.Buckets()
+	if got := QuantileBuckets(buckets, 0.25); got != 0 {
 		t.Fatalf("p25 = %d, want 0", got)
 	}
-	if got := h.Quantile(0.95); got != 1 {
+	if got := QuantileBuckets(buckets, 0.95); got != 1 {
 		t.Fatalf("p95 = %d, want 1", got)
 	}
 }
@@ -72,8 +73,9 @@ func TestQuantileErrorBoundVsMetrics(t *testing.T) {
 				h.Observe(v)
 				l.Observe(time.Duration(v))
 			}
+			buckets := h.Buckets()
 			for _, q := range qs {
-				got := float64(h.Quantile(q))
+				got := float64(QuantileBuckets(buckets, q))
 				want := float64(l.Quantile(q))
 				lo, hi := want/2, want*2
 				if want == 0 {
@@ -87,17 +89,24 @@ func TestQuantileErrorBoundVsMetrics(t *testing.T) {
 	}
 }
 
-// TestQuantileBucketsMatchesHistogram pins that the offline estimator
-// over a sparse Buckets snapshot agrees with the live histogram.
+// TestQuantileBucketsMatchesHistogram pins that the estimator over a
+// sparse Buckets snapshot agrees with the same estimate over the live
+// histogram's dense counts, so the snapshot loses no bucket.
 func TestQuantileBucketsMatchesHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := &Histogram{}
 	for i := 0; i < 2000; i++ {
 		h.Observe(uint64(rng.Int63n(1 << 30)))
 	}
+	var counts [histBuckets]uint64
+	total := uint64(0)
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
 	buckets := h.Buckets()
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if live, snap := h.Quantile(q), QuantileBuckets(buckets, q); live != snap {
+		if live, snap := quantileFromCounts(&counts, total, q), QuantileBuckets(buckets, q); live != snap {
 			t.Errorf("q=%g: live %d != snapshot %d", q, live, snap)
 		}
 	}

@@ -22,7 +22,7 @@ type RateSample struct {
 
 // WindowHist is one histogram's per-window reading. P50/P95/P99 are the
 // bucketed quantile estimates over the observations made *inside* the
-// window (see Histogram.Quantile for the error bound); CumP50/CumP95/
+// window (see QuantileBuckets for the error bound); CumP50/CumP95/
 // CumP99 estimate the cumulative distribution so totals rows do not have
 // to re-derive them.
 type WindowHist struct {

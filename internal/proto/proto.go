@@ -54,18 +54,6 @@ type Capabilities struct {
 	AccessControl    bool
 }
 
-// Score is a 0..5 count of present capabilities, used by the policy engine
-// to rank channel choices.
-func (c Capabilities) Score() int {
-	n := 0
-	for _, b := range []bool{c.Encryption, c.Integrity, c.ReplayProtection, c.Authentication, c.AccessControl} {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 func (c Capabilities) String() string {
 	var parts []string
 	add := func(ok bool, s string) {
@@ -146,12 +134,6 @@ func (r *Registry) Add(p Protocol) error {
 	r.byName[p.Name] = p
 	r.order = append(r.order, p.Name)
 	return nil
-}
-
-// Lookup returns a protocol by name.
-func (r *Registry) Lookup(name string) (Protocol, bool) {
-	p, ok := r.byName[name]
-	return p, ok
 }
 
 // All returns every protocol in registration order (a copy).

@@ -21,7 +21,7 @@ func TestRegistryPopulated(t *testing.T) {
 		t.Fatalf("registry has %d protocols, want >= 20", got)
 	}
 	for _, name := range []string{"ZigBee", "Z-Wave", "6LoWPAN", "TLS", "DTLS", "UPnP", "DNS", "IEEE 802.15.4"} {
-		if _, ok := r.Lookup(name); !ok {
+		if _, ok := r.byName[name]; !ok {
 			t.Errorf("missing protocol %q from Figure 2", name)
 		}
 	}
@@ -50,21 +50,21 @@ func TestAddValidation(t *testing.T) {
 	if err := r.Add(Protocol{Name: "LoRaWAN", Layer: LayerPhysical}); err != nil {
 		t.Errorf("Add valid protocol: %v", err)
 	}
-	if _, ok := r.Lookup("LoRaWAN"); !ok {
+	if _, ok := r.byName["LoRaWAN"]; !ok {
 		t.Error("added protocol not found")
 	}
 }
 
 func TestCapabilitiesScoreAndString(t *testing.T) {
 	all := Capabilities{Encryption: true, Integrity: true, ReplayProtection: true, Authentication: true, AccessControl: true}
-	if all.Score() != 5 {
-		t.Errorf("full caps score = %d, want 5", all.Score())
+	if got := all.String(); got != "enc+int+replay+auth+acl" {
+		t.Errorf("full caps = %q, want all five", got)
 	}
 	var none Capabilities
-	if none.Score() != 0 || none.String() != "none" {
-		t.Errorf("empty caps = %d %q", none.Score(), none.String())
+	if none.String() != "none" {
+		t.Errorf("empty caps = %q", none.String())
 	}
-	tls, _ := MustRegistry().Lookup("TLS")
+	tls := MustRegistry().byName["TLS"]
 	if !strings.Contains(tls.Caps.String(), "enc") {
 		t.Errorf("TLS caps string %q missing enc", tls.Caps.String())
 	}
@@ -72,14 +72,12 @@ func TestCapabilitiesScoreAndString(t *testing.T) {
 
 func TestSecureChannelsOutscoreCleartext(t *testing.T) {
 	r := MustRegistry()
-	tls, _ := r.Lookup("TLS")
-	http, _ := r.Lookup("HTTP")
-	upnp, _ := r.Lookup("UPnP")
-	if tls.Caps.Score() <= http.Caps.Score() {
-		t.Error("TLS does not outscore HTTP")
+	tls, http, upnp := r.byName["TLS"], r.byName["HTTP"], r.byName["UPnP"]
+	if !tls.Caps.Encryption || !tls.Caps.Integrity || http.Caps.Encryption || http.Caps.Integrity {
+		t.Errorf("TLS caps %v do not outrank HTTP's %v", tls.Caps, http.Caps)
 	}
-	if upnp.Caps.Score() != 0 {
-		t.Errorf("UPnP score = %d, want 0 (the paper's open-port example)", upnp.Caps.Score())
+	if upnp.Caps != (Capabilities{}) {
+		t.Errorf("UPnP caps = %v, want none (the paper's open-port example)", upnp.Caps)
 	}
 }
 

@@ -31,8 +31,6 @@ type OTAPipeline struct {
 	// Flash delivers a verified image to the physical device; installed
 	// by the testbed.
 	Flash func(deviceID string, img OTAImage) error
-
-	pushed, rejected uint64
 }
 
 // NewOTAPipeline creates the pipeline with a fresh vendor keypair derived
@@ -45,13 +43,9 @@ func NewOTAPipeline(cloud *Cloud, seed []byte) (*OTAPipeline, error) {
 	return &OTAPipeline{cloud: cloud, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
 }
 
-// VendorPublicKey returns the verification key devices pin.
-func (o *OTAPipeline) VendorPublicKey() ed25519.PublicKey { return o.pub }
-
-// Stats returns (imagesPushed, imagesRejected).
-func (o *OTAPipeline) Stats() (uint64, uint64) { return o.pushed, o.rejected }
-
 // Build signs an image.
+//
+//xlf:allow-testonly the only way a test builds a signed image for the hardened platform's accept path
 func (o *OTAPipeline) Build(version string, data []byte) OTAImage {
 	img := OTAImage{
 		Version:     version,
@@ -87,11 +81,9 @@ func (o *OTAPipeline) Push(deviceID string, img OTAImage) error {
 	}
 	if !o.cloud.Flaws.OpenRedirectOTA {
 		if err := VerifyImage(o.pub, img); err != nil {
-			o.rejected++
 			return err
 		}
 	}
-	o.pushed++
 	if o.Flash != nil {
 		return o.Flash(deviceID, img)
 	}

@@ -87,7 +87,6 @@ type Flaws struct {
 // Errors returned by platform operations.
 var (
 	ErrUnknownDevice = errors.New("service: unknown device")
-	ErrUnknownApp    = errors.New("service: unknown app")
 	ErrNotPermitted  = errors.New("service: capability not granted")
 	ErrSpoofRejected = errors.New("service: unsigned event rejected")
 	ErrUnsignedImage = errors.New("service: unsigned OTA image rejected")

@@ -52,12 +52,11 @@ func (h Handle) Cancel() {
 // randomness source. It is not safe for concurrent use; the simulation
 // model is strictly sequential, which is what makes runs reproducible.
 type Kernel struct {
-	now     time.Duration
-	seq     uint64
-	rng     *rand.Rand
-	ran     uint64
-	pending int
-	tracer  *obs.Tracer
+	now    time.Duration
+	seq    uint64
+	rng    *rand.Rand
+	ran    uint64
+	tracer *obs.Tracer
 	wheel
 }
 
@@ -76,10 +75,6 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // draw all randomness from here, never from package-level rand or crypto
 // rand, so that scenarios replay exactly.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// Pending returns the number of events waiting in the queue, including
-// canceled events that have not yet been discarded.
-func (k *Kernel) Pending() int { return k.pending }
 
 // Processed returns how many events have executed since the kernel was
 // created.
@@ -113,7 +108,6 @@ func (k *Kernel) ScheduleAt(at time.Duration, name string, fn func()) Handle {
 	e := &k.slots[s]
 	e.at, e.name, e.fn, e.seq = at, name, fn, k.seq
 	k.enqueue(s)
-	k.pending++
 	return Handle{k: k, slot: s, gen: e.gen}
 }
 
@@ -137,7 +131,6 @@ func (k *Kernel) ScheduleArg(delay time.Duration, name string, fn func(any), arg
 	e := &k.slots[s]
 	e.at, e.name, e.fnArg, e.arg, e.seq = at, name, fn, arg, k.seq
 	k.enqueue(s)
-	k.pending++
 	return Handle{k: k, slot: s, gen: e.gen}
 }
 
@@ -158,13 +151,11 @@ func (k *Kernel) Step() bool {
 		k.batchIdx++
 		e := &k.slots[s]
 		if e.canceled {
-			k.pending--
 			k.recycle(s)
 			continue
 		}
 		k.now = e.at
 		k.ran++
-		k.pending--
 		fn, fnArg, arg, name := e.fn, e.fnArg, e.arg, e.name
 		k.recycle(s)
 		if k.tracer != nil {
@@ -197,7 +188,6 @@ func (k *Kernel) Run(until time.Duration) {
 		s := k.batch[k.batchIdx]
 		if k.slots[s].canceled {
 			k.batchIdx++
-			k.pending--
 			k.recycle(s)
 			continue
 		}

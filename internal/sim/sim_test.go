@@ -56,9 +56,6 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	if fired {
 		t.Error("event beyond horizon fired")
 	}
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
-	}
 	k.Run(3 * time.Second)
 	if !fired {
 		t.Error("event did not fire on second Run")

@@ -43,12 +43,11 @@ type Authority struct {
 
 // Authentication errors.
 var (
-	ErrUnknownUser  = errors.New("xauth: unknown user")
-	ErrBadPassword  = errors.New("xauth: bad password")
-	ErrBadMFA       = errors.New("xauth: bad MFA code")
-	ErrNeedMFA      = errors.New("xauth: account requires MFA")
-	ErrPrivTooLow   = errors.New("xauth: privilege too low for operation")
-	ErrNotDelegated = errors.New("xauth: proxy has no cached token for user")
+	ErrUnknownUser = errors.New("xauth: unknown user")
+	ErrBadPassword = errors.New("xauth: bad password")
+	ErrBadMFA      = errors.New("xauth: bad MFA code")
+	ErrNeedMFA     = errors.New("xauth: account requires MFA")
+	ErrPrivTooLow  = errors.New("xauth: privilege too low for operation")
 )
 
 // NewAuthority creates an identity provider with a signing key.
@@ -79,7 +78,7 @@ func NewAuthority(key []byte, users []User) (*Authority, error) {
 func (a *Authority) Signer() *Signer { return a.signer }
 
 // Stats returns (tokensIssued, authRefusals).
-func (a *Authority) Stats() (uint64, uint64) { return a.issued, a.refused }
+func (a *Authority) Stats() (uint64, uint64) { return a.issued, a.refused } //xlf:allow-testonly bench/_perf reads them
 
 // mfaCode derives the expected MFA code for a secret at a time step; a
 // TOTP stand-in that is deterministic in simulation time.

@@ -150,6 +150,8 @@ func (s *Signer) validSig(t *Token) bool {
 // signature prefix, enough to correlate log lines without making the
 // log a credential store. This is the sanitizer the secretleak taint
 // rule accepts between token material and observability sinks.
+//
+//xlf:allow-testonly the display form secretleak's advice names
 func Redact(t Token) string {
 	sig := "unsigned"
 	if len(t.Sig) >= 4 {

@@ -26,8 +26,8 @@ go build ./...
 # The race suite runs in two steps so a hung test fails in minutes. Every
 # package but internal/exp gets -timeout 4m, at least 3x the slowest
 # one's race time (cmd/xlf-bench, about 56 s on a 2-vCPU Xeon).
-# internal/exp alone takes 268-407 s under -race, so it keeps go test's
-# default 10-minute timeout.
+# internal/exp alone takes 220-237 s under -race (three runs, 2-vCPU
+# Xeon, Go 1.24), so it keeps go test's default 10-minute timeout.
 echo '>> go test -race -timeout 4m (every package but internal/exp)'
 go test -race -timeout 4m $(go list ./... | grep -v '/internal/exp$')
 echo '>> go test -race ./internal/exp'

@@ -266,11 +266,7 @@ func TestEventSpoofCaughtByBehaviorDFA(t *testing.T) {
 	}
 	sys.Home.Run(30 * time.Second)
 	if !alerts.hasEvidence(func(e core.Signal) bool { return e.Kind == "illegal-transition" && e.DeviceID == "cam-1" }) {
-		// A single behaviour signal may sit below the alert threshold;
-		// check the monitor recorded the deviation at minimum.
-		if _, devs := sys.Monitors["cam-1"].Stats(); devs == 0 {
-			t.Error("spoofed event not even recorded as deviation")
-		}
+		t.Error("spoofed event raised no alert with illegal-transition evidence")
 	}
 }
 
