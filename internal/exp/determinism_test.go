@@ -1,3 +1,20 @@
+// Each determinism property of the experiment suite has one owning test,
+// and each compares whole rendered bytes:
+//
+//	property                                        owning test
+//	same-seed replay of the report and each entry   TestSchedulerDeterminismMatrix
+//	sequential equals parallel, full registry       TestSchedulerDeterminismMatrix
+//	every registry entry renders its own section    TestResultIDsMatchRegistry
+//	single-entry run equals its suite entry (RNG)   TestSingleRunMatchesSuite
+//	forks share no clock                            TestEnvFork
+//	forks share no tracer; artifact walk order      TestObservationTree
+//	trace equal at -parallel 1 and 16 (E1)          TestTraceDeterminismMatrix
+//	telemetry equal at -parallel 1 and 4 (E10)      TestTelemetryDeterminismMatrix
+//	pool and sweep order and isolation              TestSchedulerOrderAndIsolation, TestSweep
+//
+// The parallel runs of the three matrices are their same-seed replays, so
+// none runs its sequential case twice.
+
 package exp
 
 import (
@@ -16,54 +33,59 @@ import (
 // mint fresh step clocks, so the env is safe at any parallelism.
 func envFor(seed int64) *Env { return NewStepEnv(seed) }
 
-// TestExperimentsDeterministic is the reproduction contract made a
-// regression test: the same seed and a fake clock must render each
-// experiment byte-identically across runs. The cases iterate the registry
-// rather than a hand-maintained list.
-func TestExperimentsDeterministic(t *testing.T) {
-	for _, id := range []string{"T3", "E3", "E4", "E5", "E6"} {
-		ex, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("registry lost %s", id)
-		}
-		t.Run(ex.ID, func(t *testing.T) {
-			a := ex.Run(envFor(7)).String()
-			b := ex.Run(envFor(7)).String()
-			if a != b {
-				t.Errorf("%s is not deterministic:\n--- first run ---\n%s\n--- second run ---\n%s", ex.ID, a, b)
-			}
-		})
-	}
-}
-
-// TestSchedulerDeterminismMatrix is the tentpole contract: at every
-// parallelism level and for every seed, the report Run schedules must be
+// TestSchedulerDeterminismMatrix owns the full-report properties: for
+// each seed, the report Run schedules on a worker pool must be
 // byte-identical to the sequential one. Each experiment (and each inner
 // sweep point) gets a forked Env with its own step clock and a restarted
 // RNG stream, so neither pool interleaving nor sweep fan-out may leak into
 // the rendered bytes. Each parallel report is a separate run compared
 // byte for byte with the sequential one, so the matrix also pins that a
-// same-seed replay of the full report reproduces it. The sequential
-// baselines come from sequentialRun, which TestResultIDsMatchRegistry
-// shares.
+// same-seed replay of the full report, and of every experiment in it,
+// reproduces it. One level per seed suffices: seed 3 runs at the widest
+// pool and seed 11 at a narrow one. The sequential baselines come from
+// sequentialRun, which TestResultIDsMatchRegistry and
+// TestSingleRunMatchesSuite share.
 func TestSchedulerDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite Run matrix in -short mode")
 	}
 	reg := Registry()
-	for _, seed := range []int64{3, 11} {
-		baseline := Render(sequentialRun(seed))
-		for _, parallel := range []int{4, 16} {
-			parallel := parallel
-			t.Run(fmt.Sprintf("seed%d_parallel%d", seed, parallel), func(t *testing.T) {
-				env := envFor(seed)
-				env.Workers = parallel
-				got := Render(Run(env, reg))
-				if got != baseline {
-					t.Errorf("parallel %d report differs from sequential at seed %d", parallel, seed)
-				}
-			})
+	for _, c := range []struct {
+		seed     int64
+		parallel int
+	}{{3, 16}, {11, 4}} {
+		t.Run(fmt.Sprintf("seed%d_parallel%d", c.seed, c.parallel), func(t *testing.T) {
+			env := envFor(c.seed)
+			env.Workers = c.parallel
+			if got := Render(Run(env, reg)); got != Render(sequentialRun(c.seed)) {
+				t.Errorf("parallel %d report differs from sequential at seed %d", c.parallel, c.seed)
+			}
+		})
+	}
+}
+
+// TestSingleRunMatchesSuite pins Env.Rand's promise that a
+// single-experiment run matches the same entry of a full-suite run: every
+// fork restarts the seed's stream, so a generator shared across forks
+// shifts each entry drawn after the first, even in a sequential run
+// without -race. The entries are cheap ones: E3, E5 and E6 draw from
+// Env.Rand, and E8 seeds its two homes on sweep forks.
+func TestSingleRunMatchesSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite baseline in -short mode")
+	}
+	suite := sequentialRun(3)
+	for i, ex := range Registry() {
+		switch ex.ID {
+		case "E3", "E5", "E6", "E8":
+		default:
+			continue
 		}
+		t.Run(ex.ID, func(t *testing.T) {
+			if got, want := Run(envFor(3), []Experiment{ex})[0].String(), suite[i].String(); got != want {
+				t.Errorf("single %s run differs from the full suite's:\n--- single ---\n%s\n--- suite ---\n%s", ex.ID, got, want)
+			}
+		})
 	}
 }
 
@@ -116,21 +138,18 @@ func traceE1(t *testing.T, seed int64, parallel int) []byte {
 
 // TestTraceDeterminismMatrix is the observability analogue of the
 // Run matrix: with a step clock, the serialized trace of an E1 run
-// must be byte-identical across runs and across -parallel levels, because
-// the env forks its observation tree sequentially in dispatch order and
-// WriteTrace renumbers span sequence numbers into file order.
+// must be byte-identical at -parallel 1 and 16, because the env forks its
+// observation tree sequentially in dispatch order and WriteTrace
+// renumbers span sequence numbers into file order. At 16 every E1 sweep
+// point runs on its own worker, and the parallel run is also the
+// same-seed replay.
 func TestTraceDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace determinism matrix in -short mode")
 	}
 	baseline := traceE1(t, 7, 1)
-	if again := traceE1(t, 7, 1); !bytes.Equal(baseline, again) {
-		t.Fatal("sequential E1 trace differs between two runs with the same seed")
-	}
-	for _, parallel := range []int{4, 16} {
-		if got := traceE1(t, 7, parallel); !bytes.Equal(baseline, got) {
-			t.Errorf("parallel %d E1 trace differs from sequential", parallel)
-		}
+	if got := traceE1(t, 7, 16); !bytes.Equal(baseline, got) {
+		t.Error("parallel 16 E1 trace differs from sequential")
 	}
 
 	// The timeline must span the stack: device, netsim, sim, dpi, core and
@@ -167,21 +186,18 @@ func telemetryE10(t *testing.T, seed int64, parallel int) []byte {
 
 // TestTelemetryDeterminismMatrix is the rollup analogue of the trace
 // matrix: with a step clock, the serialized telemetry of an E10 run (the
-// attack timeline included) must be byte-identical across runs and across
-// -parallel levels, because sweep points fork the observation tree
-// sequentially in dispatch order and each city runs on its own sim clock.
+// attack timeline included) must be byte-identical at -parallel 1 and 4,
+// because sweep points fork the observation tree sequentially in dispatch
+// order and each city runs on its own sim clock. At 4 each of E10's three
+// scale points runs on its own worker, and the parallel run is also the
+// same-seed replay.
 func TestTelemetryDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("telemetry determinism matrix in -short mode")
 	}
 	baseline := telemetryE10(t, 7, 1)
-	if again := telemetryE10(t, 7, 1); !bytes.Equal(baseline, again) {
-		t.Fatal("sequential E10 telemetry differs between two runs with the same seed")
-	}
-	for _, parallel := range []int{4, 16} {
-		if got := telemetryE10(t, 7, parallel); !bytes.Equal(baseline, got) {
-			t.Errorf("parallel %d E10 telemetry differs from sequential", parallel)
-		}
+	if got := telemetryE10(t, 7, 4); !bytes.Equal(baseline, got) {
+		t.Error("parallel 4 E10 telemetry differs from sequential")
 	}
 
 	meta, windows, dumps, err := obs.ReadMetrics(bytes.NewReader(baseline))

@@ -248,19 +248,3 @@ func TestE9StabilityShape(t *testing.T) {
 		t.Errorf("detection latency = %vs, want under a minute", r.Numbers["detect_latency_s"])
 	}
 }
-
-func TestAllAndRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite in -short mode")
-	}
-	results := Run(NewEnv(1), Registry())
-	if len(results) != 17 {
-		t.Fatalf("Run returned %d results, want 17", len(results))
-	}
-	out := Render(results)
-	for _, id := range []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
-		if !strings.Contains(out, "==== "+id+":") {
-			t.Errorf("render missing %s", id)
-		}
-	}
-}

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestRegistryShape pins the registry as the single source of truth: one
 // entry per report section, report order, resolvable by ID, and kind
@@ -55,7 +58,8 @@ func mustLookup(t *testing.T, id string) Experiment {
 }
 
 // TestResultIDsMatchRegistry asserts every entry renders a Result carrying
-// its own ID and title, which the artifact layer keys on. It reads the
+// its own ID and title, which the artifact layer keys on, and that the
+// rendered report carries each entry's section header. It reads the
 // sequential full-registry run the scheduler matrix compares against.
 func TestResultIDsMatchRegistry(t *testing.T) {
 	if testing.Short() {
@@ -66,12 +70,16 @@ func TestResultIDsMatchRegistry(t *testing.T) {
 	if len(results) != len(reg) {
 		t.Fatalf("registry run returned %d results, want %d", len(results), len(reg))
 	}
+	out := Render(results)
 	for i, r := range results {
 		if r.ID != reg[i].ID {
 			t.Errorf("%s rendered result ID %q", reg[i].ID, r.ID)
 		}
 		if r.Title != reg[i].Title {
 			t.Errorf("%s rendered title %q, registry says %q", reg[i].ID, r.Title, reg[i].Title)
+		}
+		if header := "==== " + reg[i].ID + ": " + reg[i].Title + " ====\n"; !strings.Contains(out, header) {
+			t.Errorf("render missing %q", header)
 		}
 	}
 }

@@ -43,7 +43,6 @@ const (
 	SPN     Structure = "SPN"     // substitution-permutation network
 	Feistel Structure = "Feistel" // classic Feistel network
 	GFS     Structure = "GFS"     // generalized Feistel structure
-	ARX     Structure = "ARX"     // add-rotate-xor (LEA; the paper files it under Feistel)
 )
 
 // Info describes one row of Table III plus what is needed to instantiate

@@ -21,17 +21,16 @@ import (
 	"time"
 )
 
-// Canonical layer names for Span.Layer. The set mirrors the XLF
-// architecture: the three paper layers plus the substrates and
-// network-function sublayers that produce their own telemetry.
+// Canonical layer names for Span.Layer: the layers that emit spans, which
+// are the device layer, the substrates and network-function sublayers,
+// and the Core.
 const (
-	LayerSim     = "sim"
-	LayerDevice  = "device"
-	LayerNetsim  = "netsim"
-	LayerDPI     = "dpi"
-	LayerXAuth   = "xauth"
-	LayerService = "service"
-	LayerCore    = "core"
+	LayerSim    = "sim"
+	LayerDevice = "device"
+	LayerNetsim = "netsim"
+	LayerDPI    = "dpi"
+	LayerXAuth  = "xauth"
+	LayerCore   = "core"
 )
 
 // DefaultCapacity is the ring-buffer size used when a Tracer is built

@@ -23,15 +23,16 @@ go vet ./...
 echo '>> go build ./...'
 go build ./...
 
-# The race suite runs in two steps so a hung test fails in minutes. Every
-# package but internal/exp gets -timeout 4m, at least 3x the slowest
-# one's race time (cmd/xlf-bench, about 56 s on a 2-vCPU Xeon).
-# internal/exp alone takes 220-237 s under -race (three runs, 2-vCPU
-# Xeon, Go 1.24), so it keeps go test's default 10-minute timeout.
+# The race suite runs in two steps so a hung test fails in minutes. Each
+# step's -timeout is at least 3x its slowest package's race time, rounded
+# up to a whole minute: every package but internal/exp gets 4m
+# (cmd/xlf-bench, about 60 s on a 2-vCPU Xeon), and internal/exp, which
+# alone takes 130-154 s under -race (three runs, 2-vCPU Xeon, Go 1.24),
+# gets 8m.
 echo '>> go test -race -timeout 4m (every package but internal/exp)'
 go test -race -timeout 4m $(go list ./... | grep -v '/internal/exp$')
-echo '>> go test -race ./internal/exp'
-go test -race ./internal/exp
+echo '>> go test -race -timeout 8m ./internal/exp'
+go test -race -timeout 8m ./internal/exp
 
 # bench/_perf is a module of its own, so ./... never builds it; it reads
 # the testbed's captures, the IDS and the Core, so a library change can
